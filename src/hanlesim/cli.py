@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -86,6 +87,10 @@ class RunConfig:
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
 _INT_FIELDS = {"n_periods", "samples_per_period", "sweep_points", "scan_b_points"}
+_FLOAT_FIELDS = {
+    "fg", "fe", "intensity", "gamma", "detuning", "zeeman_g", "zeeman_e", "dipole_scale",
+    "b0", "b1", "period", "duty", "sweep_min", "sweep_max", "scan_b_min", "scan_b_max",
+}
 
 
 def build_config(preset_name=None, config_path=None, overrides=None,
@@ -124,12 +129,25 @@ def build_config(preset_name=None, config_path=None, overrides=None,
             merged[name] = int(merged[name])
         except (TypeError, ValueError):
             raise ConfigError(f"config key {name!r} must be an integer") from None
+    for name in _FLOAT_FIELDS:
+        merged[name] = _finite(merged[name], f"config key {name!r} must be a finite number")
     if merged["intensities"] is not None:
+        message = "config key 'intensities' must be a list of finite numbers"
         try:
-            merged["intensities"] = tuple(float(v) for v in merged["intensities"])
-        except (TypeError, ValueError):
-            raise ConfigError("config key 'intensities' must be a list of numbers") from None
+            merged["intensities"] = tuple(_finite(v, message) for v in merged["intensities"])
+        except TypeError:
+            raise ConfigError(message) from None
     return RunConfig(**merged)
+
+
+def _finite(value, message: str) -> float:
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(message) from None
+    if not math.isfinite(number):
+        raise ConfigError(message)
+    return number
 
 
 def _transition_spec(config: RunConfig) -> TransitionSpec:

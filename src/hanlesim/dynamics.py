@@ -9,17 +9,31 @@ and a fixed-step fourth-order Runge-Kutta integrator that knows nothing
 about the spectrum.  Their agreement is used as a correctness oracle in the
 test suite.
 
+The modal solver works on an invariant block of M: the Liouville indices
+reachable from the supports of p0 and of the initial state along the
+nonzero pattern of M.  M maps nothing from the block to the rest of the
+space, so outside the block the state stays exactly zero, and only
+M[block, block] needs an eigendecomposition.  The block is exact for any
+polarization; with linear light it holds about half of the indices.  One
+decomposition of the block (eigenpairs, steady state, eigenvector condition
+number and the absorption weight of each mode) serves every sample and
+every hand-off that uses its Liouvillian.  When the eigenvectors are too
+ill-conditioned to trust, the integrator computes both the samples and the
+hand-off instead: this is the only fallback path.
+
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
 of the record is the steady state of the phase preceding it, which is where a
-periodically driven system settles after a few transit times.
+periodically driven system settles after a few transit times.  The Zeeman
+terms are diagonal, so both fields share one block, and each field is
+decomposed once per transient whatever the number of periods.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import ceil, sqrt
+from math import ceil, isfinite, sqrt
 
 import numpy as np
 from scipy.constants import k as _BOLTZMANN
@@ -28,7 +42,6 @@ from .liouvillian import (
     Liouvillian,
     TransitionSpec,
     build_liouvillian,
-    coupling_absorption,
     devectorize,
     vectorize,
 )
@@ -69,6 +82,9 @@ class SwitchSchedule:
     samples_per_period: int = 4000
 
     def __post_init__(self):
+        for name in ("b1", "b0", "period", "duty"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.period <= 0:
             raise ValueError(f"period must be > 0, got {self.period}")
         if not 0.0 <= self.duty <= 1.0:
@@ -173,12 +189,88 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     return sigma
 
 
-def _modal_parts(liouv: Liouvillian, y0: np.ndarray):
-    y_ss = np.linalg.solve(liouv.matrix, -liouv.pump)
-    lam, vecs = np.linalg.eig(liouv.matrix)
-    cond = np.linalg.cond(vecs)
-    amps = np.linalg.solve(vecs, y0 - y_ss)
-    return y_ss, lam, vecs, amps, cond
+def _invariant_block(matrices, seeds) -> np.ndarray:
+    """Sorted Liouville indices reachable from the seeds' supports.
+
+    Index j is reached from index i when some matrix has a nonzero entry
+    (j, i).  Every matrix therefore maps a vector supported on the block to
+    one supported on it, and a state that starts on the block never leaves.
+    """
+    pattern = np.zeros(matrices[0].shape, dtype=bool)
+    for matrix in matrices:
+        pattern |= matrix != 0
+    reached = np.zeros(pattern.shape[0], dtype=bool)
+    for seed in seeds:
+        reached |= seed != 0
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = pattern[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return np.flatnonzero(reached)
+
+
+@dataclass(frozen=True)
+class _Modes:
+    """One eigendecomposition of M on an invariant block, with absorption weights.
+
+    ``y_ss`` is full-size and zero outside ``block``; ``w_modes[k]`` is the
+    absorption functional of eigenvector k and ``w_ss`` that of ``y_ss``.
+    """
+
+    block: np.ndarray
+    lam: np.ndarray
+    vecs: np.ndarray
+    y_ss: np.ndarray
+    cond: float
+    w_modes: np.ndarray
+    w_ss: float
+
+
+def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
+    sub = liouv.matrix[np.ix_(block, block)]
+    y_ss = np.zeros(liouv.size, dtype=complex)
+    y_ss[block] = np.linalg.solve(sub, -liouv.pump[block])
+    lam, vecs = np.linalg.eig(sub)
+    row = liouv.absorption_row[block]
+    return _Modes(
+        block, lam, vecs, y_ss, np.linalg.cond(vecs), row @ vecs, (row @ y_ss[block]).real
+    )
+
+
+def _modal_trusted(modes: _Modes) -> bool:
+    """False, with a warning, when the eigenvectors are too ill-conditioned to use."""
+    if modes.cond <= MODAL_CONDITION_LIMIT:
+        return True
+    warnings.warn(
+        f"eigenvector condition number {modes.cond:.3e} too large for the modal "
+        "solver; falling back to step integration",
+        stacklevel=3,
+    )
+    return False
+
+
+def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, end=None, keep_states=False):
+    """(absorption at ``times``, states there or None, state at ``end`` or None) from y0.
+
+    ``y0`` must vanish outside ``modes.block``.
+    """
+    block = modes.block
+    amps = np.linalg.solve(modes.vecs, y0[block] - modes.y_ss[block])
+    phases = np.exp(np.outer(modes.lam, times))  # (block size, n_samples)
+    # complex parts cancel in the sum over modes
+    w_t = modes.w_ss + (amps * modes.w_modes) @ phases
+    stray = np.abs(w_t.imag).max() if w_t.size else 0.0
+    if stray > 1e-9:
+        warnings.warn(f"modal absorption has stray imaginary part {stray:.3e}", stacklevel=3)
+    states = None
+    if keep_states:
+        states = np.tile(modes.y_ss, (times.size, 1))
+        states[:, block] += (modes.vecs @ (amps[:, None] * phases)).T
+    y_end = None
+    if end is not None:
+        y_end = modes.y_ss.copy()
+        y_end[block] += modes.vecs @ (amps * np.exp(modes.lam * end))
+    return w_t.real, states, y_end
 
 
 def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
@@ -197,52 +289,30 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
 
     Notes
     -----
-    If the eigenvector matrix is too ill-conditioned to trust (condition
-    number above ``MODAL_CONDITION_LIMIT``, possible at exceptional points),
-    the routine falls back to the fixed-step integrator and records
+    Only the invariant block of M reachable from the supports of p0 and y0
+    is decomposed; the state is exactly zero outside it, and returned
+    states are full-size.  If the block's eigenvector matrix is too
+    ill-conditioned to trust (condition number above
+    ``MODAL_CONDITION_LIMIT``, possible at exceptional points), the routine
+    falls back to the fixed-step integrator and records
     ``meta["modal_fallback"] = True``.
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0)
-    y_ss, lam, vecs, amps, cond = _modal_parts(liouv, y0)
-    if cond > MODAL_CONDITION_LIMIT:
-        warnings.warn(
-            f"eigenvector condition number {cond:.3e} too large for the modal "
-            "solver; falling back to step integration",
-            stacklevel=2,
-        )
+    modes = _decompose(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
+    if not _modal_trusted(modes):
         result = _integrate_at_times(liouv, y0, times, keep_states=keep_states)
         trace = result[0] if keep_states else result
         trace.meta["modal_fallback"] = True
         return result
 
-    # absorption weight of each eigenvector; complex parts cancel in the sum
-    w_modes = np.array(
-        [coupling_absorption(devectorize(vecs[:, k]), liouv.coupling) for k in range(lam.size)]
-    )
-    w_ss = coupling_absorption(devectorize(y_ss), liouv.coupling).real
-    phases = np.exp(np.outer(lam, times))  # (size, n_samples)
-    w_t = w_ss + (amps * w_modes) @ phases
-    stray = np.abs(w_t.imag).max() if w_t.size else 0.0
-    if stray > 1e-9:
-        warnings.warn(f"modal absorption has stray imaginary part {stray:.3e}", stacklevel=2)
-
+    w_t, states, _ = _modal_run(modes, y0, times, keep_states=keep_states)
     b_val = getattr(liouv.spec, "b_field", 0.0)
     meta = _spec_meta(liouv.spec) | {"solver": "modal", "b_field": b_val}
-    trace = TransientTrace(times, w_t.real, np.full(times.shape, b_val), meta)
+    trace = TransientTrace(times, w_t, np.full(times.shape, b_val), meta)
     if keep_states:
-        states = (y_ss[:, None] + vecs @ (amps[:, None] * phases)).T
         return trace, states
     return trace
-
-
-def _modal_state_at(liouv: Liouvillian, y0: np.ndarray, t: float) -> np.ndarray:
-    """Exact state at a single time, used to hand off between phases."""
-    y_ss, lam, vecs, amps, cond = _modal_parts(liouv, y0)
-    if cond > MODAL_CONDITION_LIMIT:
-        steps = ceil(t / MAX_INTEGRATOR_STEP)
-        return _rk4(liouv.matrix, liouv.pump, y0, t / steps, steps)
-    return y_ss + vecs @ (amps * np.exp(lam * t))
 
 
 def _rk4(m: np.ndarray, p0: np.ndarray, y: np.ndarray, dt: float, steps: int) -> np.ndarray:
@@ -264,6 +334,7 @@ def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False
     """
     times = np.asarray(times, dtype=float)
     y = _as_vector(y0)
+    row = liouv.absorption_row
     w_out = np.empty(times.size)
     states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
     t_prev = 0.0
@@ -275,7 +346,7 @@ def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False
             steps = ceil(span / MAX_INTEGRATOR_STEP)
             y = _rk4(liouv.matrix, liouv.pump, y, span / steps, steps)
         t_prev = t
-        w_out[i] = coupling_absorption(devectorize(y), liouv.coupling).real
+        w_out[i] = (row @ y).real
         if keep_states:
             states[i] = y
     b_val = getattr(liouv.spec, "b_field", 0.0)
@@ -317,40 +388,49 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     uniform inside each phase and exclude each phase's right endpoint, so the
     concatenated grid is strictly increasing.
 
+    Each field is decomposed once; a field whose eigenvectors are too
+    ill-conditioned is integrated instead, samples and hand-off alike.
+    ``meta["solver"]`` is ``"modal"`` when no phase fell back, and otherwise
+    a tuple naming the solver of each phase of a period that has a nonzero
+    duration (``"modal"`` or ``"integrated"``).
+
     Returns
     -------
     TransientTrace, or (TransientTrace, ndarray) with ``keep_states``.
     """
-    liouvs = {
-        schedule.b0: build_liouvillian(spec.with_field(schedule.b0)),
-        schedule.b1: build_liouvillian(spec.with_field(schedule.b1)),
-    }
-    phases = schedule.phases()
-    previous_field = phases[-1][0]  # the record starts mid-train
-    y = vectorize(steady_state(liouvs[previous_field]))
+    liouvs = {b: build_liouvillian(spec.with_field(b)) for b in (schedule.b0, schedule.b1)}
+    all_phases = schedule.phases()
+    phases = [phase for phase in all_phases if phase[1] > 0]
+    previous = liouvs[all_phases[-1][0]]  # the record starts mid-train
+    y = vectorize(steady_state(previous))
+    block = _invariant_block([liouv.matrix for liouv in liouvs.values()], [previous.pump, y])
+    active = {b for b, _, _ in phases}  # one entry when b0 == b1
+    modes = {b: _decompose(liouvs[b], block) for b in active}
+    modal = {b: _modal_trusted(m) for b, m in modes.items()}
 
     all_t, all_w, all_b = [], [], []
     states = [] if keep_states else None
     t_offset = 0.0
     for _ in range(schedule.n_periods):
         for b_val, duration, n_samples in phases:
-            if duration <= 0:
-                continue
-            liouv = liouvs[b_val]
-            if n_samples > 0:
-                local = np.linspace(0.0, duration, n_samples, endpoint=False)
-                result = propagate_modal(liouv, y, local, keep_states=keep_states)
-                trace = result[0] if keep_states else result
-                all_t.append(local + t_offset)
-                all_w.append(trace.w)
-                all_b.append(trace.b)
-                if keep_states:
-                    states.append(result[1])
-            y = _modal_state_at(liouv, y, duration)
+            local = np.linspace(0.0, duration, n_samples, endpoint=False)
+            if modal[b_val]:
+                w, phase_states, y = _modal_run(modes[b_val], y, local, duration, keep_states)
+            else:
+                trace, run = _integrate_at_times(
+                    liouvs[b_val], y, np.append(local, duration), keep_states=True
+                )
+                w, phase_states, y = trace.w[:-1], run[:-1], run[-1]
+            all_t.append(local + t_offset)
+            all_w.append(w)
+            all_b.append(np.full(n_samples, b_val))
+            if keep_states:
+                states.append(phase_states)
             t_offset += duration
 
+    solvers = tuple("modal" if modal[b] else "integrated" for b, _, _ in phases)
     meta = _spec_meta(spec) | {
-        "solver": "modal",
+        "solver": "modal" if all(modal.values()) else solvers,
         "b0": schedule.b0,
         "b1": schedule.b1,
         "period": schedule.period,

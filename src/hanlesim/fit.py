@@ -209,7 +209,7 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
                 break
     else:
         converged = np.abs(jac.T @ residual).max() <= GRADIENT_TOL * max(1.0, gradient_scale)
-    return theta, residual, jac, cost, iterations, converged
+    return theta, residual, jac, cost, iterations, bool(converged)
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
@@ -61,7 +61,7 @@ def _coerce_pol(pol) -> tuple:
     if vec.shape != (3,):
         raise ValueError(f"polarization must be a named kind or 3 spherical components, got {pol!r}")
     norm = np.linalg.norm(vec)
-    if abs(norm - 1.0) > 1e-9:
+    if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
         raise ValueError(f"polarization vector must have unit norm, got {norm!r}")
     return tuple(vec)
 
@@ -113,6 +113,9 @@ class TransitionSpec:
         object.__setattr__(self, "fg", AngMom.coerce(self.fg))
         object.__setattr__(self, "fe", AngMom.coerce(self.fe))
         object.__setattr__(self, "pol", _coerce_pol(self.pol))
+        for name in ("rabi", "gamma", "detuning", "zeeman_g", "zeeman_e", "b_field", "dipole_scale"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(self.fg.twice_f - self.fe.twice_f) > 2:
             raise ValueError(f"|Fg - Fe| must be <= 1, got Fg={self.fg.f}, Fe={self.fe.f}")
         if self.rabi < 0:
@@ -195,6 +198,16 @@ class Liouvillian:
     def size(self) -> int:
         """Liouville-space dimension, dim**2."""
         return self.matrix.shape[0]
+
+    @property
+    def absorption_row(self) -> np.ndarray:
+        """The absorption functional as a row c, so that w(y) = c @ y.
+
+        c = i * vec((W - W^dag)^T), because Tr[sigma A] = vec(sigma) . vec(A^T)
+        under row-major vectorization; this is :func:`coupling_absorption`
+        applied to devec(y), for any Liouville vector y.
+        """
+        return 1j * vectorize((self.coupling - self.coupling.conj().T).T)
 
 
 def coupling_matrix(spec: TransitionSpec) -> np.ndarray:

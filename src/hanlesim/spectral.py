@@ -27,9 +27,7 @@ from .liouvillian import (
     Liouvillian,
     TransitionSpec,
     build_liouvillian,
-    coupling_absorption,
     coupling_matrix,
-    devectorize,
     vectorize,
 )
 
@@ -169,9 +167,7 @@ def observability(
     if y_ss is None:
         y_ss = np.linalg.solve(liouv.matrix, -liouv.pump)
     amps = mode_amplitudes(modes, y0, y_ss)
-    weights = np.array(
-        [coupling_absorption(devectorize(m.vector), liouv.coupling) for m in modes]
-    )
+    weights = liouv.absorption_row @ np.column_stack([m.vector for m in modes])
     amp_floor = tol_amplitude * max(np.abs(amps).max(), np.finfo(float).tiny)
     weight_floor = tol_weight * max(np.abs(weights).max(), np.finfo(float).tiny)
     for mode, a, w in zip(modes, amps, weights):

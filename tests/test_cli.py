@@ -7,8 +7,11 @@ import sys
 import numpy as np
 import pytest
 
-from hanlesim import load_trace, transit_time
+from hanlesim import list_presets, load_trace, transit_time
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
+
 
 def run(argv):
     return main(argv)
@@ -52,6 +55,22 @@ class TestExitCodes:
         code = run(["spectrum", "--intensities", "", "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
 
+    def test_non_finite_flag(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        code = run(["transient", "--gamma", "nan", "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert "gamma" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_numeric_config_value(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"gamma": "abc"}))
+        out = tmp_path / "o.csv"
+        code = run(["transient", "--config", str(cfg), "--output", str(out)])
+        assert code == EXIT_USAGE
+        assert "gamma" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_no_partial_output_on_failure(self, tmp_path):
         out = tmp_path / "o.csv"
         run(["transient", "--preset", "fig99z", "--output", str(out)])
@@ -91,6 +110,14 @@ class TestTransient:
         payload = json.loads(fit_out.read_text())
         assert payload["converged"]
         assert payload["params"]["freq"] == pytest.approx(0.06, rel=0.05)
+
+
+@pytest.mark.parametrize("preset", TRANSIENT_PRESETS)
+def test_every_transient_preset_fits(tmp_path, preset):
+    fit_out = tmp_path / "f.json"
+    assert run(["transient", "--preset", preset, "--with-fit",
+                "--output", str(tmp_path / "o.csv"), "--fit-output", str(fit_out)]) == EXIT_OK
+    assert isinstance(json.loads(fit_out.read_text())["converged"], bool)
 
 
 class TestSteady:

@@ -109,6 +109,10 @@ class TestSwitchSchedule:
             SwitchSchedule(b1=0.03, duty=1.5)
         with pytest.raises(ValueError):
             SwitchSchedule(b1=0.03, samples_per_period=0)
+        for bad in (float("nan"), float("inf")):
+            for name in ("b1", "b0", "period", "duty"):
+                with pytest.raises(ValueError, match=name):
+                    SwitchSchedule(**{"b1": 0.03, name: bad})
 
 
 class TestSwitchedTransient:
@@ -164,6 +168,42 @@ class TestSwitchedTransient:
         assert off.times[0] == 0.0
         assert on.times[0] == 0.0
         assert on.meta["phase_start"] == pytest.approx(500.0)
+
+    def test_fallback_integrates_every_phase_and_names_its_solver(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
+        spec = eia_spec(0.06)
+        schedule = SwitchSchedule(b1=0.03, period=200.0, samples_per_period=40)
+        with pytest.warns(UserWarning, match="condition"):
+            trace = switched_transient(spec, schedule)
+        assert trace.meta["solver"] == ("integrated", "integrated")
+
+        (b0, d0, n0), (b1, d1, n1) = schedule.phases()
+        liouv0 = build_liouvillian(spec.with_field(b0))
+        liouv1 = build_liouvillian(spec.with_field(b1))
+        y0 = steady_vector(spec, b1)
+        first = dynamics._integrate_at_times(liouv0, y0, np.linspace(0.0, d0, n0, endpoint=False))
+        _, (handoff,) = dynamics._integrate_at_times(liouv0, y0, [d0], keep_states=True)
+        second = dynamics._integrate_at_times(
+            liouv1, handoff, np.linspace(0.0, d1, n1, endpoint=False)
+        )
+        reference = np.concatenate([first.w, second.w])
+        np.testing.assert_allclose(trace.w, reference, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n_periods", [1, 3])
+    def test_one_eigendecomposition_per_field(self, monkeypatch, n_periods):
+        # on the 34 of 64 Liouville indices that linear light reaches on 1 -> 2
+        calls = []
+        eig = np.linalg.eig
+
+        def counting_eig(matrix):
+            calls.append(matrix.shape)
+            return eig(matrix)
+
+        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        schedule = SwitchSchedule(b1=0.03, period=1000.0, n_periods=n_periods,
+                                  samples_per_period=200)
+        switched_transient(eia_spec(0.06), schedule)
+        assert calls == [(34, 34), (34, 34)]
 
     def test_physicality_along_trajectory(self):
         spec = eia_spec(0.06)

@@ -182,6 +182,13 @@ class TestTransitionSpec:
             TransitionSpec(fg=1, fe=0, rabi=-0.1, gamma=0.002)
         with pytest.raises(ValueError):
             TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(1.0, 1.0, 1.0))
+        for bad in (float("nan"), float("inf")):
+            for name in ("rabi", "gamma", "detuning", "zeeman_g", "zeeman_e", "b_field",
+                         "dipole_scale"):
+                with pytest.raises(ValueError, match=name):
+                    TransitionSpec(**{"fg": 1, "fe": 0, "rabi": 0.1, "gamma": 0.002, name: bad})
+            with pytest.raises(ValueError):
+                TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(bad, 0.0, 0.0))
 
     def test_polarization_string_is_resolved(self):
         spec = eit_spec(0.02, pol="sigma+")
