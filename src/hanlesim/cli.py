@@ -18,8 +18,11 @@ files are only written after the computation has fully succeeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
+import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -182,12 +185,54 @@ def _schedule(config: RunConfig) -> SwitchSchedule:
         raise ConfigError(str(exc)) from None
 
 
-def _write_text(text: str, path) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+def _write_outputs(*outputs) -> None:
+    """Write each (text, path) pair; a path of None or "-" means stdout.
+
+    A path that is absent or names a regular file is first written to a
+    temporary file beside it, which is renamed into place with
+    ``os.replace`` only once every output has been written, so a failure
+    leaves no regular output file written or truncated; a replaced file
+    keeps its permission bits.  Any other path (a symlink, a device such as
+    ``os.devnull``, a FIFO) is written through directly, after the regular
+    files are staged.  Standard output is written last.
+    """
+    staged, direct = [], []
+    for text, path in outputs:
+        if path in (None, "-"):
+            continue
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from None
+        if mode is None or stat.S_ISREG(mode):
+            staged.append((text, path, mode))
+        else:
+            direct.append((text, path))
+    temps = []
+    try:
+        for index, (text, path, mode) in enumerate(staged):
+            directory, name = os.path.split(os.path.abspath(path))
+            temp = os.path.join(directory, f".{name}.{os.getpid()}.{index}.tmp")
+            temps.append(temp)
+            with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+        for text, path in direct:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        for temp, (_, path, _) in zip(temps, staged):
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise ConfigError(f"cannot write output: {exc}") from None
+    for text, path in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)
 
 
 def _fit_model_for(config: RunConfig, phase: str) -> FitModel:
@@ -219,9 +264,10 @@ def cmd_transient(args) -> int:
         result = fit_trace(segment, model)
         fit_text = traceio.render_fit(result)
 
-    _write_text(csv_text, args.output)
+    outputs = [(csv_text, args.output)]
     if fit_text is not None:
-        _write_text(fit_text, args.fit_output)
+        outputs.append((fit_text, args.fit_output))
+    _write_outputs(*outputs)
     return EXIT_OK
 
 
@@ -239,7 +285,7 @@ def cmd_spectrum(args) -> int:
     if intensities.size == 0 or np.any(intensities <= 0):
         raise ConfigError("intensity grid must be nonempty and positive")
     rows = intensity_sweep(spec, intensities, b1=config.b1)
-    _write_text(traceio.render_sweep(rows), args.output)
+    _write_outputs((traceio.render_sweep(rows), args.output))
     return EXIT_OK
 
 
@@ -279,7 +325,7 @@ def cmd_fit(args) -> int:
         result = fit_trace(trace, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    _write_text(traceio.render_fit(result), args.output)
+    _write_outputs((traceio.render_fit(result), args.output))
     return EXIT_OK
 
 
@@ -299,7 +345,7 @@ def cmd_steady(args) -> int:
         "zeeman_g": spec.zeeman_g, "zeeman_e": spec.zeeman_e,
         "dipole_scale": spec.dipole_scale, "polarization": spec.pol,
     }
-    _write_text(traceio.render_table(("b", "w"), rows, meta), args.output)
+    _write_outputs((traceio.render_table(("b", "w"), rows, meta), args.output))
     return EXIT_OK
 
 
@@ -310,8 +356,8 @@ def cmd_transit(args) -> int:
         mass_amu = args.mass_amu
     else:
         mass_amu = ISOTOPE_MASS_AMU[args.isotope]
-    if mass_amu <= 0:
-        raise ConfigError("mass must be positive")
+    if not (math.isfinite(mass_amu) and mass_amu > 0):
+        raise ConfigError("mass must be finite and positive")
     mass_kg = mass_amu * atomic_mass
     try:
         tau = transit_time(args.diameter_m, args.temperature_k, mass_kg)
@@ -324,14 +370,14 @@ def cmd_transit(args) -> int:
         "mass_kg": mass_kg,
         "transit_time_s": tau,
     }
-    _write_text(json.dumps(payload, indent=2) + "\n", args.output)
+    _write_outputs((json.dumps(payload, indent=2) + "\n", args.output))
     return EXIT_OK
 
 
 def cmd_presets(args) -> int:
     lines = [f"{name:8s}  {command:9s}  {description}"
              for name, command, description in list_presets()]
-    _write_text("\n".join(lines) + "\n", None)
+    _write_outputs(("\n".join(lines) + "\n", None))
     return EXIT_OK
 
 

@@ -9,6 +9,16 @@ and a fixed-step fourth-order Runge-Kutta integrator that knows nothing
 about the spectrum.  Their agreement is used as a correctness oracle in the
 test suite.
 
+For constant M, s classic RK4 steps of size h are exactly an affine map
+y <- R y + r, with R = sum_{k<=4} (hM)^k/k! (RK4's stability polynomial)
+and r = h sum_{k<=3} (hM)^k/(k+1)! p0 composed s times.  The integrator
+steps an interval with matrix-vector products the first time it meets it;
+once an interval recurs, it builds that map from powers of hM on the full
+M, composes the s steps by binary powering, and applies it with one
+matrix-vector product per later sample.  A uniform sample grid needs only
+a handful of maps.  It uses neither an eigendecomposition nor the
+invariant block below.
+
 The modal solver works on an invariant block of M: the Liouville indices
 reachable from the supports of p0 and of the initial state along the
 nonzero pattern of M.  M maps nothing from the block to the rest of the
@@ -294,7 +304,9 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     states are full-size.  If the block's eigenvector matrix is too
     ill-conditioned to trust (condition number above
     ``MODAL_CONDITION_LIMIT``, possible at exceptional points), the routine
-    falls back to the fixed-step integrator and records
+    falls back to the fixed-step RK4 integrator on the full M, which
+    applies a recurring sample interval as one exact RK4 step map and
+    steps any other interval with matrix-vector products, and records
     ``meta["modal_fallback"] = True``.
     """
     times = np.asarray(times, dtype=float)
@@ -315,28 +327,54 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     return trace
 
 
-def _rk4(m: np.ndarray, p0: np.ndarray, y: np.ndarray, dt: float, steps: int) -> np.ndarray:
-    y = y.copy()
-    for _ in range(steps):
-        k1 = m @ y + p0
-        k2 = m @ (y + 0.5 * dt * k1) + p0
-        k3 = m @ (y + 0.5 * dt * k2) + p0
-        k4 = m @ (y + dt * k3) + p0
-        y += (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return y
+def _rk4_series(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """S v with S = I + a/2 + a^2/6 + a^3/24, for a vector or a matrix v.
+
+    One classic RK4 step of size h on dy/dt = M y + p0 is exactly
+    y <- y + S (h M y + h p0) with a = hM: its matrix I + a S is RK4's
+    stability polynomial.
+    """
+    return v + a @ (v / 2.0 + a @ (v / 6.0 + a @ (v / 24.0)))
+
+
+def _rk4_map(m: np.ndarray, p0: np.ndarray, h: float, steps: int):
+    """Affine map (R, r) of ``steps`` classic RK4 steps of size h on dy/dt = M y + p0.
+
+    One step is y <- R1 y + r1 with R1 = I + S(hM) and r1 = S(h p0) (see
+    ``_rk4_series``).  The steps are composed by binary powering of the
+    affine pair, (R, r) o (R, r) = (R^2, R r + r).
+    """
+    a = h * m
+    base = (np.eye(m.shape[0]) + _rk4_series(a, a), _rk4_series(a, h * p0))
+    total = None
+    while True:
+        if steps & 1:
+            total = base if total is None else (base[0] @ total[0], base[0] @ total[1] + base[1])
+        steps >>= 1
+        if not steps:
+            return total
+        base = (base[0] @ base[0], base[0] @ base[1] + base[1])
 
 
 def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False):
     """Runge-Kutta integration recording the state at each requested time.
 
-    Consecutive sample intervals are subdivided so no internal step exceeds
-    ``MAX_INTEGRATOR_STEP``.
+    Each sample interval is split into the fewest equal steps that do not
+    exceed ``MAX_INTEGRATOR_STEP``.  An interval met for the first time is
+    stepped with four matrix-vector products per step.  Once an interval
+    recurs, the RK4 map of its steps is built (about 3 + 2 log2(steps)
+    matrix products) and every later occurrence costs one matrix-vector
+    product, so a uniform grid builds a handful of maps and a grid whose
+    intervals never repeat (a geometric grid) builds none.  One N x N map
+    is held per recurring interval.
     """
     times = np.asarray(times, dtype=float)
     y = _as_vector(y0)
+    m, p0 = liouv.matrix, liouv.pump
     row = liouv.absorption_row
     w_out = np.empty(times.size)
     states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
+    seen, maps = set(), {}
     t_prev = 0.0
     for i, t in enumerate(times):
         span = t - t_prev
@@ -344,7 +382,18 @@ def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False
             raise ValueError("sample times must not decrease")
         if span > 0:
             steps = ceil(span / MAX_INTEGRATOR_STEP)
-            y = _rk4(liouv.matrix, liouv.pump, y, span / steps, steps)
+            key = (steps, span / steps)
+            if key in maps:
+                step_matrix, shift = maps[key]
+                y = step_matrix @ y + shift
+            elif key in seen:
+                maps[key] = step_matrix, shift = _rk4_map(m, p0, key[1], steps)
+                y = step_matrix @ y + shift
+            else:
+                seen.add(key)
+                a, shift = key[1] * m, key[1] * p0
+                for _ in range(steps):
+                    y = y + _rk4_series(a, a @ y + shift)
         t_prev = t
         w_out[i] = (row @ y).real
         if keep_states:
@@ -360,7 +409,8 @@ def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False
 def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_states: bool = False):
     """Fixed-step fourth-order integration of dy/dt = M y + p0.
 
-    Independent of the modal solver; serves as its ground-truth oracle.
+    Independent of the modal solver and of the spectrum of M; serves as the
+    modal solver's ground-truth oracle.
     Samples at 0, dt, 2*dt, ..., t_end (the last point is included when
     ``t_end`` is an exact multiple of ``dt``).
 
@@ -478,14 +528,14 @@ def trajectory_physicality(states: np.ndarray) -> dict:
     population eigenvalue, and the worst Hermiticity defect over the samples.
     """
     states = np.asarray(states)
-    worst_drift = 0.0
-    min_eig = np.inf
-    worst_defect = 0.0
-    for y in states:
-        sigma = devectorize(y)
-        worst_drift = max(worst_drift, abs(np.trace(sigma).real - 1.0))
-        worst_defect = max(worst_defect, float(np.abs(sigma - sigma.conj().T).max()))
-        min_eig = min(min_eig, float(np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0).min()))
+    if states.shape[0] == 0:
+        return {"trace_drift": 0.0, "min_eigenvalue": np.inf, "hermiticity_defect": 0.0}
+    dim = round(sqrt(states.shape[1]))
+    sigmas = states.reshape(-1, dim, dim).astype(complex)
+    adjoints = sigmas.conj().transpose(0, 2, 1)
+    worst_drift = float(np.abs(np.trace(sigmas, axis1=1, axis2=2).real - 1.0).max())
+    worst_defect = float(np.abs(sigmas - adjoints).max())
+    min_eig = float(np.linalg.eigvalsh((sigmas + adjoints) / 2.0).min())
     return {
         "trace_drift": worst_drift,
         "min_eigenvalue": min_eig,
@@ -499,6 +549,6 @@ def transit_time(diameter: float, temperature: float, mass: float) -> float:
     tau = D / sqrt(2 k_B T / m), with everything in SI units: diameter in
     meters, temperature in kelvin, mass in kilograms; the result is seconds.
     """
-    if diameter <= 0 or temperature <= 0 or mass <= 0:
-        raise ValueError("diameter, temperature and mass must all be positive")
+    if not all(isfinite(v) and v > 0 for v in (diameter, temperature, mass)):
+        raise ValueError("diameter, temperature and mass must all be finite and positive")
     return diameter / sqrt(2.0 * _BOLTZMANN * temperature / mass)

@@ -34,14 +34,12 @@ import numpy as np
 
 from .dynamics import SwitchSchedule, TransientTrace, split_phases, switched_transient
 from .liouvillian import TransitionSpec
-from .traceio import load_trace
 
 __all__ = [
     "FitModel",
     "FitResult",
     "fit",
     "rate_vs_intensity",
-    "load_trace",
 ]
 
 MAX_ITERATIONS = 200

@@ -1,6 +1,8 @@
 """Command-line interface: exit codes, determinism, output contracts."""
 
 import json
+import os
+import stat
 import subprocess
 import sys
 
@@ -46,6 +48,23 @@ class TestExitCodes:
                     "--output", str(tmp_path / "o.json")])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("flag", ["--diameter-m", "--temperature-k", "--mass-amu"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_transit_input(self, tmp_path, flag, bad):
+        values = {"--diameter-m": "0.01", "--temperature-k": "330", "--mass-amu": "87"}
+        values[flag] = bad
+        out = tmp_path / "t.json"
+        argv = ["transit", "--output", str(out)] + [arg for pair in values.items() for arg in pair]
+        assert run(argv) == EXIT_USAGE
+        assert not out.exists()
+
+    def test_unwritable_second_output_writes_neither(self, tmp_path, capsys):
+        code = run(["transient", "--preset", "fig5b", "--output", str(tmp_path / "ok.csv"),
+                    "--fit-output", str(tmp_path / "nodir" / "x.json")])
+        assert code == EXIT_USAGE
+        assert "cannot write output" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_trace_file(self, tmp_path, capsys):
         code = run(["fit", "--trace", str(tmp_path / "absent.csv"),
                     "--output", str(tmp_path / "o.json")])
@@ -75,6 +94,36 @@ class TestExitCodes:
         out = tmp_path / "o.csv"
         run(["transient", "--preset", "fig99z", "--output", str(out)])
         assert not out.exists()
+
+
+class TestOutputFiles:
+    TRANSIT = ["transit", "--diameter-m", "0.01", "--temperature-k", "330", "--mass-amu", "87"]
+
+    def test_symlink_target_is_written_and_link_kept(self, tmp_path):
+        target = tmp_path / "target.json"
+        target.write_text("old\n")
+        link = tmp_path / "link.json"
+        link.symlink_to(target)
+        assert run(self.TRANSIT + ["--output", str(link)]) == EXIT_OK
+        assert link.is_symlink()
+        assert json.loads(target.read_text())["transit_time_s"] > 0
+
+    def test_device_output_is_left_in_place(self):
+        before = os.stat(os.devnull)
+        assert stat.S_ISCHR(before.st_mode)
+        assert run(self.TRANSIT + ["--output", os.devnull]) == EXIT_OK
+        after = os.stat(os.devnull)
+        assert stat.S_ISCHR(after.st_mode)
+        assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+    def test_replaced_file_keeps_its_permissions(self, tmp_path):
+        out = tmp_path / "t.json"
+        out.write_text("old\n")
+        out.chmod(0o640)
+        assert run(self.TRANSIT + ["--output", str(out)]) == EXIT_OK
+        assert stat.S_IMODE(out.stat().st_mode) == 0o640
+        assert json.loads(out.read_text())["transit_time_s"] > 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.json"]
 
 
 class TestTransient:

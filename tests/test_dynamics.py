@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.constants import atomic_mass, k as boltzmann
 
 import hanlesim.dynamics as dynamics
 from hanlesim import (
     SwitchSchedule,
+    TransitionSpec,
     build_liouvillian,
     propagate_integrated,
     propagate_modal,
@@ -18,7 +20,7 @@ from hanlesim import (
     vectorize,
 )
 
-from support import eia_spec, eit_spec, steady_vector
+from support import GAMMA, eia_spec, eit_spec, steady_vector
 
 
 class TestSteadyState:
@@ -57,6 +59,74 @@ class TestPropagators:
         coarse = propagate_integrated(liouv, y0, dt=0.05, t_end=50.0)
         fine = propagate_integrated(liouv, y0, dt=0.025, t_end=50.0)
         np.testing.assert_allclose(coarse.w, fine.w[::2], atol=1e-9)
+
+    @pytest.mark.parametrize("steps", [1, 7, 25])
+    def test_step_map_matches_classic_rk4_steps(self, steps):
+        spec = eia_spec(0.2).with_field(0.03)
+        liouv = build_liouvillian(spec)
+        m, p0, h = liouv.matrix, liouv.pump, 0.037
+        y0 = steady_vector(spec, 0.0)
+        expected = y0.copy()
+        for _ in range(steps):
+            k1 = m @ expected + p0
+            k2 = m @ (expected + 0.5 * h * k1) + p0
+            k3 = m @ (expected + 0.5 * h * k2) + p0
+            k4 = m @ (expected + h * k3) + p0
+            expected = expected + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        step_matrix, shift = dynamics._rk4_map(m, p0, h, steps)
+        np.testing.assert_allclose(step_matrix @ y0 + shift, expected, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("grid", ["geometric", "mixed"])
+    def test_integrator_on_irregular_grid_matches_classic_rk4(self, monkeypatch, grid):
+        # a geometric grid never repeats an interval, so no step map is built;
+        # a mixed grid builds maps only for the intervals that recur
+        spec = eia_spec(0.2).with_field(0.03)
+        liouv = build_liouvillian(spec)
+        m, p0 = liouv.matrix, liouv.pump
+        y0 = steady_vector(spec, 0.0)
+        if grid == "geometric":
+            times = np.geomspace(1e-3, 20.0, 120)
+        else:
+            times = np.concatenate([np.geomspace(1e-3, 2.0, 40), 2.0 + np.arange(1, 81) * 0.13])
+        built = []
+        rk4_map = dynamics._rk4_map
+        monkeypatch.setattr(dynamics, "_rk4_map",
+                            lambda *args: built.append(args[3]) or rk4_map(*args))
+        trace = dynamics._integrate_at_times(liouv, y0, times)
+
+        expected, y, t_prev = [], y0.copy(), 0.0
+        for t in times:
+            steps = int(np.ceil((t - t_prev) / dynamics.MAX_INTEGRATOR_STEP))
+            h = (t - t_prev) / steps
+            for _ in range(steps):
+                k1 = m @ y + p0
+                k2 = m @ (y + 0.5 * h * k1) + p0
+                k3 = m @ (y + 0.5 * h * k2) + p0
+                k4 = m @ (y + h * k3) + p0
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t_prev = t
+            expected.append((liouv.absorption_row @ y).real)
+        np.testing.assert_allclose(trace.w, expected, rtol=0, atol=1e-13)
+        if grid == "geometric":
+            assert built == []
+        else:
+            assert 1 <= len(built) <= 4
+
+    def test_integrator_uses_no_spectrum(self, monkeypatch):
+        spec = eia_spec(0.06).with_field(0.03)
+        liouv = build_liouvillian(spec)
+        y0 = steady_vector(spec, 0.0)
+        times = np.arange(201) * 0.05
+        modal = propagate_modal(liouv, y0, times)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the integrator must not use the spectrum or the block")
+
+        monkeypatch.setattr(np.linalg, "eig", refuse)
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(dynamics, "_invariant_block", refuse)
+        trace = propagate_integrated(liouv, y0, dt=0.05, t_end=10.0)
+        np.testing.assert_allclose(trace.w, modal.w, rtol=0, atol=1e-9)
 
     def test_integrator_rejects_oversized_step(self):
         liouv = build_liouvillian(eit_spec(0.02))
@@ -189,6 +259,31 @@ class TestSwitchedTransient:
         reference = np.concatenate([first.w, second.w])
         np.testing.assert_allclose(trace.w, reference, rtol=0, atol=1e-12)
 
+    def test_ill_conditioned_phase_matches_exact_stepping(self):
+        # sigma+ light on 2 -> 2 leaves the zero-field block near-defective, so
+        # that phase is integrated; expm of [[M, p0], [0, 0]] steps it exactly
+        spec = TransitionSpec(fg=2, fe=2, rabi=0.0, gamma=GAMMA, pol="sigma+").with_intensity(0.06)
+        schedule = SwitchSchedule(b1=0.03, samples_per_period=400)
+        with pytest.warns(UserWarning, match="condition"):
+            trace = switched_transient(spec, schedule)
+        assert trace.meta["solver"] == ("integrated", "modal")
+
+        y = steady_vector(spec, schedule.b1)
+        expected = []
+        for b_val, duration, n_samples in schedule.phases():
+            liouv = build_liouvillian(spec.with_field(b_val))
+            augmented = np.zeros((liouv.size + 1, liouv.size + 1), dtype=complex)
+            augmented[:-1, :-1] = liouv.matrix
+            augmented[:-1, -1] = liouv.pump
+            step = scipy.linalg.expm(augmented * (duration / n_samples))
+            z = np.append(y, 1.0)
+            for _ in range(n_samples):
+                expected.append((liouv.absorption_row @ z[:-1]).real)
+                z = step @ z
+            y = z[:-1]
+        expected = np.array(expected)
+        assert np.abs(trace.w - expected).max() <= 1e-9 * np.abs(expected).max()
+
     @pytest.mark.parametrize("n_periods", [1, 3])
     def test_one_eigendecomposition_per_field(self, monkeypatch, n_periods):
         # on the 34 of 64 Liouville indices that linear light reaches on 1 -> 2
@@ -216,6 +311,25 @@ class TestSwitchedTransient:
         assert report["hermiticity_defect"] < 1e-10
 
 
+def test_physicality_matches_per_sample_reference():
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(30, 16)) + 1j * rng.normal(size=(30, 16))
+    expected = {"trace_drift": 0.0, "min_eigenvalue": np.inf, "hermiticity_defect": 0.0}
+    for y in states:
+        sigma = y.reshape(4, 4)
+        expected["trace_drift"] = max(expected["trace_drift"], abs(np.trace(sigma).real - 1.0))
+        expected["hermiticity_defect"] = max(
+            expected["hermiticity_defect"], np.abs(sigma - sigma.conj().T).max()
+        )
+        expected["min_eigenvalue"] = min(
+            expected["min_eigenvalue"], np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0).min()
+        )
+    report = trajectory_physicality(states)
+    assert report.keys() == expected.keys()
+    for name, value in expected.items():
+        assert report[name] == pytest.approx(value, rel=0, abs=1e-15)
+
+
 class TestTransitTime:
     def test_formula(self):
         mass = 86.909180531 * atomic_mass
@@ -233,3 +347,9 @@ class TestTransitTime:
         for args in ((0.0, 300.0, 1e-25), (0.01, -5.0, 1e-25), (0.01, 300.0, 0.0)):
             with pytest.raises(ValueError):
                 transit_time(*args)
+        for index in range(3):
+            for bad in (float("nan"), float("inf")):
+                args = [0.01, 300.0, 1e-25]
+                args[index] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    transit_time(*args)
