@@ -47,7 +47,7 @@ from .spectral import (
     open_lambda_liouvillian,
     sweep_modes,
 )
-from .traceio import load_trace, save_fit, save_sweep, save_trace
+from .traceio import load_trace, save_fit, save_trace
 
 __version__ = "0.1.0"
 
@@ -89,7 +89,6 @@ __all__ = [
     "rate_vs_intensity",
     "load_trace",
     "save_trace",
-    "save_sweep",
     "save_fit",
     "get_preset",
     "list_presets",

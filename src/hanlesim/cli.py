@@ -18,11 +18,8 @@ files are only written after the computation has fully succeeded.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import math
-import os
-import stat
 import sys
 from dataclasses import asdict, dataclass, fields
 
@@ -38,10 +35,10 @@ from .dynamics import (
     transit_time,
 )
 from .fit import FitModel, fit as fit_trace
-from .liouvillian import TransitionSpec, absorption, build_liouvillian
+from .liouvillian import TransitionSpec, absorption, build_liouvillian, spec_meta
 from .presets import get_preset, list_presets
 from .spectral import intensity_sweep
-from .traceio import load_trace
+from .traceio import load_trace, write_outputs
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -185,66 +182,45 @@ def _schedule(config: RunConfig) -> SwitchSchedule:
         raise ConfigError(str(exc)) from None
 
 
-def _write_outputs(*outputs) -> None:
-    """Write each (text, path) pair; a path of None or "-" means stdout.
+def _fit_json(trace, config: RunConfig, switched: bool) -> str:
+    """Fit one field phase of ``trace`` as ``config`` asks; the fit as JSON text.
 
-    A path that is absent or names a regular file is first written to a
-    temporary file beside it, which is renamed into place with
-    ``os.replace`` only once every output has been written, so a failure
-    leaves no regular output file written or truncated; a replaced file
-    keeps its permission bits.  Any other path (a symlink, a device such as
-    ``os.devnull``, a FIFO) is written through directly, after the regular
-    files are staged.  Standard output is written last.
+    A ``switched`` trace (a ``transient`` record) must hold both field
+    phases, and the ``auto`` model goes by the phase name: ``off`` is a
+    single exponential.  Any other trace is cut only when its field
+    changes, and ``auto`` goes by the fitted phase's ``phase_b``: zero
+    field is a single exponential.  Every failure raises ConfigError.
     """
-    staged, direct = [], []
-    for text, path in outputs:
-        if path in (None, "-"):
-            continue
-        try:
-            mode = os.lstat(path).st_mode
-        except FileNotFoundError:
-            mode = None
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from None
-        if mode is None or stat.S_ISREG(mode):
-            staged.append((text, path, mode))
-        else:
-            direct.append((text, path))
-    temps = []
-    try:
-        for index, (text, path, mode) in enumerate(staged):
-            directory, name = os.path.split(os.path.abspath(path))
-            temp = os.path.join(directory, f".{name}.{os.getpid()}.{index}.tmp")
-            temps.append(temp)
-            with open(temp, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-            if mode is not None:
-                os.chmod(temp, stat.S_IMODE(mode))
-        for text, path in direct:
-            with open(path, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        for temp, (_, path, _) in zip(temps, staged):
-            os.replace(temp, path)
-    except OSError as exc:
-        for temp in temps:
-            with contextlib.suppress(OSError):
-                os.remove(temp)
-        raise ConfigError(f"cannot write output: {exc}") from None
-    for text, path in outputs:
-        if path in (None, "-"):
-            sys.stdout.write(text)
-
-
-def _fit_model_for(config: RunConfig, phase: str) -> FitModel:
+    if switched or np.ptp(trace.b) > 0:
+        if config.fit_phase not in ("off", "on"):
+            raise ConfigError("fit_phase must be 'off' or 'on'")
+        phases = split_phases(trace)
+        if len(phases) < 2:
+            raise ConfigError(f"trace holds fewer than two field phases; no {config.fit_phase!r} "
+                              "phase to fit")
+        trace = phases[0] if config.fit_phase == "off" else phases[1]
     kind = config.fit_model
     if kind == "auto":
-        kind = "single_exp" if phase == "off" else "exp_plus_damped_sine"
-    if kind == "single_exp":
-        return FitModel(kind)
+        if switched:
+            off = config.fit_phase == "off"
+        elif "phase_b" in trace.meta:
+            off = _meta_number(trace.meta, "phase_b") == 0.0
+        else:
+            raise ConfigError("trace has no phase_b metadata; choose a model with --model")
+        kind = "single_exp" if off else "exp_plus_damped_sine"
     drop = config.drop_exp_term
-    if drop is None:
-        drop = float(config.fe) == float(config.fg) + 1.0
-    return FitModel(kind, drop_exp_term=bool(drop))
+    if drop is None and kind != "single_exp":
+        drop = "fg" in trace.meta and "fe" in trace.meta and (
+            _meta_number(trace.meta, "fe") == _meta_number(trace.meta, "fg") + 1.0)
+    try:
+        model = FitModel(kind) if kind == "single_exp" else FitModel(kind, drop_exp_term=bool(drop))
+        return traceio.render_fit(fit_trace(trace, model))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _meta_number(meta: dict, key: str) -> float:
+    return _finite(meta[key], f"trace metadata {key!r} must be a finite number")
 
 
 def cmd_transient(args) -> int:
@@ -254,20 +230,10 @@ def cmd_transient(args) -> int:
     trace = switched_transient(spec, schedule)
     csv_text = traceio.render_trace(trace)
 
-    fit_text = None
-    if args.with_fit or args.fit_output is not None:
-        if config.fit_phase not in ("off", "on"):
-            raise ConfigError("fit_phase must be 'off' or 'on'")
-        phases = split_phases(trace)
-        segment = phases[0] if config.fit_phase == "off" else phases[1]
-        model = _fit_model_for(config, config.fit_phase)
-        result = fit_trace(segment, model)
-        fit_text = traceio.render_fit(result)
-
     outputs = [(csv_text, args.output)]
-    if fit_text is not None:
-        outputs.append((fit_text, args.fit_output))
-    _write_outputs(*outputs)
+    if args.with_fit or args.fit_output is not None:
+        outputs.append((_fit_json(trace, config, switched=True), args.fit_output))
+    write_outputs(*outputs)
     return EXIT_OK
 
 
@@ -285,7 +251,7 @@ def cmd_spectrum(args) -> int:
     if intensities.size == 0 or np.any(intensities <= 0):
         raise ConfigError("intensity grid must be nonempty and positive")
     rows = intensity_sweep(spec, intensities, b1=config.b1)
-    _write_outputs((traceio.render_sweep(rows), args.output))
+    write_outputs((traceio.render_sweep(rows), args.output))
     return EXIT_OK
 
 
@@ -298,34 +264,7 @@ def cmd_fit(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    # a trace holding a full switching cycle is cut down to one phase
-    if np.ptp(trace.b) > 0:
-        if config.fit_phase not in ("off", "on"):
-            raise ConfigError("fit_phase must be 'off' or 'on'")
-        phases = split_phases(trace)
-        trace = phases[0] if config.fit_phase == "off" else phases[1]
-
-    kind = config.fit_model
-    if kind == "auto":
-        phase_b = trace.meta.get("phase_b")
-        if phase_b is None:
-            raise ConfigError(
-                "trace has no phase_b metadata; choose a model with --model"
-            )
-        kind = "single_exp" if float(phase_b) == 0.0 else "exp_plus_damped_sine"
-    if kind == "single_exp":
-        model = FitModel(kind)
-    else:
-        drop = config.drop_exp_term
-        if drop is None:
-            fg, fe = trace.meta.get("fg"), trace.meta.get("fe")
-            drop = fg is not None and fe is not None and float(fe) == float(fg) + 1.0
-        model = FitModel(kind, drop_exp_term=bool(drop))
-    try:
-        result = fit_trace(trace, model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    _write_outputs((traceio.render_fit(result), args.output))
+    write_outputs((_fit_json(trace, config, switched=False), args.output))
     return EXIT_OK
 
 
@@ -339,13 +278,7 @@ def cmd_steady(args) -> int:
     for b in grid:
         sigma = steady_state(build_liouvillian(spec.with_field(float(b))))
         rows.append((float(b), absorption(sigma, spec)))
-    meta = {
-        "fg": spec.fg.f, "fe": spec.fe.f, "intensity": spec.intensity,
-        "gamma": spec.gamma, "detuning": spec.detuning,
-        "zeeman_g": spec.zeeman_g, "zeeman_e": spec.zeeman_e,
-        "dipole_scale": spec.dipole_scale, "polarization": spec.pol,
-    }
-    _write_outputs((traceio.render_table(("b", "w"), rows, meta), args.output))
+    write_outputs((traceio.render_table(("b", "w"), rows, spec_meta(spec)), args.output))
     return EXIT_OK
 
 
@@ -370,14 +303,14 @@ def cmd_transit(args) -> int:
         "mass_kg": mass_kg,
         "transit_time_s": tau,
     }
-    _write_outputs((json.dumps(payload, indent=2) + "\n", args.output))
+    write_outputs((json.dumps(payload, indent=2) + "\n", args.output))
     return EXIT_OK
 
 
 def cmd_presets(args) -> int:
     lines = [f"{name:8s}  {command:9s}  {description}"
              for name, command, description in list_presets()]
-    _write_outputs(("\n".join(lines) + "\n", None))
+    write_outputs(("\n".join(lines) + "\n", None))
     return EXIT_OK
 
 
@@ -508,6 +441,9 @@ def main(argv=None) -> int:
         return args.handler(args)
     except ConfigError as exc:
         print(f"hanlesim: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:  # every input is read under its own handler
+        print(f"hanlesim: cannot write output: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except np.linalg.LinAlgError as exc:
         print(f"hanlesim: numerical failure: {exc}", file=sys.stderr)

@@ -53,6 +53,7 @@ from .liouvillian import (
     TransitionSpec,
     build_liouvillian,
     devectorize,
+    spec_meta,
     vectorize,
 )
 
@@ -142,22 +143,6 @@ class TransientTrace:
             raise ValueError("times, w and b must be 1-d arrays of equal length")
         if self.times.size >= 2 and not np.all(np.diff(self.times) > 0):
             raise ValueError("times must be strictly increasing")
-
-
-def _spec_meta(spec) -> dict:
-    if isinstance(spec, TransitionSpec):
-        return {
-            "fg": spec.fg.f,
-            "fe": spec.fe.f,
-            "intensity": spec.rabi**2,
-            "detuning": spec.detuning,
-            "gamma": spec.gamma,
-            "zeeman_g": spec.zeeman_g,
-            "zeeman_e": spec.zeeman_e,
-            "pol": tuple(spec.pol),
-            "dipole_scale": spec.dipole_scale,
-        }
-    return {"model": type(spec).__name__}
 
 
 def _as_vector(state: np.ndarray) -> np.ndarray:
@@ -319,12 +304,14 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
         return result
 
     w_t, states, _ = _modal_run(modes, y0, times, keep_states=keep_states)
-    b_val = getattr(liouv.spec, "b_field", 0.0)
-    meta = _spec_meta(liouv.spec) | {"solver": "modal", "b_field": b_val}
-    trace = TransientTrace(times, w_t, np.full(times.shape, b_val), meta)
-    if keep_states:
-        return trace, states
-    return trace
+    return _sampled(liouv, times, w_t, states, "modal")
+
+
+def _sampled(liouv: Liouvillian, times, w, states, solver: str):
+    """The trace of one constant-field run, with its states when they were kept."""
+    meta = liouv.meta | {"solver": solver, "b_field": liouv.b_field}
+    trace = TransientTrace(times, w, np.full(times.shape, liouv.b_field), meta)
+    return trace if states is None else (trace, states)
 
 
 def _rk4_series(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -398,12 +385,7 @@ def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False
         w_out[i] = (row @ y).real
         if keep_states:
             states[i] = y
-    b_val = getattr(liouv.spec, "b_field", 0.0)
-    meta = _spec_meta(liouv.spec) | {"solver": "integrated", "b_field": b_val}
-    trace = TransientTrace(times, w_out, np.full(times.shape, b_val), meta)
-    if keep_states:
-        return trace, states
-    return trace
+    return _sampled(liouv, times, w_out, states, "integrated")
 
 
 def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_states: bool = False):
@@ -479,7 +461,7 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
             t_offset += duration
 
     solvers = tuple("modal" if modal[b] else "integrated" for b, _, _ in phases)
-    meta = _spec_meta(spec) | {
+    meta = spec_meta(spec) | {
         "solver": "modal" if all(modal.values()) else solvers,
         "b0": schedule.b0,
         "b1": schedule.b1,

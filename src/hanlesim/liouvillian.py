@@ -17,7 +17,13 @@ linear system
 
     dy/dt = M y + p0,      y = vec(sigma),  p0 = gamma * vec(sigma0),
 
-whose matrix M and pump vector p0 this module assembles.
+whose matrix M and pump vector p0 this module assembles.  Every model is a
+Lindblad generator of the same shape: -i[H, .], -(1/2){P_e, .}, a weighted
+sum of jumps L . L^dag, and relaxation at gamma toward a rest state.  One
+private assembler writes those superoperator terms; :func:`build_liouvillian`
+and the open three-level reduction in :mod:`hanlesim.spectral` only build
+their operators and call it.  :func:`spec_meta` is the one set of provenance
+keys that every output recording a transition writes.
 
 The absorption rate observable is
 
@@ -47,6 +53,7 @@ __all__ = [
     "coupling_matrix",
     "isotropic_ground",
     "build_liouvillian",
+    "spec_meta",
     "vectorize",
     "devectorize",
     "absorption",
@@ -166,7 +173,7 @@ class TransitionSpec:
 
 @dataclass(frozen=True)
 class Liouvillian:
-    """Evolution matrix and pump vector of one transition, plus cached operators.
+    """Evolution matrix and pump vector of one model, with what its outputs record.
 
     Attributes
     ----------
@@ -177,17 +184,19 @@ class Liouvillian:
     coupling : ndarray
         The polarization-contracted lowering block W (dim x dim), used by the
         absorption observable.
-    n_ground : int
-        Ground-manifold dimension (first block of the basis).
-    spec : object
-        The spec this Liouvillian was built from (immutable snapshot).
+    b_field : float
+        The magnetic field (or Zeeman splitting) M was built at; traces
+        record it at every sample.
+    meta : dict
+        Provenance of the model, written into every trace of it: the
+        :func:`spec_meta` keys of a transition, or ``{"model": name}``.
     """
 
     matrix: np.ndarray
     pump: np.ndarray
     coupling: np.ndarray
-    n_ground: int
-    spec: object
+    b_field: float
+    meta: dict
 
     @property
     def dim(self) -> int:
@@ -238,32 +247,55 @@ def isotropic_ground(spec: TransitionSpec) -> np.ndarray:
     return p_g.astype(complex) / spec.n_ground
 
 
-def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
-    """Assemble M and p0 for ``dy/dt = M y + p0`` (row-major vectorization).
+def spec_meta(spec: TransitionSpec) -> dict:
+    """Provenance keys of a transition, shared by every output that records one.
 
-    Uses vec(A X B) = (A kron B^T) vec(X) on each superoperator term: the
-    commutator with H, the anticommutator decay of the excited manifold, the
-    spontaneous-emission feeding into the ground manifold, and the transit
-    relaxation -gamma*(sigma - sigma0) whose inhomogeneous part becomes p0.
+    ``intensity`` is rabi**2, the value given to ``with_intensity`` (the
+    CLI's ``--intensity``); the effective strength is that times
+    ``dipole_scale``, which is recorded too.
     """
-    dim = spec.dim
-    _, p_e = projectors(spec.fg, spec.fe)
-    h = hamiltonian(spec)
-    eye = np.eye(dim)
+    return {
+        "fg": spec.fg.f,
+        "fe": spec.fe.f,
+        "intensity": spec.rabi**2,
+        "detuning": spec.detuning,
+        "gamma": spec.gamma,
+        "zeeman_g": spec.zeeman_g,
+        "zeeman_e": spec.zeeman_e,
+        "pol": tuple(spec.pol),
+        "dipole_scale": spec.dipole_scale,
+    }
+
+
+def _lindblad(h, p_e, jumps, rest, gamma, coupling, b_field, meta) -> Liouvillian:
+    """Assemble M and p0 of a Lindblad generator (row-major vectorization).
+
+    dsigma/dt = -i[H, sigma] - (1/2){P_e, sigma} + sum_k w_k L_k sigma L_k^dag
+    - gamma (sigma - rest), for ``jumps`` = [(w_k, L_k), ...].  Uses
+    vec(A X B) = (A kron B^T) vec(X) on each term; the inhomogeneous part
+    of the relaxation becomes p0 = gamma * vec(rest).
+    """
+    eye = np.eye(h.shape[0])
     m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     m -= 0.5 * (np.kron(p_e, eye) + np.kron(eye, p_e.T))
-    weight = spec.fe.multiplicity
-    for q in (-1, 0, 1):
-        q_mat = q_matrix(spec.fg, spec.fe, q)
-        m += weight * np.kron(q_mat, q_mat.conj())
-    m -= spec.gamma * np.eye(dim * dim)
-    pump = spec.gamma * vectorize(isotropic_ground(spec))
-    return Liouvillian(
-        matrix=m,
-        pump=pump,
-        coupling=coupling_matrix(spec),
-        n_ground=spec.n_ground,
-        spec=spec,
+    for weight, jump in jumps:
+        m += weight * np.kron(jump, jump.conj())
+    m -= gamma * np.eye(m.shape[0])
+    return Liouvillian(m, gamma * vectorize(rest), coupling, b_field, meta)
+
+
+def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
+    """Assemble M and p0 for ``dy/dt = M y + p0`` of a transition.
+
+    The jumps are the three dipole components Q_q, each weighted 2Fe+1
+    (spontaneous emission feeding the ground manifold), and the rest state
+    is the isotropic ground mixture.
+    """
+    _, p_e = projectors(spec.fg, spec.fe)
+    jumps = [(spec.fe.multiplicity, q_matrix(spec.fg, spec.fe, q)) for q in (-1, 0, 1)]
+    return _lindblad(
+        hamiltonian(spec), p_e, jumps, isotropic_ground(spec), spec.gamma,
+        coupling_matrix(spec), spec.b_field, spec_meta(spec),
     )
 
 

@@ -12,7 +12,8 @@ transition, an open three-level (two driven ground states, one excited
 state, one uncoupled sink state) reduction that reproduces the slow
 observable spectrum of the full 1 -> 0 system when exactly one third of the
 spontaneous decay is branched to the sink, and intensity sweeps tabulating
-the observable eigenvalues.
+the observable eigenvalues.  The reduction builds only its operators; its
+generator comes from the same Lindblad assembler as the full model.
 """
 
 from __future__ import annotations
@@ -26,9 +27,9 @@ import numpy as np
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
+    _lindblad,
     build_liouvillian,
     coupling_matrix,
-    vectorize,
 )
 
 __all__ = [
@@ -40,6 +41,7 @@ __all__ = [
     "observability",
     "dark_state",
     "open_lambda_liouvillian",
+    "sweep_modes",
     "intensity_sweep",
     "SWEEP_COLUMNS",
 ]
@@ -249,22 +251,13 @@ class OpenLambdaSpec:
         if not 0.0 <= self.sink_fraction <= 1.0:
             raise ValueError(f"sink_fraction must lie in [0, 1], got {self.sink_fraction}")
 
-    @property
-    def dim(self) -> int:
-        return 4
-
-    @property
-    def n_ground(self) -> int:
-        return 3
-
-    @property
-    def b_field(self) -> float:
-        """Zeeman splitting parameter, mirroring TransitionSpec's field attribute."""
-        return self.zeeman
-
 
 def open_lambda_liouvillian(spec: OpenLambdaSpec) -> Liouvillian:
-    """Evolution matrix of the open three-level system (same conventions as the full model)."""
+    """Evolution matrix of the open three-level system (same conventions as the full model).
+
+    Its traces record ``{"model": "OpenLambdaSpec"}`` and the splitting
+    ``zeeman`` as their field.
+    """
     dim = 4
     h = np.zeros((dim, dim), dtype=complex)
     h[0, 0] = -spec.zeeman
@@ -276,42 +269,24 @@ def open_lambda_liouvillian(spec: OpenLambdaSpec) -> Liouvillian:
 
     p_e = np.zeros((dim, dim))
     p_e[3, 3] = 1.0
-    eye = np.eye(dim)
-    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    m -= 0.5 * (np.kron(p_e, eye) + np.kron(eye, p_e))
     arm_fraction = (1.0 - spec.sink_fraction) / 2.0
+    jumps = []
     for target, fraction in ((0, arm_fraction), (1, arm_fraction), (2, spec.sink_fraction)):
         feed = np.zeros((dim, dim))
         feed[target, 3] = 1.0
-        m += fraction * np.kron(feed, feed.conj())
-    m -= spec.gamma * np.eye(dim * dim)
-
+        jumps.append((fraction, feed))
     ground_mix = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex) / 3.0
-    pump = spec.gamma * vectorize(ground_mix)
 
     coupling = np.zeros((dim, dim), dtype=complex)
     coupling[0, 3] = coupling[1, 3] = 1.0 / sqrt(6.0)
-    return Liouvillian(matrix=m, pump=pump, coupling=coupling, n_ground=3, spec=spec)
+    return _lindblad(
+        h, p_e, jumps, ground_mix, spec.gamma, coupling, spec.zeeman,
+        {"model": type(spec).__name__},
+    )
 
 
 #: Column order of the rows produced by :func:`intensity_sweep`.
 SWEEP_COLUMNS = ("intensity", "b_case", "re_lambda", "im_lambda", "group", "observable", "w_mode")
-
-
-def _sweep_pair(build, gamma: float):
-    """Annotated eigenmodes of the field-off/field-on pair built by ``build(b)``."""
-    out = {}
-    liouvs = {case: build(case) for case in ("B0", "B1")}
-    steadies = {
-        case: np.linalg.solve(liouv.matrix, -liouv.pump) for case, liouv in liouvs.items()
-    }
-    other = {"B0": "B1", "B1": "B0"}
-    for case, liouv in liouvs.items():
-        modes = classify_groups(eigenmodes(liouv), gamma)
-        # initial condition: the system was sitting in the other phase's steady state
-        observability(modes, liouv, steadies[other[case]], steadies[case])
-        out[case] = modes
-    return out
 
 
 def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
@@ -325,11 +300,15 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     out = {}
     for intensity in intensities:
         spec_i = spec.with_intensity(intensity)
-        fields = {"B0": 0.0, "B1": b1}
-        pair = _sweep_pair(
-            lambda case: build_liouvillian(spec_i.with_field(fields[case])), spec.gamma
-        )
-        for case, modes in pair.items():
+        liouvs = {"B0": build_liouvillian(spec_i.with_field(0.0)),
+                  "B1": build_liouvillian(spec_i.with_field(b1))}
+        steadies = {
+            case: np.linalg.solve(liouv.matrix, -liouv.pump) for case, liouv in liouvs.items()
+        }
+        for case, other in (("B0", "B1"), ("B1", "B0")):
+            modes = classify_groups(eigenmodes(liouvs[case]), spec.gamma)
+            # initial condition: the system was sitting in the other phase's steady state
+            observability(modes, liouvs[case], steadies[other], steadies[case])
             out[(float(intensity), case)] = modes
     return out
 

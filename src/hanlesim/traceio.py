@@ -4,13 +4,23 @@ CSV conventions, chosen so reruns are byte-identical and values round-trip
 exactly: UTF-8, LF line endings, metadata as leading ``# key=value`` lines
 with the keys sorted, then a header row, then data rows.  Floats are written
 with ``repr``, the shortest string that parses back to the same double.
+
+The ``render_*`` functions return text; :func:`write_outputs` is the one
+writer, used by the ``save_*`` functions and by every CLI command.  It
+stages each regular file beside its target and renames it into place only
+once every output of the call is staged, so a failed write leaves no
+regular file half-written.
 """
 
 from __future__ import annotations
 
 import ast
+import contextlib
 import json
 import math
+import os
+import stat
+import sys
 
 import numpy as np
 
@@ -21,11 +31,10 @@ __all__ = [
     "save_trace",
     "load_trace",
     "render_table",
-    "save_table",
     "render_sweep",
-    "save_sweep",
     "render_fit",
     "save_fit",
+    "write_outputs",
 ]
 
 TRACE_COLUMNS = ("time", "w", "b")
@@ -64,19 +73,13 @@ def render_table(columns, rows, meta: dict | None = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def save_table(columns, rows, path, meta: dict | None = None) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_table(columns, rows, meta))
-
-
 def render_trace(trace: TransientTrace) -> str:
     rows = zip(trace.times.tolist(), trace.w.tolist(), trace.b.tolist())
     return render_table(TRACE_COLUMNS, rows, trace.meta)
 
 
 def save_trace(trace: TransientTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_trace(trace))
+    write_outputs((render_trace(trace), path))
 
 
 def _parse_meta_value(text: str):
@@ -160,11 +163,6 @@ def render_sweep(rows) -> str:
     return render_table(SWEEP_COLUMNS, table)
 
 
-def save_sweep(rows, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_sweep(rows))
-
-
 def render_fit(result) -> str:
     """Fit result as a deterministic JSON document (key order fixed)."""
     payload = {
@@ -181,5 +179,58 @@ def render_fit(result) -> str:
 
 
 def save_fit(result, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(render_fit(result))
+    write_outputs((render_fit(result), path))
+
+
+def write_outputs(*outputs) -> None:
+    """Write each (text, path) pair; a path of None or "-" means stdout.
+
+    A path that is absent or names a regular file is first written to a
+    temporary file beside it, which is renamed into place with
+    ``os.replace`` only once every output has been written, so a failure
+    leaves no regular output file written or truncated; a replaced file
+    keeps its permission bits.  Any other path (a symlink, a device such as
+    ``os.devnull``, a FIFO) is written through directly, after the regular
+    files are staged.  Standard output is written last.
+
+    Raises
+    ------
+    OSError
+        When a path cannot be examined or written; the temporary files are
+        removed first.
+    """
+    staged, direct = [], []
+    for text, path in outputs:
+        if path in (None, "-"):
+            continue
+        try:
+            mode = os.lstat(path).st_mode
+        except FileNotFoundError:
+            mode = None
+        if mode is None or stat.S_ISREG(mode):
+            staged.append((text, path, mode))
+        else:
+            direct.append((text, path))
+    temps = []
+    try:
+        for index, (text, path, mode) in enumerate(staged):
+            directory, name = os.path.split(os.path.abspath(path))
+            temp = os.path.join(directory, f".{name}.{os.getpid()}.{index}.tmp")
+            temps.append(temp)
+            with open(temp, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+            if mode is not None:
+                os.chmod(temp, stat.S_IMODE(mode))
+        for text, path in direct:
+            with open(path, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        for temp, (_, path, _) in zip(temps, staged):
+            os.replace(temp, path)
+    except OSError:
+        for temp in temps:
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        raise
+    for text, path in outputs:
+        if path in (None, "-"):
+            sys.stdout.write(text)

@@ -19,6 +19,13 @@ def run(argv):
     return main(argv)
 
 
+def steady_scan_meta(path):
+    """Metadata of a steady scan, read by load_trace with the field column as its clock."""
+    renamed = path.with_name(path.name + ".as-trace.csv")
+    renamed.write_text(path.read_text().replace("\nb,w\n", "\ntime,w\n", 1))
+    return load_trace(renamed).meta
+
+
 class TestExitCodes:
     def test_unknown_preset(self, tmp_path, capsys):
         code = run(["transient", "--preset", "fig99z", "--output", str(tmp_path / "o.csv")])
@@ -88,6 +95,46 @@ class TestExitCodes:
         code = run(["transient", "--config", str(cfg), "--output", str(out)])
         assert code == EXIT_USAGE
         assert "gamma" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, extra, config", [
+        ("transient", ["--duty", "1"], None),
+        ("transient", ["--duty", "0"], None),
+        ("transient", ["--b0", "0.03", "--b1", "0.03"], None),
+        ("transient", ["--samples-per-period", "4"], None),
+        ("transient", [], {"fit_model": "bogus"}),
+        ("fit", [], {"fit_model": "bogus"}),
+    ], ids=["duty-1", "duty-0", "equal-fields", "too-few-samples", "bad-model", "fit-bad-model"])
+    def test_fit_failure_exits_2_and_writes_nothing(self, tmp_path, capsys, command, extra,
+                                                    config):
+        trace = tmp_path / "in" / "t.csv"
+        trace.parent.mkdir()
+        assert run(["transient", "--samples-per-period", "400", "--output", str(trace)]) == EXIT_OK
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--output", str(out / "o.csv")] + extra
+        if command == "transient":
+            argv += ["--with-fit", "--fit-output", str(out / "f.json")]
+        else:
+            argv += ["--trace", str(trace)]
+        if config is not None:
+            cfg = tmp_path / "in" / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv += ["--config", str(cfg)]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("hanlesim: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("meta", ["# phase_b=(1,)", "# fe=2\n# fg=(1,)\n# phase_b=0.03"],
+                             ids=["phase_b-tuple", "fg-tuple"])
+    def test_fit_rejects_non_numeric_trace_metadata(self, tmp_path, capsys, meta):
+        times = np.linspace(0.0, 2000.0, 300).tolist()
+        rows = "".join(f"{t!r},{float(np.exp(-t / 300))!r}\n" for t in times)
+        trace = tmp_path / "t.csv"
+        trace.write_text(f"{meta}\ntime,w\n{rows}")
+        out = tmp_path / "f.json"
+        assert run(["fit", "--trace", str(trace), "--output", str(out)]) == EXIT_USAGE
+        assert "must be a finite number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_no_partial_output_on_failure(self, tmp_path):
@@ -181,6 +228,20 @@ class TestSteady:
         w = np.array([float(r[1]) for r in rows])
         assert b.size == 21
         np.testing.assert_allclose(w, w[::-1], atol=1e-10)
+
+    def test_metadata_matches_transient(self, tmp_path):
+        flags = ["--fg", "1", "--fe", "2", "--intensity", "0.02", "--dipole-scale", "2.5"]
+        steady, transient = tmp_path / "s.csv", tmp_path / "t.csv"
+        assert run(["steady", *flags, "--scan-b-points", "3", "--output", str(steady)]) == EXIT_OK
+        assert run(["transient", *flags, "--samples-per-period", "100",
+                    "--output", str(transient)]) == EXIT_OK
+        steady_meta = steady_scan_meta(steady)
+        transient_meta = load_trace(transient).meta
+        shared = set(steady_meta) & set(transient_meta)
+        assert {"intensity", "pol", "dipole_scale", "fg", "fe", "gamma"} <= shared
+        assert {key: steady_meta[key] for key in shared} == {
+            key: transient_meta[key] for key in shared}
+        assert steady_meta["intensity"] == pytest.approx(0.02)
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.06",

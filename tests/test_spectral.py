@@ -184,6 +184,39 @@ class TestOpenLambda:
         at_gamma = np.abs(values + GAMMA) < 1e-12
         assert at_gamma.sum() >= 9
 
+    def test_matches_direct_bloch_evaluation(self):
+        # the generator written out term by term from the OpenLambdaSpec
+        # docstring, independent of the kron assembly
+        rng = np.random.default_rng(5)
+        for sink in (1 / 3, 0.0, 0.7):
+            spec = OpenLambdaSpec(rabi=float(rng.uniform(0.05, 1.5)), gamma=GAMMA,
+                                  detuning=float(rng.uniform(-0.5, 0.5)),
+                                  zeeman=float(rng.uniform(-0.1, 0.1)), sink_fraction=sink)
+            arm = spec.rabi / (2.0 * np.sqrt(6.0))
+            h = np.diag([-spec.zeeman, spec.zeeman, 0.0, spec.detuning]).astype(complex)
+            h[0, 3] = h[3, 0] = h[1, 3] = h[3, 1] = arm
+            p_e = np.diag([0.0, 0.0, 0.0, 1.0])
+            branching = np.diag([(1 - sink) / 2, (1 - sink) / 2, sink, 0.0])
+            rest = np.diag([1.0, 1.0, 1.0, 0.0]) / 3.0
+            raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            sigma = raw @ raw.conj().T
+            sigma /= np.trace(sigma)
+            direct = (
+                -1j * (h @ sigma - sigma @ h)
+                - 0.5 * (p_e @ sigma + sigma @ p_e)
+                + branching * sigma[3, 3]
+                - spec.gamma * (sigma - rest)
+            )
+            liouv = open_lambda_liouvillian(spec)
+            assembled = (liouv.matrix @ vectorize(sigma) + liouv.pump).reshape(4, 4)
+            np.testing.assert_allclose(assembled, direct, atol=1e-14)
+
+    def test_trace_records_model_and_splitting(self):
+        liouv = open_lambda_liouvillian(OpenLambdaSpec(rabi=0.3, gamma=GAMMA, zeeman=0.01))
+        trace = propagate_modal(liouv, np.diag([0.5, 0.5, 0.0, 0.0]), [0.0, 1.0])
+        assert trace.meta == {"model": "OpenLambdaSpec", "solver": "modal", "b_field": 0.01}
+        np.testing.assert_array_equal(trace.b, [0.01, 0.01])
+
     def test_trace_preserving(self):
         liouv = open_lambda_liouvillian(OpenLambdaSpec(rabi=0.3, gamma=GAMMA, zeeman=0.01))
         identity = vectorize(np.eye(4))

@@ -36,6 +36,18 @@ class TestTraceRoundTrip:
         assert isinstance(loaded.meta["modal_fallback"], bool)
         assert loaded.meta["rabi"] == (0.1414, 0.0)
 
+    def test_save_over_existing_file_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("old\n")
+        save_trace(sample_trace(), path)
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
+        assert path.read_text() == render_trace(sample_trace())
+
+    def test_failed_save_raises_and_leaves_nothing(self, tmp_path):
+        with pytest.raises(OSError):
+            save_trace(sample_trace(), tmp_path / "nodir" / "trace.csv")
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_determinism(self):
         trace = sample_trace()
         assert render_trace(trace) == render_trace(trace)
