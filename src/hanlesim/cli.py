@@ -35,7 +35,7 @@ from .dynamics import (
     transit_time,
 )
 from .fit import FitModel, fit as fit_trace
-from .liouvillian import TransitionSpec, absorption, build_liouvillian, spec_meta
+from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta, vectorize
 from .presets import get_preset, list_presets
 from .spectral import intensity_sweep
 from .traceio import load_trace, write_outputs
@@ -274,10 +274,12 @@ def cmd_steady(args) -> int:
     if config.scan_b_points < 1:
         raise ConfigError("scan_b_points must be at least 1")
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
+    affine = affine_liouvillian(spec)
     rows = []
     for b in grid:
-        sigma = steady_state(build_liouvillian(spec.with_field(float(b))))
-        rows.append((float(b), absorption(sigma, spec)))
+        liouv = affine.at(spec.rabi, float(b))
+        w = liouv.absorption_row @ vectorize(steady_state(liouv))
+        rows.append((float(b), float(w.real)))
     write_outputs((traceio.render_table(("b", "w"), rows, spec_meta(spec)), args.output))
     return EXIT_OK
 

@@ -12,12 +12,12 @@ test suite.
 For constant M, s classic RK4 steps of size h are exactly an affine map
 y <- R y + r, with R = sum_{k<=4} (hM)^k/k! (RK4's stability polynomial)
 and r = h sum_{k<=3} (hM)^k/(k+1)! p0 composed s times.  The integrator
-steps an interval with matrix-vector products the first time it meets it;
-once an interval recurs, it builds that map from powers of hM on the full
-M, composes the s steps by binary powering, and applies it with one
-matrix-vector product per later sample.  A uniform sample grid needs only
-a handful of maps.  It uses neither an eigendecomposition nor the
-invariant block below.
+counts how often each sample interval occurs.  An interval that occurs
+often enough to repay it gets that map, built from powers of hM on the full
+M with the s steps composed by binary powering, and applied with one
+matrix-vector product per sample; any other interval is stepped with
+matrix-vector products.  A uniform sample grid needs only a handful of
+maps.  It uses neither an eigendecomposition nor the invariant block below.
 
 The modal solver works on an invariant block of M: the Liouville indices
 reachable from the supports of p0 and of the initial state along the
@@ -42,8 +42,9 @@ decomposed once per transient whatever the number of periods.
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
-from math import ceil, isfinite, sqrt
+from math import ceil, isfinite, log2, sqrt
 
 import numpy as np
 from scipy.constants import k as _BOLTZMANN
@@ -221,11 +222,16 @@ class _Modes:
     w_ss: float
 
 
-def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
-    sub = liouv.matrix[np.ix_(block, block)]
+def _block_steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
+    """-M^{-1} p0 solved on an invariant block that holds p0; zero outside it."""
     y_ss = np.zeros(liouv.size, dtype=complex)
-    y_ss[block] = np.linalg.solve(sub, -liouv.pump[block])
-    lam, vecs = np.linalg.eig(sub)
+    y_ss[block] = np.linalg.solve(liouv.matrix[np.ix_(block, block)], -liouv.pump[block])
+    return y_ss
+
+
+def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
+    y_ss = _block_steady(liouv, block)
+    lam, vecs = np.linalg.eig(liouv.matrix[np.ix_(block, block)])
     row = liouv.absorption_row[block]
     return _Modes(
         block, lam, vecs, y_ss, np.linalg.cond(vecs), row @ vecs, (row @ y_ss[block]).real
@@ -347,41 +353,42 @@ def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False
     """Runge-Kutta integration recording the state at each requested time.
 
     Each sample interval is split into the fewest equal steps that do not
-    exceed ``MAX_INTEGRATOR_STEP``.  An interval met for the first time is
-    stepped with four matrix-vector products per step.  Once an interval
-    recurs, the RK4 map of its steps is built (about 3 + 2 log2(steps)
-    matrix products) and every later occurrence costs one matrix-vector
-    product, so a uniform grid builds a handful of maps and a grid whose
-    intervals never repeat (a geometric grid) builds none.  One N x N map
-    is held per recurring interval.
+    exceed ``MAX_INTEGRATOR_STEP``.  Every interval is counted over the whole
+    grid first.  Building the RK4 map of an interval's s steps costs about
+    (3 + 2 log2 s) N^3 (N = size of M), after which each occurrence costs
+    one matrix-vector product; stepping costs 4 s N^2 per occurrence.  So
+    an interval that occurs c times gets a map when c * 4 s N^2 exceeds its
+    build cost, and is stepped otherwise: a uniform grid builds a handful of
+    maps, and a grid whose intervals are all distinct, or each occur only a
+    few times, builds none.  One N x N map is held per mapped interval.
     """
     times = np.asarray(times, dtype=float)
     y = _as_vector(y0)
     m, p0 = liouv.matrix, liouv.pump
     row = liouv.absorption_row
-    w_out = np.empty(times.size)
-    states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
-    seen, maps = set(), {}
-    t_prev = 0.0
-    for i, t in enumerate(times):
+    keys, t_prev = [], 0.0
+    for t in times.tolist():
         span = t - t_prev
         if span < 0:
             raise ValueError("sample times must not decrease")
-        if span > 0:
-            steps = ceil(span / MAX_INTEGRATOR_STEP)
-            key = (steps, span / steps)
-            if key in maps:
-                step_matrix, shift = maps[key]
-                y = step_matrix @ y + shift
-            elif key in seen:
-                maps[key] = step_matrix, shift = _rk4_map(m, p0, key[1], steps)
-                y = step_matrix @ y + shift
-            else:
-                seen.add(key)
-                a, shift = key[1] * m, key[1] * p0
-                for _ in range(steps):
-                    y = y + _rk4_series(a, a @ y + shift)
+        steps = ceil(span / MAX_INTEGRATOR_STEP)
+        keys.append((steps, span / steps) if steps else None)
         t_prev = t
+    size = m.shape[0]
+    maps = {
+        key: _rk4_map(m, p0, key[1], key[0]) for key, count in Counter(keys).items()
+        if key is not None and count * key[0] * 4 > (3 + 2 * log2(key[0])) * size
+    }
+    w_out = np.empty(times.size)
+    states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
+    for i, key in enumerate(keys):
+        step_map = maps.get(key)
+        if step_map is not None:
+            y = step_map[0] @ y + step_map[1]
+        elif key is not None:
+            a, shift = key[1] * m, key[1] * p0
+            for _ in range(key[0]):
+                y = y + _rk4_series(a, a @ y + shift)
         w_out[i] = (row @ y).real
         if keep_states:
             states[i] = y

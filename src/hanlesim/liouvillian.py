@@ -22,8 +22,11 @@ Lindblad generator of the same shape: -i[H, .], -(1/2){P_e, .}, a weighted
 sum of jumps L . L^dag, and relaxation at gamma toward a rest state.  One
 private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
-their operators and call it.  :func:`spec_meta` is the one set of provenance
-keys that every output recording a transition writes.
+their operators and call it.  M is affine in the Rabi frequency and in the
+field, which enters only on its diagonal; :func:`affine_liouvillian` takes
+those parts from three calls of the builder, so a scan over either needs no
+further assembly.  :func:`spec_meta` is the one set of provenance keys that
+every output recording a transition writes.
 
 The absorption rate observable is
 
@@ -53,6 +56,8 @@ __all__ = [
     "coupling_matrix",
     "isotropic_ground",
     "build_liouvillian",
+    "AffineLiouvillian",
+    "affine_liouvillian",
     "spec_meta",
     "vectorize",
     "devectorize",
@@ -297,6 +302,50 @@ def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
         hamiltonian(spec), p_e, jumps, isotropic_ground(spec), spec.gamma,
         coupling_matrix(spec), spec.b_field, spec_meta(spec),
     )
+
+
+@dataclass(frozen=True)
+class AffineLiouvillian:
+    """M(rabi, b) = base + rabi * drive + b * diag(field) of one transition.
+
+    The Rabi frequency enters M only through the optical coupling in H, and
+    the magnetic field only through the diagonal Zeeman terms, so three
+    assemblies fix M at every (rabi, b); p0, W and the other parameters do
+    not depend on either.  Build it with :func:`affine_liouvillian`.
+    ``meta`` holds the :func:`spec_meta` keys of the transition.
+    """
+
+    base: np.ndarray
+    drive: np.ndarray
+    field: np.ndarray
+    pump: np.ndarray
+    coupling: np.ndarray
+    meta: dict
+
+    def at(self, rabi: float, b_field: float) -> Liouvillian:
+        """The Liouvillian at Rabi frequency ``rabi`` and field ``b_field``."""
+        matrix = self.base + rabi * self.drive
+        matrix.flat[:: matrix.shape[0] + 1] += b_field * self.field
+        meta = self.meta | {"intensity": rabi**2}
+        return Liouvillian(matrix, self.pump, self.coupling, b_field, meta)
+
+
+def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
+    """The affine parts of M, from :func:`build_liouvillian` at (rabi, b) = (0, 0), (1, 0), (0, 1).
+
+    Raises
+    ------
+    ValueError
+        If the field changes M off its diagonal, which would make the
+        diagonal field part wrong.
+    """
+    base = build_liouvillian(replace(spec, rabi=0.0, b_field=0.0))
+    drive = build_liouvillian(replace(spec, rabi=1.0, b_field=0.0)).matrix - base.matrix
+    field_part = build_liouvillian(replace(spec, rabi=0.0, b_field=1.0)).matrix - base.matrix
+    diagonal = np.diagonal(field_part).copy()
+    if np.any(field_part - np.diag(diagonal)):
+        raise ValueError("the magnetic field enters M off its diagonal; M is not affine in it")
+    return AffineLiouvillian(base.matrix, drive, diagonal, base.pump, base.coupling, spec_meta(spec))
 
 
 def vectorize(sigma: np.ndarray) -> np.ndarray:

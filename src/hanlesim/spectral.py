@@ -1,11 +1,12 @@
 """Eigenmode analysis of the evolution matrix.
 
-The full spectrum of M is computed, labelled into three rate groups (slow
-ground-state modes of order the transit rate, optical-coherence modes near
-half the decay rate, excited-population modes near the decay rate), and
-tested for observability in a switched-field experiment: a decay mode shows
-up in the absorption signal only if (a) the initial condition actually
-excites it and (b) its density-matrix component couples to the light.
+The full spectrum of M is computed (one invariant block at a time where M
+splits into two), labelled into three rate groups (slow ground-state modes
+of order the transit rate, optical-coherence modes near half the decay
+rate, excited-population modes near the decay rate), and tested for
+observability in a switched-field experiment: a decay mode shows up in the
+absorption signal only if (a) the initial condition actually excites it and
+(b) its density-matrix component couples to the light.
 
 Also provided: the dark/bright ground-state superpositions of a 1 -> 0
 transition, an open three-level (two driven ground states, one excited
@@ -24,11 +25,12 @@ from math import sqrt
 
 import numpy as np
 
+from .dynamics import _block_steady, _invariant_block
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
     _lindblad,
-    build_liouvillian,
+    affine_liouvillian,
     coupling_matrix,
 )
 
@@ -90,18 +92,36 @@ class EigenMode:
 def eigenmodes(liouv: Liouvillian) -> list[EigenMode]:
     """Complete spectrum of M as EigenMode records.
 
-    Modes are sorted by descending real part (slowest decay first), then by
-    ascending imaginary part, making the order deterministic.  Residuals
-    ``|M v - lambda v|`` are verified to be below 1e-9.
+    M maps nothing from the pump's invariant block to its complement.  When
+    it maps nothing back either (linear light), M is block diagonal up to a
+    permutation, and each of the two blocks is decomposed on its own, its
+    eigenvectors padded with zeros; otherwise, as with circular light on
+    most transitions, the full M is.  Modes are sorted by descending real
+    part (slowest decay first), then by ascending imaginary part, making the
+    order deterministic.  Residuals ``|M v - lambda v|`` are verified to be
+    below 1e-9.
     """
-    lam, vecs = np.linalg.eig(liouv.matrix)
+    matrix = liouv.matrix
+    block = _invariant_block([matrix], [liouv.pump])
+    rest = np.setdiff1d(np.arange(liouv.size), block)
+    if rest.size and not matrix[np.ix_(block, rest)].any():
+        parts = (block, rest)
+    else:
+        parts = (np.arange(liouv.size),)
+    lam = np.empty(liouv.size, dtype=complex)
+    vecs = np.zeros((liouv.size, liouv.size), dtype=complex)
+    start = 0
+    for part in parts:
+        stop = start + part.size
+        lam[start:stop], vecs[part, start:stop] = np.linalg.eig(matrix[np.ix_(part, part)])
+        start = stop
     order = np.lexsort((lam.imag, -lam.real))
     lam, vecs = lam[order], vecs[:, order]
-    residuals = np.linalg.norm(liouv.matrix @ vecs - vecs * lam, axis=0)
+    residuals = np.linalg.norm(matrix @ vecs - vecs * lam, axis=0)
     if residuals.max() > 1e-9:
         raise np.linalg.LinAlgError(
             f"eigen residual {residuals.max():.3e} exceeds 1e-9 "
-            f"(matrix condition number {np.linalg.cond(liouv.matrix):.3e})"
+            f"(matrix condition number {np.linalg.cond(matrix):.3e})"
         )
     return [EigenMode(value=lam[k], vector=vecs[:, k]) for k in range(lam.size)]
 
@@ -295,22 +315,28 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     For each squared Rabi frequency in ``intensities`` the evolution matrix
     is analyzed at fields 0 ("B0") and ``b1`` ("B1"); observability uses the
     switched-field initial condition (the steady state of the other case).
-    Returns {(intensity, case): list of EigenMode}.
+    M is assembled once for the sweep (see :func:`affine_liouvillian`), and
+    each steady state is solved on the pump's invariant block, outside which
+    it vanishes.  Returns {(intensity, case): list of EigenMode}.
     """
-    out = {}
+    return {(intensity, case): modes for intensity, case, modes in _sweep(spec, intensities, b1)}
+
+
+def _sweep(spec: TransitionSpec, intensities, b1: float):
+    """Yield (intensity, case, modes) of :func:`sweep_modes` in grid order, B0 before B1."""
+    affine = affine_liouvillian(spec)
     for intensity in intensities:
-        spec_i = spec.with_intensity(intensity)
-        liouvs = {"B0": build_liouvillian(spec_i.with_field(0.0)),
-                  "B1": build_liouvillian(spec_i.with_field(b1))}
+        rabi = spec.with_intensity(intensity).rabi
+        liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}
         steadies = {
-            case: np.linalg.solve(liouv.matrix, -liouv.pump) for case, liouv in liouvs.items()
+            case: _block_steady(liouv, _invariant_block([liouv.matrix], [liouv.pump]))
+            for case, liouv in liouvs.items()
         }
         for case, other in (("B0", "B1"), ("B1", "B0")):
             modes = classify_groups(eigenmodes(liouvs[case]), spec.gamma)
             # initial condition: the system was sitting in the other phase's steady state
             observability(modes, liouvs[case], steadies[other], steadies[case])
-            out[(float(intensity), case)] = modes
-    return out
+            yield float(intensity), case, modes
 
 
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> list[dict]:
@@ -323,19 +349,18 @@ def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> list[dict]:
     absorption weight.
     """
     rows = []
-    modes_by_key = sweep_modes(spec, intensities, b1)
-    for intensity in intensities:
-        for case in ("B0", "B1"):
-            for mode in modes_by_key[(float(intensity), case)]:
-                rows.append(
-                    {
-                        "intensity": float(intensity),
-                        "b_case": case,
-                        "re_lambda": float(mode.value.real),
-                        "im_lambda": float(mode.value.imag),
-                        "group": int(mode.group),
-                        "observable": int(bool(mode.observable)),
-                        "w_mode": float(abs(mode.weight)),
-                    }
-                )
+    # one point's modes at a time, so the sweep never holds every eigenvector
+    for intensity, case, modes in _sweep(spec, intensities, b1):
+        for mode in modes:
+            rows.append(
+                {
+                    "intensity": intensity,
+                    "b_case": case,
+                    "re_lambda": float(mode.value.real),
+                    "im_lambda": float(mode.value.imag),
+                    "group": int(mode.group),
+                    "observable": int(bool(mode.observable)),
+                    "w_mode": float(abs(mode.weight)),
+                }
+            )
     return rows

@@ -64,12 +64,28 @@ def _format_cell(value) -> str:
     return value if isinstance(value, str) else _format_value(value)
 
 
+#: what ``_format_cell`` does to a cell of exactly this type
+_PLAIN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}
+
+
+def _format_column(cells) -> list:
+    """``_format_cell`` of every cell, a whole column at once when it holds one plain type."""
+    kinds = set(map(type, cells))
+    plain = _PLAIN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
+    if plain is None:
+        return [_format_cell(cell) for cell in cells]
+    return list(map(plain, cells))
+
+
 def render_table(columns, rows, meta: dict | None = None) -> str:
-    """Generic numeric CSV: sorted ``#`` metadata, header, repr-formatted rows."""
+    """Generic numeric CSV: sorted ``#`` metadata, header, repr-formatted rows.
+
+    Formats a column at a time; every row must have the same number of cells.
+    """
     lines = _meta_lines(meta or {})
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_format_cell(cell) for cell in row))
+    formatted = [_format_column(cells) for cells in zip(*rows, strict=True)]
+    lines.extend(map(",".join, zip(*formatted)))
     return "\n".join(lines) + "\n"
 
 

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import hanlesim.liouvillian as liouvillian
 from hanlesim import TransitionSpec, build_liouvillian, steady_state
 from hanlesim.liouvillian import vectorize
 
@@ -44,3 +45,11 @@ def nearest_match_distance(values_a, values_b) -> float:
         worst = max(worst, abs(value - remaining[index]))
         remaining.pop(index)
     return worst
+
+
+def count_assemblies(monkeypatch) -> list:
+    """A list that grows by one entry each time any Liouvillian is assembled."""
+    calls = []
+    lindblad = liouvillian._lindblad
+    monkeypatch.setattr(liouvillian, "_lindblad", lambda *args: calls.append(1) or lindblad(*args))
+    return calls

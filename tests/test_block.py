@@ -1,12 +1,15 @@
-"""Properties of the invariant block the modal solver decomposes, over random transitions."""
+"""Properties of the invariant block, the split spectrum and the affine parts of M, over random transitions."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
-from hanlesim import TransitionSpec, build_liouvillian, propagate_modal, steady_state
-from hanlesim.liouvillian import coupling_absorption, vectorize
+from hanlesim import TransitionSpec, build_liouvillian, eigenmodes, propagate_modal, steady_state
+from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -77,3 +80,59 @@ def test_absorption_row_equals_coupling_absorption(spec, seed):
     sigma = a + a.conj().T
     expected = coupling_absorption(sigma, liouv.coupling)
     assert abs(liouv.absorption_row @ vectorize(sigma) - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def _matched_relative_distance(values, reference) -> float:
+    """Largest |values - reference| under the optimal one-to-one pairing, over max |reference|."""
+    values, reference = np.asarray(values), np.asarray(reference)
+    cost = np.abs(values[:, None] - reference[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    return float(cost[rows, cols].max() / np.abs(reference).max())
+
+
+def _complement_is_invariant(liouv) -> bool:
+    block = dynamics._invariant_block([liouv.matrix], [liouv.pump])
+    rest = np.setdiff1d(np.arange(liouv.size), block)
+    return not liouv.matrix[np.ix_(block, rest)].any()
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.5, 3.0))
+def test_affine_parts_reproduce_the_assembled_matrix(spec, detuning, zeeman_e, dipole_scale):
+    spec = replace(spec, detuning=detuning, zeeman_e=zeeman_e, dipole_scale=dipole_scale)
+    liouv = affine_liouvillian(spec).at(spec.rabi, spec.b_field)
+    expected = build_liouvillian(spec)
+    scale = np.abs(expected.matrix).max()
+    assert np.abs(liouv.matrix - expected.matrix).max() <= 1e-14 * scale
+    np.testing.assert_array_equal(liouv.pump, expected.pump)
+    np.testing.assert_array_equal(liouv.coupling, expected.coupling)
+    assert liouv.b_field == expected.b_field
+    assert liouv.meta == expected.meta
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_split_spectrum_matches_full_eig(spec):
+    # against the eigenvalues of one eig of the full M; eigvals takes another
+    # LAPACK path, which alone moves ill-conditioned eigenvalues by ~3e-12
+    liouv = build_liouvillian(spec)
+    values = [mode.value for mode in eigenmodes(liouv)]
+    assert len(values) == liouv.size
+    assert _matched_relative_distance(values, np.linalg.eig(liouv.matrix)[0]) <= 1e-12
+
+
+#: circular light on these transitions leaves a complement the pump block feeds into
+CIRCULAR_COUPLED = ((1, 1), (1, 2), (0.5, 1.5), (1.5, 1.5), (2, 2), (2, 3))
+
+
+@PROPERTY_SETTINGS
+@given(st.sampled_from(CIRCULAR_COUPLED), st.sampled_from(("sigma+", "sigma-")),
+       st.floats(1e-3, 2.0), st.floats(-0.1, 0.1))
+def test_circular_light_with_coupled_complement_matches_full_eig(transition, pol, intensity, b_field):
+    fg, fe = transition
+    spec = TransitionSpec(fg=fg, fe=fe, rabi=0.0, gamma=0.002, pol=pol)
+    liouv = build_liouvillian(spec.with_intensity(intensity).with_field(b_field))
+    assert not _complement_is_invariant(liouv)
+    values = [mode.value for mode in eigenmodes(liouv)]
+    # some of these spectra are nearly defective: there eig and eigvals differ by up to ~1e-9
+    assert _matched_relative_distance(values, np.linalg.eig(liouv.matrix)[0]) <= 1e-12

@@ -9,8 +9,10 @@ import sys
 import numpy as np
 import pytest
 
-from hanlesim import list_presets, load_trace, transit_time
+from hanlesim import absorption, build_liouvillian, list_presets, load_trace, transit_time
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+
+from support import count_assemblies, eia_spec
 
 TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
 
@@ -242,6 +244,27 @@ class TestSteady:
         assert {key: steady_meta[key] for key in shared} == {
             key: transient_meta[key] for key in shared}
         assert steady_meta["intensity"] == pytest.approx(0.02)
+
+    def test_matches_per_point_assembly(self, tmp_path):
+        out = tmp_path / "scan.csv"
+        assert run(["steady", "--fg", "1", "--fe", "2", "--intensity", "0.3",
+                    "--scan-b-min", "-0.15", "--scan-b-max", "0.15",
+                    "--scan-b-points", "41", "--output", str(out)]) == EXIT_OK
+        rows = [line.split(",") for line in out.read_text().splitlines()
+                if line and not line.startswith("#")][1:]
+        spec = eia_spec(0.3)
+        expected = []
+        for b in np.linspace(-0.15, 0.15, 41):
+            liouv = build_liouvillian(spec.with_field(float(b)))
+            expected.append(absorption(np.linalg.solve(liouv.matrix, -liouv.pump), spec))
+        np.testing.assert_allclose([float(row[1]) for row in rows], expected, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("points", [3, 201])
+    def test_assembles_at_most_three_times(self, monkeypatch, tmp_path, points):
+        calls = count_assemblies(monkeypatch)
+        assert run(["steady", "--fg", "1", "--fe", "2", "--scan-b-points", str(points),
+                    "--output", str(tmp_path / "scan.csv")]) == EXIT_OK
+        assert len(calls) <= 3
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.06",

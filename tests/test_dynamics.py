@@ -76,16 +76,20 @@ class TestPropagators:
         step_matrix, shift = dynamics._rk4_map(m, p0, h, steps)
         np.testing.assert_allclose(step_matrix @ y0 + shift, expected, rtol=0, atol=1e-13)
 
-    @pytest.mark.parametrize("grid", ["geometric", "mixed"])
+    @pytest.mark.parametrize("grid", ["geometric", "twice", "mixed"])
     def test_integrator_on_irregular_grid_matches_classic_rk4(self, monkeypatch, grid):
-        # a geometric grid never repeats an interval, so no step map is built;
-        # a mixed grid builds maps only for the intervals that recur
+        # a geometric grid never repeats an interval, and a grid that meets each
+        # interval exactly twice does not repeat it often enough to repay a map,
+        # so neither builds one; a mixed grid builds maps only for the interval
+        # that recurs often
         spec = eia_spec(0.2).with_field(0.03)
         liouv = build_liouvillian(spec)
         m, p0 = liouv.matrix, liouv.pump
         y0 = steady_vector(spec, 0.0)
         if grid == "geometric":
             times = np.geomspace(1e-3, 20.0, 120)
+        elif grid == "twice":
+            times = np.repeat(np.geomspace(0.01, 5, 100), 2).cumsum()
         else:
             times = np.concatenate([np.geomspace(1e-3, 2.0, 40), 2.0 + np.arange(1, 81) * 0.13])
         built = []
@@ -107,10 +111,38 @@ class TestPropagators:
             t_prev = t
             expected.append((liouv.absorption_row @ y).real)
         np.testing.assert_allclose(trace.w, expected, rtol=0, atol=1e-13)
-        if grid == "geometric":
-            assert built == []
-        else:
+        if grid == "mixed":
             assert 1 <= len(built) <= 4
+        else:
+            assert built == []
+
+    def test_integrator_maps_no_interval_of_an_exactly_twice_grid_on_3_to_4(self, monkeypatch):
+        # mapping an interval of s steps costs about (3 + 2 log2 s) N^3, and
+        # stepping its two occurrences 2 * 4 s N^2; with N = 256 the map never pays
+        liouv = build_liouvillian(TransitionSpec(fg=3, fe=4, rabi=0.5, gamma=GAMMA, b_field=0.03))
+        built = []
+        rk4_map = dynamics._rk4_map
+        monkeypatch.setattr(dynamics, "_rk4_map",
+                            lambda *args: built.append(args[3]) or rk4_map(*args))
+        times = np.repeat(np.geomspace(0.01, 5, 100), 2).cumsum()
+        dynamics._integrate_at_times(liouv, liouv.pump / GAMMA, times)  # from the isotropic ground
+        assert built == []
+
+    @pytest.mark.parametrize("times", [np.arange(2001) * 0.05,
+                                       np.linspace(0.0, 2500.0, 2000, endpoint=False)])
+    def test_integrator_still_maps_uniform_grids(self, monkeypatch, times):
+        spec = eia_spec(0.2).with_field(0.03)
+        liouv = build_liouvillian(spec)
+        built = []
+        rk4_map = dynamics._rk4_map
+        monkeypatch.setattr(dynamics, "_rk4_map",
+                            lambda *args: built.append(args[3]) or rk4_map(*args))
+        trace = dynamics._integrate_at_times(liouv, steady_vector(spec, 0.0), times)
+        # float spacing splits a uniform grid into a few interval keys; the
+        # frequent ones are mapped, and they cover most of the grid
+        assert 1 <= len(built) <= 8
+        reference = propagate_modal(liouv, steady_vector(spec, 0.0), times)
+        np.testing.assert_allclose(trace.w, reference.w, rtol=0, atol=1e-8)
 
     def test_integrator_uses_no_spectrum(self, monkeypatch):
         spec = eia_spec(0.06).with_field(0.03)

@@ -13,7 +13,8 @@ from hanlesim import (
     vectorize,
 )
 from hanlesim.angular import AngMom, polarization, projectors, q_matrix
-from hanlesim.liouvillian import coupling_matrix, isotropic_ground
+import hanlesim.liouvillian as liouvillian
+from hanlesim.liouvillian import affine_liouvillian, coupling_matrix, isotropic_ground
 
 from support import PRESET_INTENSITIES, eia_spec, eit_spec
 
@@ -213,3 +214,38 @@ def test_isotropic_ground_is_maximally_mixed_ground_state():
     sigma0 = isotropic_ground(eia_spec())
     np.testing.assert_allclose(np.diag(sigma0), [1 / 3] * 3 + [0] * 5)
     assert np.trace(sigma0) == pytest.approx(1.0)
+
+
+class TestAffineParts:
+    @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
+    def test_field_part_is_exact_on_the_paper_transitions(self, make_spec):
+        spec = make_spec(0.0)
+        affine = affine_liouvillian(spec)
+        for b_field in np.linspace(-0.15, 0.15, 201):
+            expected = build_liouvillian(spec.with_field(float(b_field))).matrix
+            np.testing.assert_array_equal(affine.at(0.0, float(b_field)).matrix, expected)
+
+    def test_evaluation_records_the_driven_transition(self):
+        spec = eia_spec(0.3, dipole_scale=2.5).with_field(0.01)
+        liouv = affine_liouvillian(eia_spec(0.0, dipole_scale=2.5)).at(spec.rabi, 0.01)
+        expected = build_liouvillian(spec)
+        np.testing.assert_allclose(liouv.matrix, expected.matrix, rtol=0, atol=1e-15)
+        assert liouv.meta == expected.meta
+        assert liouv.b_field == 0.01
+
+    def test_parts_do_not_change_between_evaluations(self):
+        affine = affine_liouvillian(eit_spec(0.0))
+        base = affine.base.copy()
+        affine.at(0.5, 0.03)
+        np.testing.assert_array_equal(affine.base, base)
+
+    def test_refuses_a_field_off_the_diagonal(self, monkeypatch):
+        # a field with a transverse part couples neighbouring sublevels
+        def tilted(fg, fe):
+            f_z = fz_matrix(fg, fe)
+            return f_z + 0.5 * (np.eye(f_z.shape[0], k=1) + np.eye(f_z.shape[0], k=-1))
+
+        fz_matrix = liouvillian.fz_matrix
+        monkeypatch.setattr(liouvillian, "fz_matrix", tilted)
+        with pytest.raises(ValueError, match="off its diagonal"):
+            affine_liouvillian(eit_spec(0.02))

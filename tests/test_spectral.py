@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from hanlesim import (
     OpenLambdaSpec,
@@ -18,10 +19,19 @@ from hanlesim import (
     sweep_modes,
     vectorize,
 )
+from hanlesim.cli import _transition_spec, build_config
+from hanlesim.dynamics import _invariant_block
 from hanlesim.liouvillian import coupling_matrix, hamiltonian, isotropic_ground
-from hanlesim.spectral import SWEEP_COLUMNS
+from hanlesim.spectral import SWEEP_COLUMNS, EigenMode
 
-from support import GAMMA, eia_spec, eit_spec, nearest_match_distance, steady_vector
+from support import (
+    GAMMA,
+    count_assemblies,
+    eia_spec,
+    eit_spec,
+    nearest_match_distance,
+    steady_vector,
+)
 
 
 class TestEigenmodes:
@@ -245,3 +255,82 @@ class TestIntensitySweep:
         result = sweep_modes(eit_spec(0.0), (0.002,), b1=0.03)
         assert set(result) == {(0.002, "B0"), (0.002, "B1")}
         assert len(result[(0.002, "B0")]) == 16
+
+
+def full_eig_sweep(spec, intensities, b1):
+    """sweep_modes rebuilt the way it was first written: one assembly and one full eig per point."""
+    out = {}
+    for intensity in intensities:
+        spec_i = spec.with_intensity(intensity)
+        liouvs = {case: build_liouvillian(spec_i.with_field(b))
+                  for case, b in (("B0", 0.0), ("B1", b1))}
+        steadies = {case: np.linalg.solve(liouv.matrix, -liouv.pump)
+                    for case, liouv in liouvs.items()}
+        for case, other in (("B0", "B1"), ("B1", "B0")):
+            lam, vecs = np.linalg.eig(liouvs[case].matrix)
+            order = np.lexsort((lam.imag, -lam.real))
+            modes = [EigenMode(value=lam[k], vector=vecs[:, k]) for k in order]
+            classify_groups(modes, spec.gamma)
+            observability(modes, liouvs[case], steadies[other], steadies[case])
+            out[(float(intensity), case)] = modes
+    return out
+
+
+class TestSplitSweep:
+    @pytest.mark.parametrize("preset", ["fig7a", "fig7b"])
+    def test_matches_full_eig_reference(self, preset):
+        config = build_config(preset, None, {}, "spectrum")
+        spec = _transition_spec(config)
+        grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
+        split = sweep_modes(spec, grid, config.b1)
+        reference = full_eig_sweep(spec, grid, config.b1)
+        assert list(split) == list(reference)
+        isolated = 0
+        for key, ref_modes in reference.items():
+            modes = split[key]
+            values = np.array([m.value for m in modes])
+            ref_values = np.array([m.value for m in ref_modes])
+            cost = np.abs(values[:, None] - ref_values[None, :])
+            rows, cols = linear_sum_assignment(cost)
+            scale = np.abs(ref_values).max()
+            assert cost[rows, cols].max() <= 1e-12 * scale, key
+            weight_scale = max(abs(m.weight) for m in ref_modes)
+            for i, j in zip(rows, cols):
+                assert (modes[i].group, modes[i].observable) == (
+                    ref_modes[j].group, ref_modes[j].observable), key
+                # inside a degenerate cluster the weight depends on the chosen basis
+                if np.sort(np.abs(ref_values - ref_values[j]))[1] > 1e-6 * scale:
+                    isolated += 1
+                    assert abs(abs(modes[i].weight) - abs(ref_modes[j].weight)) <= 1e-8 * weight_scale
+        assert isolated > len(reference) * 5
+
+    @pytest.mark.parametrize("points", [2, 40])
+    def test_sweep_assembles_at_most_three_times(self, monkeypatch, points):
+        calls = count_assemblies(monkeypatch)
+        sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, points), b1=0.01)
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
+    @pytest.mark.parametrize("pol", ["linear-x", "linear-y"])
+    def test_no_eig_larger_than_the_pump_block(self, monkeypatch, make_spec, pol):
+        spec = make_spec(0.0, pol=pol)
+        liouv = build_liouvillian(spec.with_intensity(0.3).with_field(0.01))
+        block_size = _invariant_block([liouv.matrix], [liouv.pump]).size
+        assert block_size < liouv.size
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        sweep_modes(spec, (0.02, 0.3, 2.0), b1=0.01)
+        assert shapes
+        assert max(max(shape) for shape in shapes) <= block_size
+
+    def test_circular_light_decomposes_the_full_matrix(self, monkeypatch):
+        # sigma+ light on 1 -> 2: the pump block feeds its complement, so M does not split
+        liouv = build_liouvillian(eia_spec(0.3, pol="sigma+").with_field(0.01))
+        shapes = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        modes = eigenmodes(liouv)
+        assert shapes == [(liouv.size, liouv.size)]
+        assert nearest_match_distance([m.value for m in modes], eig(liouv.matrix)[0]) < 1e-12
+

@@ -8,7 +8,9 @@ import pytest
 from hanlesim import FitModel, fit, load_trace, save_fit, save_trace
 from hanlesim.dynamics import TransientTrace
 from hanlesim.fit import evaluate_model
-from hanlesim.traceio import render_fit, render_sweep, render_trace
+from hanlesim.cli import _transition_spec, build_config
+from hanlesim.spectral import SWEEP_COLUMNS, intensity_sweep
+from hanlesim.traceio import _format_cell, render_fit, render_sweep, render_table, render_trace
 
 
 def sample_trace():
@@ -128,6 +130,26 @@ class TestSweepRendering:
     def test_deterministic(self):
         rows = [self.row()]
         assert render_sweep(rows) == render_sweep(rows)
+
+    def test_column_formatting_matches_per_cell_formatting(self):
+        config = build_config("fig7a", None, {}, "spectrum")
+        grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
+        rows = intensity_sweep(_transition_spec(config), grid, config.b1)
+        per_cell = [",".join(SWEEP_COLUMNS)] + [
+            ",".join(_format_cell(row[name]) for name in SWEEP_COLUMNS) for row in rows]
+        assert render_sweep(rows) == "\n".join(per_cell) + "\n"
+
+    def test_mixed_and_numpy_columns_format_per_cell(self):
+        rows = [(1, 2.5, "a", np.float64(0.1), True, (1, 2)),
+                (2.0, 3, "b", 7, np.int64(4), "x")]
+        columns = ("a", "b", "c", "d", "e", "f")
+        expected = [",".join(columns)] + [",".join(_format_cell(cell) for cell in row) for row in rows]
+        assert render_table(columns, rows) == "\n".join(expected) + "\n"
+        assert expected[1] == "1,2.5,a,0.1,True,(1, 2)"
+
+    def test_ragged_rows_are_refused(self):
+        with pytest.raises(ValueError):
+            render_table(("a", "b"), [(1.0, 2.0), (3.0,)])
 
 
 class TestFitRendering:
