@@ -42,8 +42,6 @@ from .spectral import (
     dark_state,
     eigenmodes,
     intensity_sweep,
-    mode_amplitudes,
-    observability,
     open_lambda_liouvillian,
     sweep_modes,
 )
@@ -76,8 +74,6 @@ __all__ = [
     "EigenMode",
     "eigenmodes",
     "classify_groups",
-    "mode_amplitudes",
-    "observability",
     "dark_state",
     "OpenLambdaSpec",
     "open_lambda_liouvillian",

@@ -24,7 +24,6 @@ import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
-from scipy.constants import atomic_mass
 
 from . import traceio
 from .dynamics import (
@@ -48,6 +47,8 @@ EXIT_NUMERICAL = 3
 
 #: atomic masses in unified atomic mass units
 ISOTOPE_MASS_AMU = {"Rb85": 84.911789738, "Rb87": 86.909180531}
+#: the unified atomic mass unit in kg (CODATA 2022)
+_ATOMIC_MASS_KG = 1.66053906892e-27
 
 
 class ConfigError(ValueError):
@@ -293,7 +294,7 @@ def cmd_transit(args) -> int:
         mass_amu = ISOTOPE_MASS_AMU[args.isotope]
     if not (math.isfinite(mass_amu) and mass_amu > 0):
         raise ConfigError("mass must be finite and positive")
-    mass_kg = mass_amu * atomic_mass
+    mass_kg = mass_amu * _ATOMIC_MASS_KG
     try:
         tau = transit_time(args.diameter_m, args.temperature_k, mass_kg)
     except ValueError as exc:

@@ -26,10 +26,11 @@ space, so outside the block the state stays exactly zero, and only
 M[block, block] needs an eigendecomposition.  The block is exact for any
 polarization; with linear light it holds about half of the indices.  One
 decomposition of the block (eigenpairs, steady state, eigenvector condition
-number and the absorption weight of each mode) serves every sample and
-every hand-off that uses its Liouvillian.  When the eigenvectors are too
-ill-conditioned to trust, the integrator computes both the samples and the
-hand-off instead: this is the only fallback path.
+number and the absorption weight of each mode, with one solve for the mode
+amplitudes of a start state) serves every sample and every hand-off that
+uses its Liouvillian, and the spectra of ``spectral.eigenmodes``.  When the
+eigenvectors are too ill-conditioned to trust, the integrator computes both
+the samples and the hand-off instead: this is the only fallback path.
 
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
@@ -47,7 +48,6 @@ from dataclasses import dataclass, field
 from math import ceil, isfinite, log2, sqrt
 
 import numpy as np
-from scipy.constants import k as _BOLTZMANN
 
 from .liouvillian import (
     Liouvillian,
@@ -75,6 +75,9 @@ MAX_INTEGRATOR_STEP = 0.05
 
 #: Eigenvector condition number beyond which the modal solver defers to the integrator.
 MODAL_CONDITION_LIMIT = 1e10
+
+#: Boltzmann constant in J/K (exact in the 2019 SI).
+_BOLTZMANN = 1.380649e-23
 
 
 @dataclass(frozen=True)
@@ -221,17 +224,17 @@ class _Modes:
     w_modes: np.ndarray
     w_ss: float
 
-
-def _block_steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
-    """-M^{-1} p0 solved on an invariant block that holds p0; zero outside it."""
-    y_ss = np.zeros(liouv.size, dtype=complex)
-    y_ss[block] = np.linalg.solve(liouv.matrix[np.ix_(block, block)], -liouv.pump[block])
-    return y_ss
+    def amplitudes(self, y0: np.ndarray) -> np.ndarray:
+        """Coefficients of y0 - y_ss over the eigenvectors, on the block only."""
+        return np.linalg.solve(self.vecs, y0[self.block] - self.y_ss[self.block])
 
 
 def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
-    y_ss = _block_steady(liouv, block)
-    lam, vecs = np.linalg.eig(liouv.matrix[np.ix_(block, block)])
+    """M decomposed on an invariant block, with -M^{-1} p0 solved there (zero outside it)."""
+    sub = liouv.matrix[np.ix_(block, block)]
+    y_ss = np.zeros(liouv.size, dtype=complex)
+    y_ss[block] = np.linalg.solve(sub, -liouv.pump[block])
+    lam, vecs = np.linalg.eig(sub)
     row = liouv.absorption_row[block]
     return _Modes(
         block, lam, vecs, y_ss, np.linalg.cond(vecs), row @ vecs, (row @ y_ss[block]).real
@@ -256,7 +259,7 @@ def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, end=None, keep_
     ``y0`` must vanish outside ``modes.block``.
     """
     block = modes.block
-    amps = np.linalg.solve(modes.vecs, y0[block] - modes.y_ss[block])
+    amps = modes.amplitudes(y0)
     phases = np.exp(np.outer(modes.lam, times))  # (block size, n_samples)
     # complex parts cancel in the sum over modes
     w_t = modes.w_ss + (amps * modes.w_modes) @ phases
@@ -422,10 +425,12 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     """Absorption transient under a square-wave switched magnetic field.
 
     The record starts at the switch into the first (``b0``) phase, with the
-    atom prepared in the steady state of the ``b1`` phase that preceded it;
-    phases then alternate with instantaneous switching.  Sample times are
-    uniform inside each phase and exclude each phase's right endpoint, so the
-    concatenated grid is strictly increasing.
+    atom prepared in the steady state of the last phase of a period that has
+    a nonzero duration (the ``b1`` phase unless ``duty`` is 1, so a field
+    that never switches gives a flat record); phases then alternate with
+    instantaneous switching.  Sample times are uniform inside each phase and
+    exclude each phase's right endpoint, so the concatenated grid is
+    strictly increasing.
 
     Each field is decomposed once; a field whose eigenvectors are too
     ill-conditioned is integrated instead, samples and hand-off alike.
@@ -437,14 +442,13 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     -------
     TransientTrace, or (TransientTrace, ndarray) with ``keep_states``.
     """
-    liouvs = {b: build_liouvillian(spec.with_field(b)) for b in (schedule.b0, schedule.b1)}
-    all_phases = schedule.phases()
-    phases = [phase for phase in all_phases if phase[1] > 0]
-    previous = liouvs[all_phases[-1][0]]  # the record starts mid-train
+    phases = [phase for phase in schedule.phases() if phase[1] > 0]
+    # one entry when b0 == b1 or when a phase has no duration
+    liouvs = {b: build_liouvillian(spec.with_field(b)) for b, _, _ in phases}
+    previous = liouvs[phases[-1][0]]  # the record starts mid-train
     y = vectorize(steady_state(previous))
     block = _invariant_block([liouv.matrix for liouv in liouvs.values()], [previous.pump, y])
-    active = {b for b, _, _ in phases}  # one entry when b0 == b1
-    modes = {b: _decompose(liouvs[b], block) for b in active}
+    modes = {b: _decompose(liouv, block) for b, liouv in liouvs.items()}
     modal = {b: _modal_trusted(m) for b, m in modes.items()}
 
     all_t, all_w, all_b = [], [], []

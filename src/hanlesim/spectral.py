@@ -25,7 +25,7 @@ from math import sqrt
 
 import numpy as np
 
-from .dynamics import _block_steady, _invariant_block
+from .dynamics import MODAL_CONDITION_LIMIT, _decompose, _invariant_block, _Modes
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
@@ -39,8 +39,6 @@ __all__ = [
     "OpenLambdaSpec",
     "eigenmodes",
     "classify_groups",
-    "mode_amplitudes",
-    "observability",
     "dark_state",
     "open_lambda_liouvillian",
     "sweep_modes",
@@ -72,12 +70,14 @@ class EigenMode:
         True when |Re value| falls within ``GROUP_AMBIGUITY_BAND`` of a
         threshold, where the three-group picture is heuristic.
     amplitude : complex or None
-        Coefficient of this mode in the expansion of y0 - y_ss.
+        Coefficient of this mode in the expansion of y0 - y_ss; None when no
+        initial state was given.
     weight : complex or None
         Absorption functional of the eigenvector's matrix form; only its
         magnitude is physically meaningful for a single mode.
     observable : bool or None
-        True when both |amplitude| and |weight| are resolvably nonzero.
+        True when both |amplitude| and |weight| are resolvably nonzero; None
+        when no initial state was given.
     """
 
     value: complex
@@ -89,41 +89,77 @@ class EigenMode:
     observable: bool | None = None
 
 
-def eigenmodes(liouv: Liouvillian) -> list[EigenMode]:
-    """Complete spectrum of M as EigenMode records.
+def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
+    """Complete spectrum of M as EigenMode records, with absorption weights.
+
+    Modes are sorted by descending real part (slowest decay first), then by
+    ascending imaginary part, making the order deterministic.  Residuals
+    ``|M v - lambda v|`` are verified to be below 1e-9.
+
+    With an initial state ``y0`` (density matrix or Liouville vector) each
+    mode also gets its amplitude in y0 - y_ss and its observability: a mode
+    contributes to the absorption transient from y0 only when its amplitude
+    and its weight are both nonzero, relative to the largest mode of each
+    kind (``OBSERVABILITY_TOL``).  The amplitudes are verified to rebuild
+    y0 - y_ss.
+    """
+    return _annotated(liouv, _decompositions(liouv), y0)
+
+
+def _decompositions(liouv: Liouvillian) -> tuple[_Modes, ...]:
+    """The decompositions of M that make up its spectrum, pump block first.
 
     M maps nothing from the pump's invariant block to its complement.  When
     it maps nothing back either (linear light), M is block diagonal up to a
-    permutation, and each of the two blocks is decomposed on its own, its
-    eigenvectors padded with zeros; otherwise, as with circular light on
-    most transitions, the full M is.  Modes are sorted by descending real
-    part (slowest decay first), then by ascending imaginary part, making the
-    order deterministic.  Residuals ``|M v - lambda v|`` are verified to be
-    below 1e-9.
+    permutation, and each of the two blocks is decomposed on its own;
+    otherwise, as with circular light on most transitions, the full M is.
+    The first decomposition holds the steady state.
     """
     matrix = liouv.matrix
     block = _invariant_block([matrix], [liouv.pump])
     rest = np.setdiff1d(np.arange(liouv.size), block)
     if rest.size and not matrix[np.ix_(block, rest)].any():
-        parts = (block, rest)
-    else:
-        parts = (np.arange(liouv.size),)
-    lam = np.empty(liouv.size, dtype=complex)
+        return _decompose(liouv, block), _decompose(liouv, rest)
+    return (_decompose(liouv, np.arange(liouv.size)),)
+
+
+def _annotated(liouv: Liouvillian, parts, y0=None) -> list[EigenMode]:
+    """Sorted EigenMode records of the decompositions ``parts`` of M (see :func:`eigenmodes`)."""
+    lam = np.concatenate([part.lam for part in parts])
+    weights = np.concatenate([part.w_modes for part in parts])
     vecs = np.zeros((liouv.size, liouv.size), dtype=complex)
     start = 0
     for part in parts:
-        stop = start + part.size
-        lam[start:stop], vecs[part, start:stop] = np.linalg.eig(matrix[np.ix_(part, part)])
-        start = stop
-    order = np.lexsort((lam.imag, -lam.real))
-    lam, vecs = lam[order], vecs[:, order]
-    residuals = np.linalg.norm(matrix @ vecs - vecs * lam, axis=0)
+        vecs[part.block, start:start + part.block.size] = part.vecs
+        start += part.block.size
+    residuals = np.linalg.norm(liouv.matrix @ vecs - vecs * lam, axis=0)
     if residuals.max() > 1e-9:
         raise np.linalg.LinAlgError(
             f"eigen residual {residuals.max():.3e} exceeds 1e-9 "
-            f"(matrix condition number {np.linalg.cond(matrix):.3e})"
+            f"(matrix condition number {np.linalg.cond(liouv.matrix):.3e})"
         )
-    return [EigenMode(value=lam[k], vector=vecs[:, k]) for k in range(lam.size)]
+    amps = observable = [None] * lam.size
+    if y0 is not None:
+        cond = max(part.cond for part in parts)
+        if cond > MODAL_CONDITION_LIMIT:
+            warnings.warn(
+                f"eigenvector matrix condition number {cond:.3e}; amplitudes may be inaccurate",
+                stacklevel=3,
+            )
+        y0 = np.asarray(y0, dtype=complex).reshape(-1)
+        offset = y0 - parts[0].y_ss
+        amps = np.concatenate([part.amplitudes(y0) for part in parts])
+        residual = np.linalg.norm(vecs @ amps - offset)
+        if residual > 1e-9 * max(1.0, np.linalg.norm(offset)):
+            raise np.linalg.LinAlgError(f"amplitude reconstruction residual {residual:.3e}")
+        amp_floor = OBSERVABILITY_TOL * max(np.abs(amps).max(), np.finfo(float).tiny)
+        weight_floor = OBSERVABILITY_TOL * max(np.abs(weights).max(), np.finfo(float).tiny)
+        observable = ((np.abs(amps) > amp_floor) & (np.abs(weights) > weight_floor)).tolist()
+    return [
+        EigenMode(value=lam[k], vector=vecs[:, k], amplitude=amps[k], weight=weights[k],
+                  observable=observable[k])
+        for k in np.lexsort((lam.imag, -lam.real))
+    ]
 
 
 def classify_groups(modes: list[EigenMode], gamma: float) -> list[EigenMode]:
@@ -143,58 +179,6 @@ def classify_groups(modes: list[EigenMode], gamma: float) -> list[EigenMode]:
             thr * (1 - GROUP_AMBIGUITY_BAND) <= rate <= thr * (1 + GROUP_AMBIGUITY_BAND)
             for thr in (t12, t23)
         )
-    return modes
-
-
-def mode_amplitudes(modes: list[EigenMode], y0, y_ss) -> np.ndarray:
-    """Expansion coefficients of y0 - y_ss over the eigenvectors (stored on the modes).
-
-    Solves V a = y0 - y_ss; warns if the eigenvector matrix condition number
-    exceeds 1e10, and verifies the reconstruction residual.
-    """
-    y0 = np.asarray(y0, dtype=complex).reshape(-1)
-    y_ss = np.asarray(y_ss, dtype=complex).reshape(-1)
-    vecs = np.column_stack([m.vector for m in modes])
-    cond = np.linalg.cond(vecs)
-    if cond > 1e10:
-        warnings.warn(
-            f"eigenvector matrix condition number {cond:.3e}; amplitudes may be inaccurate",
-            stacklevel=2,
-        )
-    amps = np.linalg.solve(vecs, y0 - y_ss)
-    residual = np.linalg.norm(vecs @ amps - (y0 - y_ss))
-    scale = max(1.0, np.linalg.norm(y0 - y_ss))
-    if residual > 1e-9 * scale:
-        raise np.linalg.LinAlgError(f"amplitude reconstruction residual {residual:.3e}")
-    for mode, a in zip(modes, amps):
-        mode.amplitude = a
-    return amps
-
-
-def observability(
-    modes: list[EigenMode],
-    liouv: Liouvillian,
-    y0,
-    y_ss=None,
-    tol_amplitude: float = OBSERVABILITY_TOL,
-    tol_weight: float = OBSERVABILITY_TOL,
-) -> list[EigenMode]:
-    """Mark each mode observable or not for the given initial condition.
-
-    A mode contributes to the measured absorption transient only when its
-    amplitude in y0 - y_ss and the absorption weight of its eigenvector are
-    both nonzero; the tolerances are relative to the largest mode of each
-    kind.  Annotates ``amplitude``, ``weight`` and ``observable`` in place.
-    """
-    if y_ss is None:
-        y_ss = np.linalg.solve(liouv.matrix, -liouv.pump)
-    amps = mode_amplitudes(modes, y0, y_ss)
-    weights = liouv.absorption_row @ np.column_stack([m.vector for m in modes])
-    amp_floor = tol_amplitude * max(np.abs(amps).max(), np.finfo(float).tiny)
-    weight_floor = tol_weight * max(np.abs(weights).max(), np.finfo(float).tiny)
-    for mode, a, w in zip(modes, amps, weights):
-        mode.weight = w
-        mode.observable = bool(abs(a) > amp_floor and abs(w) > weight_floor)
     return modes
 
 
@@ -316,8 +300,9 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     is analyzed at fields 0 ("B0") and ``b1`` ("B1"); observability uses the
     switched-field initial condition (the steady state of the other case).
     M is assembled once for the sweep (see :func:`affine_liouvillian`), and
-    each steady state is solved on the pump's invariant block, outside which
-    it vanishes.  Returns {(intensity, case): list of EigenMode}.
+    each case is decomposed once, its steady state coming from the pump
+    block, outside which it vanishes.  Returns {(intensity, case): list of
+    EigenMode}.
     """
     return {(intensity, case): modes for intensity, case, modes in _sweep(spec, intensities, b1)}
 
@@ -328,15 +313,11 @@ def _sweep(spec: TransitionSpec, intensities, b1: float):
     for intensity in intensities:
         rabi = spec.with_intensity(intensity).rabi
         liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}
-        steadies = {
-            case: _block_steady(liouv, _invariant_block([liouv.matrix], [liouv.pump]))
-            for case, liouv in liouvs.items()
-        }
+        parts = {case: _decompositions(liouv) for case, liouv in liouvs.items()}
         for case, other in (("B0", "B1"), ("B1", "B0")):
-            modes = classify_groups(eigenmodes(liouvs[case]), spec.gamma)
             # initial condition: the system was sitting in the other phase's steady state
-            observability(modes, liouvs[case], steadies[other], steadies[case])
-            yield float(intensity), case, modes
+            modes = _annotated(liouvs[case], parts[case], parts[other][0].y_ss)
+            yield float(intensity), case, classify_groups(modes, spec.gamma)
 
 
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> list[dict]:

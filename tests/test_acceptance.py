@@ -20,7 +20,6 @@ from hanlesim import (
     fit,
     get_preset,
     list_presets,
-    observability,
     open_lambda_liouvillian,
     propagate_integrated,
     propagate_modal,
@@ -43,7 +42,7 @@ SWEEP_GRID = np.geomspace(1e-3, 4.0, 40)
 
 def annotated_modes(liouv, y0):
     """Eigenmodes with group labels and observability for initial state y0."""
-    return observability(classify_groups(eigenmodes(liouv), GAMMA), liouv, y0)
+    return classify_groups(eigenmodes(liouv, y0), GAMMA)
 
 
 def switched_modes(spec, b_run, b_prev):

@@ -10,6 +10,7 @@ from scipy.optimize import linear_sum_assignment
 import hanlesim.dynamics as dynamics
 from hanlesim import TransitionSpec, build_liouvillian, eigenmodes, propagate_modal, steady_state
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
+from hanlesim.spectral import OBSERVABILITY_TOL
 
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -136,3 +137,24 @@ def test_circular_light_with_coupled_complement_matches_full_eig(transition, pol
     values = [mode.value for mode in eigenmodes(liouv)]
     # some of these spectra are nearly defective: there eig and eigvals differ by up to ~1e-9
     assert _matched_relative_distance(values, np.linalg.eig(liouv.matrix)[0]) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_mode_amplitudes_rebuild_the_offset_and_weights_are_absorption(spec):
+    liouv, y0 = build_liouvillian(spec), _start_state(spec)
+    offset = y0 - vectorize(steady_state(liouv))
+    modes = eigenmodes(liouv, y0)
+    vecs = np.column_stack([mode.vector for mode in modes])
+    amps = np.array([mode.amplitude for mode in modes])
+    weights = np.array([mode.weight for mode in modes])
+    assert np.linalg.norm(vecs @ amps - offset) <= 1e-9 * max(1.0, np.linalg.norm(offset))
+    assert np.abs(weights - liouv.absorption_row @ vecs).max() <= 1e-12 * max(1.0, np.abs(weights).max())
+    visible = ((np.abs(amps) > OBSERVABILITY_TOL * np.abs(amps).max())
+               & (np.abs(weights) > OBSERVABILITY_TOL * np.abs(weights).max()))
+    assert [mode.observable for mode in modes] == visible.tolist()
+    if _complement_is_invariant(liouv):  # linear light: y0 lives on the pump block
+        block = dynamics._invariant_block([liouv.matrix], [liouv.pump])
+        complement = [mode for mode in modes if not mode.vector[block].any()]
+        assert len(complement) == liouv.size - block.size
+        assert all(mode.amplitude == 0 and mode.observable is False for mode in complement)

@@ -330,6 +330,15 @@ class TestPresets:
 
 
 class TestSubprocess:
+    def test_import_loads_no_scipy(self):
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, hanlesim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_module_entry_point(self, tmp_path):
         out = tmp_path / "t.json"
         proc = subprocess.run(

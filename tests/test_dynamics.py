@@ -9,6 +9,7 @@ import hanlesim.dynamics as dynamics
 from hanlesim import (
     SwitchSchedule,
     TransitionSpec,
+    absorption,
     build_liouvillian,
     propagate_integrated,
     propagate_modal,
@@ -19,6 +20,7 @@ from hanlesim import (
     transit_time,
     vectorize,
 )
+from hanlesim.cli import _ATOMIC_MASS_KG
 
 from support import GAMMA, eia_spec, eit_spec, steady_vector
 
@@ -235,6 +237,15 @@ class TestSwitchedTransient:
         trace, states = switched_transient(spec, schedule, keep_states=True)
         np.testing.assert_allclose(states[0], steady_vector(spec, 0.03), atol=1e-9)
 
+    @pytest.mark.parametrize("duty, held", [(0.0, 0.03), (1.0, 0.0)])
+    def test_a_field_that_never_switches_gives_a_flat_record(self, duty, held):
+        spec = eit_spec(0.09)
+        schedule = SwitchSchedule(b1=0.03, duty=duty, period=1000.0, samples_per_period=400)
+        trace = switched_transient(spec, schedule)
+        np.testing.assert_array_equal(trace.b, held)
+        expected = absorption(steady_state(build_liouvillian(spec.with_field(held))), spec)
+        np.testing.assert_allclose(trace.w, expected, rtol=0, atol=1e-12)
+
     def test_absorption_continuous_across_switch(self):
         # sigma is continuous and the coupling operator does not depend on B,
         # so w must not jump at the phase boundary beyond its local slew
@@ -367,6 +378,10 @@ class TestTransitTime:
         mass = 86.909180531 * atomic_mass
         expected = 0.01 / np.sqrt(2.0 * boltzmann * 330.0 / mass)
         assert transit_time(0.01, 330.0, mass) == pytest.approx(expected, rel=1e-12)
+
+    def test_constants_equal_scipy_constants(self):
+        assert dynamics._BOLTZMANN == boltzmann
+        assert _ATOMIC_MASS_KG == atomic_mass
 
     def test_scalings(self):
         mass = 1.4e-25

@@ -1,5 +1,7 @@
 """Eigenmode machinery, observability, dark states, the open three-level model."""
 
+import inspect
+
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
@@ -11,8 +13,6 @@ from hanlesim import (
     dark_state,
     eigenmodes,
     intensity_sweep,
-    mode_amplitudes,
-    observability,
     open_lambda_liouvillian,
     propagate_modal,
     steady_state,
@@ -22,7 +22,7 @@ from hanlesim import (
 from hanlesim.cli import _transition_spec, build_config
 from hanlesim.dynamics import _invariant_block
 from hanlesim.liouvillian import coupling_matrix, hamiltonian, isotropic_ground
-from hanlesim.spectral import SWEEP_COLUMNS, EigenMode
+from hanlesim.spectral import OBSERVABILITY_TOL, SWEEP_COLUMNS, EigenMode
 
 from support import (
     GAMMA,
@@ -82,25 +82,37 @@ class TestClassifyGroups:
         assert all(m.group is not None for m in modes)
 
 
+    def test_weights_without_initial_state(self):
+        liouv = build_liouvillian(eia_spec(0.06).with_field(0.03))
+        for mode in eigenmodes(liouv):
+            assert mode.amplitude is None and mode.observable is None
+            assert abs(mode.weight - liouv.absorption_row @ mode.vector) <= 1e-12
+
+
 class TestModeAmplitudes:
     def test_reconstructs_initial_offset(self):
         spec = eit_spec(0.06).with_field(0.03)
         liouv = build_liouvillian(spec)
         y0 = steady_vector(spec, 0.0)
         y_ss = vectorize(steady_state(liouv))
-        modes = eigenmodes(liouv)
-        amplitudes = mode_amplitudes(modes, y0, y_ss)
-        recon = sum(a * m.vector for a, m in zip(amplitudes, modes))
+        modes = eigenmodes(liouv, y0)
+        recon = sum(m.amplitude * m.vector for m in modes)
         np.testing.assert_allclose(recon, y0 - y_ss, atol=1e-9)
-        assert all(m.amplitude is not None for m in modes)
+
+    def test_accepts_a_density_matrix(self):
+        spec = eit_spec(0.06).with_field(0.03)
+        liouv = build_liouvillian(spec)
+        sigma0 = steady_state(build_liouvillian(spec.with_field(0.0)))
+        from_matrix = [m.amplitude for m in eigenmodes(liouv, sigma0)]
+        from_vector = [m.amplitude for m in eigenmodes(liouv, vectorize(sigma0))]
+        np.testing.assert_array_equal(from_matrix, from_vector)
 
     def test_modal_identity_reproduces_propagation(self):
         spec = eia_spec(0.06).with_field(0.03)
         liouv = build_liouvillian(spec)
         y0 = steady_vector(spec, 0.0)
         y_ss = vectorize(steady_state(liouv))
-        modes = eigenmodes(liouv)
-        mode_amplitudes(modes, y0, y_ss)
+        modes = eigenmodes(liouv, y0)
         times = np.linspace(0.0, 200.0, 40)
         states = np.array([
             y_ss + sum(m.amplitude * m.vector * np.exp(m.value * t) for m in modes)
@@ -116,7 +128,7 @@ class TestObservability:
         spec = make_spec(0.02)
         liouv = build_liouvillian(spec)
         y0 = steady_vector(spec, 0.03)
-        modes = observability(eigenmodes(liouv), liouv, y0)
+        modes = eigenmodes(liouv, y0)
         trace_modes = [m for m in modes if abs(m.value + GAMMA) < 1e-10]
         assert trace_modes
         assert all(not m.observable for m in trace_modes)
@@ -124,7 +136,7 @@ class TestObservability:
     def test_slow_mode_observable_at_finite_field(self):
         spec = eit_spec(0.06).with_field(0.03)
         liouv = build_liouvillian(spec)
-        modes = observability(eigenmodes(liouv), liouv, steady_vector(spec, 0.0))
+        modes = eigenmodes(liouv, steady_vector(spec, 0.0))
         slow_real = [m for m in modes
                      if abs(m.value.imag) < 1e-9 and -m.value.real < 0.01 and m.observable]
         assert slow_real
@@ -132,7 +144,7 @@ class TestObservability:
     def test_every_mode_gets_flags_and_weights(self):
         spec = eia_spec(0.02).with_field(0.01)
         liouv = build_liouvillian(spec)
-        modes = observability(eigenmodes(liouv), liouv, steady_vector(spec, 0.0))
+        modes = eigenmodes(liouv, steady_vector(spec, 0.0))
         for mode in modes:
             assert mode.observable in (True, False)
             assert mode.amplitude is not None
@@ -271,9 +283,33 @@ def full_eig_sweep(spec, intensities, b1):
             order = np.lexsort((lam.imag, -lam.real))
             modes = [EigenMode(value=lam[k], vector=vecs[:, k]) for k in order]
             classify_groups(modes, spec.gamma)
-            observability(modes, liouvs[case], steadies[other], steadies[case])
+            # the switched-field initial state is the other case's steady state
+            amps = np.linalg.solve(vecs[:, order], steadies[other] - steadies[case])
+            weights = liouvs[case].absorption_row @ vecs[:, order]
+            amp_floor = OBSERVABILITY_TOL * np.abs(amps).max()
+            weight_floor = OBSERVABILITY_TOL * np.abs(weights).max()
+            for mode, a, w in zip(modes, amps, weights):
+                mode.amplitude, mode.weight = a, w
+                mode.observable = bool(abs(a) > amp_floor and abs(w) > weight_floor)
             out[(float(intensity), case)] = modes
     return out
+
+
+def record_shapes(monkeypatch, name) -> list:
+    """A list that grows by the shape of the first argument of each np.linalg.<name> call.
+
+    Calls from inside numpy.linalg (the SVD in ``cond``) are recorded too.
+    """
+    shapes = []
+    kernel = getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, name, recorded)
+    return shapes
 
 
 class TestSplitSweep:
@@ -317,20 +353,17 @@ class TestSplitSweep:
         liouv = build_liouvillian(spec.with_intensity(0.3).with_field(0.01))
         block_size = _invariant_block([liouv.matrix], [liouv.pump]).size
         assert block_size < liouv.size
-        shapes = []
-        eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        shapes = {name: record_shapes(monkeypatch, name) for name in ("eig", "svd", "solve")}
         sweep_modes(spec, (0.02, 0.3, 2.0), b1=0.01)
-        assert shapes
-        assert max(max(shape) for shape in shapes) <= block_size
+        for name, recorded in shapes.items():
+            assert recorded, name
+            assert max(max(shape) for shape in recorded) <= block_size, name
 
     def test_circular_light_decomposes_the_full_matrix(self, monkeypatch):
         # sigma+ light on 1 -> 2: the pump block feeds its complement, so M does not split
         liouv = build_liouvillian(eia_spec(0.3, pol="sigma+").with_field(0.01))
-        shapes = []
-        eig = np.linalg.eig
-        monkeypatch.setattr(np.linalg, "eig", lambda a: shapes.append(a.shape) or eig(a))
+        shapes = record_shapes(monkeypatch, "eig")
         modes = eigenmodes(liouv)
         assert shapes == [(liouv.size, liouv.size)]
-        assert nearest_match_distance([m.value for m in modes], eig(liouv.matrix)[0]) < 1e-12
+        assert nearest_match_distance([m.value for m in modes], np.linalg.eig(liouv.matrix)[0]) < 1e-12
 
