@@ -11,8 +11,9 @@ presets     list the named parameter sets
 
 Configuration hierarchy, lowest to highest precedence: built-in defaults,
 ``--preset``, ``--config`` JSON file, explicit command-line flags.  Exit
-codes: 0 success, 2 usage/configuration error, 3 numerical failure.  Output
-files are only written after the computation has fully succeeded.
+codes: 0 success, 2 usage/configuration error, 3 numerical failure or out
+of memory.  Output files are only written after the computation has fully
+succeeded.
 """
 
 from __future__ import annotations
@@ -87,11 +88,12 @@ class RunConfig:
 
 
 _CONFIG_FIELDS = {f.name for f in fields(RunConfig)}
-_INT_FIELDS = {"n_periods", "samples_per_period", "sweep_points", "scan_b_points"}
-_FLOAT_FIELDS = {
-    "fg", "fe", "intensity", "gamma", "detuning", "zeeman_g", "zeeman_e", "dipole_scale",
-    "b0", "b1", "period", "duty", "sweep_min", "sweep_max", "scan_b_min", "scan_b_max",
-}
+_INT_FIELDS = {f.name for f in fields(RunConfig) if f.type == "int"}
+_FLOAT_FIELDS = {f.name for f in fields(RunConfig) if f.type == "float"}
+#: largest count of complex numbers numpy can index (the byte size must fit intp), and
+#: largest (2Fg+1) + (2Fe+1) for which it can index the Liouville matrix, of that^4 entries
+_MAX_COUNT = np.iinfo(np.intp).max // 16
+_MAX_DIM = int(_MAX_COUNT ** 0.25)
 
 
 def build_config(preset_name=None, config_path=None, overrides=None,
@@ -128,10 +130,14 @@ def build_config(preset_name=None, config_path=None, overrides=None,
     for name in _INT_FIELDS:
         try:
             merged[name] = int(merged[name])
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config key {name!r} must be an integer") from None
+        if merged[name] > _MAX_COUNT:
+            raise ConfigError(f"config key {name!r} exceeds {_MAX_COUNT}, more than numpy can index")
     for name in _FLOAT_FIELDS:
         merged[name] = _finite(merged[name], f"config key {name!r} must be a finite number")
+    if 2.0 * (merged["fg"] + merged["fe"]) + 2.0 > _MAX_DIM:
+        raise ConfigError("fg and fe give a Liouville matrix larger than numpy can index")
     if merged["intensities"] is not None:
         message = "config key 'intensities' must be a list of finite numbers"
         try:
@@ -453,6 +459,9 @@ def main(argv=None) -> int:
         return EXIT_NUMERICAL
     except (FloatingPointError, OverflowError) as exc:
         print(f"hanlesim: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError as exc:
+        print(f"hanlesim: out of memory: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

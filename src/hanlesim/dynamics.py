@@ -1,51 +1,45 @@
 """Steady states, time propagation, and switched-field transient generation.
 
-Two independent propagation paths are provided on purpose: a modal
-(eigen-decomposition) solver that evaluates the exact solution
+Each propagator has one path.  ``switched_transient`` steps every
+constant-field phase exactly: with z = [y; 1], dy/dt = M y + p0 becomes
+dz/dt = G z for the augmented generator G = [[M, p0], [0, 0]], so one
+E = exp(hG) advances the state by a sample step h (Van Loan, IEEE TAC 23,
+395 (1978)).  A phase's samples and hand-off state come from doubling:
+samples [m, 2m) are E^m applied to samples [0, m), then E^m is squared.
+The exponential is numpy scaling and squaring with a [13/13] Pade
+approximant (Higham, SIMAX 26, 1179 (2005)).  ``propagate_modal`` evaluates
+the exact modal solution
 
     y(t) = y_ss + sum_i a_i v_i exp(lambda_i t),    y_ss = -M^{-1} p0,
 
-and a fixed-step fourth-order Runge-Kutta integrator that knows nothing
-about the spectrum.  Their agreement is used as a correctness oracle in the
-test suite.
+from one eigendecomposition, the one ``spectral.eigenmodes`` also uses;
+when the eigenvectors are too ill-conditioned to trust, it uses the same
+exponential instead.  ``propagate_integrated`` is a fixed-step classic RK4
+integrator that knows nothing about the spectrum, the test suite's oracle
+for the modal solver.  One RK4 step of size h is exactly the affine map
+y <- R y + r, R = sum_{k<=4} (hM)^k/k! and r = h sum_{k<=3} (hM)^k/(k+1)! p0,
+built once on the full M and applied with one matrix-vector product per step.
 
-For constant M, s classic RK4 steps of size h are exactly an affine map
-y <- R y + r, with R = sum_{k<=4} (hM)^k/k! (RK4's stability polynomial)
-and r = h sum_{k<=3} (hM)^k/(k+1)! p0 composed s times.  The integrator
-counts how often each sample interval occurs.  An interval that occurs
-often enough to repay it gets that map, built from powers of hM on the full
-M with the s steps composed by binary powering, and applied with one
-matrix-vector product per sample; any other interval is stepped with
-matrix-vector products.  A uniform sample grid needs only a handful of
-maps.  It uses neither an eigendecomposition nor the invariant block below.
-
-The modal solver works on an invariant block of M: the Liouville indices
-reachable from the supports of p0 and of the initial state along the
-nonzero pattern of M.  M maps nothing from the block to the rest of the
-space, so outside the block the state stays exactly zero, and only
-M[block, block] needs an eigendecomposition.  The block is exact for any
-polarization; with linear light it holds about half of the indices.  One
-decomposition of the block (eigenpairs, steady state, eigenvector condition
-number and the absorption weight of each mode, with one solve for the mode
-amplitudes of a start state) serves every sample and every hand-off that
-uses its Liouvillian, and the spectra of ``spectral.eigenmodes``.  When the
-eigenvectors are too ill-conditioned to trust, the integrator computes both
-the samples and the hand-off instead: this is the only fallback path.
+The modal solver and the exponential work on an invariant block of M: the
+Liouville indices reachable from the supports of p0 and of the initial
+state along the nonzero pattern of M.  M maps nothing from the block to the
+rest of the space, so outside the block the state stays exactly zero, and
+only M[block, block] is decomposed or exponentiated.  The block is exact for
+any polarization; with linear light it holds about half of the indices.
 
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
 of the record is the steady state of the phase preceding it, which is where a
 periodically driven system settles after a few transit times.  The Zeeman
-terms are diagonal, so both fields share one block, and each field is
-decomposed once per transient whatever the number of periods.
+terms are diagonal, so both fields share one block, and each pair of field
+and sample step is exponentiated once per transient.
 """
 
 from __future__ import annotations
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
-from math import ceil, isfinite, log2, sqrt
+from math import ceil, factorial, isfinite, log2, sqrt
 
 import numpy as np
 
@@ -73,8 +67,13 @@ __all__ = [
 #: Largest step accepted by the fixed-step integrator (units of 1/decay rate).
 MAX_INTEGRATOR_STEP = 0.05
 
-#: Eigenvector condition number beyond which the modal solver defers to the integrator.
+#: Eigenvector condition number beyond which the modal solver uses the matrix exponential.
 MODAL_CONDITION_LIMIT = 1e10
+
+#: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
+_PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
+#: Largest 1-norm for which the [13/13] Pade approximant is exp to double precision.
+_THETA13 = 5.371920351148152
 
 #: Boltzmann constant in J/K (exact in the 2019 SI).
 _BOLTZMANN = 1.380649e-23
@@ -226,14 +225,17 @@ class _Modes:
 
     def amplitudes(self, y0: np.ndarray) -> np.ndarray:
         """Coefficients of y0 - y_ss over the eigenvectors, on the block only."""
-        return np.linalg.solve(self.vecs, y0[self.block] - self.y_ss[self.block])
+        offset = y0[self.block] - self.y_ss[self.block]
+        return np.linalg.solve(self.vecs, offset) if offset.any() else offset
 
 
 def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
     """M decomposed on an invariant block, with -M^{-1} p0 solved there (zero outside it)."""
     sub = liouv.matrix[np.ix_(block, block)]
     y_ss = np.zeros(liouv.size, dtype=complex)
-    y_ss[block] = np.linalg.solve(sub, -liouv.pump[block])
+    pump = liouv.pump[block]
+    if pump.any():
+        y_ss[block] = np.linalg.solve(sub, -pump)
     lam, vecs = np.linalg.eig(sub)
     row = liouv.absorption_row[block]
     return _Modes(
@@ -241,23 +243,8 @@ def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
     )
 
 
-def _modal_trusted(modes: _Modes) -> bool:
-    """False, with a warning, when the eigenvectors are too ill-conditioned to use."""
-    if modes.cond <= MODAL_CONDITION_LIMIT:
-        return True
-    warnings.warn(
-        f"eigenvector condition number {modes.cond:.3e} too large for the modal "
-        "solver; falling back to step integration",
-        stacklevel=3,
-    )
-    return False
-
-
-def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, end=None, keep_states=False):
-    """(absorption at ``times``, states there or None, state at ``end`` or None) from y0.
-
-    ``y0`` must vanish outside ``modes.block``.
-    """
+def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, keep_states=False):
+    """(absorption at ``times``, states there or None) from y0, zero outside ``modes.block``."""
     block = modes.block
     amps = modes.amplitudes(y0)
     phases = np.exp(np.outer(modes.lam, times))  # (block size, n_samples)
@@ -270,11 +257,63 @@ def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, end=None, keep_
     if keep_states:
         states = np.tile(modes.y_ss, (times.size, 1))
         states[:, block] += (modes.vecs @ (amps[:, None] * phases)).T
-    y_end = None
-    if end is not None:
-        y_end = modes.y_ss.copy()
-        y_end[block] += modes.vecs @ (amps * np.exp(modes.lam * end))
-    return w_t.real, states, y_end
+    return w_t.real, states
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp(a): a scaled by 2^-s to 1-norm <= ``_THETA13``, the [13/13] Pade
+    approximant (V - U)^-1 (V + U) from its odd (U) and even (V) powers, squared s times.
+    """
+    norm = np.abs(a).sum(axis=0).max()
+    squarings = ceil(log2(norm / _THETA13)) if norm > _THETA13 else 0
+    a = a / 2.0**squarings
+    b = _PADE13
+    ident = np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(squarings):
+        r = r @ r
+    return r
+
+
+def _augmented(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
+    """G = [[M, p0], [0, 0]] on the block: [y(t); 1] = exp(tG) [y(0); 1] for dy/dt = M y + p0."""
+    size = block.size
+    gen = np.zeros((size + 1, size + 1), dtype=complex)
+    gen[:size, :size] = liouv.matrix[np.ix_(block, block)]
+    gen[:size, size] = liouv.pump[block]
+    return gen
+
+
+def _from_block(liouv: Liouvillian, block: np.ndarray, rows: np.ndarray, keep_states: bool):
+    """(absorption, full-size states or None) of augmented block states [y; 1], one per row."""
+    w = (rows[:, :-1] @ liouv.absorption_row[block]).real
+    states = None
+    if keep_states:
+        states = np.zeros((rows.shape[0], liouv.size), dtype=complex)
+        states[:, block] = rows[:, :-1]
+    return w, states
+
+
+def _stepped(step: np.ndarray, z0: np.ndarray, n_samples: int) -> np.ndarray:
+    """Rows k = 0 .. max(n_samples, 1) hold step^k z0, the samples and then the hand-off state,
+    filled by doubling: rows [m, 2m) are step^m times rows [0, m), then step^m is squared.
+    """
+    rows = np.empty((max(n_samples, 1) + 1, z0.size), dtype=complex)
+    rows[0] = z0
+    power, filled = step, 1
+    while True:
+        count = min(filled, rows.shape[0] - filled)
+        np.matmul(rows[:count], power.T, out=rows[filled:filled + count])
+        filled += count
+        if filled == rows.shape[0]:
+            return rows
+        power = power @ power
 
 
 def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
@@ -298,22 +337,27 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     states are full-size.  If the block's eigenvector matrix is too
     ill-conditioned to trust (condition number above
     ``MODAL_CONDITION_LIMIT``, possible at exceptional points), the routine
-    falls back to the fixed-step RK4 integrator on the full M, which
-    applies a recurring sample interval as one exact RK4 step map and
-    steps any other interval with matrix-vector products, and records
-    ``meta["modal_fallback"] = True``.
+    warns and evaluates exp(tG) [y0; 1] on the block at each sample time t,
+    with G the augmented generator [[M, p0], [0, 0]]; ``meta["solver"]``
+    is then ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0)
     modes = _decompose(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
-    if not _modal_trusted(modes):
-        result = _integrate_at_times(liouv, y0, times, keep_states=keep_states)
-        trace = result[0] if keep_states else result
-        trace.meta["modal_fallback"] = True
-        return result
+    if modes.cond <= MODAL_CONDITION_LIMIT:
+        w_t, states = _modal_run(modes, y0, times, keep_states=keep_states)
+        return _sampled(liouv, times, w_t, states, "modal")
 
-    w_t, states, _ = _modal_run(modes, y0, times, keep_states=keep_states)
-    return _sampled(liouv, times, w_t, states, "modal")
+    warnings.warn(
+        f"eigenvector condition number {modes.cond:.3e} too large for the modal "
+        "solver; using the matrix exponential",
+        stacklevel=2,
+    )
+    gen = _augmented(liouv, modes.block)
+    z0 = np.append(y0[modes.block], 1.0)
+    rows = np.array([_expm(t * gen) @ z0 for t in times.tolist()]).reshape(times.size, z0.size)
+    w_t, states = _from_block(liouv, modes.block, rows, keep_states)
+    return _sampled(liouv, times, w_t, states, "expm")
 
 
 def _sampled(liouv: Liouvillian, times, w, states, solver: str):
@@ -333,78 +377,15 @@ def _rk4_series(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     return v + a @ (v / 2.0 + a @ (v / 6.0 + a @ (v / 24.0)))
 
 
-def _rk4_map(m: np.ndarray, p0: np.ndarray, h: float, steps: int):
-    """Affine map (R, r) of ``steps`` classic RK4 steps of size h on dy/dt = M y + p0.
-
-    One step is y <- R1 y + r1 with R1 = I + S(hM) and r1 = S(h p0) (see
-    ``_rk4_series``).  The steps are composed by binary powering of the
-    affine pair, (R, r) o (R, r) = (R^2, R r + r).
-    """
-    a = h * m
-    base = (np.eye(m.shape[0]) + _rk4_series(a, a), _rk4_series(a, h * p0))
-    total = None
-    while True:
-        if steps & 1:
-            total = base if total is None else (base[0] @ total[0], base[0] @ total[1] + base[1])
-        steps >>= 1
-        if not steps:
-            return total
-        base = (base[0] @ base[0], base[0] @ base[1] + base[1])
-
-
-def _integrate_at_times(liouv: Liouvillian, y0, times, keep_states: bool = False):
-    """Runge-Kutta integration recording the state at each requested time.
-
-    Each sample interval is split into the fewest equal steps that do not
-    exceed ``MAX_INTEGRATOR_STEP``.  Every interval is counted over the whole
-    grid first.  Building the RK4 map of an interval's s steps costs about
-    (3 + 2 log2 s) N^3 (N = size of M), after which each occurrence costs
-    one matrix-vector product; stepping costs 4 s N^2 per occurrence.  So
-    an interval that occurs c times gets a map when c * 4 s N^2 exceeds its
-    build cost, and is stepped otherwise: a uniform grid builds a handful of
-    maps, and a grid whose intervals are all distinct, or each occur only a
-    few times, builds none.  One N x N map is held per mapped interval.
-    """
-    times = np.asarray(times, dtype=float)
-    y = _as_vector(y0)
-    m, p0 = liouv.matrix, liouv.pump
-    row = liouv.absorption_row
-    keys, t_prev = [], 0.0
-    for t in times.tolist():
-        span = t - t_prev
-        if span < 0:
-            raise ValueError("sample times must not decrease")
-        steps = ceil(span / MAX_INTEGRATOR_STEP)
-        keys.append((steps, span / steps) if steps else None)
-        t_prev = t
-    size = m.shape[0]
-    maps = {
-        key: _rk4_map(m, p0, key[1], key[0]) for key, count in Counter(keys).items()
-        if key is not None and count * key[0] * 4 > (3 + 2 * log2(key[0])) * size
-    }
-    w_out = np.empty(times.size)
-    states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
-    for i, key in enumerate(keys):
-        step_map = maps.get(key)
-        if step_map is not None:
-            y = step_map[0] @ y + step_map[1]
-        elif key is not None:
-            a, shift = key[1] * m, key[1] * p0
-            for _ in range(key[0]):
-                y = y + _rk4_series(a, a @ y + shift)
-        w_out[i] = (row @ y).real
-        if keep_states:
-            states[i] = y
-    return _sampled(liouv, times, w_out, states, "integrated")
-
-
 def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_states: bool = False):
     """Fixed-step fourth-order integration of dy/dt = M y + p0.
 
     Independent of the modal solver and of the spectrum of M; serves as the
     modal solver's ground-truth oracle.
     Samples at 0, dt, 2*dt, ..., t_end (the last point is included when
-    ``t_end`` is an exact multiple of ``dt``).
+    ``t_end`` is an exact multiple of ``dt``).  The classic RK4 step of size
+    ``dt`` is built once as the affine map y <- R y + r on the full M and
+    applied with one matrix-vector product per sample.
 
     Raises
     ------
@@ -416,9 +397,19 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
         raise ValueError(f"dt must lie in (0, {MAX_INTEGRATOR_STEP}], got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
-    n_steps = int(round(t_end / dt))
-    times = np.arange(n_steps + 1) * dt
-    return _integrate_at_times(liouv, y0, times, keep_states=keep_states)
+    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    y = _as_vector(y0)
+    a = dt * liouv.matrix
+    step, shift = np.eye(y.size) + _rk4_series(a, a), _rk4_series(a, dt * liouv.pump)
+    row, w = liouv.absorption_row, np.empty(times.size)  # the row is rebuilt on each access
+    states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
+    for i in range(times.size):
+        if i:
+            y = step @ y + shift
+        w[i] = (row @ y).real
+        if keep_states:
+            states[i] = y
+    return _sampled(liouv, times, w, states, "integrated")
 
 
 def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_states: bool = False):
@@ -432,11 +423,11 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     exclude each phase's right endpoint, so the concatenated grid is
     strictly increasing.
 
-    Each field is decomposed once; a field whose eigenvectors are too
-    ill-conditioned is integrated instead, samples and hand-off alike.
-    ``meta["solver"]`` is ``"modal"`` when no phase fell back, and otherwise
-    a tuple naming the solver of each phase of a period that has a nonzero
-    duration (``"modal"`` or ``"integrated"``).
+    A phase of duration d with n samples is stepped exactly with
+    h = d / max(n, 1): one matrix exponential per pair of field and step,
+    whatever the number of periods, then the samples and the hand-off
+    state by doubling (see the module notes).  ``meta["solver"]`` is
+    ``"expm"``.
 
     Returns
     -------
@@ -448,22 +439,19 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     previous = liouvs[phases[-1][0]]  # the record starts mid-train
     y = vectorize(steady_state(previous))
     block = _invariant_block([liouv.matrix for liouv in liouvs.values()], [previous.pump, y])
-    modes = {b: _decompose(liouv, block) for b, liouv in liouvs.items()}
-    modal = {b: _modal_trusted(m) for b, m in modes.items()}
+    keys = [(b, duration / max(n_samples, 1)) for b, duration, n_samples in phases]
+    steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block)) for key in dict.fromkeys(keys)}
 
     all_t, all_w, all_b = [], [], []
     states = [] if keep_states else None
     t_offset = 0.0
+    z = np.append(y[block], 1.0)
     for _ in range(schedule.n_periods):
-        for b_val, duration, n_samples in phases:
+        for (b_val, duration, n_samples), key in zip(phases, keys):
             local = np.linspace(0.0, duration, n_samples, endpoint=False)
-            if modal[b_val]:
-                w, phase_states, y = _modal_run(modes[b_val], y, local, duration, keep_states)
-            else:
-                trace, run = _integrate_at_times(
-                    liouvs[b_val], y, np.append(local, duration), keep_states=True
-                )
-                w, phase_states, y = trace.w[:-1], run[:-1], run[-1]
+            rows = _stepped(steps[key], z, n_samples)
+            w, phase_states = _from_block(liouvs[b_val], block, rows[:n_samples], keep_states)
+            z = np.append(rows[-1, :-1], 1.0)
             all_t.append(local + t_offset)
             all_w.append(w)
             all_b.append(np.full(n_samples, b_val))
@@ -471,9 +459,8 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
                 states.append(phase_states)
             t_offset += duration
 
-    solvers = tuple("modal" if modal[b] else "integrated" for b, _, _ in phases)
     meta = spec_meta(spec) | {
-        "solver": "modal" if all(modal.values()) else solvers,
+        "solver": "expm",
         "b0": schedule.b0,
         "b1": schedule.b1,
         "period": schedule.period,

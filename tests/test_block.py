@@ -1,14 +1,24 @@
-"""Properties of the invariant block, the split spectrum and the affine parts of M, over random transitions."""
+"""Properties of the invariant block, the propagators, the split spectrum and the affine parts of M, over random transitions."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
-from hanlesim import TransitionSpec, build_liouvillian, eigenmodes, propagate_modal, steady_state
+from hanlesim import (
+    SwitchSchedule,
+    TransitionSpec,
+    build_liouvillian,
+    eigenmodes,
+    propagate_integrated,
+    propagate_modal,
+    steady_state,
+    switched_transient,
+)
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
@@ -67,9 +77,38 @@ def test_block_modal_propagation_matches_full_integration(spec):
     liouv, y0 = build_liouvillian(spec), _start_state(spec)
     times = np.linspace(0.0, 2.0, 9)
     modal, modal_states = propagate_modal(liouv, y0, times, keep_states=True)
-    full, full_states = dynamics._integrate_at_times(liouv, y0, times, keep_states=True)
-    np.testing.assert_allclose(modal.w, full.w, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(modal_states, full_states, rtol=0, atol=1e-9)
+    full, full_states = propagate_integrated(liouv, y0, dt=0.05, t_end=2.0, keep_states=True)
+    np.testing.assert_allclose(modal.w, full.w[::5], rtol=0, atol=1e-9)
+    np.testing.assert_allclose(modal_states, full_states[::5], rtol=0, atol=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_expm_matches_scipy_on_augmented_generators(spec):
+    liouv = build_liouvillian(spec)
+    gen = dynamics._augmented(liouv, np.arange(liouv.size))
+    for h in (0.05, 1.25, 2500.0):
+        expected = scipy.linalg.expm(h * gen)
+        assert np.abs(dynamics._expm(h * gen) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_switched_transient_matches_rk4_phase_by_phase(spec):
+    # 20 samples 0.1 apart per phase: every other point of an RK4 run with dt = 0.05,
+    # whose last state (t = 2) hands off to the next phase
+    schedule = SwitchSchedule(b1=spec.b_field, b0=0.0, period=4.0, samples_per_period=40)
+    trace, states = switched_transient(spec, schedule, keep_states=True)
+    y = vectorize(steady_state(build_liouvillian(spec)))
+    w_ref, states_ref = [], []
+    for b_val, duration, n_samples in schedule.phases():
+        liouv = build_liouvillian(spec.with_field(b_val))
+        run, run_states = propagate_integrated(liouv, y, dt=0.05, t_end=duration, keep_states=True)
+        w_ref.append(run.w[:-1:2])
+        states_ref.append(run_states[:-1:2])
+        y = run_states[-1]
+    np.testing.assert_allclose(trace.w, np.concatenate(w_ref), rtol=0, atol=1e-9)
+    np.testing.assert_allclose(states, np.concatenate(states_ref), rtol=0, atol=1e-9)
 
 
 @PROPERTY_SETTINGS

@@ -144,6 +144,37 @@ class TestExitCodes:
         run(["transient", "--preset", "fig99z", "--output", str(out)])
         assert not out.exists()
 
+    # each count asks for a float array of hundreds of PiB, more than any address
+    # space, so the allocation fails at once; never use sizes that fit in memory
+    @pytest.mark.parametrize("argv", [
+        ["transient", "--samples-per-period", str(10**17)],
+        ["steady", "--scan-b-points", str(10**17)],
+        ["spectrum", "--sweep-points", str(10**17)],
+    ], ids=["samples", "scan-points", "sweep-points"])
+    def test_out_of_memory_exits_3(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run(argv + ["--output", str(out)]) == EXIT_NUMERICAL
+        assert "out of memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, config", [
+        (["transient", "--samples-per-period", str(10**20)], None),
+        (["steady", "--scan-b-points", str(2**63)], None),
+        (["transient", "--fg", "1e300", "--fe", "1e300"], None),
+        (["transient", "--fg", "1e6", "--fe", "1e6"], None),
+        (["transient"], {"samples_per_period": 1e20}),
+        (["transient"], {"n_periods": float("inf")}),
+    ], ids=["samples", "scan-points", "fg-1e300", "fg-1e6", "config-samples", "config-inf"])
+    def test_sizes_numpy_cannot_index_exit_2(self, tmp_path, capsys, argv, config):
+        out = tmp_path / "o.csv"
+        if config is not None:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(config))
+            argv = argv + ["--config", str(cfg)]
+        assert run(argv + ["--output", str(out)]) == EXIT_USAGE
+        assert "hanlesim: " in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOutputFiles:
     TRANSIT = ["transit", "--diameter-m", "0.01", "--temperature-k", "330", "--mass-amu", "87"]

@@ -1,5 +1,7 @@
 """Steady states, propagators, switched transients, transit time."""
 
+import inspect
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -23,6 +25,14 @@ from hanlesim import (
 from hanlesim.cli import _ATOMIC_MASS_KG
 
 from support import GAMMA, eia_spec, eit_spec, steady_vector
+
+
+def augmented(liouv):
+    """[[M, p0], [0, 0]]: its exponential steps [y; 1] exactly under dy/dt = M y + p0."""
+    gen = np.zeros((liouv.size + 1, liouv.size + 1), dtype=complex)
+    gen[:-1, :-1] = liouv.matrix
+    gen[:-1, -1] = liouv.pump
+    return gen
 
 
 class TestSteadyState:
@@ -67,84 +77,20 @@ class TestPropagators:
         spec = eia_spec(0.2).with_field(0.03)
         liouv = build_liouvillian(spec)
         m, p0, h = liouv.matrix, liouv.pump, 0.037
-        y0 = steady_vector(spec, 0.0)
-        expected = y0.copy()
+        y = steady_vector(spec, 0.0)
+        expected = [y]
         for _ in range(steps):
-            k1 = m @ expected + p0
-            k2 = m @ (expected + 0.5 * h * k1) + p0
-            k3 = m @ (expected + 0.5 * h * k2) + p0
-            k4 = m @ (expected + h * k3) + p0
-            expected = expected + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        step_matrix, shift = dynamics._rk4_map(m, p0, h, steps)
-        np.testing.assert_allclose(step_matrix @ y0 + shift, expected, rtol=0, atol=1e-13)
-
-    @pytest.mark.parametrize("grid", ["geometric", "twice", "mixed"])
-    def test_integrator_on_irregular_grid_matches_classic_rk4(self, monkeypatch, grid):
-        # a geometric grid never repeats an interval, and a grid that meets each
-        # interval exactly twice does not repeat it often enough to repay a map,
-        # so neither builds one; a mixed grid builds maps only for the interval
-        # that recurs often
-        spec = eia_spec(0.2).with_field(0.03)
-        liouv = build_liouvillian(spec)
-        m, p0 = liouv.matrix, liouv.pump
-        y0 = steady_vector(spec, 0.0)
-        if grid == "geometric":
-            times = np.geomspace(1e-3, 20.0, 120)
-        elif grid == "twice":
-            times = np.repeat(np.geomspace(0.01, 5, 100), 2).cumsum()
-        else:
-            times = np.concatenate([np.geomspace(1e-3, 2.0, 40), 2.0 + np.arange(1, 81) * 0.13])
-        built = []
-        rk4_map = dynamics._rk4_map
-        monkeypatch.setattr(dynamics, "_rk4_map",
-                            lambda *args: built.append(args[3]) or rk4_map(*args))
-        trace = dynamics._integrate_at_times(liouv, y0, times)
-
-        expected, y, t_prev = [], y0.copy(), 0.0
-        for t in times:
-            steps = int(np.ceil((t - t_prev) / dynamics.MAX_INTEGRATOR_STEP))
-            h = (t - t_prev) / steps
-            for _ in range(steps):
-                k1 = m @ y + p0
-                k2 = m @ (y + 0.5 * h * k1) + p0
-                k3 = m @ (y + 0.5 * h * k2) + p0
-                k4 = m @ (y + h * k3) + p0
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t_prev = t
-            expected.append((liouv.absorption_row @ y).real)
-        np.testing.assert_allclose(trace.w, expected, rtol=0, atol=1e-13)
-        if grid == "mixed":
-            assert 1 <= len(built) <= 4
-        else:
-            assert built == []
-
-    def test_integrator_maps_no_interval_of_an_exactly_twice_grid_on_3_to_4(self, monkeypatch):
-        # mapping an interval of s steps costs about (3 + 2 log2 s) N^3, and
-        # stepping its two occurrences 2 * 4 s N^2; with N = 256 the map never pays
-        liouv = build_liouvillian(TransitionSpec(fg=3, fe=4, rabi=0.5, gamma=GAMMA, b_field=0.03))
-        built = []
-        rk4_map = dynamics._rk4_map
-        monkeypatch.setattr(dynamics, "_rk4_map",
-                            lambda *args: built.append(args[3]) or rk4_map(*args))
-        times = np.repeat(np.geomspace(0.01, 5, 100), 2).cumsum()
-        dynamics._integrate_at_times(liouv, liouv.pump / GAMMA, times)  # from the isotropic ground
-        assert built == []
-
-    @pytest.mark.parametrize("times", [np.arange(2001) * 0.05,
-                                       np.linspace(0.0, 2500.0, 2000, endpoint=False)])
-    def test_integrator_still_maps_uniform_grids(self, monkeypatch, times):
-        spec = eia_spec(0.2).with_field(0.03)
-        liouv = build_liouvillian(spec)
-        built = []
-        rk4_map = dynamics._rk4_map
-        monkeypatch.setattr(dynamics, "_rk4_map",
-                            lambda *args: built.append(args[3]) or rk4_map(*args))
-        trace = dynamics._integrate_at_times(liouv, steady_vector(spec, 0.0), times)
-        # float spacing splits a uniform grid into a few interval keys; the
-        # frequent ones are mapped, and they cover most of the grid
-        assert 1 <= len(built) <= 8
-        reference = propagate_modal(liouv, steady_vector(spec, 0.0), times)
-        np.testing.assert_allclose(trace.w, reference.w, rtol=0, atol=1e-8)
+            k1 = m @ y + p0
+            k2 = m @ (y + 0.5 * h * k1) + p0
+            k3 = m @ (y + 0.5 * h * k2) + p0
+            k4 = m @ (y + h * k3) + p0
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            expected.append(y)
+        trace, states = propagate_integrated(liouv, expected[0], dt=h, t_end=steps * h,
+                                             keep_states=True)
+        np.testing.assert_allclose(states, expected, rtol=0, atol=1e-13)
+        np.testing.assert_allclose(trace.w, [(liouv.absorption_row @ y).real for y in expected],
+                                   rtol=0, atol=1e-13)
 
     def test_integrator_uses_no_spectrum(self, monkeypatch):
         spec = eia_spec(0.06).with_field(0.03)
@@ -193,10 +139,14 @@ class TestPropagators:
         y0 = steady_vector(spec, 0.0)
         times = np.linspace(0.0, 20.0, 21)
         with pytest.warns(UserWarning, match="condition"):
-            fallback = propagate_modal(liouv, y0, times)
-        assert fallback.meta["modal_fallback"] is True
-        reference = dynamics._integrate_at_times(liouv, y0, times)
-        np.testing.assert_allclose(fallback.w, reference.w, atol=1e-12)
+            fallback, states = propagate_modal(liouv, y0, times, keep_states=True)
+        assert fallback.meta["solver"] == "expm"
+        assert "modal_fallback" not in fallback.meta
+        expected = np.array([(scipy.linalg.expm(augmented(liouv) * t) @ np.append(y0, 1.0))[:-1]
+                             for t in times])
+        np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fallback.w, (expected @ liouv.absorption_row).real,
+                                   rtol=0, atol=1e-12)
 
 
 class TestSwitchSchedule:
@@ -229,7 +179,7 @@ class TestSwitchedTransient:
         np.testing.assert_allclose(trace.b[:200], 0.0)
         np.testing.assert_allclose(trace.b[200:], 0.03)
         assert trace.meta["b1"] == 0.03
-        assert trace.meta["solver"] == "modal"
+        assert trace.meta["solver"] == "expm"
 
     def test_starts_from_field_on_steady_state(self):
         spec = eit_spec(0.06)
@@ -282,43 +232,18 @@ class TestSwitchedTransient:
         assert on.times[0] == 0.0
         assert on.meta["phase_start"] == pytest.approx(500.0)
 
-    def test_fallback_integrates_every_phase_and_names_its_solver(self, monkeypatch):
-        monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
-        spec = eia_spec(0.06)
-        schedule = SwitchSchedule(b1=0.03, period=200.0, samples_per_period=40)
-        with pytest.warns(UserWarning, match="condition"):
-            trace = switched_transient(spec, schedule)
-        assert trace.meta["solver"] == ("integrated", "integrated")
-
-        (b0, d0, n0), (b1, d1, n1) = schedule.phases()
-        liouv0 = build_liouvillian(spec.with_field(b0))
-        liouv1 = build_liouvillian(spec.with_field(b1))
-        y0 = steady_vector(spec, b1)
-        first = dynamics._integrate_at_times(liouv0, y0, np.linspace(0.0, d0, n0, endpoint=False))
-        _, (handoff,) = dynamics._integrate_at_times(liouv0, y0, [d0], keep_states=True)
-        second = dynamics._integrate_at_times(
-            liouv1, handoff, np.linspace(0.0, d1, n1, endpoint=False)
-        )
-        reference = np.concatenate([first.w, second.w])
-        np.testing.assert_allclose(trace.w, reference, rtol=0, atol=1e-12)
-
     def test_ill_conditioned_phase_matches_exact_stepping(self):
-        # sigma+ light on 2 -> 2 leaves the zero-field block near-defective, so
-        # that phase is integrated; expm of [[M, p0], [0, 0]] steps it exactly
+        # sigma+ light on 2 -> 2 leaves the zero-field block near-defective;
+        # expm of [[M, p0], [0, 0]] steps it exactly
         spec = TransitionSpec(fg=2, fe=2, rabi=0.0, gamma=GAMMA, pol="sigma+").with_intensity(0.06)
         schedule = SwitchSchedule(b1=0.03, samples_per_period=400)
-        with pytest.warns(UserWarning, match="condition"):
-            trace = switched_transient(spec, schedule)
-        assert trace.meta["solver"] == ("integrated", "modal")
+        trace = switched_transient(spec, schedule)
 
         y = steady_vector(spec, schedule.b1)
         expected = []
         for b_val, duration, n_samples in schedule.phases():
             liouv = build_liouvillian(spec.with_field(b_val))
-            augmented = np.zeros((liouv.size + 1, liouv.size + 1), dtype=complex)
-            augmented[:-1, :-1] = liouv.matrix
-            augmented[:-1, -1] = liouv.pump
-            step = scipy.linalg.expm(augmented * (duration / n_samples))
+            step = scipy.linalg.expm(augmented(liouv) * (duration / n_samples))
             z = np.append(y, 1.0)
             for _ in range(n_samples):
                 expected.append((liouv.absorption_row @ z[:-1]).real)
@@ -327,21 +252,41 @@ class TestSwitchedTransient:
         expected = np.array(expected)
         assert np.abs(trace.w - expected).max() <= 1e-9 * np.abs(expected).max()
 
+    def test_phase_without_samples_still_moves_the_state(self):
+        # duty 1e-4 gives the b0 phase a duration of 0.5 but round(0.04) = 0 samples
+        spec = eia_spec(0.06)
+        schedule = SwitchSchedule(b1=0.03, duty=1e-4, samples_per_period=400)
+        (b0, d0, n0), (b1, d1, n1) = schedule.phases()
+        assert (n0, n1) == (0, 400) and d0 > 0
+        trace = switched_transient(spec, schedule)
+        np.testing.assert_array_equal(trace.b, b1)
+        assert trace.times[0] == pytest.approx(d0)
+
+        liouv0 = build_liouvillian(spec.with_field(b0))
+        liouv1 = build_liouvillian(spec.with_field(b1))
+        z = scipy.linalg.expm(augmented(liouv0) * d0) @ np.append(steady_vector(spec, b1), 1.0)
+        step = scipy.linalg.expm(augmented(liouv1) * (d1 / n1))
+        expected = []
+        for _ in range(n1):
+            expected.append((liouv1.absorption_row @ z[:-1]).real)
+            z = step @ z
+        expected = np.array(expected)
+        assert np.abs(trace.w - expected).max() <= 1e-9 * np.abs(expected).max()
+        assert np.ptp(expected) > 1e-4 * np.abs(expected).max()  # the excursion shows
+
     @pytest.mark.parametrize("n_periods", [1, 3])
-    def test_one_eigendecomposition_per_field(self, monkeypatch, n_periods):
-        # on the 34 of 64 Liouville indices that linear light reaches on 1 -> 2
-        calls = []
-        eig = np.linalg.eig
+    def test_calls_no_eig_or_svd(self, monkeypatch, n_periods):
+        def refuse(*args, **kwargs):
+            raise AssertionError("switched_transient must not decompose M")
 
-        def counting_eig(matrix):
-            calls.append(matrix.shape)
-            return eig(matrix)
-
-        monkeypatch.setattr(np.linalg, "eig", counting_eig)
+        linalg_globals = inspect.unwrap(np.linalg.cond).__globals__  # cond calls svd there
+        for name in ("eig", "eigvals", "svd"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+            monkeypatch.setitem(linalg_globals, name, refuse)
         schedule = SwitchSchedule(b1=0.03, period=1000.0, n_periods=n_periods,
                                   samples_per_period=200)
-        switched_transient(eia_spec(0.06), schedule)
-        assert calls == [(34, 34), (34, 34)]
+        trace = switched_transient(eia_spec(0.06), schedule)
+        assert trace.times.size == 200 * n_periods
 
     def test_physicality_along_trajectory(self):
         spec = eia_spec(0.06)
