@@ -34,7 +34,7 @@ from .dynamics import (
     switched_transient,
     transit_time,
 )
-from .fit import FitModel, fit as fit_trace
+from .fit import fit as fit_trace, model_for_phase
 from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta, vectorize
 from .presets import get_preset, list_presets
 from .spectral import intensity_sweep
@@ -134,6 +134,9 @@ def build_config(preset_name=None, config_path=None, overrides=None,
             raise ConfigError(f"config key {name!r} must be an integer") from None
         if merged[name] > _MAX_COUNT:
             raise ConfigError(f"config key {name!r} exceeds {_MAX_COUNT}, more than numpy can index")
+    if merged["n_periods"] * merged["samples_per_period"] > _MAX_COUNT:
+        raise ConfigError(f"n_periods * samples_per_period exceeds {_MAX_COUNT}, more than "
+                          "numpy can index")
     for name in _FLOAT_FIELDS:
         merged[name] = _finite(merged[name], f"config key {name!r} must be a finite number")
     if 2.0 * (merged["fg"] + merged["fe"]) + 2.0 > _MAX_DIM:
@@ -193,10 +196,9 @@ def _fit_json(trace, config: RunConfig, switched: bool) -> str:
     """Fit one field phase of ``trace`` as ``config`` asks; the fit as JSON text.
 
     A ``switched`` trace (a ``transient`` record) must hold both field
-    phases, and the ``auto`` model goes by the phase name: ``off`` is a
-    single exponential.  Any other trace is cut only when its field
-    changes, and ``auto`` goes by the fitted phase's ``phase_b``: zero
-    field is a single exponential.  Every failure raises ConfigError.
+    phases; any other trace is cut only when its field changes.  The model
+    comes from :func:`hanlesim.fit.model_for_phase`.  Every failure raises
+    ConfigError.
     """
     if switched or np.ptp(trace.b) > 0:
         if config.fit_phase not in ("off", "on"):
@@ -206,28 +208,11 @@ def _fit_json(trace, config: RunConfig, switched: bool) -> str:
             raise ConfigError(f"trace holds fewer than two field phases; no {config.fit_phase!r} "
                               "phase to fit")
         trace = phases[0] if config.fit_phase == "off" else phases[1]
-    kind = config.fit_model
-    if kind == "auto":
-        if switched:
-            off = config.fit_phase == "off"
-        elif "phase_b" in trace.meta:
-            off = _meta_number(trace.meta, "phase_b") == 0.0
-        else:
-            raise ConfigError("trace has no phase_b metadata; choose a model with --model")
-        kind = "single_exp" if off else "exp_plus_damped_sine"
-    drop = config.drop_exp_term
-    if drop is None and kind != "single_exp":
-        drop = "fg" in trace.meta and "fe" in trace.meta and (
-            _meta_number(trace.meta, "fe") == _meta_number(trace.meta, "fg") + 1.0)
     try:
-        model = FitModel(kind) if kind == "single_exp" else FitModel(kind, drop_exp_term=bool(drop))
+        model = model_for_phase(trace.meta, config.fit_model, config.drop_exp_term)
         return traceio.render_fit(fit_trace(trace, model))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-
-def _meta_number(meta: dict, key: str) -> float:
-    return _finite(meta[key], f"trace metadata {key!r} must be a finite number")
 
 
 def cmd_transient(args) -> int:
@@ -282,10 +267,10 @@ def cmd_steady(args) -> int:
         raise ConfigError("scan_b_points must be at least 1")
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
     affine = affine_liouvillian(spec)
+    absorption_row = affine.at(spec.rabi, 0.0).absorption_row  # W does not depend on the field
     rows = []
     for b in grid:
-        liouv = affine.at(spec.rabi, float(b))
-        w = liouv.absorption_row @ vectorize(steady_state(liouv))
+        w = absorption_row @ vectorize(steady_state(affine.at(spec.rabi, float(b))))
         rows.append((float(b), float(w.real)))
     write_outputs((traceio.render_table(("b", "w"), rows, spec_meta(spec)), args.output))
     return EXIT_OK
@@ -363,6 +348,17 @@ def _add_physics_flags(parser):
     parser.add_argument("--b0", type=float, help="switched-off magnetic field")
 
 
+def _add_fit_flags(parser):
+    parser.add_argument("--fit-phase", dest="fit_phase", choices=("off", "on"),
+                        help="switching phase to fit when the record holds both (default: on)")
+    parser.add_argument("--model", dest="fit_model",
+                        choices=("auto", "single_exp", "exp_plus_damped_sine"),
+                        help="trace model (default: auto, single_exp at zero field)")
+    parser.add_argument("--drop-exp-term", dest="drop_exp_term",
+                        action=argparse.BooleanOptionalAction, default=None,
+                        help="drop the non-oscillating term (default: when Fe = Fg + 1)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hanlesim",
@@ -381,14 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--with-fit", action="store_true", help="also fit one phase")
     p.add_argument("--fit-output", dest="fit_output",
                    help="fit JSON path (default: stdout; implies --with-fit)")
-    p.add_argument("--fit-phase", dest="fit_phase", choices=("off", "on"),
-                   help="which switching phase to fit (default: on)")
-    p.add_argument("--model", dest="fit_model",
-                   choices=("auto", "single_exp", "exp_plus_damped_sine"),
-                   help="trace model for the fit")
-    p.add_argument("--drop-exp-term", dest="drop_exp_term",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="drop the non-oscillating term (default: auto by transition)")
+    _add_fit_flags(p)
     p.set_defaults(handler=cmd_transient)
 
     p = sub.add_parser("spectrum", help="relaxation modes over an intensity grid")
@@ -406,14 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a trace CSV")
     _add_common(p, with_preset=False)
     p.add_argument("--trace", required=True, help="input trace CSV")
-    p.add_argument("--fit-phase", dest="fit_phase", choices=("off", "on"),
-                   help="phase to fit when the trace holds a full cycle (default: on)")
-    p.add_argument("--model", dest="fit_model",
-                   choices=("auto", "single_exp", "exp_plus_damped_sine"),
-                   help="trace model (default: auto from trace metadata)")
-    p.add_argument("--drop-exp-term", dest="drop_exp_term",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="drop the non-oscillating term (default: auto)")
+    _add_fit_flags(p)
     p.set_defaults(handler=cmd_fit)
 
     p = sub.add_parser("steady", help="steady-state absorption vs static field")

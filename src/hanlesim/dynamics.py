@@ -401,7 +401,7 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     y = _as_vector(y0)
     a = dt * liouv.matrix
     step, shift = np.eye(y.size) + _rk4_series(a, a), _rk4_series(a, dt * liouv.pump)
-    row, w = liouv.absorption_row, np.empty(times.size)  # the row is rebuilt on each access
+    row, w = liouv.absorption_row, np.empty(times.size)
     states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
     for i in range(times.size):
         if i:
@@ -427,7 +427,8 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     h = d / max(n, 1): one matrix exponential per pair of field and step,
     whatever the number of periods, then the samples and the hand-off
     state by doubling (see the module notes).  ``meta["solver"]`` is
-    ``"expm"``.
+    ``"expm"``.  The record's arrays are allocated before the first step, so
+    a record that memory cannot hold raises MemoryError at once.
 
     Returns
     -------
@@ -442,22 +443,24 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     keys = [(b, duration / max(n_samples, 1)) for b, duration, n_samples in phases]
     steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block)) for key in dict.fromkeys(keys)}
 
-    all_t, all_w, all_b = [], [], []
-    states = [] if keep_states else None
-    t_offset = 0.0
+    # the whole record is allocated before any step, so one too large fails at once
+    total = schedule.n_periods * sum(n for _, _, n in phases)
+    times, w, b = np.empty(total), np.empty(total), np.empty(total)
+    states = np.zeros((total, previous.size), dtype=complex) if keep_states else None
+    grids = [np.linspace(0.0, duration, n, endpoint=False) for _, duration, n in phases]
+    start, t_offset = 0, 0.0
     z = np.append(y[block], 1.0)
     for _ in range(schedule.n_periods):
-        for (b_val, duration, n_samples), key in zip(phases, keys):
-            local = np.linspace(0.0, duration, n_samples, endpoint=False)
+        for (b_val, duration, n_samples), key, local in zip(phases, keys, grids):
+            end = start + n_samples
             rows = _stepped(steps[key], z, n_samples)
-            w, phase_states = _from_block(liouvs[b_val], block, rows[:n_samples], keep_states)
-            z = np.append(rows[-1, :-1], 1.0)
-            all_t.append(local + t_offset)
-            all_w.append(w)
-            all_b.append(np.full(n_samples, b_val))
+            times[start:end] = local + t_offset
+            w[start:end] = _from_block(liouvs[b_val], block, rows[:n_samples], False)[0]
+            b[start:end] = b_val
             if keep_states:
-                states.append(phase_states)
-            t_offset += duration
+                states[start:end, block] = rows[:n_samples, :-1]
+            z = np.append(rows[-1, :-1], 1.0)
+            start, t_offset = end, t_offset + duration
 
     meta = spec_meta(spec) | {
         "solver": "expm",
@@ -468,12 +471,8 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
         "n_periods": schedule.n_periods,
         "samples_per_period": schedule.samples_per_period,
     }
-    trace = TransientTrace(
-        np.concatenate(all_t), np.concatenate(all_w), np.concatenate(all_b), meta
-    )
-    if keep_states:
-        return trace, np.concatenate(states, axis=0)
-    return trace
+    trace = TransientTrace(times, w, b, meta)
+    return (trace, states) if keep_states else trace
 
 
 def split_phases(trace: TransientTrace) -> list[TransientTrace]:

@@ -13,22 +13,23 @@ damped oscillation at twice the ground-state Zeeman frequency,
                                   + offset.
 
 On enhanced-absorption transitions the non-oscillating term is absent and
-can be forced to zero (``drop_exp_term``).
+can be forced to zero (``drop_exp_term``).  :func:`model_for_phase` is the
+one rule that picks the model of a phase from its field and transition.
 
 The optimizer is a damped Gauss-Newton iteration with a Levenberg-style
 damping schedule (x10 on a rejected step, /10 on an accepted one), analytic
-Jacobians, at most 200 trial steps and a relative gradient tolerance of
-1e-10.  Rates and the frequency are optimized in log space, which enforces
-positivity without constraints.  Seeding is deterministic: the frequency
-from the dominant discrete-Fourier bin of the mean-subtracted trace,
-envelope rates from log-linear fits, the slow amplitude from a
-moving-average split of the signal.
+Jacobians built from the prediction's own terms, at most 200 trial steps and
+a relative gradient tolerance of 1e-10.  Rates and the frequency are
+optimized in log space, which enforces positivity without constraints.
+Seeding is deterministic: the frequency from the dominant discrete-Fourier
+bin of the mean-subtracted trace, envelope rates from log-linear fits, the
+slow amplitude from a moving-average split of the signal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import atan2, pi
+from math import atan2, isfinite, pi
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "FitModel",
     "FitResult",
     "fit",
+    "model_for_phase",
     "rate_vs_intensity",
 ]
 
@@ -102,38 +104,60 @@ class FitResult:
 
 def evaluate_model(model: FitModel, params: dict, times: np.ndarray) -> np.ndarray:
     """Model prediction at the given times (external parameterization)."""
-    t = np.asarray(times, dtype=float)
-    if model.kind == "single_exp":
-        return params["amp"] * np.exp(-params["rate"] * t) + params["offset"]
-    out = params["amp_osc"] * np.exp(-params["rate_osc"] * t) * np.sin(
-        params["freq"] * t + params["phase"]
-    ) + params["offset"]
-    if not model.drop_exp_term:
-        out = out + params["amp_exp"] * np.exp(-params["rate_exp"] * t)
-    return out
+    return _predict_and_jacobian(model, params, np.asarray(times, dtype=float))[0]
 
 
-def _jacobian(model: FitModel, params: dict, t: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian d(model)/d(external params), columns in param order."""
-    cols = []
+def _predict_and_jacobian(model: FitModel, params: dict, t: np.ndarray):
+    """(prediction, d(prediction)/d(external params) with columns in param order),
+    both from one evaluation of each exponential, sine and cosine."""
+    ones = np.ones_like(t)
     if model.kind == "single_exp":
         decay = np.exp(-params["rate"] * t)
-        cols = [decay, -params["amp"] * t * decay, np.ones_like(t)]
-    else:
-        if not model.drop_exp_term:
-            decay = np.exp(-params["rate_exp"] * t)
-            cols = [decay, -params["amp_exp"] * t * decay]
-        env = np.exp(-params["rate_osc"] * t)
-        arg = params["freq"] * t + params["phase"]
-        sin_a, cos_a = np.sin(arg), np.cos(arg)
-        cols += [
-            env * sin_a,
-            -params["amp_osc"] * t * env * sin_a,
-            params["amp_osc"] * t * env * cos_a,
-            params["amp_osc"] * env * cos_a,
-            np.ones_like(t),
-        ]
-    return np.column_stack(cols)
+        return params["amp"] * decay + params["offset"], np.column_stack(
+            [decay, -params["amp"] * t * decay, ones])
+    env = np.exp(-params["rate_osc"] * t)
+    arg = params["freq"] * t + params["phase"]
+    sin_a, cos_a = np.sin(arg), np.cos(arg)
+    prediction = params["amp_osc"] * env * sin_a + params["offset"]
+    cols = [env * sin_a, -params["amp_osc"] * t * env * sin_a,
+            params["amp_osc"] * t * env * cos_a, params["amp_osc"] * env * cos_a, ones]
+    if not model.drop_exp_term:
+        decay = np.exp(-params["rate_exp"] * t)
+        prediction = prediction + params["amp_exp"] * decay
+        cols = [decay, -params["amp_exp"] * t * decay] + cols
+    return prediction, np.column_stack(cols)
+
+
+def model_for_phase(meta: dict, kind: str = "auto", drop_exp_term: bool | None = None) -> FitModel:
+    """The model to fit to one field phase, from the phase's metadata.
+
+    ``kind="auto"`` picks ``single_exp`` when the phase's field
+    ``meta["phase_b"]`` is zero and ``exp_plus_damped_sine`` otherwise.
+    ``drop_exp_term=None`` drops the non-oscillating term exactly when
+    ``meta`` records Fe = Fg + 1 (enhanced-absorption transitions show none).
+    Raises ValueError when ``auto`` finds no ``phase_b``, when a metadata
+    value it reads is not a finite number, or when ``kind`` is not a model.
+    """
+    if kind == "auto":
+        if "phase_b" not in meta:
+            raise ValueError("trace has no phase_b metadata; choose a model kind")
+        kind = "single_exp" if _meta_number(meta, "phase_b") == 0.0 else "exp_plus_damped_sine"
+    if kind == "single_exp":
+        return FitModel(kind)
+    if drop_exp_term is None:
+        drop_exp_term = "fg" in meta and "fe" in meta and (
+            _meta_number(meta, "fe") == _meta_number(meta, "fg") + 1.0)
+    return FitModel(kind, drop_exp_term=bool(drop_exp_term))
+
+
+def _meta_number(meta: dict, key: str) -> float:
+    try:
+        number = float(meta[key])
+    except (TypeError, ValueError):
+        number = float("nan")
+    if not isfinite(number):
+        raise ValueError(f"trace metadata {key!r} must be a finite number")
+    return number
 
 
 def _to_internal(model: FitModel, params: dict) -> np.ndarray:
@@ -156,8 +180,8 @@ def _to_external(model: FitModel, theta: np.ndarray) -> dict:
 
 def _residual_jacobian(model: FitModel, theta: np.ndarray, t: np.ndarray, y: np.ndarray):
     params = _to_external(model, theta)
-    residual = evaluate_model(model, params, t) - y
-    jac = _jacobian(model, params, t)
+    prediction, jac = _predict_and_jacobian(model, params, t)
+    residual = prediction - y
     # chain rule for the log-parameterized entries
     for k, name in enumerate(model.param_names):
         if name in _LOG_PARAMS:
@@ -166,18 +190,18 @@ def _residual_jacobian(model: FitModel, theta: np.ndarray, t: np.ndarray, y: np.
 
 
 def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray):
+    """Damped Gauss-Newton steps until the gradient is small, the damping exceeds
+    1e15, an accepted step moves theta by less than 1e-15 relative, or
+    ``MAX_ITERATIONS`` trial steps; ``converged`` is the gradient test at the end."""
     theta = theta0.copy()
     residual, jac = _residual_jacobian(model, theta, t, y)
     cost = residual @ residual
-    gradient = jac.T @ residual
-    gradient_scale = max(np.abs(gradient).max(), np.finfo(float).tiny)
+    tolerance = GRADIENT_TOL * max(1.0, np.abs(jac.T @ residual).max())
     damping = 1e-3
     iterations = 0
-    converged = False
-    while iterations < MAX_ITERATIONS:
+    while iterations < MAX_ITERATIONS and damping <= 1e15:
         gradient = jac.T @ residual
-        if np.abs(gradient).max() <= GRADIENT_TOL * max(1.0, gradient_scale):
-            converged = True
+        if np.abs(gradient).max() <= tolerance:
             break
         normal = jac.T @ jac
         diag = np.diag(normal).copy()
@@ -187,8 +211,6 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
             step = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
         except np.linalg.LinAlgError:
             damping *= 10.0
-            if damping > 1e15:
-                break
             continue
         trial = theta + step
         trial_residual, trial_jac = _residual_jacobian(model, trial, t, y)
@@ -198,15 +220,10 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
             theta, residual, jac, cost = trial, trial_residual, trial_jac, trial_cost
             damping = max(damping / 10.0, 1e-15)
             if relative_move < 1e-15:
-                # converged to machine precision in the parameters
-                converged = np.abs(jac.T @ residual).max() <= GRADIENT_TOL * max(1.0, gradient_scale)
                 break
         else:
             damping *= 10.0
-            if damping > 1e15:
-                break
-    else:
-        converged = np.abs(jac.T @ residual).max() <= GRADIENT_TOL * max(1.0, gradient_scale)
+    converged = np.abs(jac.T @ residual).max() <= tolerance
     return theta, residual, jac, cost, iterations, bool(converged)
 
 
@@ -397,11 +414,12 @@ def rate_vs_intensity(
 ) -> list[dict]:
     """Fitted decay rates of both switching phases over an intensity grid.
 
-    For each squared Rabi frequency: simulate the switched transient, fit the
-    field-off phase with ``single_exp`` and the field-on phase with
-    ``exp_plus_damped_sine``.  ``drop_exp_term`` defaults to dropping the
-    non-oscillating term exactly when Fe = Fg + 1 (enhanced-absorption
-    transitions show none).
+    For each squared Rabi frequency: simulate the switched transient and fit
+    each phase with the model :func:`model_for_phase` picks, so the
+    field-off phase gets ``single_exp`` and the field-on phase
+    ``exp_plus_damped_sine``, whose non-oscillating term ``drop_exp_term``
+    drops (default: exactly when Fe = Fg + 1).  Raises ValueError unless the
+    schedule switches from b0 = 0 to a nonzero b1.
 
     Returns
     -------
@@ -410,16 +428,13 @@ def rate_vs_intensity(
         decay rate), ``rate_exp`` (field-on non-oscillating rate, absent when
         dropped), ``rate_osc``, ``freq``, ``converged_b0``, ``converged_b1``.
     """
-    if drop_exp_term is None:
-        drop_exp_term = spec.fe.twice_f == spec.fg.twice_f + 2
-    model_b0 = FitModel("single_exp")
-    model_b1 = FitModel("exp_plus_damped_sine", drop_exp_term=drop_exp_term)
+    if schedule.b0 != 0.0 or schedule.b1 == 0.0 or not 0.0 < schedule.duty < 1.0:
+        raise ValueError("rate_vs_intensity needs a schedule that switches from b0 = 0 to b1 != 0")
     rows = []
     for intensity in intensities:
-        trace = switched_transient(spec.with_intensity(intensity), schedule)
-        phases = split_phases(trace)
-        result_b0 = fit(phases[0], model_b0)
-        result_b1 = fit(phases[1], model_b1)
+        phases = split_phases(switched_transient(spec.with_intensity(intensity), schedule))
+        result_b0, result_b1 = (fit(phase, model_for_phase(phase.meta, drop_exp_term=drop_exp_term))
+                                for phase in phases[:2])
         row = {
             "intensity": float(intensity),
             "rate_b0": result_b0.params["rate"],
@@ -428,7 +443,7 @@ def rate_vs_intensity(
             "converged_b0": result_b0.converged,
             "converged_b1": result_b1.converged,
         }
-        if not drop_exp_term:
+        if "rate_exp" in result_b1.params:
             row["rate_exp"] = result_b1.params["rate_exp"]
         rows.append(row)
     return rows

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import isfinite, sqrt
 
 import numpy as np
@@ -67,15 +68,7 @@ __all__ = [
 
 
 def _coerce_pol(pol) -> tuple:
-    if isinstance(pol, str):
-        return tuple(polarization(pol))
-    vec = np.asarray(pol, dtype=complex)
-    if vec.shape != (3,):
-        raise ValueError(f"polarization must be a named kind or 3 spherical components, got {pol!r}")
-    norm = np.linalg.norm(vec)
-    if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
-        raise ValueError(f"polarization vector must have unit norm, got {norm!r}")
-    return tuple(vec)
+    return tuple(polarization(pol) if isinstance(pol, str) else polarization("general", pol))
 
 
 @dataclass(frozen=True)
@@ -213,9 +206,9 @@ class Liouvillian:
         """Liouville-space dimension, dim**2."""
         return self.matrix.shape[0]
 
-    @property
+    @cached_property
     def absorption_row(self) -> np.ndarray:
-        """The absorption functional as a row c, so that w(y) = c @ y.
+        """The absorption functional as a row c, so that w(y) = c @ y; built once.
 
         c = i * vec((W - W^dag)^T), because Tr[sigma A] = vec(sigma) . vec(A^T)
         under row-major vectorization; this is :func:`coupling_absorption`

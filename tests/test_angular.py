@@ -146,3 +146,9 @@ class TestPolarization:
             polarization("general", components=(1.0, 1.0, 0.0))
         with pytest.raises(ValueError):
             polarization("circular-ish")
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+    def test_general_rejects_non_finite_components(self, bad):
+        # a NaN norm compares false with everything, so it must not slip past the norm test
+        with pytest.raises(ValueError, match="unit norm"):
+            polarization("general", components=(bad, 0.0, 0.0))

@@ -175,6 +175,23 @@ class TestExitCodes:
         assert "hanlesim: " in capsys.readouterr().err
         assert not out.exists()
 
+    # 10**17 periods pass the index bound but ask for a record of hundreds of PiB,
+    # more than any address space; twice that exceeds the bound.  A subprocess
+    # with a timeout, because a record stepped before it is allocated runs for hours.
+    @pytest.mark.parametrize("n_periods, code",
+                             [(10**17, EXIT_NUMERICAL), (2 * 10**17, EXIT_USAGE)],
+                             ids=["too-large-for-memory", "too-large-to-index"])
+    def test_record_size_fails_at_once(self, tmp_path, n_periods, code):
+        out = tmp_path / "o.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "hanlesim", "transient", "--n-periods", str(n_periods),
+             "--samples-per-period", "4", "--output", str(out)],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith("hanlesim: ")
+        assert not out.exists()
+
 
 class TestOutputFiles:
     TRANSIT = ["transit", "--diameter-m", "0.01", "--temperature-k", "330", "--mass-amu", "87"]
@@ -327,6 +344,19 @@ class TestFitCommand:
         payload = json.loads(fit_path.read_text())
         assert payload["model"] == "single_exp"
         assert payload["converged"]
+
+    @pytest.mark.parametrize("preset, phase", [("fig5c", "off"), ("fig5c", "on"), ("fig6c", "on")])
+    def test_same_json_as_transient_with_fit(self, tmp_path, preset, phase):
+        # b0 = 0.01: the off phase oscillates too, and both commands pick its
+        # model by its field, not by its name
+        trace, with_fit, fitted = tmp_path / "t.csv", tmp_path / "w.json", tmp_path / "f.json"
+        assert run(["transient", "--preset", preset, "--b0", "0.01", "--samples-per-period",
+                    "1000", "--with-fit", "--fit-phase", phase, "--output", str(trace),
+                    "--fit-output", str(with_fit)]) == EXIT_OK
+        assert run(["fit", "--trace", str(trace), "--fit-phase", phase,
+                    "--output", str(fitted)]) == EXIT_OK
+        assert with_fit.read_bytes() == fitted.read_bytes()
+        assert json.loads(fitted.read_text())["model"] == "exp_plus_damped_sine"
 
 
 class TestTransit:

@@ -5,7 +5,7 @@ import pytest
 
 from hanlesim import FitModel, SwitchSchedule, build_liouvillian, eigenmodes, fit, rate_vs_intensity
 from hanlesim.dynamics import TransientTrace, split_phases, switched_transient
-from hanlesim.fit import evaluate_model
+from hanlesim.fit import _residual_jacobian, _to_internal, evaluate_model, model_for_phase
 
 from support import GAMMA, PRESET_INTENSITIES, eia_spec, eit_spec
 
@@ -13,6 +13,7 @@ Y2_TRUE = {
     "amp_exp": 0.5, "rate_exp": 0.002, "amp_osc": 1.0, "rate_osc": 0.01,
     "freq": 0.06, "phase": 0.3, "offset": 0.2,
 }
+Y2_DROPPED = {"amp_osc": 0.7, "rate_osc": 0.008, "freq": 0.055, "phase": -1.1, "offset": 0.4}
 TIMES = np.linspace(0.0, 2500.0, 2000)
 
 
@@ -52,6 +53,51 @@ class TestEvaluateModel:
         assert y0 == pytest.approx(0.5 + np.sin(0.3) + 0.2)
 
 
+@pytest.mark.parametrize("model, params", [
+    (FitModel("single_exp"), {"amp": 0.8, "rate": 0.004, "offset": 0.1}),
+    (FitModel("exp_plus_damped_sine"), Y2_TRUE),
+    (FitModel("exp_plus_damped_sine", drop_exp_term=True), Y2_DROPPED),
+], ids=["single_exp", "damped_sine", "damped_sine-dropped"])
+def test_solver_jacobian_matches_central_differences(model, params):
+    # the Jacobian the optimizer steps with, in its coordinates: log rates and
+    # log frequency, so every such column carries the chain-rule factor
+    theta = _to_internal(model, params)
+    y = evaluate_model(model, params, TIMES) + 0.01
+    _, jac = _residual_jacobian(model, theta, TIMES, y)
+    for k in range(theta.size):
+        h = 1e-7 * max(1.0, abs(theta[k]))
+        up, down = theta.copy(), theta.copy()
+        up[k] += h
+        down[k] -= h
+        numeric = (_residual_jacobian(model, up, TIMES, y)[0]
+                   - _residual_jacobian(model, down, TIMES, y)[0]) / (2.0 * h)
+        error = np.abs(jac[:, k] - numeric).max() / np.abs(numeric).max()
+        assert error <= 1e-6, (model.param_names[k], error)
+
+
+class TestModelForPhase:
+    def test_auto_goes_by_the_phase_field(self):
+        assert model_for_phase({"phase_b": 0.0}) == FitModel("single_exp")
+        assert model_for_phase({"phase_b": 0.01}) == FitModel("exp_plus_damped_sine")
+        with pytest.raises(ValueError, match="phase_b"):
+            model_for_phase({})
+        assert model_for_phase({}, "single_exp") == FitModel("single_exp")
+
+    def test_drop_default_goes_by_the_transition(self):
+        eia = {"phase_b": 0.03, "fg": 1.0, "fe": 2.0}
+        assert model_for_phase(eia).drop_exp_term
+        assert not model_for_phase(eia | {"fe": 0.0}).drop_exp_term
+        assert not model_for_phase({"phase_b": 0.03}).drop_exp_term
+        assert not model_for_phase(eia, drop_exp_term=False).drop_exp_term
+        assert model_for_phase({"phase_b": 0.03}, drop_exp_term=True).drop_exp_term
+
+    @pytest.mark.parametrize("meta", [{"phase_b": (1,)}, {"phase_b": float("nan")},
+                                      {"phase_b": 0.03, "fg": "one", "fe": 2.0}])
+    def test_non_numeric_metadata_raises(self, meta):
+        with pytest.raises(ValueError, match="must be a finite number"):
+            model_for_phase(meta)
+
+
 class TestRoundTrip:
     def test_single_exp(self):
         model = FitModel("single_exp")
@@ -71,10 +117,9 @@ class TestRoundTrip:
 
     def test_dropped_exp_term(self):
         model = FitModel("exp_plus_damped_sine", drop_exp_term=True)
-        true = {"amp_osc": 0.7, "rate_osc": 0.008, "freq": 0.055, "phase": -1.1, "offset": 0.4}
-        result = fit(make_trace(model, true), model)
+        result = fit(make_trace(model, Y2_DROPPED), model)
         assert result.converged
-        for name, value in true.items():
+        for name, value in Y2_DROPPED.items():
             assert result.params[name] == pytest.approx(value, rel=1e-6)
         assert "amp_exp" not in result.params
 
@@ -189,3 +234,10 @@ class TestRateVsIntensity:
             # both phases relax through the same ground-state mode family
             assert 0.5 < row["rate_osc"] / row["rate_b0"] < 2.0
         assert rows[0]["freq"] == pytest.approx(0.06, rel=0.05)
+
+    @pytest.mark.parametrize("schedule", [SwitchSchedule(b1=0.03, b0=0.01), SwitchSchedule(b1=0.0),
+                                          SwitchSchedule(b1=0.03, duty=1.0)],
+                             ids=["b0-nonzero", "b1-zero", "no-switch"])
+    def test_schedule_without_a_field_off_phase_raises(self, schedule):
+        with pytest.raises(ValueError, match="switches from b0 = 0"):
+            rate_vs_intensity(eit_spec(0.0), [0.02], schedule)

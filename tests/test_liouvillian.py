@@ -183,6 +183,8 @@ class TestTransitionSpec:
             TransitionSpec(fg=1, fe=0, rabi=-0.1, gamma=0.002)
         with pytest.raises(ValueError):
             TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(1.0, 1.0, 1.0))
+        with pytest.raises(ValueError):
+            TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(1.0, 0.0))
         for bad in (float("nan"), float("inf")):
             for name in ("rabi", "gamma", "detuning", "zeeman_g", "zeeman_e", "b_field",
                          "dipole_scale"):
@@ -194,6 +196,10 @@ class TestTransitionSpec:
     def test_polarization_string_is_resolved(self):
         spec = eit_spec(0.02, pol="sigma+")
         np.testing.assert_allclose(spec.pol, (0.0, 0.0, 1.0))
+
+    def test_absorption_row_is_built_once(self):
+        liouv = build_liouvillian(eia_spec(0.3))
+        assert liouv.absorption_row is liouv.absorption_row
 
 
 def test_vectorize_row_major_convention():
