@@ -4,8 +4,9 @@ Each propagator has one path.  ``switched_transient`` steps every
 constant-field phase exactly: with z = [y; 1], dy/dt = M y + p0 becomes
 dz/dt = G z for the augmented generator G = [[M, p0], [0, 0]], so one
 E = exp(hG) advances the state by a sample step h (Van Loan, IEEE TAC 23,
-395 (1978)).  A phase's samples and hand-off state come from doubling:
-samples [m, 2m) are E^m applied to samples [0, m), then E^m is squared.
+395 (1978)); G is taken in real coordinates (see below).  A phase's
+samples and hand-off state come from doubling: samples [m, 2m) are E^m
+applied to samples [0, m), then E^m is squared.
 The exponential is numpy scaling and squaring with a [13/13] Pade
 approximant (Higham, SIMAX 26, 1179 (2005)).  ``propagate_modal`` evaluates
 the exact modal solution
@@ -26,6 +27,17 @@ state along the nonzero pattern of M.  M maps nothing from the block to the
 rest of the space, so outside the block the state stays exactly zero, and
 only M[block, block] is decomposed or exponentiated.  The block is exact for
 any polarization; with linear light it holds about half of the indices.
+
+The exponential runs in real arithmetic.  M preserves Hermiticity (Lindblad,
+CMP 48, 119 (1976)): M(sigma^dag) = M(sigma)^dag.  So its matrix in an
+orthonormal basis of Hermitian matrices, T^H M T, is real, and so is T^H p0.
+The basis holds the populations sigma_ii and, for each i < j, sqrt(2) Re
+sigma_ij and sqrt(2) Im sigma_ij (``_real_frame``).  The block's seed
+support is closed under transposition, so the block holds both entries of
+each pair.  A physical state then has real coordinates x = T^H y, and the
+states rebuilt as y = T x are exactly Hermitian.  A start state of
+``propagate_modal`` that is not Hermitian has complex coordinates, which
+the same real exponential advances.
 
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
@@ -193,6 +205,8 @@ def _invariant_block(matrices, seeds) -> np.ndarray:
     Index j is reached from index i when some matrix has a nonzero entry
     (j, i).  Every matrix therefore maps a vector supported on the block to
     one supported on it, and a state that starts on the block never leaves.
+    The seed support is closed under transposition, (i, j) <-> (j, i), and
+    so is the block, since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
     """
     pattern = np.zeros(matrices[0].shape, dtype=bool)
     for matrix in matrices:
@@ -200,6 +214,8 @@ def _invariant_block(matrices, seeds) -> np.ndarray:
     reached = np.zeros(pattern.shape[0], dtype=bool)
     for seed in seeds:
         reached |= seed != 0
+    dim = round(sqrt(reached.size))
+    reached |= reached.reshape(dim, dim).T.reshape(-1)
     frontier = reached.copy()
     while frontier.any():
         frontier = pattern[:, frontier].any(axis=1) & ~reached
@@ -281,22 +297,62 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _augmented(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
-    """G = [[M, p0], [0, 0]] on the block: [y(t); 1] = exp(tG) [y(0); 1] for dy/dt = M y + p0."""
+def _real_frame(block: np.ndarray, dim: int) -> np.ndarray:
+    """Unitary T with y[block] = T x, for x the real Hermitian coordinates of a state.
+
+    ``block`` must be closed under (i, j) <-> (j, i).  A diagonal entry
+    sigma_ii maps to itself, and each pair i < j to sqrt(2) Re sigma_ij (at
+    the position of (i, j)) and sqrt(2) Im sigma_ij (at the position of
+    (j, i)): the columns of T are an orthonormal basis of Hermitian matrices.
+    """
+    rows, cols = np.divmod(block, dim)
+    partner = np.searchsorted(block, cols * dim + rows)  # position of (j, i)
+    upper, lower = rows < cols, rows > cols
+    position = np.arange(block.size)
+    half = sqrt(0.5)
+    frame = np.zeros((block.size, block.size), dtype=complex)
+    frame[position, position] = np.where(upper, half, np.where(lower, -1j * half, 1.0))
+    frame[partner[upper], position[upper]] = half
+    frame[partner[lower], position[lower]] = 1j * half
+    return frame
+
+
+def _augmented(liouv: Liouvillian, block: np.ndarray, frame: np.ndarray) -> np.ndarray:
+    """Real G = [[T^H M T, T^H p0], [0, 0]] on the block, T its ``_real_frame``:
+    [x(t); 1] = exp(tG) [x(0); 1] for dy/dt = M y + p0 and y[block] = T x.
+
+    M maps Hermitian matrices to Hermitian matrices, so in a basis of them
+    it is real, and so is p0, a multiple of the Hermitian rest state.
+
+    Raises
+    ------
+    ValueError
+        If G has an imaginary part above rounding level: M does not
+        preserve Hermiticity.
+    """
     size = block.size
+    adjoint = frame.conj().T
     gen = np.zeros((size + 1, size + 1), dtype=complex)
-    gen[:size, :size] = liouv.matrix[np.ix_(block, block)]
-    gen[:size, size] = liouv.pump[block]
-    return gen
+    gen[:size, :size] = adjoint @ liouv.matrix[np.ix_(block, block)] @ frame
+    gen[:size, size] = adjoint @ liouv.pump[block]
+    if np.abs(gen.imag).max() > 1e-13 * np.abs(gen.real).max():
+        raise ValueError("M does not preserve Hermiticity: it is not real in a Hermitian basis")
+    return np.ascontiguousarray(gen.real)
 
 
-def _from_block(liouv: Liouvillian, block: np.ndarray, rows: np.ndarray, keep_states: bool):
-    """(absorption, full-size states or None) of augmented block states [y; 1], one per row."""
-    w = (rows[:, :-1] @ liouv.absorption_row[block]).real
+def _from_block(liouv: Liouvillian, block: np.ndarray, frame: np.ndarray, rows: np.ndarray,
+                keep_states: bool):
+    """(absorption, full-size states or None) of augmented frame states [x; 1], one per row.
+
+    w = Re(x . (c T)) for the absorption row c; c T is real, since w is real
+    on the Hermitian basis matrices, so only the real part of x enters.
+    """
+    weights = (liouv.absorption_row[block] @ frame).real
+    w = rows[:, :-1].real @ weights
     states = None
     if keep_states:
         states = np.zeros((rows.shape[0], liouv.size), dtype=complex)
-        states[:, block] = rows[:, :-1]
+        states[:, block] = rows[:, :-1] @ frame.T
     return w, states
 
 
@@ -304,7 +360,7 @@ def _stepped(step: np.ndarray, z0: np.ndarray, n_samples: int) -> np.ndarray:
     """Rows k = 0 .. max(n_samples, 1) hold step^k z0, the samples and then the hand-off state,
     filled by doubling: rows [m, 2m) are step^m times rows [0, m), then step^m is squared.
     """
-    rows = np.empty((max(n_samples, 1) + 1, z0.size), dtype=complex)
+    rows = np.empty((max(n_samples, 1) + 1, z0.size), dtype=np.result_type(step, z0))
     rows[0] = z0
     power, filled = step, 1
     while True:
@@ -337,9 +393,11 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     states are full-size.  If the block's eigenvector matrix is too
     ill-conditioned to trust (condition number above
     ``MODAL_CONDITION_LIMIT``, possible at exceptional points), the routine
-    warns and evaluates exp(tG) [y0; 1] on the block at each sample time t,
-    with G the augmented generator [[M, p0], [0, 0]]; ``meta["solver"]``
-    is then ``"expm"`` instead of ``"modal"``.
+    warns and evaluates exp(tG) [x0; 1] on the block at each sample time t,
+    with G the augmented generator [[M, p0], [0, 0]] and x0 the start state,
+    both in the real Hermitian coordinates of the module notes (x0 is
+    complex when y0 is not Hermitian); ``meta["solver"]`` is then
+    ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0)
@@ -353,10 +411,11 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
         "solver; using the matrix exponential",
         stacklevel=2,
     )
-    gen = _augmented(liouv, modes.block)
-    z0 = np.append(y0[modes.block], 1.0)
+    frame = _real_frame(modes.block, liouv.dim)
+    gen = _augmented(liouv, modes.block, frame)
+    z0 = np.append(frame.conj().T @ y0[modes.block], 1.0)  # complex unless y0 is Hermitian
     rows = np.array([_expm(t * gen) @ z0 for t in times.tolist()]).reshape(times.size, z0.size)
-    w_t, states = _from_block(liouv, modes.block, rows, keep_states)
+    w_t, states = _from_block(liouv, modes.block, frame, rows, keep_states)
     return _sampled(liouv, times, w_t, states, "expm")
 
 
@@ -440,8 +499,10 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     previous = liouvs[phases[-1][0]]  # the record starts mid-train
     y = vectorize(steady_state(previous))
     block = _invariant_block([liouv.matrix for liouv in liouvs.values()], [previous.pump, y])
+    frame = _real_frame(block, previous.dim)
     keys = [(b, duration / max(n_samples, 1)) for b, duration, n_samples in phases]
-    steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block)) for key in dict.fromkeys(keys)}
+    steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block, frame))
+             for key in dict.fromkeys(keys)}
 
     # the whole record is allocated before any step, so one too large fails at once
     total = schedule.n_periods * sum(n for _, _, n in phases)
@@ -449,16 +510,18 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     states = np.zeros((total, previous.size), dtype=complex) if keep_states else None
     grids = [np.linspace(0.0, duration, n, endpoint=False) for _, duration, n in phases]
     start, t_offset = 0, 0.0
-    z = np.append(y[block], 1.0)
+    z = np.append((frame.conj().T @ y[block]).real, 1.0)  # the steady state is Hermitian
     for _ in range(schedule.n_periods):
         for (b_val, duration, n_samples), key, local in zip(phases, keys, grids):
             end = start + n_samples
             rows = _stepped(steps[key], z, n_samples)
             times[start:end] = local + t_offset
-            w[start:end] = _from_block(liouvs[b_val], block, rows[:n_samples], False)[0]
+            w[start:end], phase_states = _from_block(
+                liouvs[b_val], block, frame, rows[:n_samples], keep_states
+            )
             b[start:end] = b_val
             if keep_states:
-                states[start:end, block] = rows[:n_samples, :-1]
+                states[start:end] = phase_states
             z = np.append(rows[-1, :-1], 1.0)
             start, t_offset = end, t_offset + duration
 

@@ -269,16 +269,27 @@ def _lindblad(h, p_e, jumps, rest, gamma, coupling, b_field, meta) -> Liouvillia
     """Assemble M and p0 of a Lindblad generator (row-major vectorization).
 
     dsigma/dt = -i[H, sigma] - (1/2){P_e, sigma} + sum_k w_k L_k sigma L_k^dag
-    - gamma (sigma - rest), for ``jumps`` = [(w_k, L_k), ...].  Uses
-    vec(A X B) = (A kron B^T) vec(X) on each term; the inhomogeneous part
-    of the relaxation becomes p0 = gamma * vec(rest).
+    - gamma (sigma - rest), for ``jumps`` = [(w_k, L_k), ...].  With
+    M[(i, j), (k, l)] the entry taking sigma_kl to dsigma_ij/dt, A sigma adds
+    A_ik where j = l, sigma B adds B_lj where i = k, and L sigma L^dag adds
+    L_ik conj(L_jl), for A = -iH - P_e/2 and B = iH - P_e/2.  Where both
+    one-sided actions meet, on the diagonal of M, the entry is formed as in
+    the Kronecker form -i(H kron I - I kron H^T) - (P_e kron I + I kron P_e^T)/2,
+    as -i(H_ii - H_jj) - (P_ii + P_jj)/2, so M is the same to the last bit.
+    The inhomogeneous part of the relaxation becomes p0 = gamma * vec(rest).
     """
-    eye = np.eye(h.shape[0])
-    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    m -= 0.5 * (np.kron(p_e, eye) + np.kron(eye, p_e.T))
+    dim = h.shape[0]
+    diag_h, diag_p = np.diagonal(h), np.diagonal(p_e)
+    every = np.arange(dim)
+    m4 = np.zeros((dim, dim, dim, dim), dtype=complex)
+    m4[:, every, :, every] = -1j * h - 0.5 * p_e
+    m4[every, :, every, :] = 1j * h.T - 0.5 * p_e.T
+    m = m4.reshape(dim * dim, dim * dim)
+    m.flat[:: dim * dim + 1] = (-1j * (diag_h[:, None] - diag_h[None, :])
+                                - 0.5 * (diag_p[:, None] + diag_p[None, :])).reshape(-1)
     for weight, jump in jumps:
-        m += weight * np.kron(jump, jump.conj())
-    m -= gamma * np.eye(m.shape[0])
+        m4 += weight * (jump[:, None, :, None] * jump.conj()[None, :, None, :])
+    m.flat[:: dim * dim + 1] -= gamma
     return Liouvillian(m, gamma * vectorize(rest), coupling, b_field, meta)
 
 

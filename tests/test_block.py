@@ -22,6 +22,8 @@ from hanlesim import (
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
+from support import rk4_phases
+
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
 
@@ -84,9 +86,34 @@ def test_block_modal_propagation_matches_full_integration(spec):
 
 @PROPERTY_SETTINGS
 @given(transitions())
+def test_real_frame_is_unitary_and_makes_the_generator_real(spec):
+    liouv, y0 = build_liouvillian(spec), _start_state(spec)
+    block = dynamics._invariant_block([liouv.matrix], [liouv.pump, y0])
+    rows, cols = np.divmod(block, spec.dim)
+    np.testing.assert_array_equal(np.sort(cols * spec.dim + rows), block)  # closed under transpose
+    frame = dynamics._real_frame(block, spec.dim)
+    adjoint = frame.conj().T
+    assert np.abs(adjoint @ frame - np.eye(block.size)).max() <= 1e-15
+    scale = np.abs(liouv.matrix).max()
+    assert np.abs((adjoint @ liouv.matrix[np.ix_(block, block)] @ frame).imag).max() <= 1e-14 * scale
+    assert np.abs((adjoint @ liouv.pump[block]).imag).max() <= 1e-14 * scale
+    # the steady state's coordinates are real: sigma_ii, sqrt(2) Re and sqrt(2) Im of sigma_ij, i < j
+    sigma = steady_state(liouv)
+    upper = np.minimum(rows, cols), np.maximum(rows, cols)
+    expected = np.where(rows == cols, 1.0, np.sqrt(2.0)) * np.where(
+        rows > cols, sigma[upper].imag, sigma[upper].real
+    )
+    coords = adjoint @ vectorize(sigma)[block]
+    assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
 def test_expm_matches_scipy_on_augmented_generators(spec):
     liouv = build_liouvillian(spec)
-    gen = dynamics._augmented(liouv, np.arange(liouv.size))
+    block = np.arange(liouv.size)
+    gen = dynamics._augmented(liouv, block, dynamics._real_frame(block, spec.dim))
+    assert gen.dtype == np.float64
     for h in (0.05, 1.25, 2500.0):
         expected = scipy.linalg.expm(h * gen)
         assert np.abs(dynamics._expm(h * gen) - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -95,20 +122,12 @@ def test_expm_matches_scipy_on_augmented_generators(spec):
 @PROPERTY_SETTINGS
 @given(transitions())
 def test_switched_transient_matches_rk4_phase_by_phase(spec):
-    # 20 samples 0.1 apart per phase: every other point of an RK4 run with dt = 0.05,
-    # whose last state (t = 2) hands off to the next phase
+    # 20 samples 0.1 apart per phase: every other point of an RK4 run with dt = 0.05
     schedule = SwitchSchedule(b1=spec.b_field, b0=0.0, period=4.0, samples_per_period=40)
     trace, states = switched_transient(spec, schedule, keep_states=True)
-    y = vectorize(steady_state(build_liouvillian(spec)))
-    w_ref, states_ref = [], []
-    for b_val, duration, n_samples in schedule.phases():
-        liouv = build_liouvillian(spec.with_field(b_val))
-        run, run_states = propagate_integrated(liouv, y, dt=0.05, t_end=duration, keep_states=True)
-        w_ref.append(run.w[:-1:2])
-        states_ref.append(run_states[:-1:2])
-        y = run_states[-1]
-    np.testing.assert_allclose(trace.w, np.concatenate(w_ref), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(states, np.concatenate(states_ref), rtol=0, atol=1e-9)
+    w_ref, states_ref = rk4_phases(spec, schedule)
+    np.testing.assert_allclose(trace.w, w_ref, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(states, states_ref, rtol=0, atol=1e-9)
 
 
 @PROPERTY_SETTINGS

@@ -26,7 +26,7 @@ def random_density_matrix(rng, dim):
 
 
 def bloch_rhs(spec, sigma):
-    """dsigma/dt evaluated term by term, independent of the kron assembly."""
+    """dsigma/dt evaluated term by term, independent of the assembler."""
     h = hamiltonian(spec)
     p_g, p_e = projectors(spec.fg.f, spec.fe.f)
     n_e = spec.fe.multiplicity
@@ -55,6 +55,39 @@ def test_liouvillian_matches_direct_bloch_evaluation(make_spec):
         direct = bloch_rhs(spec, sigma)
         assembled = devectorize(liouv.matrix @ vectorize(sigma) + liouv.pump)
         np.testing.assert_allclose(assembled, direct, atol=1e-12)
+
+
+def kron_generator(h, p_e, jumps, gamma):
+    """M in the Kronecker form vec(A X B) = (A kron B^T) vec(X), term by term."""
+    eye = np.eye(h.shape[0])
+    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    m -= 0.5 * (np.kron(p_e, eye) + np.kron(eye, p_e.T))
+    for weight, jump in jumps:
+        m += weight * np.kron(jump, jump.conj())
+    m -= gamma * np.eye(m.shape[0])
+    return m
+
+
+@pytest.mark.parametrize("pol", ["linear-y", "sigma+", (0.6, 0.64j, -0.48)])
+def test_assembler_equals_the_kronecker_form_bit_for_bit(monkeypatch, pol):
+    calls = []
+    lindblad = liouvillian._lindblad
+    monkeypatch.setattr(liouvillian, "_lindblad", lambda *args: calls.append(args) or lindblad(*args))
+    for twice_fg in range(7):
+        for twice_fe in (twice_fg - 2, twice_fg, twice_fg + 2):
+            if twice_fe < 0:
+                continue
+            spec = TransitionSpec(fg=twice_fg / 2, fe=twice_fe / 2, rabi=0.7, gamma=0.002,
+                                  detuning=0.13, zeeman_e=0.4, b_field=0.03, pol=pol)
+            matrix = build_liouvillian(spec).matrix
+            h, p_e, jumps, _, gamma = calls[-1][:5]
+            np.testing.assert_array_equal(matrix, kron_generator(h, p_e, jumps, gamma))
+    # any operators, with P_e off its diagonal too
+    rng = np.random.default_rng(8)
+    h, p_e, jump = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(3))
+    jumps = [(1.5, jump), (0.25, jump.real)]
+    matrix = liouvillian._lindblad(h, p_e, jumps, np.eye(5), 0.01, jump, 0.0, {}).matrix
+    np.testing.assert_array_equal(matrix, kron_generator(h, p_e, jumps, 0.01))
 
 
 def test_dimensions():
