@@ -242,7 +242,7 @@ def polarization(kind: str, components=None) -> np.ndarray:
             raise ValueError(f"polarization components must have length 3, got shape {vec.shape}")
         norm = np.linalg.norm(vec)
         if not abs(norm - 1.0) <= 1e-9:  # written so that a NaN norm fails too
-            raise ValueError(f"polarization vector must have unit norm, got {norm!r}")
+            raise ValueError(f"polarization vector must have unit norm, got {float(norm)!r}")
         return vec
     if components is not None:
         raise ValueError("components are only accepted with kind='general'")

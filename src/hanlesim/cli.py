@@ -27,15 +27,10 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import traceio
-from .dynamics import (
-    SwitchSchedule,
-    split_phases,
-    steady_state,
-    switched_transient,
-    transit_time,
-)
+from .dynamics import (SwitchSchedule, _invariant_block, _steady, split_phases, switched_transient,
+                       transit_time)
 from .fit import fit as fit_trace, model_for_phase
-from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta, vectorize
+from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta
 from .presets import get_preset, list_presets
 from .spectral import intensity_sweep
 from .traceio import load_trace, write_outputs
@@ -268,9 +263,11 @@ def cmd_steady(args) -> int:
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
     affine = affine_liouvillian(spec)
     absorption_row = affine.at(spec.rabi, 0.0).absorption_row  # W does not depend on the field
+    # the field part is diagonal, so it reaches nothing the others do not
+    block = _invariant_block([affine.base, affine.drive], [affine.pump])
     rows = []
     for b in grid:
-        w = absorption_row @ vectorize(steady_state(affine.at(spec.rabi, float(b))))
+        w = absorption_row @ _steady(affine.at(spec.rabi, float(b)), block)
         rows.append((float(b), float(w.real)))
     write_outputs((traceio.render_table(("b", "w"), rows, spec_meta(spec)), args.output))
     return EXIT_OK

@@ -25,8 +25,11 @@ The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
 state along the nonzero pattern of M.  M maps nothing from the block to the
 rest of the space, so outside the block the state stays exactly zero, and
-only M[block, block] is decomposed or exponentiated.  The block is exact for
-any polarization; with linear light it holds about half of the indices.
+only M[block, block] is decomposed, exponentiated or solved: ``_steady``,
+the one steady solve of every caller, solves M[block, block] y = -p0[block]
+on the pump's block and checks residual (on the full M), trace, Hermiticity
+and PSD.  The block is exact for any polarization; with linear light it
+holds about half of the indices.
 
 The exponential runs in real arithmetic.  M preserves Hermiticity (Lindblad,
 CMP 48, 119 (1976)): M(sigma^dag) = M(sigma)^dag.  So its matrix in an
@@ -160,35 +163,46 @@ class TransientTrace:
             raise ValueError("times must be strictly increasing")
 
 
-def _as_vector(state: np.ndarray) -> np.ndarray:
-    state = np.asarray(state, dtype=complex)
-    if state.ndim == 2:
-        return vectorize(state)
-    return state.copy()
+def _as_vector(state, size: int) -> np.ndarray:
+    """A copy of a start state (density matrix or Liouville vector) as a vector of ``size``."""
+    state = np.array(state, dtype=complex)
+    vector = vectorize(state) if state.ndim == 2 else state.reshape(-1)
+    if vector.size != size:
+        raise ValueError(f"initial state has {vector.size} Liouville entries; the model has {size}")
+    return vector
 
 
 def steady_state(liouv: Liouvillian) -> np.ndarray:
-    """Unique steady state sigma_ss = devec(-M^{-1} p0), validated physical.
+    """Unique steady state sigma_ss = devec(-M^{-1} p0), by the one checked solve on the pump block.
 
     Raises
     ------
     numpy.linalg.LinAlgError
-        If M is (numerically) singular; the message reports the condition
-        number, since a singular M means the relaxation floor is absent.
+        If M is (numerically) singular on the block (the message reports its
+        condition number), or a residual, trace, Hermiticity or PSD check fails.
     """
+    return devectorize(_steady(liouv, _invariant_block([liouv.matrix], [liouv.pump])))
+
+
+def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
+    """-M^{-1} p0 on an invariant block holding the pump, zero outside it, checked physical.
+
+    The residual is taken on the full M, so it also proves the block invariant.
+    """
+    sub = liouv.matrix[np.ix_(block, block)]
+    y_ss = np.zeros(liouv.size, dtype=complex)
     try:
-        y_ss = np.linalg.solve(liouv.matrix, -liouv.pump)
+        y_ss[block] = np.linalg.solve(sub, -liouv.pump[block])
     except np.linalg.LinAlgError as exc:
-        cond = np.linalg.cond(liouv.matrix)
         raise np.linalg.LinAlgError(
-            f"steady-state solve failed (condition number {cond:.3e}); "
+            f"steady-state solve failed (condition number {np.linalg.cond(sub):.3e}); "
             "a positive transit rate should forbid a null space"
         ) from exc
     residual = np.linalg.norm(liouv.matrix @ y_ss + liouv.pump)
     if residual > 1e-10:
         raise np.linalg.LinAlgError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     sigma = devectorize(y_ss)
-    trace = np.trace(sigma).real
+    trace = float(np.trace(sigma).real)
     if abs(trace - 1.0) > 1e-9:
         raise np.linalg.LinAlgError(f"steady-state trace {trace!r} is not 1")
     if np.abs(sigma - sigma.conj().T).max() > 1e-10:
@@ -196,7 +210,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     smallest = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0).min()
     if smallest < -1e-10:
         raise np.linalg.LinAlgError(f"steady state has negative population {smallest:.3e}")
-    return sigma
+    return y_ss
 
 
 def _invariant_block(matrices, seeds) -> np.ndarray:
@@ -246,13 +260,9 @@ class _Modes:
 
 
 def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
-    """M decomposed on an invariant block, with -M^{-1} p0 solved there (zero outside it)."""
-    sub = liouv.matrix[np.ix_(block, block)]
-    y_ss = np.zeros(liouv.size, dtype=complex)
-    pump = liouv.pump[block]
-    if pump.any():
-        y_ss[block] = np.linalg.solve(sub, -pump)
-    lam, vecs = np.linalg.eig(sub)
+    """M decomposed on an invariant block, with the checked steady state when the pump lies on it."""
+    y_ss = _steady(liouv, block) if liouv.pump[block].any() else np.zeros(liouv.size, dtype=complex)
+    lam, vecs = np.linalg.eig(liouv.matrix[np.ix_(block, block)])
     row = liouv.absorption_row[block]
     return _Modes(
         block, lam, vecs, y_ss, np.linalg.cond(vecs), row @ vecs, (row @ y_ss[block]).real
@@ -400,7 +410,7 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
-    y0 = _as_vector(y0)
+    y0 = _as_vector(y0, liouv.size)
     modes = _decompose(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
     if modes.cond <= MODAL_CONDITION_LIMIT:
         w_t, states = _modal_run(modes, y0, times, keep_states=keep_states)
@@ -457,7 +467,7 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
     times = np.arange(int(round(t_end / dt)) + 1) * dt
-    y = _as_vector(y0)
+    y = _as_vector(y0, liouv.size)
     a = dt * liouv.matrix
     step, shift = np.eye(y.size) + _rk4_series(a, a), _rk4_series(a, dt * liouv.pump)
     row, w = liouv.absorption_row, np.empty(times.size)
@@ -497,8 +507,9 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     # one entry when b0 == b1 or when a phase has no duration
     liouvs = {b: build_liouvillian(spec.with_field(b)) for b, _, _ in phases}
     previous = liouvs[phases[-1][0]]  # the record starts mid-train
-    y = vectorize(steady_state(previous))
-    block = _invariant_block([liouv.matrix for liouv in liouvs.values()], [previous.pump, y])
+    # the field enters M only on its diagonal, so every field shares the pump block
+    block = _invariant_block([previous.matrix], [previous.pump])
+    y = _steady(previous, block)
     frame = _real_frame(block, previous.dim)
     keys = [(b, duration / max(n_samples, 1)) for b, duration, n_samples in phases]
     steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block, frame))
@@ -525,15 +536,8 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
             z = np.append(rows[-1, :-1], 1.0)
             start, t_offset = end, t_offset + duration
 
-    meta = spec_meta(spec) | {
-        "solver": "expm",
-        "b0": schedule.b0,
-        "b1": schedule.b1,
-        "period": schedule.period,
-        "duty": schedule.duty,
-        "n_periods": schedule.n_periods,
-        "samples_per_period": schedule.samples_per_period,
-    }
+    names = ("b0", "b1", "period", "duty", "n_periods", "samples_per_period")
+    meta = spec_meta(spec) | {"solver": "expm"} | {name: getattr(schedule, name) for name in names}
     trace = TransientTrace(times, w, b, meta)
     return (trace, states) if keep_states else trace
 
@@ -547,20 +551,13 @@ def split_phases(trace: TransientTrace) -> list[TransientTrace]:
     if trace.times.size == 0:
         return []
     boundaries = [0] + list(np.flatnonzero(np.diff(trace.b) != 0) + 1) + [trace.times.size]
-    phases = []
-    for lo, hi in zip(boundaries[:-1], boundaries[1:]):
-        meta = dict(trace.meta)
-        meta["phase_b"] = float(trace.b[lo])
-        meta["phase_start"] = float(trace.times[lo])
-        phases.append(
-            TransientTrace(
-                trace.times[lo:hi] - trace.times[lo],
-                trace.w[lo:hi].copy(),
-                trace.b[lo:hi].copy(),
-                meta,
-            )
+    return [
+        TransientTrace(
+            trace.times[lo:hi] - trace.times[lo], trace.w[lo:hi].copy(), trace.b[lo:hi].copy(),
+            trace.meta | {"phase_b": float(trace.b[lo]), "phase_start": float(trace.times[lo])},
         )
-    return phases
+        for lo, hi in zip(boundaries[:-1], boundaries[1:])
+    ]
 
 
 def trajectory_physicality(states: np.ndarray) -> dict:

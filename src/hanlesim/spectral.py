@@ -25,7 +25,7 @@ from math import sqrt
 
 import numpy as np
 
-from .dynamics import MODAL_CONDITION_LIMIT, _decompose, _invariant_block, _Modes
+from .dynamics import MODAL_CONDITION_LIMIT, _as_vector, _decompose, _invariant_block, _Modes
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
@@ -103,24 +103,26 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     kind (``OBSERVABILITY_TOL``).  The amplitudes are verified to rebuild
     y0 - y_ss.
     """
-    return _annotated(liouv, _decompositions(liouv), y0)
+    return _annotated(liouv, _decompositions(liouv, _parts([liouv.matrix], liouv.pump)), y0)
 
 
-def _decompositions(liouv: Liouvillian) -> tuple[_Modes, ...]:
-    """The decompositions of M that make up its spectrum, pump block first.
+def _parts(matrices, pump) -> tuple[np.ndarray, ...]:
+    """Invariant blocks splitting every M with the pattern of ``matrices``, pump block first.
 
-    M maps nothing from the pump's invariant block to its complement.  When
-    it maps nothing back either (linear light), M is block diagonal up to a
-    permutation, and each of the two blocks is decomposed on its own;
-    otherwise, as with circular light on most transitions, the full M is.
-    The first decomposition holds the steady state.
+    M maps nothing from the pump's block to its complement.  When it maps
+    nothing back either (linear light), those are the two parts; otherwise,
+    as with circular light on most transitions, the one part is all of M.
     """
-    matrix = liouv.matrix
-    block = _invariant_block([matrix], [liouv.pump])
-    rest = np.setdiff1d(np.arange(liouv.size), block)
-    if rest.size and not matrix[np.ix_(block, rest)].any():
-        return _decompose(liouv, block), _decompose(liouv, rest)
-    return (_decompose(liouv, np.arange(liouv.size)),)
+    block = _invariant_block(matrices, [pump])
+    rest = np.setdiff1d(np.arange(pump.size), block)
+    if rest.size and not any(matrix[np.ix_(block, rest)].any() for matrix in matrices):
+        return block, rest
+    return (np.arange(pump.size),)
+
+
+def _decompositions(liouv: Liouvillian, parts) -> tuple[_Modes, ...]:
+    """M decomposed on each of its ``parts``; the first decomposition holds the steady state."""
+    return tuple(_decompose(liouv, part) for part in parts)
 
 
 def _annotated(liouv: Liouvillian, parts, y0=None) -> list[EigenMode]:
@@ -146,7 +148,7 @@ def _annotated(liouv: Liouvillian, parts, y0=None) -> list[EigenMode]:
                 f"eigenvector matrix condition number {cond:.3e}; amplitudes may be inaccurate",
                 stacklevel=3,
             )
-        y0 = np.asarray(y0, dtype=complex).reshape(-1)
+        y0 = _as_vector(y0, liouv.size)
         offset = y0 - parts[0].y_ss
         amps = np.concatenate([part.amplitudes(y0) for part in parts])
         residual = np.linalg.norm(vecs @ amps - offset)
@@ -300,9 +302,10 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     is analyzed at fields 0 ("B0") and ``b1`` ("B1"); observability uses the
     switched-field initial condition (the steady state of the other case).
     M is assembled once for the sweep (see :func:`affine_liouvillian`), and
-    each case is decomposed once, its steady state coming from the pump
-    block, outside which it vanishes.  Returns {(intensity, case): list of
-    EigenMode}.
+    its pump block and split are found once, from the pattern of its parts.
+    Each case is decomposed once; its steady state comes from the one
+    checked steady solve on the pump block, outside which it vanishes.
+    Returns {(intensity, case): list of EigenMode}.
     """
     return {(intensity, case): modes for intensity, case, modes in _sweep(spec, intensities, b1)}
 
@@ -310,13 +313,15 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
 def _sweep(spec: TransitionSpec, intensities, b1: float):
     """Yield (intensity, case, modes) of :func:`sweep_modes` in grid order, B0 before B1."""
     affine = affine_liouvillian(spec)
+    # the field part is diagonal, so it reaches nothing and splits nothing the others do not
+    parts = _parts([affine.base, affine.drive], affine.pump)
     for intensity in intensities:
         rabi = spec.with_intensity(intensity).rabi
         liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}
-        parts = {case: _decompositions(liouv) for case, liouv in liouvs.items()}
+        decomposed = {case: _decompositions(liouv, parts) for case, liouv in liouvs.items()}
         for case, other in (("B0", "B1"), ("B1", "B0")):
             # initial condition: the system was sitting in the other phase's steady state
-            modes = _annotated(liouvs[case], parts[case], parts[other][0].y_ss)
+            modes = _annotated(liouvs[case], decomposed[case], decomposed[other][0].y_ss)
             yield float(intensity), case, classify_groups(modes, spec.gamma)
 
 

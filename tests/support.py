@@ -1,5 +1,7 @@
 """Shared helpers for the test suite."""
 
+import inspect
+
 import numpy as np
 
 import hanlesim.liouvillian as liouvillian
@@ -71,3 +73,20 @@ def count_assemblies(monkeypatch) -> list:
     lindblad = liouvillian._lindblad
     monkeypatch.setattr(liouvillian, "_lindblad", lambda *args: calls.append(1) or lindblad(*args))
     return calls
+
+
+def record_shapes(monkeypatch, name) -> list:
+    """A list that grows by the shape of the first argument of each np.linalg.<name> call.
+
+    Calls from inside numpy.linalg (the SVD in ``cond``) are recorded too.
+    """
+    shapes = []
+    kernel = getattr(np.linalg, name)
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return kernel(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, name, recorded)
+    monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, name, recorded)
+    return shapes

@@ -1,11 +1,11 @@
-"""Properties of the invariant block, the propagators, the split spectrum and the affine parts of M, over random transitions."""
+"""Properties over random transitions: invariant block, steady state, propagators, split spectrum, affine M."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
@@ -70,6 +70,51 @@ def test_block_is_invariant_and_shared_by_every_field(spec):
     np.testing.assert_array_equal(
         dynamics._invariant_block([other.matrix], [other.pump, y0]), block
     )
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_steady_state_is_physical_and_equals_the_full_solve(spec):
+    liouv = build_liouvillian(spec)
+    sigma = steady_state(liouv)
+    assert np.abs(sigma - sigma.conj().T).max() <= 1e-12
+    assert np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0).min() >= -1e-12
+    assert abs(np.trace(sigma) - 1.0) <= 1e-12
+    full = np.linalg.solve(liouv.matrix, -liouv.pump)
+    assert np.abs(vectorize(sigma) - full).max() <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_trace_relaxes_at_the_transit_rate_and_the_pump_feeds_it(spec):
+    # d Tr(sigma)/dt = vec(I)^T (M y + p0) = gamma (1 - Tr sigma); 0 -> 0 has no
+    # dipole, so its excited state decays into no ground level
+    assume(spec.fg.twice_f + spec.fe.twice_f > 0)
+    liouv = build_liouvillian(spec)
+    identity = np.eye(spec.dim).reshape(-1)
+    scale = np.abs(liouv.matrix).max()
+    assert np.abs(identity @ liouv.matrix + spec.gamma * identity).max() <= 1e-14 * scale
+    assert abs(identity @ liouv.pump - spec.gamma) <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_linear_x_and_linear_y_give_the_same_steady_absorption(spec):
+    # the two differ by a rotation about the field axis, which leaves M's physics unchanged
+    w = []
+    for pol in ("linear-x", "linear-y"):
+        liouv = build_liouvillian(replace(spec, pol=pol))
+        w.append((liouv.absorption_row @ vectorize(steady_state(liouv))).real)
+    assert abs(w[0] - w[1]) <= 1e-12 * max(abs(w[0]), 1e-3)
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_singular_steady_solve_reports_the_condition_number(spec):
+    liouv = build_liouvillian(spec)
+    singular = replace(liouv, matrix=np.zeros_like(liouv.matrix))
+    with pytest.raises(np.linalg.LinAlgError, match=r"solve failed \(condition number inf\)"):
+        steady_state(singular)
 
 
 @PROPERTY_SETTINGS

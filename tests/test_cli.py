@@ -12,7 +12,7 @@ import pytest
 from hanlesim import absorption, build_liouvillian, list_presets, load_trace, transit_time
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 
-from support import count_assemblies, eia_spec
+from support import count_assemblies, eia_spec, record_shapes
 
 TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
 
@@ -313,6 +313,13 @@ class TestSteady:
         assert run(["steady", "--fg", "1", "--fe", "2", "--scan-b-points", str(points),
                     "--output", str(tmp_path / "scan.csv")]) == EXIT_OK
         assert len(calls) <= 3
+
+    def test_solves_on_the_pump_block(self, monkeypatch, tmp_path):
+        # 1 -> 2 linear light: the pump block holds 34 of the 64 Liouville indices
+        shapes = record_shapes(monkeypatch, "solve")
+        assert run(["steady", "--fg", "1", "--fe", "2", "--scan-b-points", "5",
+                    "--output", str(tmp_path / "scan.csv")]) == EXIT_OK
+        assert shapes == [(34, 34)] * 5
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.06",

@@ -14,6 +14,7 @@ from hanlesim import (
     TransitionSpec,
     absorption,
     build_liouvillian,
+    eigenmodes,
     propagate_integrated,
     propagate_modal,
     split_phases,
@@ -25,7 +26,7 @@ from hanlesim import (
 )
 from hanlesim.cli import _ATOMIC_MASS_KG
 
-from support import GAMMA, eia_spec, eit_spec, rk4_phases, steady_vector
+from support import GAMMA, eia_spec, eit_spec, record_shapes, rk4_phases, steady_vector
 
 
 def augmented(liouv):
@@ -169,10 +170,31 @@ class TestPropagators:
     def test_exponential_refuses_a_matrix_that_breaks_hermiticity(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
         liouv = build_liouvillian(eia_spec(0.06).with_field(0.03))
-        skewed = dataclasses.replace(liouv, matrix=liouv.matrix * (1.0 + 0.1j))
+        # K = M + p0 vec(I)^T annihilates the steady state (its trace is 1), so
+        # M + 0.1i K keeps it exact and passes the checked steady solve
+        skew = liouv.matrix + np.outer(liouv.pump, np.eye(liouv.dim).reshape(-1))
+        skewed = dataclasses.replace(liouv, matrix=liouv.matrix + 0.1j * skew)
         with pytest.warns(UserWarning, match="condition"):
             with pytest.raises(ValueError, match="does not preserve Hermiticity"):
                 propagate_modal(skewed, steady_vector(eia_spec(0.06), 0.0), [0.0, 1.0])
+
+    def test_a_skew_that_moves_the_steady_state_stops_at_the_steady_solve(self):
+        # M (1 + 0.1i) scales the steady state by 1 / (1 + 0.1i): trace 1/1.01
+        liouv = build_liouvillian(eia_spec(0.06).with_field(0.03))
+        skewed = dataclasses.replace(liouv, matrix=liouv.matrix * (1.0 + 0.1j))
+        with pytest.raises(np.linalg.LinAlgError, match=r"steady-state trace 0\.990099\d* is not 1$"):
+            propagate_modal(skewed, steady_vector(eia_spec(0.06), 0.0), [0.0, 1.0])
+
+    @pytest.mark.parametrize("propagate", [
+        lambda liouv, y0: propagate_modal(liouv, y0, [0.0, 1.0]),
+        lambda liouv, y0: propagate_integrated(liouv, y0, dt=0.05, t_end=1.0),
+        eigenmodes,
+    ], ids=["modal", "integrated", "eigenmodes"])
+    @pytest.mark.parametrize("y0", [np.zeros(9), np.zeros((3, 3))], ids=["vector", "matrix"])
+    def test_wrong_size_initial_state_names_both_sizes(self, propagate, y0):
+        liouv = build_liouvillian(eit_spec(0.02))  # 1 -> 0: 16 Liouville entries
+        with pytest.raises(ValueError, match=r"^initial state has 9 Liouville entries; the model has 16$"):
+            propagate(liouv, y0)
 
 
 class TestSwitchSchedule:
@@ -352,6 +374,17 @@ class TestSwitchedTransient:
         switched_transient(eia_spec(0.06, pol=pol), schedule)
         assert all(dtypes.values())
         assert {dtype for seen in dtypes.values() for dtype in seen} == {np.dtype(np.float64)}
+
+    def test_solves_nothing_larger_than_the_pump_block(self, monkeypatch):
+        # 3 -> 4 linear light: the pump block holds 130 of the 256 Liouville indices
+        spec = TransitionSpec(fg=3, fe=4, rabi=0.0, gamma=GAMMA).with_intensity(0.06)
+        liouv = build_liouvillian(spec)
+        assert dynamics._invariant_block([liouv.matrix], [liouv.pump]).size == 130
+        shapes = record_shapes(monkeypatch, "solve")
+        switched_transient(spec, SwitchSchedule(b1=0.02, samples_per_period=40))
+        # the steady solve on the block, and the exponential's Pade solve on its
+        # augmented generator [[M, p0], [0, 0]], one larger
+        assert set(shapes) == {(130, 130), (131, 131)}
 
 
 def test_physicality_matches_per_sample_reference():

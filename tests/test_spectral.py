@@ -1,11 +1,10 @@
 """Eigenmode machinery, observability, dark states, the open three-level model."""
 
-import inspect
-
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import hanlesim.spectral as spectral
 from hanlesim import (
     OpenLambdaSpec,
     build_liouvillian,
@@ -30,6 +29,7 @@ from support import (
     eia_spec,
     eit_spec,
     nearest_match_distance,
+    record_shapes,
     steady_vector,
 )
 
@@ -295,23 +295,6 @@ def full_eig_sweep(spec, intensities, b1):
     return out
 
 
-def record_shapes(monkeypatch, name) -> list:
-    """A list that grows by the shape of the first argument of each np.linalg.<name> call.
-
-    Calls from inside numpy.linalg (the SVD in ``cond``) are recorded too.
-    """
-    shapes = []
-    kernel = getattr(np.linalg, name)
-
-    def recorded(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return kernel(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, name, recorded)
-    monkeypatch.setitem(inspect.unwrap(np.linalg.cond).__globals__, name, recorded)
-    return shapes
-
-
 class TestSplitSweep:
     @pytest.mark.parametrize("preset", ["fig7a", "fig7b"])
     def test_matches_full_eig_reference(self, preset):
@@ -345,6 +328,13 @@ class TestSplitSweep:
         calls = count_assemblies(monkeypatch)
         sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, points), b1=0.01)
         assert len(calls) <= 3
+
+    def test_finds_the_block_once_per_sweep(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(spectral, "_invariant_block",
+                            lambda *args: calls.append(1) or _invariant_block(*args))
+        sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
     @pytest.mark.parametrize("pol", ["linear-x", "linear-y"])
