@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import traceio
-from .dynamics import (SwitchSchedule, _invariant_block, _steady, split_phases, switched_transient,
+from .dynamics import (SwitchSchedule, _pump_block, _steady, split_phases, switched_transient,
                        transit_time)
 from .fit import fit as fit_trace, model_for_phase
 from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta
@@ -263,8 +263,7 @@ def cmd_steady(args) -> int:
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
     affine = affine_liouvillian(spec)
     absorption_row = affine.at(spec.rabi, 0.0).absorption_row  # W does not depend on the field
-    # the field part is diagonal, so it reaches nothing the others do not
-    block = _invariant_block([affine.base, affine.drive], [affine.pump])
+    block = _pump_block(affine)
     rows = []
     for b in grid:
         w = absorption_row @ _steady(affine.at(spec.rabi, float(b)), block)
@@ -341,8 +340,6 @@ def _add_physics_flags(parser):
     parser.add_argument("--dipole-scale", type=float, dest="dipole_scale",
                         help="relative transition strength factor")
     parser.add_argument("--polarization", help="linear-x, linear-y, sigma+ or sigma-")
-    parser.add_argument("--b1", type=float, help="switched-on magnetic field")
-    parser.add_argument("--b0", type=float, help="switched-off magnetic field")
 
 
 def _add_fit_flags(parser):
@@ -366,6 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("transient", help="simulate a switched-field transient")
     _add_common(p)
     _add_physics_flags(p)
+    p.add_argument("--b1", type=float, help="switched-on magnetic field")
+    p.add_argument("--b0", type=float, help="switched-off magnetic field")
     p.add_argument("--period", type=float, help="switching period")
     p.add_argument("--duty", type=float, help="fraction of the period at b0")
     p.add_argument("--n-periods", type=int, dest="n_periods", help="number of periods")
@@ -380,6 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="relaxation modes over an intensity grid")
     _add_common(p)
     _add_physics_flags(p)
+    p.add_argument("--b1", type=float, help="field of the B1 case")
     p.add_argument("--sweep-min", type=float, dest="sweep_min",
                    help="smallest intensity of the geometric grid")
     p.add_argument("--sweep-max", type=float, dest="sweep_max",

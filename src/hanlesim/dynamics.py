@@ -45,9 +45,9 @@ the same real exponential advances.
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
 of the record is the steady state of the phase preceding it, which is where a
-periodically driven system settles after a few transit times.  The Zeeman
-terms are diagonal, so both fields share one block, and each pair of field
-and sample step is exponentiated once per transient.
+periodically driven system settles after a few transit times.  Both fields'
+M come from one set of affine parts and share its pump block, and each pair
+of field and sample step is exponentiated once per transient.
 """
 
 from __future__ import annotations
@@ -59,9 +59,10 @@ from math import ceil, factorial, isfinite, log2, sqrt
 import numpy as np
 
 from .liouvillian import (
+    AffineLiouvillian,
     Liouvillian,
     TransitionSpec,
-    build_liouvillian,
+    affine_liouvillian,
     devectorize,
     spec_meta,
     vectorize,
@@ -237,6 +238,12 @@ def _invariant_block(matrices, seeds) -> np.ndarray:
     return np.flatnonzero(reached)
 
 
+def _pump_block(affine: AffineLiouvillian) -> np.ndarray:
+    """The pump's invariant block of M(rabi, b) at every rabi and b: the field enters M only
+    on its diagonal, so it reaches nothing that the base and drive parts do not."""
+    return _invariant_block([affine.base, affine.drive], [affine.pump])
+
+
 @dataclass(frozen=True)
 class _Modes:
     """One eigendecomposition of M on an invariant block, with absorption weights.
@@ -249,7 +256,6 @@ class _Modes:
     lam: np.ndarray
     vecs: np.ndarray
     y_ss: np.ndarray
-    cond: float
     w_modes: np.ndarray
     w_ss: float
 
@@ -264,9 +270,7 @@ def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
     y_ss = _steady(liouv, block) if liouv.pump[block].any() else np.zeros(liouv.size, dtype=complex)
     lam, vecs = np.linalg.eig(liouv.matrix[np.ix_(block, block)])
     row = liouv.absorption_row[block]
-    return _Modes(
-        block, lam, vecs, y_ss, np.linalg.cond(vecs), row @ vecs, (row @ y_ss[block]).real
-    )
+    return _Modes(block, lam, vecs, y_ss, row @ vecs, (row @ y_ss[block]).real)
 
 
 def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, keep_states=False):
@@ -412,12 +416,12 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0, liouv.size)
     modes = _decompose(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
-    if modes.cond <= MODAL_CONDITION_LIMIT:
+    if (cond := np.linalg.cond(modes.vecs)) <= MODAL_CONDITION_LIMIT:
         w_t, states = _modal_run(modes, y0, times, keep_states=keep_states)
         return _sampled(liouv, times, w_t, states, "modal")
 
     warnings.warn(
-        f"eigenvector condition number {modes.cond:.3e} too large for the modal "
+        f"eigenvector condition number {cond:.3e} too large for the modal "
         "solver; using the matrix exponential",
         stacklevel=2,
     )
@@ -504,13 +508,12 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     TransientTrace, or (TransientTrace, ndarray) with ``keep_states``.
     """
     phases = [phase for phase in schedule.phases() if phase[1] > 0]
+    affine = affine_liouvillian(spec)
     # one entry when b0 == b1 or when a phase has no duration
-    liouvs = {b: build_liouvillian(spec.with_field(b)) for b, _, _ in phases}
-    previous = liouvs[phases[-1][0]]  # the record starts mid-train
-    # the field enters M only on its diagonal, so every field shares the pump block
-    block = _invariant_block([previous.matrix], [previous.pump])
-    y = _steady(previous, block)
-    frame = _real_frame(block, previous.dim)
+    liouvs = {b: affine.at(spec.rabi, b) for b, _, _ in phases}
+    block = _pump_block(affine)
+    y = _steady(liouvs[phases[-1][0]], block)  # the record starts mid-train
+    frame = _real_frame(block, spec.dim)
     keys = [(b, duration / max(n_samples, 1)) for b, duration, n_samples in phases]
     steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block, frame))
              for key in dict.fromkeys(keys)}
@@ -518,7 +521,7 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     # the whole record is allocated before any step, so one too large fails at once
     total = schedule.n_periods * sum(n for _, _, n in phases)
     times, w, b = np.empty(total), np.empty(total), np.empty(total)
-    states = np.zeros((total, previous.size), dtype=complex) if keep_states else None
+    states = np.zeros((total, spec.dim**2), dtype=complex) if keep_states else None
     grids = [np.linspace(0.0, duration, n, endpoint=False) for _, duration, n in phases]
     start, t_offset = 0, 0.0
     z = np.append((frame.conj().T @ y[block]).real, 1.0)  # the steady state is Hermitian

@@ -24,9 +24,9 @@ private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
 their operators and call it.  M is affine in the Rabi frequency and in the
 field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from three calls of the builder, so a scan over either needs no
-further assembly.  :func:`spec_meta` is the one set of provenance keys that
-every output recording a transition writes.
+those parts from one assembly, and transients, scans and spectra evaluate M
+from them.  :func:`spec_meta` is the one set of provenance keys that every
+output recording a transition writes.
 
 The absorption rate observable is
 
@@ -78,7 +78,7 @@ class TransitionSpec:
     Parameters
     ----------
     fg, fe : AngMom or number
-        Ground and excited angular momenta, ``|Fg - Fe| <= 1``.
+        Ground and excited angular momenta, ``|Fg - Fe| <= 1``, not both 0.
     rabi : float
         Reduced Rabi frequency Omega >= 0.  The driving strength enters only
         through ``dipole_scale * rabi**2``, exposed as :attr:`intensity`.
@@ -123,6 +123,8 @@ class TransitionSpec:
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if abs(self.fg.twice_f - self.fe.twice_f) > 2:
             raise ValueError(f"|Fg - Fe| must be <= 1, got Fg={self.fg.f}, Fe={self.fe.f}")
+        if self.fg.twice_f == self.fe.twice_f == 0:
+            raise ValueError("0 -> 0 has no dipole: its excited state decays into no ground level")
         if self.rabi < 0:
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
         if self.gamma <= 0:
@@ -313,10 +315,9 @@ class AffineLiouvillian:
     """M(rabi, b) = base + rabi * drive + b * diag(field) of one transition.
 
     The Rabi frequency enters M only through the optical coupling in H, and
-    the magnetic field only through the diagonal Zeeman terms, so three
-    assemblies fix M at every (rabi, b); p0, W and the other parameters do
-    not depend on either.  Build it with :func:`affine_liouvillian`.
-    ``meta`` holds the :func:`spec_meta` keys of the transition.
+    the field only through the diagonal Zeeman terms, so only on the diagonal
+    of M; p0, W and the other parameters depend on neither.  Build it with
+    :func:`affine_liouvillian`; ``meta`` holds the :func:`spec_meta` keys.
     """
 
     base: np.ndarray
@@ -335,21 +336,25 @@ class AffineLiouvillian:
 
 
 def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
-    """The affine parts of M, from :func:`build_liouvillian` at (rabi, b) = (0, 0), (1, 0), (0, 1).
+    """The affine parts of M: ``base`` from one :func:`build_liouvillian` at (rabi, b) = (0, 0),
+    ``drive`` the assembler's -i[H, .] for H the optical coupling at unit Rabi frequency, and
+    ``field`` -i(z_i - z_j) at index (i, j), for z the Zeeman diagonal of H at unit field.
 
     Raises
     ------
     ValueError
-        If the field changes M off its diagonal, which would make the
-        diagonal field part wrong.
+        If the Zeeman terms have an entry off the diagonal: M would not be affine in the field.
     """
     base = build_liouvillian(replace(spec, rabi=0.0, b_field=0.0))
-    drive = build_liouvillian(replace(spec, rabi=1.0, b_field=0.0)).matrix - base.matrix
-    field_part = build_liouvillian(replace(spec, rabi=0.0, b_field=1.0)).matrix - base.matrix
-    diagonal = np.diagonal(field_part).copy()
-    if np.any(field_part - np.diag(diagonal)):
+    zeeman = hamiltonian(replace(spec, rabi=0.0, b_field=1.0, detuning=0.0))
+    z = np.diagonal(zeeman)
+    if np.any(zeeman - np.diag(z)):
         raise ValueError("the magnetic field enters M off its diagonal; M is not affine in it")
-    return AffineLiouvillian(base.matrix, drive, diagonal, base.pump, base.coupling, spec_meta(spec))
+    optical = hamiltonian(replace(spec, rabi=1.0, b_field=0.0, detuning=0.0))
+    no_decay = np.zeros((spec.dim, spec.dim))
+    drive = _lindblad(optical, no_decay, [], no_decay, 0.0, base.coupling, 0.0, {}).matrix
+    shifts = -1j * (z[:, None] - z[None, :]).reshape(-1)
+    return AffineLiouvillian(base.matrix, drive, shifts, base.pump, base.coupling, spec_meta(spec))
 
 
 def vectorize(sigma: np.ndarray) -> np.ndarray:

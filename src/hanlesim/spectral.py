@@ -19,13 +19,12 @@ generator comes from the same Lindblad assembler as the full model.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from math import sqrt
+from math import isfinite, sqrt
 
 import numpy as np
 
-from .dynamics import MODAL_CONDITION_LIMIT, _as_vector, _decompose, _invariant_block, _Modes
+from .dynamics import _as_vector, _decompose, _invariant_block, _Modes, _pump_block
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
@@ -103,30 +102,26 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     kind (``OBSERVABILITY_TOL``).  The amplitudes are verified to rebuild
     y0 - y_ss.
     """
-    return _annotated(liouv, _decompositions(liouv, _parts([liouv.matrix], liouv.pump)), y0)
+    parts = _parts([liouv.matrix], _invariant_block([liouv.matrix], [liouv.pump]))
+    return _annotated(liouv, [_decompose(liouv, part) for part in parts], y0)
 
 
-def _parts(matrices, pump) -> tuple[np.ndarray, ...]:
-    """Invariant blocks splitting every M with the pattern of ``matrices``, pump block first.
+def _parts(matrices, block) -> tuple[np.ndarray, ...]:
+    """Invariant blocks splitting every M with the pattern of ``matrices``, pump ``block`` first.
 
     M maps nothing from the pump's block to its complement.  When it maps
     nothing back either (linear light), those are the two parts; otherwise,
     as with circular light on most transitions, the one part is all of M.
     """
-    block = _invariant_block(matrices, [pump])
-    rest = np.setdiff1d(np.arange(pump.size), block)
+    size = matrices[0].shape[0]
+    rest = np.setdiff1d(np.arange(size), block)
     if rest.size and not any(matrix[np.ix_(block, rest)].any() for matrix in matrices):
         return block, rest
-    return (np.arange(pump.size),)
+    return (np.arange(size),)
 
 
-def _decompositions(liouv: Liouvillian, parts) -> tuple[_Modes, ...]:
-    """M decomposed on each of its ``parts``; the first decomposition holds the steady state."""
-    return tuple(_decompose(liouv, part) for part in parts)
-
-
-def _annotated(liouv: Liouvillian, parts, y0=None) -> list[EigenMode]:
-    """Sorted EigenMode records of the decompositions ``parts`` of M (see :func:`eigenmodes`)."""
+def _annotated(liouv: Liouvillian, parts: list[_Modes], y0=None) -> list[EigenMode]:
+    """Sorted EigenMode records of the decompositions ``parts`` of M, pump block first."""
     lam = np.concatenate([part.lam for part in parts])
     weights = np.concatenate([part.w_modes for part in parts])
     vecs = np.zeros((liouv.size, liouv.size), dtype=complex)
@@ -142,12 +137,6 @@ def _annotated(liouv: Liouvillian, parts, y0=None) -> list[EigenMode]:
         )
     amps = observable = [None] * lam.size
     if y0 is not None:
-        cond = max(part.cond for part in parts)
-        if cond > MODAL_CONDITION_LIMIT:
-            warnings.warn(
-                f"eigenvector matrix condition number {cond:.3e}; amplitudes may be inaccurate",
-                stacklevel=3,
-            )
         y0 = _as_vector(y0, liouv.size)
         offset = y0 - parts[0].y_ss
         amps = np.concatenate([part.amplitudes(y0) for part in parts])
@@ -250,6 +239,9 @@ class OpenLambdaSpec:
     sink_fraction: float = 1.0 / 3.0
 
     def __post_init__(self):
+        for name in ("rabi", "gamma", "detuning", "zeeman", "sink_fraction"):
+            if not isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.rabi < 0:
             raise ValueError(f"rabi must be >= 0, got {self.rabi}")
         if self.gamma <= 0:
@@ -313,12 +305,11 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
 def _sweep(spec: TransitionSpec, intensities, b1: float):
     """Yield (intensity, case, modes) of :func:`sweep_modes` in grid order, B0 before B1."""
     affine = affine_liouvillian(spec)
-    # the field part is diagonal, so it reaches nothing and splits nothing the others do not
-    parts = _parts([affine.base, affine.drive], affine.pump)
+    parts = _parts([affine.base, affine.drive], _pump_block(affine))
     for intensity in intensities:
         rabi = spec.with_intensity(intensity).rabi
         liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}
-        decomposed = {case: _decompositions(liouv, parts) for case, liouv in liouvs.items()}
+        decomposed = {case: [_decompose(m, part) for part in parts] for case, m in liouvs.items()}
         for case, other in (("B0", "B1"), ("B1", "B0")):
             # initial condition: the system was sitting in the other phase's steady state
             modes = _annotated(liouvs[case], decomposed[case], decomposed[other][0].y_ss)

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
@@ -41,9 +41,13 @@ def general_polarizations(draw):
 
 @st.composite
 def transitions(draw):
-    """Fg <= 3, |Fg - Fe| <= 1 (half-integers included), any polarization, field and intensity."""
+    """Fg <= 3, |Fg - Fe| <= 1 (half-integers included), any polarization, field and intensity.
+
+    0 -> 0 is left out: it has no dipole, and TransitionSpec rejects it.
+    """
     twice_fg = draw(st.integers(0, 6))
-    twice_fe = draw(st.sampled_from([t for t in (twice_fg - 2, twice_fg, twice_fg + 2) if t >= 0]))
+    twice_fe = draw(st.sampled_from([t for t in (twice_fg - 2, twice_fg, twice_fg + 2)
+                                     if t >= 0 and t + twice_fg > 0]))
     pol = draw(st.one_of(st.sampled_from(NAMED_POLARIZATIONS), general_polarizations()))
     intensity = draw(st.floats(1e-3, 2.0))
     b_field = draw(st.floats(-0.1, 0.1))
@@ -87,9 +91,7 @@ def test_steady_state_is_physical_and_equals_the_full_solve(spec):
 @PROPERTY_SETTINGS
 @given(transitions())
 def test_trace_relaxes_at_the_transit_rate_and_the_pump_feeds_it(spec):
-    # d Tr(sigma)/dt = vec(I)^T (M y + p0) = gamma (1 - Tr sigma); 0 -> 0 has no
-    # dipole, so its excited state decays into no ground level
-    assume(spec.fg.twice_f + spec.fe.twice_f > 0)
+    # d Tr(sigma)/dt = vec(I)^T (M y + p0) = gamma (1 - Tr sigma)
     liouv = build_liouvillian(spec)
     identity = np.eye(spec.dim).reshape(-1)
     scale = np.abs(liouv.matrix).max()
@@ -212,6 +214,26 @@ def test_affine_parts_reproduce_the_assembled_matrix(spec, detuning, zeeman_e, d
     np.testing.assert_array_equal(liouv.coupling, expected.coupling)
     assert liouv.b_field == expected.b_field
     assert liouv.meta == expected.meta
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.5, 3.0))
+def test_affine_parts_equal_differences_of_assemblies(spec, detuning, zeeman_e, dipole_scale):
+    # the parts' reference derivation: assemblies at (rabi, b) = (0, 0), (1, 0) and (0, 1)
+    spec = replace(spec, detuning=detuning, zeeman_e=zeeman_e, dipole_scale=dipole_scale)
+    affine = affine_liouvillian(spec)
+    base = build_liouvillian(replace(spec, rabi=0.0, b_field=0.0)).matrix
+    drive = build_liouvillian(replace(spec, rabi=1.0, b_field=0.0)).matrix - base
+    field_on = build_liouvillian(replace(spec, rabi=0.0, b_field=1.0)).matrix
+    field = field_on - base
+    np.testing.assert_array_equal(affine.base, base)
+    assert np.abs(affine.drive - drive).max() <= 1e-15 * np.abs(drive).max()
+    diagonal = np.diagonal(field)
+    assert not np.any(field - np.diag(diagonal))
+    assert affine.field.shape == diagonal.shape
+    # the difference rounds at the size of -i(H_ii - H_jj), which holds the detuning too
+    scale = np.abs(np.diagonal(field_on).imag).max()
+    assert np.abs(affine.field - diagonal).max() <= 1e-15 * scale
 
 
 @PROPERTY_SETTINGS

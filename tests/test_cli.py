@@ -164,7 +164,10 @@ class TestExitCodes:
         (["transient", "--fg", "1e6", "--fe", "1e6"], None),
         (["transient"], {"samples_per_period": 1e20}),
         (["transient"], {"n_periods": float("inf")}),
-    ], ids=["samples", "scan-points", "fg-1e300", "fg-1e6", "config-samples", "config-inf"])
+        (["steady", "--fg", "0", "--fe", "0"], None),
+        (["transient", "--fg", "0", "--fe", "0", "--samples-per-period", "4"], None),
+    ], ids=["samples", "scan-points", "fg-1e300", "fg-1e6", "config-samples", "config-inf",
+            "steady-0-0", "transient-0-0"])
     def test_sizes_numpy_cannot_index_exit_2(self, tmp_path, capsys, argv, config):
         out = tmp_path / "o.csv"
         if config is not None:
@@ -173,6 +176,19 @@ class TestExitCodes:
             argv = argv + ["--config", str(cfg)]
         assert run(argv + ["--output", str(out)]) == EXIT_USAGE
         assert "hanlesim: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--preset", "fig7a", "--b0", "0.5"],
+        ["steady", "--b0", "0.5"],
+        ["steady", "--b1", "0.7"],
+    ], ids=["spectrum-b0", "steady-b0", "steady-b1"])
+    def test_flag_the_command_ignores_is_unknown(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--output", str(out)])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
 
     # 10**17 periods pass the index bound but ask for a record of hundreds of PiB,

@@ -9,6 +9,7 @@ import scipy.linalg
 from scipy.constants import atomic_mass, k as boltzmann
 
 import hanlesim.dynamics as dynamics
+import hanlesim.liouvillian as liouvillian
 from hanlesim import (
     SwitchSchedule,
     TransitionSpec,
@@ -321,6 +322,22 @@ class TestSwitchedTransient:
         expected = np.array(expected)
         assert np.abs(trace.w - expected).max() <= 1e-9 * np.abs(expected).max()
         assert np.ptp(expected) > 1e-4 * np.abs(expected).max()  # the excursion shows
+
+    def test_assembles_the_full_matrix_once(self, monkeypatch):
+        # each field's M comes from the affine parts, which one assembly gives
+        calls = []
+        build = liouvillian.build_liouvillian
+
+        def counted(spec):
+            calls.append(spec)
+            return build(spec)
+
+        # counted whether dynamics calls the builder itself or through affine_liouvillian
+        monkeypatch.setattr(liouvillian, "build_liouvillian", counted)
+        monkeypatch.setattr(dynamics, "build_liouvillian", counted, raising=False)
+        schedule = SwitchSchedule(b1=0.03, b0=0.01, period=1000.0, samples_per_period=200)
+        switched_transient(eia_spec(0.06), schedule)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("n_periods", [1, 3])
     def test_calls_no_eig_or_svd(self, monkeypatch, n_periods):

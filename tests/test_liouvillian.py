@@ -75,7 +75,7 @@ def test_assembler_equals_the_kronecker_form_bit_for_bit(monkeypatch, pol):
     monkeypatch.setattr(liouvillian, "_lindblad", lambda *args: calls.append(args) or lindblad(*args))
     for twice_fg in range(7):
         for twice_fe in (twice_fg - 2, twice_fg, twice_fg + 2):
-            if twice_fe < 0:
+            if twice_fe < 0 or twice_fg + twice_fe == 0:  # 0 -> 0 has no dipole
                 continue
             spec = TransitionSpec(fg=twice_fg / 2, fe=twice_fe / 2, rabi=0.7, gamma=0.002,
                                   detuning=0.13, zeeman_e=0.4, b_field=0.03, pol=pol)
@@ -218,6 +218,8 @@ class TestTransitionSpec:
             TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(1.0, 0.0))
+        with pytest.raises(ValueError, match="0 -> 0"):
+            TransitionSpec(fg=0, fe=0, rabi=0.1, gamma=0.002)
         for bad in (float("nan"), float("inf")):
             for name in ("rabi", "gamma", "detuning", "zeeman_g", "zeeman_e", "b_field",
                          "dipole_scale"):
@@ -271,6 +273,14 @@ class TestAffineParts:
         np.testing.assert_allclose(liouv.matrix, expected.matrix, rtol=0, atol=1e-15)
         assert liouv.meta == expected.meta
         assert liouv.b_field == 0.01
+
+    def test_assembles_the_full_matrix_once(self, monkeypatch):
+        calls = []
+        build = liouvillian.build_liouvillian
+        monkeypatch.setattr(liouvillian, "build_liouvillian",
+                            lambda spec: calls.append(spec) or build(spec))
+        affine_liouvillian(eia_spec(0.3, detuning=0.1).with_field(0.02))
+        assert len(calls) == 1
 
     def test_parts_do_not_change_between_evaluations(self):
         affine = affine_liouvillian(eit_spec(0.0))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+import hanlesim.dynamics as dynamics
 import hanlesim.spectral as spectral
 from hanlesim import (
     OpenLambdaSpec,
@@ -239,6 +240,12 @@ class TestOpenLambda:
         assert trace.meta == {"model": "OpenLambdaSpec", "solver": "modal", "b_field": 0.01}
         np.testing.assert_array_equal(trace.b, [0.01, 0.01])
 
+    @pytest.mark.parametrize("name", ["rabi", "gamma", "detuning", "zeeman", "sink_fraction"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_parameters(self, name, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            OpenLambdaSpec(**{"rabi": 0.3, "gamma": GAMMA, name: bad})
+
     def test_trace_preserving(self):
         liouv = open_lambda_liouvillian(OpenLambdaSpec(rabi=0.3, gamma=GAMMA, zeeman=0.01))
         identity = vectorize(np.eye(4))
@@ -331,8 +338,9 @@ class TestSplitSweep:
 
     def test_finds_the_block_once_per_sweep(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(spectral, "_invariant_block",
-                            lambda *args: calls.append(1) or _invariant_block(*args))
+        for module in (spectral, dynamics):
+            monkeypatch.setattr(module, "_invariant_block",
+                                lambda *args: calls.append(1) or _invariant_block(*args))
         sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
         assert len(calls) == 1
 
@@ -345,6 +353,7 @@ class TestSplitSweep:
         assert block_size < liouv.size
         shapes = {name: record_shapes(monkeypatch, name) for name in ("eig", "svd", "solve")}
         sweep_modes(spec, (0.02, 0.3, 2.0), b1=0.01)
+        assert shapes.pop("svd") == []  # no condition number is taken
         for name, recorded in shapes.items():
             assert recorded, name
             assert max(max(shape) for shape in recorded) <= block_size, name
