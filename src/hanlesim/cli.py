@@ -27,8 +27,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import traceio
-from .dynamics import (SwitchSchedule, _pump_block, _steady, split_phases, switched_transient,
-                       transit_time)
+from .dynamics import SwitchSchedule, _steady, split_phases, switched_transient, transit_time
 from .fit import fit as fit_trace, model_for_phase
 from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta
 from .presets import get_preset, list_presets
@@ -123,8 +122,11 @@ def build_config(preset_name=None, config_path=None, overrides=None,
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
     for name in _INT_FIELDS:
+        value = merged[name]
         try:
-            merged[name] = int(merged[name])
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise ValueError
+            merged[name] = int(value)
         except (TypeError, ValueError, OverflowError):
             raise ConfigError(f"config key {name!r} must be an integer") from None
         if merged[name] > _MAX_COUNT:
@@ -138,10 +140,11 @@ def build_config(preset_name=None, config_path=None, overrides=None,
         raise ConfigError("fg and fe give a Liouville matrix larger than numpy can index")
     if merged["intensities"] is not None:
         message = "config key 'intensities' must be a list of finite numbers"
-        try:
-            merged["intensities"] = tuple(_finite(v, message) for v in merged["intensities"])
-        except TypeError:
-            raise ConfigError(message) from None
+        if not isinstance(merged["intensities"], (list, tuple)):
+            raise ConfigError(message)
+        merged["intensities"] = tuple(_finite(v, message) for v in merged["intensities"])
+    if not (merged["drop_exp_term"] is None or isinstance(merged["drop_exp_term"], bool)):
+        raise ConfigError("config key 'drop_exp_term' must be true, false or null")
     return RunConfig(**merged)
 
 
@@ -150,7 +153,7 @@ def _finite(value, message: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(message) from None
-    if not math.isfinite(number):
+    if isinstance(value, bool) or not math.isfinite(number):
         raise ConfigError(message)
     return number
 
@@ -262,11 +265,9 @@ def cmd_steady(args) -> int:
         raise ConfigError("scan_b_points must be at least 1")
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
     affine = affine_liouvillian(spec)
-    absorption_row = affine.at(spec.rabi, 0.0).absorption_row  # W does not depend on the field
-    block = _pump_block(affine)
     rows = []
     for b in grid:
-        w = absorption_row @ _steady(affine.at(spec.rabi, float(b)), block)
+        w = affine.absorption_row @ _steady(affine.at(spec.rabi, float(b)), affine.block)
         rows.append((float(b), float(w.real)))
     write_outputs((traceio.render_table(("b", "w"), rows, spec_meta(spec)), args.output))
     return EXIT_OK

@@ -23,8 +23,9 @@ built once on the full M and applied with one matrix-vector product per step.
 
 The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
-state along the nonzero pattern of M.  M maps nothing from the block to the
-rest of the space, so outside the block the state stays exactly zero, and
+state along the nonzero pattern of M (transients take their affine family's
+pump block).  M maps nothing from the block to the rest of the space, so
+outside the block the state stays exactly zero, and
 only M[block, block] is decomposed, exponentiated or solved: ``_steady``,
 the one steady solve of every caller, solves M[block, block] y = -p0[block]
 on the pump's block and checks residual (on the full M), trace, Hermiticity
@@ -46,22 +47,23 @@ A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
 of the record is the steady state of the phase preceding it, which is where a
 periodically driven system settles after a few transit times.  Both fields'
-M come from one set of affine parts and share its pump block, and each pair
-of field and sample step is exponentiated once per transient.
+M come from one set of affine parts, which also hold the pump block and the
+absorption row, and each pair of field and sample step is exponentiated once
+per transient.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import ceil, factorial, isfinite, log2, sqrt
+from math import ceil, factorial, floor, isfinite, log2, sqrt
 
 import numpy as np
 
 from .liouvillian import (
-    AffineLiouvillian,
     Liouvillian,
     TransitionSpec,
+    _invariant_block,
     affine_liouvillian,
     devectorize,
     spec_meta,
@@ -214,36 +216,6 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
     return y_ss
 
 
-def _invariant_block(matrices, seeds) -> np.ndarray:
-    """Sorted Liouville indices reachable from the seeds' supports.
-
-    Index j is reached from index i when some matrix has a nonzero entry
-    (j, i).  Every matrix therefore maps a vector supported on the block to
-    one supported on it, and a state that starts on the block never leaves.
-    The seed support is closed under transposition, (i, j) <-> (j, i), and
-    so is the block, since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
-    """
-    pattern = np.zeros(matrices[0].shape, dtype=bool)
-    for matrix in matrices:
-        pattern |= matrix != 0
-    reached = np.zeros(pattern.shape[0], dtype=bool)
-    for seed in seeds:
-        reached |= seed != 0
-    dim = round(sqrt(reached.size))
-    reached |= reached.reshape(dim, dim).T.reshape(-1)
-    frontier = reached.copy()
-    while frontier.any():
-        frontier = pattern[:, frontier].any(axis=1) & ~reached
-        reached |= frontier
-    return np.flatnonzero(reached)
-
-
-def _pump_block(affine: AffineLiouvillian) -> np.ndarray:
-    """The pump's invariant block of M(rabi, b) at every rabi and b: the field enters M only
-    on its diagonal, so it reaches nothing that the base and drive parts do not."""
-    return _invariant_block([affine.base, affine.drive], [affine.pump])
-
-
 @dataclass(frozen=True)
 class _Modes:
     """One eigendecomposition of M on an invariant block, with absorption weights.
@@ -354,22 +326,6 @@ def _augmented(liouv: Liouvillian, block: np.ndarray, frame: np.ndarray) -> np.n
     return np.ascontiguousarray(gen.real)
 
 
-def _from_block(liouv: Liouvillian, block: np.ndarray, frame: np.ndarray, rows: np.ndarray,
-                keep_states: bool):
-    """(absorption, full-size states or None) of augmented frame states [x; 1], one per row.
-
-    w = Re(x . (c T)) for the absorption row c; c T is real, since w is real
-    on the Hermitian basis matrices, so only the real part of x enters.
-    """
-    weights = (liouv.absorption_row[block] @ frame).real
-    w = rows[:, :-1].real @ weights
-    states = None
-    if keep_states:
-        states = np.zeros((rows.shape[0], liouv.size), dtype=complex)
-        states[:, block] = rows[:, :-1] @ frame.T
-    return w, states
-
-
 def _stepped(step: np.ndarray, z0: np.ndarray, n_samples: int) -> np.ndarray:
     """Rows k = 0 .. max(n_samples, 1) hold step^k z0, the samples and then the hand-off state,
     filled by doubling: rows [m, 2m) are step^m times rows [0, m), then step^m is squared.
@@ -429,7 +385,11 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     gen = _augmented(liouv, modes.block, frame)
     z0 = np.append(frame.conj().T @ y0[modes.block], 1.0)  # complex unless y0 is Hermitian
     rows = np.array([_expm(t * gen) @ z0 for t in times.tolist()]).reshape(times.size, z0.size)
-    w_t, states = _from_block(liouv, modes.block, frame, rows, keep_states)
+    w_t = rows[:, :-1].real @ (liouv.absorption_row[modes.block] @ frame).real  # c T is real
+    states = None
+    if keep_states:
+        states = np.zeros((times.size, liouv.size), dtype=complex)
+        states[:, modes.block] = rows[:, :-1] @ frame.T
     return _sampled(liouv, times, w_t, states, "expm")
 
 
@@ -455,10 +415,11 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
 
     Independent of the modal solver and of the spectrum of M; serves as the
     modal solver's ground-truth oracle.
-    Samples at 0, dt, 2*dt, ..., t_end (the last point is included when
-    ``t_end`` is an exact multiple of ``dt``).  The classic RK4 step of size
-    ``dt`` is built once as the affine map y <- R y + r on the full M and
-    applied with one matrix-vector product per sample.
+    Samples at 0, dt, 2*dt, ..., n*dt for the largest n with n*dt <= t_end up
+    to rounding, so at ``t_end`` last when it is a multiple of ``dt``.  The
+    classic RK4 step of size ``dt`` is built once as the affine map
+    y <- R y + r on the full M and applied with one matrix-vector product per
+    sample.
 
     Raises
     ------
@@ -470,7 +431,7 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
         raise ValueError(f"dt must lie in (0, {MAX_INTEGRATOR_STEP}], got {dt}")
     if t_end < 0:
         raise ValueError(f"t_end must be >= 0, got {t_end}")
-    times = np.arange(int(round(t_end / dt)) + 1) * dt
+    times = np.arange(floor(t_end / dt * (1.0 + 1e-12)) + 1) * dt
     y = _as_vector(y0, liouv.size)
     a = dt * liouv.matrix
     step, shift = np.eye(y.size) + _rk4_series(a, a), _rk4_series(a, dt * liouv.pump)
@@ -508,36 +469,35 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     TransientTrace, or (TransientTrace, ndarray) with ``keep_states``.
     """
     phases = [phase for phase in schedule.phases() if phase[1] > 0]
+    fields, durations, counts = zip(*phases)
     affine = affine_liouvillian(spec)
+    block, n_periods = affine.block, schedule.n_periods
     # one entry when b0 == b1 or when a phase has no duration
-    liouvs = {b: affine.at(spec.rabi, b) for b, _, _ in phases}
-    block = _pump_block(affine)
-    y = _steady(liouvs[phases[-1][0]], block)  # the record starts mid-train
+    liouvs = {b: affine.at(spec.rabi, b) for b in fields}
+    y = _steady(liouvs[fields[-1]], block)  # the record starts mid-train
     frame = _real_frame(block, spec.dim)
-    keys = [(b, duration / max(n_samples, 1)) for b, duration, n_samples in phases]
+    # w = x . (c T) in real coordinates x: c T is real, since w is real on Hermitian matrices
+    weights = (affine.absorption_row[block] @ frame).real
+    keys = [(b, duration / max(n, 1)) for b, duration, n in phases]
     steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block, frame))
              for key in dict.fromkeys(keys)}
 
-    # the whole record is allocated before any step, so one too large fails at once
-    total = schedule.n_periods * sum(n for _, _, n in phases)
-    times, w, b = np.empty(total), np.empty(total), np.empty(total)
-    states = np.zeros((total, spec.dim**2), dtype=complex) if keep_states else None
-    grids = [np.linspace(0.0, duration, n, endpoint=False) for _, duration, n in phases]
-    start, t_offset = 0, 0.0
-    z = np.append((frame.conj().T @ y[block]).real, 1.0)  # the steady state is Hermitian
-    for _ in range(schedule.n_periods):
-        for (b_val, duration, n_samples), key, local in zip(phases, keys, grids):
-            end = start + n_samples
-            rows = _stepped(steps[key], z, n_samples)
-            times[start:end] = local + t_offset
-            w[start:end], phase_states = _from_block(
-                liouvs[b_val], block, frame, rows[:n_samples], keep_states
-            )
-            b[start:end] = b_val
+    # the whole record is allocated before any step, so one too large fails at once; each
+    # phase's times are offset by its start, the sequential sum of the durations before it
+    starts = np.cumsum(np.concatenate(([0.0], np.tile(durations, n_periods)[:-1])))
+    grid = np.concatenate([np.linspace(0.0, d, n, endpoint=False) for _, d, n in phases])
+    times = np.repeat(starts, np.tile(counts, n_periods)) + np.tile(grid, n_periods)
+    b = np.tile(np.repeat(fields, counts), n_periods)
+    w = np.empty(times.size)
+    states = np.zeros((times.size, spec.dim**2), dtype=complex) if keep_states else None
+    start, z = 0, np.append((frame.conj().T @ y[block]).real, 1.0)  # the steady state is Hermitian
+    for _ in range(n_periods):
+        for key, n_samples in zip(keys, counts):
+            rows = _stepped(steps[key], z, n_samples)[:, :-1]
+            w[start:start + n_samples] = rows[:n_samples] @ weights
             if keep_states:
-                states[start:end] = phase_states
-            z = np.append(rows[-1, :-1], 1.0)
-            start, t_offset = end, t_offset + duration
+                states[start:start + n_samples, block] = rows[:n_samples] @ frame.T
+            z, start = np.append(rows[-1], 1.0), start + n_samples
 
     names = ("b0", "b1", "period", "duty", "n_periods", "samples_per_period")
     meta = spec_meta(spec) | {"solver": "expm"} | {name: getattr(schedule, name) for name in names}

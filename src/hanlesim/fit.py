@@ -359,8 +359,8 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
     """
     t = np.asarray(trace.times, dtype=float)
     y = np.asarray(trace.w, dtype=float)
-    if t.size != y.size or t.size == 0:
-        raise ValueError("trace must contain equal, nonzero numbers of times and samples")
+    if t.size != y.size or t.size == 0 or not (np.isfinite(t).all() and np.isfinite(y).all()):
+        raise ValueError("trace must contain equal, nonzero numbers of finite times and samples")
     t = t - t[0]
 
     if np.ptp(y) == 0.0:

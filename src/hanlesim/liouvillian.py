@@ -24,9 +24,9 @@ private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
 their operators and call it.  M is affine in the Rabi frequency and in the
 field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from one assembly, and transients, scans and spectra evaluate M
-from them.  :func:`spec_meta` is the one set of provenance keys that every
-output recording a transition writes.
+those parts from one assembly, and transients, scans and spectra evaluate M,
+its pump block and its absorption row from them.  :func:`spec_meta` is the
+one set of provenance keys that every output recording a transition writes.
 
 The absorption rate observable is
 
@@ -250,9 +250,10 @@ def isotropic_ground(spec: TransitionSpec) -> np.ndarray:
 def spec_meta(spec: TransitionSpec) -> dict:
     """Provenance keys of a transition, shared by every output that records one.
 
-    ``intensity`` is rabi**2, the value given to ``with_intensity`` (the
-    CLI's ``--intensity``); the effective strength is that times
-    ``dipole_scale``, which is recorded too.
+    ``intensity`` is rabi**2, which can differ in its last digits from the
+    value given to ``with_intensity`` (the CLI's ``--intensity``), since rabi
+    is its square root; the effective strength is that times ``dipole_scale``,
+    which is recorded too.
     """
     return {
         "fg": spec.fg.f,
@@ -327,6 +328,14 @@ class AffineLiouvillian:
     coupling: np.ndarray
     meta: dict
 
+    absorption_row = Liouvillian.absorption_row  # W, so c, depends on neither rabi nor b
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The pump's invariant block of M(rabi, b) at every rabi and b, found once: the
+        field term is diagonal, so it reaches nothing that ``base`` and ``drive`` do not."""
+        return _invariant_block([self.base, self.drive], [self.pump])
+
     def at(self, rabi: float, b_field: float) -> Liouvillian:
         """The Liouvillian at Rabi frequency ``rabi`` and field ``b_field``."""
         matrix = self.base + rabi * self.drive
@@ -355,6 +364,30 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     drive = _lindblad(optical, no_decay, [], no_decay, 0.0, base.coupling, 0.0, {}).matrix
     shifts = -1j * (z[:, None] - z[None, :]).reshape(-1)
     return AffineLiouvillian(base.matrix, drive, shifts, base.pump, base.coupling, spec_meta(spec))
+
+
+def _invariant_block(matrices, seeds) -> np.ndarray:
+    """Sorted Liouville indices reachable from the seeds' supports.
+
+    Index j is reached from index i when some matrix has a nonzero entry
+    (j, i).  Every matrix therefore maps a vector supported on the block to
+    one supported on it, and a state that starts on the block never leaves.
+    The seed support is closed under transposition, (i, j) <-> (j, i), and
+    so is the block, since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
+    """
+    pattern = np.zeros(matrices[0].shape, dtype=bool)
+    for matrix in matrices:
+        pattern |= matrix != 0
+    reached = np.zeros(pattern.shape[0], dtype=bool)
+    for seed in seeds:
+        reached |= seed != 0
+    dim = round(sqrt(reached.size))
+    reached |= reached.reshape(dim, dim).T.reshape(-1)
+    frontier = reached.copy()
+    while frontier.any():
+        frontier = pattern[:, frontier].any(axis=1) & ~reached
+        reached |= frontier
+    return np.flatnonzero(reached)
 
 
 def vectorize(sigma: np.ndarray) -> np.ndarray:

@@ -24,10 +24,11 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .dynamics import _as_vector, _decompose, _invariant_block, _Modes, _pump_block
+from .dynamics import _as_vector, _decompose, _Modes
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
+    _invariant_block,
     _lindblad,
     affine_liouvillian,
     coupling_matrix,
@@ -305,7 +306,7 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
 def _sweep(spec: TransitionSpec, intensities, b1: float):
     """Yield (intensity, case, modes) of :func:`sweep_modes` in grid order, B0 before B1."""
     affine = affine_liouvillian(spec)
-    parts = _parts([affine.base, affine.drive], _pump_block(affine))
+    parts = _parts([affine.base, affine.drive], affine.block)
     for intensity in intensities:
         rabi = spec.with_intensity(intensity).rabi
         liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}

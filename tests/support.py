@@ -34,7 +34,7 @@ def steady_vector(spec: TransitionSpec, b_field: float) -> np.ndarray:
 
 
 def rk4_phases(spec: TransitionSpec, schedule) -> tuple[np.ndarray, np.ndarray]:
-    """(w, states) of one switched period by RK4 at dt = 0.05, phase by phase.
+    """(w, states) of every switched period by RK4 at dt = 0.05, phase by phase.
 
     Starts from the steady state at ``spec``'s field and keeps every other
     RK4 point, so each phase must be sampled 0.1 apart; each phase's last
@@ -42,7 +42,7 @@ def rk4_phases(spec: TransitionSpec, schedule) -> tuple[np.ndarray, np.ndarray]:
     """
     y = vectorize(steady_state(build_liouvillian(spec)))
     w_ref, states_ref = [], []
-    for b_val, duration, _ in schedule.phases():
+    for b_val, duration, _ in schedule.phases() * schedule.n_periods:
         liouv = build_liouvillian(spec.with_field(b_val))
         run, run_states = propagate_integrated(liouv, y, dt=0.05, t_end=duration, keep_states=True)
         w_ref.append(run.w[:-1:2])

@@ -99,6 +99,29 @@ class TestExitCodes:
         assert "gamma" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, config", [
+        ("spectrum", {"intensities": "25"}),
+        ("spectrum", {"intensities": [0.3, True]}),
+        ("transient", {"drop_exp_term": "false"}),
+        ("transient", {"drop_exp_term": 1}),
+        ("transient", {"samples_per_period": 40.9}),
+        ("transient", {"n_periods": True}),
+        ("spectrum", {"sweep_points": True}),
+        ("transient", {"gamma": True}),
+    ], ids=["intensities-string", "intensities-bool", "drop-string", "drop-int", "int-fraction",
+            "int-bool", "sweep-points-bool", "float-bool"])
+    def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = [command, "--config", str(cfg), "--output", str(out / "o.csv")]
+        if command == "transient":
+            argv += ["--with-fit", "--fit-output", str(out / "f.json")]
+        assert run(argv) == EXIT_USAGE
+        assert f"config key {next(iter(config))!r}" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("command, extra, config", [
         ("transient", ["--duty", "1"], None),
         ("transient", ["--duty", "0"], None),

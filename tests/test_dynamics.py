@@ -111,6 +111,17 @@ class TestPropagators:
         trace = propagate_integrated(liouv, y0, dt=0.05, t_end=10.0)
         np.testing.assert_allclose(trace.w, modal.w, rtol=0, atol=1e-9)
 
+    @pytest.mark.parametrize("t_end, n_steps", [(3.33, 66), (0.08, 1), (2.0, 40), (100.0, 2000),
+                                                 (2500.0, 50000)])
+    def test_integrator_never_samples_past_t_end(self, t_end, n_steps):
+        spec = eit_spec(0.02)
+        trace = propagate_integrated(build_liouvillian(spec), steady_vector(spec, 0.0), dt=0.05,
+                                     t_end=t_end)
+        assert trace.times.size == n_steps + 1
+        assert trace.times[-1] <= t_end
+        if t_end in (2.0, 100.0, 2500.0):  # multiples of dt end exactly at t_end
+            assert trace.times[-1] == t_end
+
     def test_integrator_rejects_oversized_step(self):
         liouv = build_liouvillian(eit_spec(0.02))
         y0 = steady_vector(eit_spec(0.02), 0.0)
@@ -272,6 +283,17 @@ class TestSwitchedTransient:
         assert [p.meta["phase_b"] for p in phases] == [0.0, 0.03, 0.0, 0.03]
         assert trace.times.size == 400
         assert np.all(np.diff(trace.times) > 0)
+
+    def test_multiple_periods_match_rk4_phase_by_phase(self):
+        # phases of 6 and 14 sampled 0.1 apart: every other point of an RK4 run with dt = 0.05
+        spec = eia_spec(0.06)
+        schedule = SwitchSchedule(b1=0.03, b0=0.01, period=20.0, duty=0.3, n_periods=3,
+                                  samples_per_period=200)
+        trace, states = switched_transient(spec, schedule, keep_states=True)
+        w_ref, states_ref = rk4_phases(spec.with_field(schedule.b1), schedule)
+        assert w_ref.size == 600
+        np.testing.assert_allclose(trace.w, w_ref, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(states, states_ref, rtol=0, atol=1e-9)
 
     def test_split_phases_rezeroes_clocks(self):
         spec = eit_spec(0.02)

@@ -173,6 +173,15 @@ class TestEdgeCases:
         with pytest.raises(ValueError):
             fit(short, FitModel("exp_plus_damped_sine"))
 
+    @pytest.mark.parametrize("column, index, bad", [("w", 700, np.nan), ("w", 0, -np.inf),
+                                                     ("times", -1, np.inf)])
+    def test_non_finite_trace_raises(self, column, index, bad):
+        model = FitModel("single_exp")
+        trace = make_trace(model, {"amp": 1.0, "rate": 0.01, "offset": 0.0})
+        getattr(trace, column)[index] = bad
+        with pytest.raises(ValueError, match="finite"):
+            fit(trace, model)
+
     def test_unknown_seed_key(self):
         trace = make_trace(FitModel("single_exp"), {"amp": 1.0, "rate": 0.01, "offset": 0.0})
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
+import hanlesim.liouvillian as liouvillian
 import hanlesim.spectral as spectral
 from hanlesim import (
     OpenLambdaSpec,
@@ -338,7 +339,7 @@ class TestSplitSweep:
 
     def test_finds_the_block_once_per_sweep(self, monkeypatch):
         calls = []
-        for module in (spectral, dynamics):
+        for module in (spectral, dynamics, liouvillian):
             monkeypatch.setattr(module, "_invariant_block",
                                 lambda *args: calls.append(1) or _invariant_block(*args))
         sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
