@@ -124,7 +124,7 @@ def build_config(preset_name=None, config_path=None, overrides=None,
     for name in _INT_FIELDS:
         value = merged[name]
         try:
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            if isinstance(value, bool) or int(value) != value:  # a fraction, or a string like "4"
                 raise ValueError
             merged[name] = int(value)
         except (TypeError, ValueError, OverflowError):
@@ -153,7 +153,7 @@ def _finite(value, message: str) -> float:
         number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(message) from None
-    if isinstance(value, bool) or not math.isfinite(number):
+    if isinstance(value, (bool, str)) or not math.isfinite(number):
         raise ConfigError(message)
     return number
 

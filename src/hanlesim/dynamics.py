@@ -14,8 +14,8 @@ the exact modal solution
     y(t) = y_ss + sum_i a_i v_i exp(lambda_i t),    y_ss = -M^{-1} p0,
 
 from one eigendecomposition, the one ``spectral.eigenmodes`` also uses;
-when the eigenvectors are too ill-conditioned to trust, it uses the same
-exponential instead.  ``propagate_integrated`` is a fixed-step classic RK4
+when the eigenvectors are too ill-conditioned to trust, it exponentiates the
+complex G instead.  ``propagate_integrated`` is a fixed-step classic RK4
 integrator that knows nothing about the spectrum, the test suite's oracle
 for the modal solver.  One RK4 step of size h is exactly the affine map
 y <- R y + r, R = sum_{k<=4} (hM)^k/k! and r = h sum_{k<=3} (hM)^k/(k+1)! p0,
@@ -25,23 +25,22 @@ The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
 state along the nonzero pattern of M (transients take their affine family's
 pump block).  M maps nothing from the block to the rest of the space, so
-outside the block the state stays exactly zero, and
-only M[block, block] is decomposed, exponentiated or solved: ``_steady``,
-the one steady solve of every caller, solves M[block, block] y = -p0[block]
-on the pump's block and checks residual (on the full M), trace, Hermiticity
-and PSD.  The block is exact for any polarization; with linear light it
-holds about half of the indices.
+outside the block the state stays exactly zero, and only M[block, block] is
+decomposed, exponentiated or solved: ``_steady``, the one steady solve of
+every caller, solves M[block, block] y = -p0[block] on the pump's block and
+checks residual (on the full M), trace, Hermiticity and PSD.  The block is
+exact for any polarization; with linear light it holds about half of the
+indices.
 
-The exponential runs in real arithmetic.  M preserves Hermiticity (Lindblad,
-CMP 48, 119 (1976)): M(sigma^dag) = M(sigma)^dag.  So its matrix in an
-orthonormal basis of Hermitian matrices, T^H M T, is real, and so is T^H p0.
-The basis holds the populations sigma_ii and, for each i < j, sqrt(2) Re
-sigma_ij and sqrt(2) Im sigma_ij (``_real_frame``).  The block's seed
-support is closed under transposition, so the block holds both entries of
-each pair.  A physical state then has real coordinates x = T^H y, and the
-states rebuilt as y = T x are exactly Hermitian.  A start state of
-``propagate_modal`` that is not Hermitian has complex coordinates, which
-the same real exponential advances.
+Transients are exponentiated in real arithmetic.  M preserves Hermiticity
+(Lindblad, CMP 48, 119 (1976)): M(sigma^dag) = M(sigma)^dag.  So its matrix
+in an orthonormal basis of Hermitian matrices, T^H M T, is real, and so is
+T^H p0.  The basis holds the populations sigma_ii and, for each i < j,
+sqrt(2) Re sigma_ij and sqrt(2) Im sigma_ij (``_real_frame``).  The pump
+block holds both entries of each pair, since the pump is Hermitian and M
+preserves Hermiticity.  The physical states of a transient then have real
+coordinates x = T^H y, and the states rebuilt as y = T x are exactly
+Hermitian.
 
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
@@ -57,6 +56,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from math import ceil, factorial, floor, isfinite, log2, sqrt
+from numbers import Integral
 
 import numpy as np
 
@@ -121,10 +121,10 @@ class SwitchSchedule:
             raise ValueError(f"period must be > 0, got {self.period}")
         if not 0.0 <= self.duty <= 1.0:
             raise ValueError(f"duty must lie in [0, 1], got {self.duty}")
-        if self.n_periods < 1:
-            raise ValueError(f"n_periods must be >= 1, got {self.n_periods}")
-        if self.samples_per_period < 2:
-            raise ValueError(f"samples_per_period must be >= 2, got {self.samples_per_period}")
+        for name, least in (("n_periods", 1), ("samples_per_period", 2)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
     def phases(self) -> list[tuple[float, float, int]]:
         """(field, duration, sample count) for the phases of one period."""
@@ -202,16 +202,16 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
             "a positive transit rate should forbid a null space"
         ) from exc
     residual = np.linalg.norm(liouv.matrix @ y_ss + liouv.pump)
-    if residual > 1e-10:
+    if not residual <= 1e-10:  # each check is written so that NaN fails it
         raise np.linalg.LinAlgError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     sigma = devectorize(y_ss)
     trace = float(np.trace(sigma).real)
-    if abs(trace - 1.0) > 1e-9:
+    if not abs(trace - 1.0) <= 1e-9:
         raise np.linalg.LinAlgError(f"steady-state trace {trace!r} is not 1")
-    if np.abs(sigma - sigma.conj().T).max() > 1e-10:
+    if not np.abs(sigma - sigma.conj().T).max() <= 1e-10:
         raise np.linalg.LinAlgError("steady state is not Hermitian")
     smallest = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0).min()
-    if smallest < -1e-10:
+    if not smallest >= -1e-10:
         raise np.linalg.LinAlgError(f"steady state has negative population {smallest:.3e}")
     return y_ss
 
@@ -265,6 +265,7 @@ def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, keep_states=Fal
 def _expm(a: np.ndarray) -> np.ndarray:
     """exp(a): a scaled by 2^-s to 1-norm <= ``_THETA13``, the [13/13] Pade
     approximant (V - U)^-1 (V + U) from its odd (U) and even (V) powers, squared s times.
+    Raises numpy.linalg.LinAlgError if the result is not finite.
     """
     norm = np.abs(a).sum(axis=0).max()
     squarings = ceil(log2(norm / _THETA13)) if norm > _THETA13 else 0
@@ -280,16 +281,18 @@ def _expm(a: np.ndarray) -> np.ndarray:
     r = np.linalg.solve(v - u, v + u)
     for _ in range(squarings):
         r = r @ r
+    if not np.isfinite(r).all():
+        raise np.linalg.LinAlgError(f"matrix exponential is not finite (argument 1-norm {norm:.3e})")
     return r
 
 
 def _real_frame(block: np.ndarray, dim: int) -> np.ndarray:
     """Unitary T with y[block] = T x, for x the real Hermitian coordinates of a state.
 
-    ``block`` must be closed under (i, j) <-> (j, i).  A diagonal entry
-    sigma_ii maps to itself, and each pair i < j to sqrt(2) Re sigma_ij (at
-    the position of (i, j)) and sqrt(2) Im sigma_ij (at the position of
-    (j, i)): the columns of T are an orthonormal basis of Hermitian matrices.
+    ``block`` must be closed under (i, j) <-> (j, i), as a block seeded by Hermitian
+    vectors is.  A diagonal entry sigma_ii maps to itself, and each pair i < j to
+    sqrt(2) Re sigma_ij (at the position of (i, j)) and sqrt(2) Im sigma_ij (at the
+    position of (j, i)): the columns of T are an orthonormal basis of Hermitian matrices.
     """
     rows, cols = np.divmod(block, dim)
     partner = np.searchsorted(block, cols * dim + rows)  # position of (j, i)
@@ -313,14 +316,16 @@ def _augmented(liouv: Liouvillian, block: np.ndarray, frame: np.ndarray) -> np.n
     Raises
     ------
     ValueError
-        If G has an imaginary part above rounding level: M does not
-        preserve Hermiticity.
+        If G has an imaginary part above rounding level: M does not preserve
+        Hermiticity; numpy.linalg.LinAlgError, a subclass, if G is not finite.
     """
     size = block.size
     adjoint = frame.conj().T
     gen = np.zeros((size + 1, size + 1), dtype=complex)
     gen[:size, :size] = adjoint @ liouv.matrix[np.ix_(block, block)] @ frame
     gen[:size, size] = adjoint @ liouv.pump[block]
+    if not np.isfinite(gen).all():
+        raise np.linalg.LinAlgError("the generator in the real frame is not finite")
     if np.abs(gen.imag).max() > 1e-13 * np.abs(gen.real).max():
         raise ValueError("M does not preserve Hermiticity: it is not real in a Hermitian basis")
     return np.ascontiguousarray(gen.real)
@@ -363,11 +368,9 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     states are full-size.  If the block's eigenvector matrix is too
     ill-conditioned to trust (condition number above
     ``MODAL_CONDITION_LIMIT``, possible at exceptional points), the routine
-    warns and evaluates exp(tG) [x0; 1] on the block at each sample time t,
-    with G the augmented generator [[M, p0], [0, 0]] and x0 the start state,
-    both in the real Hermitian coordinates of the module notes (x0 is
-    complex when y0 is not Hermitian); ``meta["solver"]`` is then
-    ``"expm"`` instead of ``"modal"``.
+    warns and evaluates exp(tG) [y0; 1] on the block at each sample time t,
+    with G the complex augmented generator [[M, p0], [0, 0]];
+    ``meta["solver"]`` is then ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0, liouv.size)
@@ -381,15 +384,16 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
         "solver; using the matrix exponential",
         stacklevel=2,
     )
-    frame = _real_frame(modes.block, liouv.dim)
-    gen = _augmented(liouv, modes.block, frame)
-    z0 = np.append(frame.conj().T @ y0[modes.block], 1.0)  # complex unless y0 is Hermitian
+    block = modes.block
+    gen = np.zeros((block.size + 1, block.size + 1), dtype=complex)
+    gen[:-1] = np.column_stack((liouv.matrix[np.ix_(block, block)], liouv.pump[block]))
+    z0 = np.append(y0[block], 1.0)
     rows = np.array([_expm(t * gen) @ z0 for t in times.tolist()]).reshape(times.size, z0.size)
-    w_t = rows[:, :-1].real @ (liouv.absorption_row[modes.block] @ frame).real  # c T is real
     states = None
     if keep_states:
         states = np.zeros((times.size, liouv.size), dtype=complex)
-        states[:, modes.block] = rows[:, :-1] @ frame.T
+        states[:, block] = rows[:, :-1]
+    w_t = (rows[:, :-1] @ liouv.absorption_row[block]).real
     return _sampled(liouv, times, w_t, states, "expm")
 
 
@@ -424,13 +428,13 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     Raises
     ------
     ValueError
-        If ``dt`` is not in (0, 0.05]: the fixed-step scheme is only
-        accurate with steps well below the fastest decay time, 1.
+        If ``t_end`` is negative or not finite, or ``dt`` is not in (0, 0.05]:
+        the scheme is only accurate with steps well below the fastest decay time, 1.
     """
     if not 0.0 < dt <= MAX_INTEGRATOR_STEP:
         raise ValueError(f"dt must lie in (0, {MAX_INTEGRATOR_STEP}], got {dt}")
-    if t_end < 0:
-        raise ValueError(f"t_end must be >= 0, got {t_end}")
+    if not (isfinite(t_end) and t_end >= 0):
+        raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
     times = np.arange(floor(t_end / dt * (1.0 + 1e-12)) + 1) * dt
     y = _as_vector(y0, liouv.size)
     a = dt * liouv.matrix

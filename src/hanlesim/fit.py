@@ -178,15 +178,15 @@ def _to_external(model: FitModel, theta: np.ndarray) -> dict:
     return params
 
 
+def _external_slope(model: FitModel, params: dict) -> np.ndarray:
+    """d(external)/d(internal) per parameter: the value itself for a log parameter, else 1."""
+    return np.array([params[name] if name in _LOG_PARAMS else 1.0 for name in model.param_names])
+
+
 def _residual_jacobian(model: FitModel, theta: np.ndarray, t: np.ndarray, y: np.ndarray):
     params = _to_external(model, theta)
     prediction, jac = _predict_and_jacobian(model, params, t)
-    residual = prediction - y
-    # chain rule for the log-parameterized entries
-    for k, name in enumerate(model.param_names):
-        if name in _LOG_PARAMS:
-            jac[:, k] *= params[name]
-    return residual, jac
+    return prediction - y, jac * _external_slope(model, params)
 
 
 def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray):
@@ -390,11 +390,8 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
     variance = cost / dof
     covariance = variance * np.linalg.pinv(jac.T @ jac)
     sigma_internal = np.sqrt(np.maximum(np.diag(covariance), 0.0))
-    uncertainties = {}
-    for k, name in enumerate(model.param_names):
-        scale = params[name] if name in _LOG_PARAMS else 1.0
-        uncertainties[name] = float(sigma_internal[k] * abs(scale) if name in _LOG_PARAMS
-                                    else sigma_internal[k])
+    sigmas = sigma_internal * np.abs(_external_slope(model, params))
+    uncertainties = {name: float(sigma) for name, sigma in zip(model.param_names, sigmas)}
     return FitResult(
         kind=model.kind,
         params=params,

@@ -372,8 +372,8 @@ def _invariant_block(matrices, seeds) -> np.ndarray:
     Index j is reached from index i when some matrix has a nonzero entry
     (j, i).  Every matrix therefore maps a vector supported on the block to
     one supported on it, and a state that starts on the block never leaves.
-    The seed support is closed under transposition, (i, j) <-> (j, i), and
-    so is the block, since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
+    A block seeded by Hermitian vectors, such as the pump, is closed under
+    (i, j) <-> (j, i), since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
     """
     pattern = np.zeros(matrices[0].shape, dtype=bool)
     for matrix in matrices:
@@ -381,8 +381,6 @@ def _invariant_block(matrices, seeds) -> np.ndarray:
     reached = np.zeros(pattern.shape[0], dtype=bool)
     for seed in seeds:
         reached |= seed != 0
-    dim = round(sqrt(reached.size))
-    reached |= reached.reshape(dim, dim).T.reshape(-1)
     frontier = reached.copy()
     while frontier.any():
         frontier = pattern[:, frontier].any(axis=1) & ~reached

@@ -108,8 +108,15 @@ class TestExitCodes:
         ("transient", {"n_periods": True}),
         ("spectrum", {"sweep_points": True}),
         ("transient", {"gamma": True}),
+        ("transient", {"fg": "1"}),
+        ("transient", {"samples_per_period": "400"}),
+        ("transient", {"gamma": "0.002"}),
+        ("transient", {"period": "1e3"}),
+        ("spectrum", {"intensities": ["0.5"]}),
+        ("spectrum", {"b1": "0.01"}),
     ], ids=["intensities-string", "intensities-bool", "drop-string", "drop-int", "int-fraction",
-            "int-bool", "sweep-points-bool", "float-bool"])
+            "int-bool", "sweep-points-bool", "float-bool", "fg-string", "int-string",
+            "gamma-string", "period-string", "intensity-string", "b1-string"])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -179,6 +186,27 @@ class TestExitCodes:
         assert run(argv + ["--output", str(out)]) == EXIT_NUMERICAL
         assert "out of memory" in capsys.readouterr().err
         assert not out.exists()
+
+    # fields and detunings this large overflow the generator, its exponential or the
+    # steady residual to inf or NaN; no NaN sample may be written
+    @pytest.mark.parametrize("argv", [
+        ["transient", "--fg", "1", "--fe", "0", "--samples-per-period", "40", "--b1", "1e308"],
+        ["transient", "--fg", "1", "--fe", "0", "--samples-per-period", "40", "--b1", "1e200"],
+        ["transient", "--fg", "1", "--fe", "0", "--samples-per-period", "40",
+         "--detuning", "1e300"],
+        ["steady", "--scan-b-min=1e307", "--scan-b-max=1e308"],
+        ["transient", "--b1", "1e200", "--with-fit"],
+        ["transient", "--fg", "1", "--fe", "0", "--samples-per-period", "40", "--b0", "1e308"],
+    ], ids=["b1-1e308", "b1-1e200", "detuning-1e300", "steady-scan", "with-fit", "b0-1e308"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_non_finite_result_exits_3(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        if "--with-fit" in argv:
+            argv = argv + ["--fit-output", str(out / "f.json")]
+        assert run(argv + ["--output", str(out / "o.csv")]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv, config", [
         (["transient", "--samples-per-period", str(10**20)], None),

@@ -130,6 +130,12 @@ class TestPropagators:
         with pytest.raises(ValueError):
             propagate_integrated(liouv, y0, dt=-0.01, t_end=1.0)
 
+    @pytest.mark.parametrize("t_end", [float("inf"), float("nan"), -1.0])
+    def test_integrator_rejects_a_horizon_that_is_not_finite_and_nonnegative(self, t_end):
+        liouv = build_liouvillian(eit_spec(0.02))
+        with pytest.raises(ValueError, match="^t_end must be finite and >= 0"):
+            propagate_integrated(liouv, steady_vector(eit_spec(0.02), 0.0), dt=0.05, t_end=t_end)
+
     def test_modal_accepts_matrix_or_vector_initial_state(self):
         spec = eit_spec(0.02).with_field(0.03)
         liouv = build_liouvillian(spec)
@@ -163,8 +169,8 @@ class TestPropagators:
                                    rtol=0, atol=1e-12)
 
     def test_modal_fallback_from_a_non_hermitian_start(self, monkeypatch):
-        # a lone coherence rho_01: sigma+ light never maps it onto rho_10, so the
-        # block is closed under transposition only because its seed support is
+        # a lone coherence rho_01: sigma+ light never maps it onto rho_10, so the block
+        # holds rho_01 without rho_10, and the complex exponential advances it as it is
         monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
         liouv = build_liouvillian(eia_spec(0.06, pol="sigma+").with_field(0.03))
         y0 = np.zeros(liouv.size, dtype=complex)
@@ -186,9 +192,58 @@ class TestPropagators:
         # M + 0.1i K keeps it exact and passes the checked steady solve
         skew = liouv.matrix + np.outer(liouv.pump, np.eye(liouv.dim).reshape(-1))
         skewed = dataclasses.replace(liouv, matrix=liouv.matrix + 0.1j * skew)
+        y0 = steady_vector(eia_spec(0.06), 0.0)
+        block = liouvillian._invariant_block([skewed.matrix], [skewed.pump, y0])
+        with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+            dynamics._augmented(skewed, block, dynamics._real_frame(block, skewed.dim))
+        # the modal fallback works in complex coordinates, so it needs no Hermiticity
+        times = np.array([0.0, 1.0, 7.5])
         with pytest.warns(UserWarning, match="condition"):
-            with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-                propagate_modal(skewed, steady_vector(eia_spec(0.06), 0.0), [0.0, 1.0])
+            trace, states = propagate_modal(skewed, y0, times, keep_states=True)
+        expected = np.array([(scipy.linalg.expm(augmented(skewed) * t) @ np.append(y0, 1.0))[:-1]
+                             for t in times])
+        np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(trace.w, (expected @ skewed.absorption_row).real,
+                                   rtol=0, atol=1e-12)
+
+    def test_real_generator_refuses_a_matrix_that_is_not_finite(self):
+        liouv = build_liouvillian(eia_spec(0.06))
+        block = liouvillian._invariant_block([liouv.matrix], [liouv.pump])
+        broken = dataclasses.replace(liouv, matrix=liouv.matrix.copy())
+        broken.matrix[block[1], block[1]] = np.nan
+        with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+            dynamics._augmented(broken, block, dynamics._real_frame(block, liouv.dim))
+
+    @pytest.mark.parametrize("start", ["hermitian", "coherence"])
+    def test_modal_fallback_needs_no_real_frame(self, monkeypatch, start):
+        monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the modal fallback must not use real coordinates")
+
+        monkeypatch.setattr(dynamics, "_real_frame", refuse)
+        monkeypatch.setattr(dynamics, "_augmented", refuse)
+        spec = eia_spec(0.06, pol="sigma+").with_field(0.03)
+        liouv = build_liouvillian(spec)
+        if start == "hermitian":
+            y0 = steady_vector(eia_spec(0.06, pol="sigma+"), 0.0)
+        else:  # the lone coherence rho_01
+            y0 = np.zeros(liouv.size, dtype=complex)
+            y0[1] = 1.0
+        times = np.linspace(0.0, 20.0, 5)
+        with pytest.warns(UserWarning, match="condition"):
+            trace, states = propagate_modal(liouv, y0, times, keep_states=True)
+        assert trace.meta["solver"] == "expm"
+        expected = np.array([(scipy.linalg.expm(augmented(liouv) * t) @ np.append(y0, 1.0))[:-1]
+                             for t in times])
+        np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
+
+    def test_a_lone_coherence_seeds_a_block_without_its_transpose(self):
+        liouv = build_liouvillian(eia_spec(0.06, pol="sigma+").with_field(0.03))
+        y0 = np.zeros(liouv.size, dtype=complex)
+        y0[1] = 1.0  # rho_01
+        block = liouvillian._invariant_block([liouv.matrix], [liouv.pump, y0])
+        assert 1 in block and liouv.dim not in block  # rho_10 sits at index dim
 
     def test_a_skew_that_moves_the_steady_state_stops_at_the_steady_solve(self):
         # M (1 + 0.1i) scales the steady state by 1 / (1 + 0.1i): trace 1/1.01
@@ -227,6 +282,13 @@ class TestSwitchSchedule:
             for name in ("b1", "b0", "period", "duty"):
                 with pytest.raises(ValueError, match=name):
                     SwitchSchedule(**{"b1": 0.03, name: bad})
+
+    @pytest.mark.parametrize("name", ["n_periods", "samples_per_period"])
+    def test_counts_must_be_integers(self, name):
+        for bad in (True, 2.0, 40.0, "4"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                SwitchSchedule(**{"b1": 0.03, name: bad})
+        assert getattr(SwitchSchedule(**{"b1": 0.03, name: np.int64(3)}), name) == 3
 
 
 class TestSwitchedTransient:
