@@ -22,7 +22,9 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict, dataclass, fields
+from functools import cache
 
 import numpy as np
 
@@ -354,6 +356,7 @@ def _add_fit_flags(parser):
                         help="drop the non-oscillating term (default: when Fe = Fg + 1)")
 
 
+@cache  # built once; parse_args returns a fresh namespace per call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hanlesim",
@@ -424,25 +427,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.handler(args)
-    except ConfigError as exc:
-        print(f"hanlesim: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:  # every input is read under its own handler
-        print(f"hanlesim: cannot write output: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except np.linalg.LinAlgError as exc:
-        print(f"hanlesim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FloatingPointError, OverflowError) as exc:
-        print(f"hanlesim: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except MemoryError as exc:
-        print(f"hanlesim: out of memory: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    """Run one command; on a failure its ``hanlesim:`` line leads stderr, then the warnings raised."""
+    args = build_parser().parse_args(argv)
+    failure = None
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            code = args.handler(args)
+        except ConfigError as exc:
+            code, failure = EXIT_USAGE, f"hanlesim: {exc}"
+        except OSError as exc:  # every input is read under its own handler
+            code, failure = EXIT_USAGE, f"hanlesim: cannot write output: {exc}"
+        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+            code, failure = EXIT_NUMERICAL, f"hanlesim: numerical failure: {exc}"
+        except MemoryError as exc:
+            code, failure = EXIT_NUMERICAL, f"hanlesim: out of memory: {exc}"
+    if failure is not None:
+        print(failure, *(f"hanlesim: warning: {warning.message}" for warning in caught),
+              sep="\n", file=sys.stderr)
+        return code
+    for warning in caught:  # re-emitted as they were raised
+        warnings.showwarning(warning.message, warning.category, warning.filename, warning.lineno)
+    return code
 
 
 if __name__ == "__main__":

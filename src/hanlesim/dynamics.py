@@ -23,32 +23,24 @@ built once on the full M and applied with one matrix-vector product per step.
 
 The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
-state along the nonzero pattern of M (transients take their affine family's
-pump block).  M maps nothing from the block to the rest of the space, so
-outside the block the state stays exactly zero, and only M[block, block] is
-decomposed, exponentiated or solved: ``_steady``, the one steady solve of
-every caller, solves M[block, block] y = -p0[block] on the pump's block and
-checks residual (on the full M), trace, Hermiticity and PSD.  The block is
-exact for any polarization; with linear light it holds about half of the
-indices.
+state along the nonzero pattern of M.  Outside it the state stays exactly
+zero, so only M[block, block] is decomposed, exponentiated or solved.
+``_steady`` solves on the pump's block, and ``_checked``, shared by every
+steady state, checks residual (on the full M), trace, Hermiticity and PSD.
 
-Transients are exponentiated in real arithmetic.  M preserves Hermiticity
-(Lindblad, CMP 48, 119 (1976)): M(sigma^dag) = M(sigma)^dag.  So its matrix
-in an orthonormal basis of Hermitian matrices, T^H M T, is real, and so is
-T^H p0.  The basis holds the populations sigma_ii and, for each i < j,
-sqrt(2) Re sigma_ij and sqrt(2) Im sigma_ij (``_real_frame``).  The pump
-block holds both entries of each pair, since the pump is Hermitian and M
-preserves Hermiticity.  The physical states of a transient then have real
-coordinates x = T^H y, and the states rebuilt as y = T x are exactly
-Hermitian.
+Transients are stepped in real arithmetic, in the coordinates of their
+affine family's ``sector``: M preserves Hermiticity (Lindblad, CMP 48, 119
+(1976)), so it is real in the Hermitian basis of ``_real_frame``, and with
+linear light at zero detuning only the coordinates even under its symmetry
+Theta are kept (see :class:`hanlesim.liouvillian.AffineLiouvillian`).  The
+states rebuilt from real coordinates are exactly Hermitian.
 
 A square-wave switched magnetic field is simulated phase by phase: the field
 is piecewise constant, switching is instantaneous, and the state at the start
 of the record is the steady state of the phase preceding it, which is where a
-periodically driven system settles after a few transit times.  Both fields'
-M come from one set of affine parts, which also hold the pump block and the
-absorption row, and each pair of field and sample step is exponentiated once
-per transient.
+periodically driven system settles after a few transit times.  Each field's
+real generator is base + rabi * drive + b * field, and each pair of field and
+sample step is exponentiated once per transient.
 """
 
 from __future__ import annotations
@@ -64,6 +56,7 @@ from .liouvillian import (
     Liouvillian,
     TransitionSpec,
     _invariant_block,
+    _real_frame,
     affine_liouvillian,
     devectorize,
     spec_meta,
@@ -192,16 +185,25 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
 
     The residual is taken on the full M, so it also proves the block invariant.
     """
-    sub = liouv.matrix[np.ix_(block, block)]
     y_ss = np.zeros(liouv.size, dtype=complex)
+    y_ss[block] = _solved(liouv.matrix[np.ix_(block, block)], -liouv.pump[block])
+    return _checked(y_ss, liouv.matrix @ y_ss + liouv.pump)
+
+
+def _solved(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """sub^-1 rhs for a steady state; a singular ``sub`` raises with its condition number."""
     try:
-        y_ss[block] = np.linalg.solve(sub, -liouv.pump[block])
+        return np.linalg.solve(sub, rhs)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError(
             f"steady-state solve failed (condition number {np.linalg.cond(sub):.3e}); "
             "a positive transit rate should forbid a null space"
         ) from exc
-    residual = np.linalg.norm(liouv.matrix @ y_ss + liouv.pump)
+
+
+def _checked(y_ss: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """A full-size steady state, once its residual M y_ss + p0, trace, Hermiticity and PSD pass."""
+    residual = np.linalg.norm(residual)
     if not residual <= 1e-10:  # each check is written so that NaN fails it
         raise np.linalg.LinAlgError(f"steady-state residual {residual:.3e} exceeds 1e-10")
     sigma = devectorize(y_ss)
@@ -286,51 +288,6 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _real_frame(block: np.ndarray, dim: int) -> np.ndarray:
-    """Unitary T with y[block] = T x, for x the real Hermitian coordinates of a state.
-
-    ``block`` must be closed under (i, j) <-> (j, i), as a block seeded by Hermitian
-    vectors is.  A diagonal entry sigma_ii maps to itself, and each pair i < j to
-    sqrt(2) Re sigma_ij (at the position of (i, j)) and sqrt(2) Im sigma_ij (at the
-    position of (j, i)): the columns of T are an orthonormal basis of Hermitian matrices.
-    """
-    rows, cols = np.divmod(block, dim)
-    partner = np.searchsorted(block, cols * dim + rows)  # position of (j, i)
-    upper, lower = rows < cols, rows > cols
-    position = np.arange(block.size)
-    half = sqrt(0.5)
-    frame = np.zeros((block.size, block.size), dtype=complex)
-    frame[position, position] = np.where(upper, half, np.where(lower, -1j * half, 1.0))
-    frame[partner[upper], position[upper]] = half
-    frame[partner[lower], position[lower]] = 1j * half
-    return frame
-
-
-def _augmented(liouv: Liouvillian, block: np.ndarray, frame: np.ndarray) -> np.ndarray:
-    """Real G = [[T^H M T, T^H p0], [0, 0]] on the block, T its ``_real_frame``:
-    [x(t); 1] = exp(tG) [x(0); 1] for dy/dt = M y + p0 and y[block] = T x.
-
-    M maps Hermitian matrices to Hermitian matrices, so in a basis of them
-    it is real, and so is p0, a multiple of the Hermitian rest state.
-
-    Raises
-    ------
-    ValueError
-        If G has an imaginary part above rounding level: M does not preserve
-        Hermiticity; numpy.linalg.LinAlgError, a subclass, if G is not finite.
-    """
-    size = block.size
-    adjoint = frame.conj().T
-    gen = np.zeros((size + 1, size + 1), dtype=complex)
-    gen[:size, :size] = adjoint @ liouv.matrix[np.ix_(block, block)] @ frame
-    gen[:size, size] = adjoint @ liouv.pump[block]
-    if not np.isfinite(gen).all():
-        raise np.linalg.LinAlgError("the generator in the real frame is not finite")
-    if np.abs(gen.imag).max() > 1e-13 * np.abs(gen.real).max():
-        raise ValueError("M does not preserve Hermiticity: it is not real in a Hermitian basis")
-    return np.ascontiguousarray(gen.real)
-
-
 def _stepped(step: np.ndarray, z0: np.ndarray, n_samples: int) -> np.ndarray:
     """Rows k = 0 .. max(n_samples, 1) hold step^k z0, the samples and then the hand-off state,
     filled by doubling: rows [m, 2m) are step^m times rows [0, m), then step^m is squared.
@@ -368,9 +325,10 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     states are full-size.  If the block's eigenvector matrix is too
     ill-conditioned to trust (condition number above
     ``MODAL_CONDITION_LIMIT``, possible at exceptional points), the routine
-    warns and evaluates exp(tG) [y0; 1] on the block at each sample time t,
-    with G the complex augmented generator [[M, p0], [0, 0]];
-    ``meta["solver"]`` is then ``"expm"`` instead of ``"modal"``.
+    warns and evaluates exp(t0 G) [y0; 1] on the block at the first sample
+    time t0, with G the complex augmented generator [[M, p0], [0, 0]], then
+    steps from sample to sample by exp(d G), one exponential per distinct
+    gap d; ``meta["solver"]`` is then ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0, liouv.size)
@@ -387,8 +345,14 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     block = modes.block
     gen = np.zeros((block.size + 1, block.size + 1), dtype=complex)
     gen[:-1] = np.column_stack((liouv.matrix[np.ix_(block, block)], liouv.pump[block]))
-    z0 = np.append(y0[block], 1.0)
-    rows = np.array([_expm(t * gen) @ z0 for t in times.tolist()]).reshape(times.size, z0.size)
+    rows = np.empty((times.size, block.size + 1), dtype=complex)
+    if times.size:
+        rows[0] = _expm(times[0] * gen) @ np.append(y0[block], 1.0)
+    steps = {}  # then one exponential per distinct gap between samples
+    for k, gap in enumerate(np.diff(times).tolist(), start=1):
+        if gap not in steps:
+            steps[gap] = _expm(gap * gen)
+        rows[k] = steps[gap] @ rows[k - 1]
     states = None
     if keep_states:
         states = np.zeros((times.size, liouv.size), dtype=complex)
@@ -475,16 +439,18 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     phases = [phase for phase in schedule.phases() if phase[1] > 0]
     fields, durations, counts = zip(*phases)
     affine = affine_liouvillian(spec)
-    block, n_periods = affine.block, schedule.n_periods
+    real, block, n_periods = affine.sector, affine.block, schedule.n_periods
     # one entry when b0 == b1 or when a phase has no duration
-    liouvs = {b: affine.at(spec.rabi, b) for b in fields}
-    y = _steady(liouvs[fields[-1]], block)  # the record starts mid-train
-    frame = _real_frame(block, spec.dim)
-    # w = x . (c T) in real coordinates x: c T is real, since w is real on Hermitian matrices
-    weights = (affine.absorption_row[block] @ frame).real
+    gens = {b: real.base + spec.rabi * real.drive + b * real.field for b in fields}
+    held = fields[-1]  # the record starts mid-train, in the steady state of this field
+    x = _solved(gens[held], -real.pump)
+    y = np.zeros(spec.dim**2, dtype=complex)
+    y[block] = real.frame @ x
+    _checked(y, affine.base @ y + spec.rabi * (affine.drive @ y) + held * affine.field * y + affine.pump)
     keys = [(b, duration / max(n, 1)) for b, duration, n in phases]
-    steps = {key: _expm(key[1] * _augmented(liouvs[key[0]], block, frame))
-             for key in dict.fromkeys(keys)}
+    # exp(h G) for the augmented G = [[A, p0], [0, 0]] of each field's real generator A
+    steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))
+             for b, h in dict.fromkeys(keys)}
 
     # the whole record is allocated before any step, so one too large fails at once; each
     # phase's times are offset by its start, the sequential sum of the durations before it
@@ -494,13 +460,13 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     b = np.tile(np.repeat(fields, counts), n_periods)
     w = np.empty(times.size)
     states = np.zeros((times.size, spec.dim**2), dtype=complex) if keep_states else None
-    start, z = 0, np.append((frame.conj().T @ y[block]).real, 1.0)  # the steady state is Hermitian
+    start, z = 0, np.append(x, 1.0)
     for _ in range(n_periods):
         for key, n_samples in zip(keys, counts):
             rows = _stepped(steps[key], z, n_samples)[:, :-1]
-            w[start:start + n_samples] = rows[:n_samples] @ weights
+            w[start:start + n_samples] = rows[:n_samples] @ real.weights
             if keep_states:
-                states[start:start + n_samples, block] = rows[:n_samples] @ frame.T
+                states[start:start + n_samples, block] = rows[:n_samples] @ real.frame.T
             z, start = np.append(rows[-1], 1.0), start + n_samples
 
     names = ("b0", "b1", "period", "duty", "n_periods", "samples_per_period")

@@ -24,8 +24,9 @@ private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
 their operators and call it.  M is affine in the Rabi frequency and in the
 field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from one assembly, and transients, scans and spectra evaluate M,
-its pump block and its absorption row from them.  :func:`spec_meta` is the
+those parts from one assembly.  Scans and spectra evaluate M, its pump block
+and its absorption row from them, and transients their real form on the
+block (:attr:`AffineLiouvillian.sector`).  :func:`spec_meta` is the
 one set of provenance keys that every output recording a transition writes.
 
 The absorption rate observable is
@@ -42,6 +43,7 @@ raises it.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from math import isfinite, sqrt
@@ -311,6 +313,11 @@ def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
     )
 
 
+#: An affine family in the real coordinates x of its transients, y[block] = frame @ x: M acts on
+#: x as base + rabi * drive + b * field, and p0 and the absorption row are ``pump`` and ``weights``.
+RealSector = namedtuple("RealSector", "base drive field pump weights frame")
+
+
 @dataclass(frozen=True)
 class AffineLiouvillian:
     """M(rabi, b) = base + rabi * drive + b * diag(field) of one transition.
@@ -319,6 +326,17 @@ class AffineLiouvillian:
     the field only through the diagonal Zeeman terms, so only on the diagonal
     of M; p0, W and the other parameters depend on neither.  Build it with
     :func:`affine_liouvillian`; ``meta`` holds the :func:`spec_meta` keys.
+
+    :attr:`sector` holds the parts in real coordinates, derived once by index.
+    M preserves Hermiticity, so in the Hermitian basis of ``_real_frame`` its
+    parts and p0 are real.  With linear light at zero detuning M also
+    commutes with Theta(sigma) = S P sigma^* P S, a pi rotation about x with
+    complex conjugation: P reverses m -> -m inside each manifold and
+    S = diag((-1)^(F - m)).  Theta fixes p0, so every transient state is
+    Theta-even, and only the even combinations are kept (73 of the 130 block
+    indices of 3 -> 4).  Where a test finds that Theta maps the block outside
+    itself, fails to commute with a part or moves p0 (circular or general
+    light, nonzero detuning), the whole block is kept, through the same code.
     """
 
     base: np.ndarray
@@ -335,6 +353,46 @@ class AffineLiouvillian:
         """The pump's invariant block of M(rabi, b) at every rabi and b, found once: the
         field term is diagonal, so it reaches nothing that ``base`` and ``drive`` do not."""
         return _invariant_block([self.base, self.drive], [self.pump])
+
+    @cached_property
+    def sector(self) -> RealSector:
+        """The parts on the block's Theta-even sector, or on the whole block, formed by gathers.
+
+        Raises ValueError if a part is not real to rounding in the Hermitian basis (M does not
+        preserve Hermiticity), numpy.linalg.LinAlgError, a subclass, if one is not finite.
+        """
+        block, dim = self.block, self.coupling.shape[0]
+        rows, coefs = _frame_entries(block, dim)
+        basis = _real_frame(block, dim)
+        parts = [_congruence(part[block][:, block], rows, coefs) for part in (self.base, self.drive)]
+        # diag(field) T is T with its rows scaled, so only the product with T^H takes gathers
+        parts.append((coefs.conj()[:, :, None] * (self.field[block, None] * basis)[rows]).sum(axis=0))
+        parts.append((coefs.conj() * self.pump[block][rows]).sum(axis=0))
+        if not all(np.isfinite(part).all() for part in parts):
+            raise np.linalg.LinAlgError("the generator in the real frame is not finite")
+        scale = max(np.abs(part.real).max() for part in parts)
+        if max(np.abs(part.imag).max() for part in parts) > 1e-13 * scale:
+            raise ValueError("M does not preserve Hermiticity: it is not real in a Hermitian basis")
+        parts = [part.real for part in parts]
+        # p0 holds the rest state, the isotropic ground mixture: nonzero on the ground levels
+        theta = _reflection(block, np.count_nonzero(self.pump[:: dim + 1]), dim)
+        if theta is not None:  # kept if R A R = A for each part A and R p0 = p0
+            source, sign = theta
+            images = [sign[:, None] * part[source][:, source] * sign for part in parts[:3]]
+            if any(np.abs(image - part).max() > 1e-13 * np.abs(part).max()
+                   for image, part in zip(images + [sign * parts[3][source]], parts)):
+                theta = None
+        position = np.arange(block.size)
+        source, sign = theta or (position, np.ones(block.size))
+        # an even vector per orbit: e_k for a fixed point of sign +1, (e_k + sign_k e_source_k) / sqrt 2
+        pair = source != position
+        keep = (position <= source) & (pair | (sign > 0))
+        rows = np.stack((position, source))[:, keep]
+        coefs = np.stack((np.where(pair, sqrt(0.5), 1.0), np.where(pair, sign * sqrt(0.5), 0.0)))[:, keep]
+        frame = (basis[:, rows] * coefs).sum(axis=1)
+        base, drive, field = (_congruence(part, rows, coefs) for part in parts[:3])
+        pump = (coefs * parts[3][rows]).sum(axis=0)
+        return RealSector(base, drive, field, pump, (self.absorption_row[block] @ frame).real, frame)
 
     def at(self, rabi: float, b_field: float) -> Liouvillian:
         """The Liouvillian at Rabi frequency ``rabi`` and field ``b_field``."""
@@ -386,6 +444,55 @@ def _invariant_block(matrices, seeds) -> np.ndarray:
         frontier = pattern[:, frontier].any(axis=1) & ~reached
         reached |= frontier
     return np.flatnonzero(reached)
+
+
+def _frame_entries(block: np.ndarray, dim: int):
+    """(rows, coefs), each (2, block size): column k of ``_real_frame`` holds coefs[:, k] at rows[:, k]."""
+    rows, cols = np.divmod(block, dim)
+    partner = np.searchsorted(block, cols * dim + rows)  # position of (j, i)
+    upper, lower = rows < cols, rows > cols
+    half = sqrt(0.5)
+    coefs = (np.where(upper, half, np.where(lower, -1j * half, 1.0)),
+             np.where(upper, half, np.where(lower, 1j * half, 0.0)))
+    return np.stack((np.arange(block.size), partner)), np.stack(coefs)
+
+
+def _real_frame(block: np.ndarray, dim: int) -> np.ndarray:
+    """Unitary T with y[block] = T x, for x the real Hermitian coordinates of a state.
+
+    ``block`` must be closed under (i, j) <-> (j, i), as a block seeded by Hermitian
+    vectors is.  A diagonal entry sigma_ii maps to itself, and each pair i < j to
+    sqrt(2) Re sigma_ij (at the position of (i, j)) and sqrt(2) Im sigma_ij (at the
+    position of (j, i)): the columns of T are an orthonormal basis of Hermitian matrices.
+    """
+    rows, coefs = _frame_entries(block, dim)
+    frame = np.zeros((block.size, block.size), dtype=complex)
+    np.add.at(frame, (rows, np.arange(block.size)), coefs)
+    return frame
+
+
+def _reflection(block: np.ndarray, n_ground: int, dim: int):
+    """(source, sign) with (Theta x)[k] = sign[k] x[source[k]] in ``_real_frame`` coordinates, or
+    None when Theta maps the block outside itself.  On Hermitian sigma, Theta(sigma)_ij =
+    s_i s_j sigma_p(j)p(i) for p: m -> -m and s_i = (-1)^(F - m_i), so a coordinate keeps its
+    kind (diagonal, Re or Im), and an Im coordinate changes sign where p flips its pair's order.
+    """
+    flip = np.concatenate((np.arange(n_ground)[::-1], np.arange(n_ground, dim)[::-1]))
+    s = 1 - 2 * (np.concatenate((flip[:n_ground], flip[n_ground:] - n_ground)) % 2)  # m ascends
+    rows, cols = np.divmod(block, dim)
+    u, v = flip[rows], flip[cols]
+    image = np.where(rows > cols, np.maximum(u, v) * dim + np.minimum(u, v),
+                     np.minimum(u, v) * dim + np.maximum(u, v))
+    if not np.isin(image, block).all():
+        return None
+    sign = s[rows] * s[cols] * np.where((rows > cols) & (u > v), -1.0, 1.0)
+    return np.searchsorted(block, image), sign
+
+
+def _congruence(a: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray:
+    """C^H a C, for the C whose column k holds coefs[:, k] at rows rows[:, k]: four gathers."""
+    a = (a[:, rows] * coefs).sum(axis=1)
+    return (coefs.conj()[:, :, None] * a[rows]).sum(axis=0)
 
 
 def vectorize(sigma: np.ndarray) -> np.ndarray:

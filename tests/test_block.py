@@ -18,7 +18,9 @@ from hanlesim import (
     propagate_modal,
     steady_state,
     switched_transient,
+    trajectory_physicality,
 )
+import hanlesim.liouvillian as liouvillian
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
@@ -154,12 +156,17 @@ def test_real_frame_is_unitary_and_makes_the_generator_real(spec):
     assert np.abs(coords - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _real_generator(spec):
+    """[[A, p], [0, 0]] for the family's real generator A = base + rabi drive + b field and pump p."""
+    real = affine_liouvillian(spec).sector
+    matrix = real.base + spec.rabi * real.drive + spec.b_field * real.field
+    return np.vstack((np.column_stack((matrix, real.pump)), np.zeros(real.pump.size + 1)))
+
+
 @PROPERTY_SETTINGS
 @given(transitions())
 def test_expm_matches_scipy_on_augmented_generators(spec):
-    liouv = build_liouvillian(spec)
-    block = np.arange(liouv.size)
-    gen = dynamics._augmented(liouv, block, dynamics._real_frame(block, spec.dim))
+    gen = _real_generator(spec)
     assert gen.dtype == np.float64
     for h in (0.05, 1.25, 2500.0):
         expected = scipy.linalg.expm(h * gen)
@@ -283,3 +290,82 @@ def test_mode_amplitudes_rebuild_the_offset_and_weights_are_absorption(spec):
         complement = [mode for mode in modes if not mode.vector[block].any()]
         assert len(complement) == liouv.size - block.size
         assert all(mode.amplitude == 0 and mode.observable is False for mode in complement)
+
+
+def _theta_reference(spec, y):
+    """(Theta y)[(i, j)] = s_i s_j conj(y[(p(i), p(j))]), for p: m -> -m in each manifold and
+    s_i = (-1)^(F - m_i), written from the levels' quantum numbers."""
+    levels = [(k, manifold.f, m)
+              for k, manifold in enumerate((spec.fg, spec.fe)) for m in manifold.m_values()]
+    flip = np.array([levels.index((k, f, -m)) for k, f, m in levels])
+    s = np.array([(-1.0) ** round(f - m) for _, f, m in levels])
+    sigma = y.reshape(spec.dim, spec.dim)
+    return (np.outer(s, s) * sigma[np.ix_(flip, flip)].conj()).reshape(-1)
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_theta_is_an_involutive_signed_permutation_of_real_coordinates(spec):
+    block = affine_liouvillian(spec).block
+    frame = liouvillian._real_frame(block, spec.dim)
+    # Theta of each real basis matrix, in real coordinates, from the matrix formula
+    images = np.zeros((spec.dim**2, block.size), dtype=complex)
+    for k in range(block.size):
+        y = np.zeros(spec.dim**2, dtype=complex)
+        y[block] = frame[:, k]
+        images[:, k] = _theta_reference(spec, y)
+    theta = liouvillian._reflection(block, spec.n_ground, spec.dim)
+    outside = np.setdiff1d(np.arange(spec.dim**2), block)
+    assert (theta is None) == bool(np.abs(images[outside]).max(initial=0.0) > 0)
+    if theta is None:
+        return
+    source, sign = theta
+    np.testing.assert_array_equal(np.sort(source), np.arange(block.size))
+    assert set(sign.tolist()) <= {-1.0, 1.0}
+    np.testing.assert_array_equal(source[source], np.arange(block.size))
+    np.testing.assert_array_equal(sign * sign[source], 1.0)
+    expected = frame.conj().T @ images[block]
+    signed_permutation = np.zeros((block.size, block.size))
+    signed_permutation[np.arange(block.size), source] = sign
+    assert np.abs(expected - signed_permutation).max() <= 1e-15
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(["linear-x", "linear-y", None]), st.sampled_from([0.0, 0.5, -1e-3]),
+       st.sampled_from([0.0, 0.3]))
+def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, detuning, zeeman_e):
+    # pol None keeps the transition's own polarization: named or general
+    spec = replace(spec, pol=pol or spec.pol, detuning=detuning, zeeman_e=zeeman_e)
+    affine = affine_liouvillian(spec)
+    real, block = affine.sector, affine.block
+    linear = spec.pol in {replace(spec, pol=pol).pol for pol in ("linear-x", "linear-y")}
+    if linear and detuning == 0.0:
+        assert real.base.shape[0] < block.size
+        # every sector vector is Theta-even
+        states = np.zeros((spec.dim**2, real.base.shape[0]), dtype=complex)
+        states[block] = real.frame
+        for state in states.T:
+            assert np.abs(_theta_reference(spec, state) - state).max() <= 1e-15
+    else:
+        assert real.base.shape == (block.size, block.size)
+        np.testing.assert_array_equal(real.frame, liouvillian._real_frame(block, spec.dim))
+
+
+@st.composite
+def schedules(draw):
+    """One to three periods of 2 to 30 samples, of up to 60 decay times, at fields up to 0.1."""
+    b1, b0 = draw(st.floats(-0.1, 0.1)), draw(st.floats(-0.1, 0.1))
+    return SwitchSchedule(b1=b1, b0=b0, period=draw(st.floats(1.0, 60.0)), duty=draw(st.floats(0.0, 1.0)),
+                          n_periods=draw(st.integers(1, 3)), samples_per_period=draw(st.integers(2, 30)))
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), schedules())
+def test_sector_transient_equals_the_whole_block_transient(spec, schedule):
+    trace, states = switched_transient(spec, schedule, keep_states=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liouvillian, "_reflection", lambda *args: None)  # the detector forced off
+        whole, whole_states = switched_transient(spec, schedule, keep_states=True)
+    assert np.abs(trace.w - whole.w).max() <= 1e-12 * np.abs(whole.w).max()
+    assert np.abs(states - whole_states).max() <= 1e-12 * np.abs(whole_states).max()
+    assert trajectory_physicality(states)["hermiticity_defect"] == 0.0

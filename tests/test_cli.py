@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hanlesim import absorption, build_liouvillian, list_presets, load_trace, transit_time
-from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 
 from support import count_assemblies, eia_spec, record_shapes
 
@@ -207,6 +207,29 @@ class TestExitCodes:
         assert run(argv + ["--output", str(out / "o.csv")]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    # the same overflows, with numpy's warnings let through: they follow the failure line
+    @pytest.mark.parametrize("argv", [
+        ["transient", "--fg", "1", "--fe", "0", "--samples-per-period", "40", "--b1", "1e200"],
+        ["steady", "--scan-b-min=1e307", "--scan-b-max=1e308"],
+    ], ids=["b1-1e200", "steady-scan"])
+    def test_numerical_failure_leads_stderr_and_warnings_follow(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(argv + ["--output", str(out / "o.csv")]) == EXIT_NUMERICAL
+        first, *rest = capsys.readouterr().err.splitlines()
+        assert first.startswith("hanlesim: numerical failure")
+        assert rest and all(line.startswith("hanlesim: warning: ") for line in rest)
+        assert list(out.iterdir()) == []
+
+    def test_warnings_of_a_successful_run_are_raised_unchanged(self, tmp_path, capsys):
+        argv = ["transient", "--gamma", "0.2", "--samples-per-period", "40"]
+        with pytest.warns(UserWarning, match=r"^gamma=0\.2 is not small compared to the decay rate"):
+            assert run(argv + ["--output", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
 
     @pytest.mark.parametrize("argv, config", [
         (["transient", "--samples-per-period", str(10**20)], None),

@@ -193,9 +193,9 @@ class TestPropagators:
         skew = liouv.matrix + np.outer(liouv.pump, np.eye(liouv.dim).reshape(-1))
         skewed = dataclasses.replace(liouv, matrix=liouv.matrix + 0.1j * skew)
         y0 = steady_vector(eia_spec(0.06), 0.0)
-        block = liouvillian._invariant_block([skewed.matrix], [skewed.pump, y0])
+        affine = liouvillian.affine_liouvillian(eia_spec(0.06))
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            dynamics._augmented(skewed, block, dynamics._real_frame(block, skewed.dim))
+            dataclasses.replace(affine, base=affine.base + 0.1j * skew).sector
         # the modal fallback works in complex coordinates, so it needs no Hermiticity
         times = np.array([0.0, 1.0, 7.5])
         with pytest.warns(UserWarning, match="condition"):
@@ -207,12 +207,12 @@ class TestPropagators:
                                    rtol=0, atol=1e-12)
 
     def test_real_generator_refuses_a_matrix_that_is_not_finite(self):
-        liouv = build_liouvillian(eia_spec(0.06))
-        block = liouvillian._invariant_block([liouv.matrix], [liouv.pump])
-        broken = dataclasses.replace(liouv, matrix=liouv.matrix.copy())
-        broken.matrix[block[1], block[1]] = np.nan
+        affine = liouvillian.affine_liouvillian(eia_spec(0.06))
+        block = affine.block
+        broken = dataclasses.replace(affine, base=affine.base.copy())
+        broken.base[block[1], block[1]] = np.nan
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-            dynamics._augmented(broken, block, dynamics._real_frame(block, liouv.dim))
+            broken.sector
 
     @pytest.mark.parametrize("start", ["hermitian", "coherence"])
     def test_modal_fallback_needs_no_real_frame(self, monkeypatch, start):
@@ -221,8 +221,7 @@ class TestPropagators:
         def refuse(*args, **kwargs):
             raise AssertionError("the modal fallback must not use real coordinates")
 
-        monkeypatch.setattr(dynamics, "_real_frame", refuse)
-        monkeypatch.setattr(dynamics, "_augmented", refuse)
+        monkeypatch.setattr(liouvillian, "_frame_entries", refuse)  # every real frame comes from it
         spec = eia_spec(0.06, pol="sigma+").with_field(0.03)
         liouv = build_liouvillian(spec)
         if start == "hermitian":
@@ -237,6 +236,23 @@ class TestPropagators:
         expected = np.array([(scipy.linalg.expm(augmented(liouv) * t) @ np.append(y0, 1.0))[:-1]
                              for t in times])
         np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
+
+    def test_modal_fallback_exponentiates_once_per_distinct_gap(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
+        calls = []
+        expm = dynamics._expm
+        monkeypatch.setattr(dynamics, "_expm", lambda a: calls.append(1) or expm(a))
+        spec = TransitionSpec(fg=3, fe=3, rabi=0.0, gamma=GAMMA, pol="sigma+").with_intensity(0.06)
+        liouv = build_liouvillian(spec.with_field(0.03))
+        y0 = steady_vector(spec, 0.0)
+        times = np.linspace(0.5, 500.0, 400)
+        with pytest.warns(UserWarning, match="condition"):
+            trace, states = propagate_modal(liouv, y0, times, keep_states=True)
+        assert len(calls) <= 1 + np.unique(np.diff(times)).size < times.size
+        for k in (0, 1, 137, 280, 399):
+            expected = (scipy.linalg.expm(augmented(liouv) * times[k]) @ np.append(y0, 1.0))[:-1]
+            assert np.abs(states[k] - expected).max() <= 1e-10 * np.abs(expected).max()
+            assert abs(trace.w[k] - (liouv.absorption_row @ expected).real) <= 1e-10 * np.abs(trace.w).max()
 
     def test_a_lone_coherence_seeds_a_block_without_its_transpose(self):
         liouv = build_liouvillian(eia_spec(0.06, pol="sigma+").with_field(0.03))
@@ -477,15 +493,37 @@ class TestSwitchedTransient:
         assert {dtype for seen in dtypes.values() for dtype in seen} == {np.dtype(np.float64)}
 
     def test_solves_nothing_larger_than_the_pump_block(self, monkeypatch):
-        # 3 -> 4 linear light: the pump block holds 130 of the 256 Liouville indices
-        spec = TransitionSpec(fg=3, fe=4, rabi=0.0, gamma=GAMMA).with_intensity(0.06)
-        liouv = build_liouvillian(spec)
-        assert dynamics._invariant_block([liouv.matrix], [liouv.pump]).size == 130
-        shapes = record_shapes(monkeypatch, "solve")
-        switched_transient(spec, SwitchSchedule(b1=0.02, samples_per_period=40))
-        # the steady solve on the block, and the exponential's Pade solve on its
-        # augmented generator [[M, p0], [0, 0]], one larger
-        assert set(shapes) == {(130, 130), (131, 131)}
+        # 3 -> 4 linear light: the pump block holds 130 of the 256 Liouville indices, and its
+        # Theta-even sector 73; sigma+ light keeps its whole pump block of 28
+        for pol, block_size, size in (("linear-y", 130, 73), ("sigma+", 28, 28)):
+            spec = TransitionSpec(fg=3, fe=4, rabi=0.0, gamma=GAMMA, pol=pol).with_intensity(0.06)
+            liouv = build_liouvillian(spec)
+            assert dynamics._invariant_block([liouv.matrix], [liouv.pump]).size == block_size
+            with monkeypatch.context() as patch:
+                shapes = record_shapes(patch, "solve")
+                switched_transient(spec, SwitchSchedule(b1=0.02, samples_per_period=40))
+            # the steady solve on the sector, and the exponential's Pade solve on its
+            # augmented generator [[A, p0], [0, 0]], one larger
+            assert set(shapes) == {(size, size), (size + 1, size + 1)}
+
+    @pytest.mark.parametrize("fg, fe, size", [(1, 0, 7), (1, 2, 21), (2, 3, 43), (3, 3, 56), (3, 4, 73)])
+    def test_linear_light_at_zero_detuning_steps_the_even_sector(self, fg, fe, size):
+        spec = TransitionSpec(fg=fg, fe=fe, rabi=0.0, gamma=GAMMA).with_intensity(0.06)
+        assert liouvillian.affine_liouvillian(spec).sector.base.shape == (size, size)
+        for other in (dataclasses.replace(spec, pol="sigma+"), dataclasses.replace(spec, detuning=0.5)):
+            affine = liouvillian.affine_liouvillian(other)
+            assert affine.sector.base.shape == (affine.block.size, affine.block.size)
+
+    def test_uses_neither_the_complex_generator_nor_a_complex_transform(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("switched_transient must step the family's real parts")
+
+        assert not hasattr(dynamics, "_augmented")  # the complex-to-real transform per field is gone
+        monkeypatch.setattr(dynamics, "_augmented", refuse, raising=False)
+        monkeypatch.setattr(liouvillian.AffineLiouvillian, "at", refuse)
+        schedule = SwitchSchedule(b1=0.03, b0=0.01, period=1000.0, n_periods=2, samples_per_period=200)
+        trace = switched_transient(eia_spec(0.06), schedule)
+        assert trace.times.size == 400
 
 
 def test_physicality_matches_per_sample_reference():
