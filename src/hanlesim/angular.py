@@ -64,10 +64,7 @@ class AngMom:
         if isinstance(f, (int, np.integer)):
             return cls(2 * int(f))
         if isinstance(f, (float, np.floating)):
-            twice = 2.0 * float(f)
-            if twice != round(twice):
-                raise ValueError(f"F={f} is not an integer or half-integer")
-            return cls(int(round(twice)))
+            return cls(_twice(f, "F"))
         raise TypeError(f"cannot interpret {f!r} as an angular momentum")
 
     @property

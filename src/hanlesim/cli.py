@@ -29,7 +29,7 @@ from functools import cache
 import numpy as np
 
 from . import traceio
-from .dynamics import SwitchSchedule, _steady, split_phases, switched_transient, transit_time
+from .dynamics import SwitchSchedule, _sector_steady, split_phases, switched_transient, transit_time
 from .fit import fit as fit_trace, model_for_phase
 from .liouvillian import TransitionSpec, affine_liouvillian, spec_meta
 from .presets import get_preset, list_presets
@@ -242,8 +242,8 @@ def cmd_spectrum(args) -> int:
         intensities = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
     if intensities.size == 0 or np.any(intensities <= 0):
         raise ConfigError("intensity grid must be nonempty and positive")
-    rows = intensity_sweep(spec, intensities, b1=config.b1)
-    write_outputs((traceio.render_sweep(rows), args.output))
+    columns = intensity_sweep(spec, intensities, b1=config.b1)
+    write_outputs((traceio.render_table(list(columns), list(columns.values())), args.output))
     return EXIT_OK
 
 
@@ -267,11 +267,8 @@ def cmd_steady(args) -> int:
         raise ConfigError("scan_b_points must be at least 1")
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
     affine = affine_liouvillian(spec)
-    rows = []
-    for b in grid:
-        w = affine.absorption_row @ _steady(affine.at(spec.rabi, float(b)), affine.block)
-        rows.append((float(b), float(w.real)))
-    write_outputs((traceio.render_table(("b", "w"), rows, spec_meta(spec)), args.output))
+    w = [float(affine.sector.weights @ _sector_steady(affine, spec.rabi, b)) for b in grid.tolist()]
+    write_outputs((traceio.render_table(("b", "w"), (grid.tolist(), w), spec_meta(spec)), args.output))
     return EXIT_OK
 
 

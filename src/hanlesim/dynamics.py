@@ -25,8 +25,9 @@ The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
 state along the nonzero pattern of M.  Outside it the state stays exactly
 zero, so only M[block, block] is decomposed, exponentiated or solved.
-``_steady`` solves on the pump's block, and ``_checked``, shared by every
-steady state, checks residual (on the full M), trace, Hermiticity and PSD.
+``_steady`` solves on the pump's block, ``_sector_steady`` on an affine
+family's sector (see below), and ``_checked``, shared by every steady
+state, checks residual (on the full M), trace, Hermiticity and PSD.
 
 Transients are stepped in real arithmetic, in the coordinates of their
 affine family's ``sector``: M preserves Hermiticity (Lindblad, CMP 48, 119
@@ -53,10 +54,10 @@ from numbers import Integral
 import numpy as np
 
 from .liouvillian import (
+    AffineLiouvillian,
     Liouvillian,
     TransitionSpec,
     _invariant_block,
-    _real_frame,
     affine_liouvillian,
     devectorize,
     spec_meta,
@@ -188,6 +189,17 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
     y_ss = np.zeros(liouv.size, dtype=complex)
     y_ss[block] = _solved(liouv.matrix[np.ix_(block, block)], -liouv.pump[block])
     return _checked(y_ss, liouv.matrix @ y_ss + liouv.pump)
+
+
+def _sector_steady(affine: AffineLiouvillian, rabi: float, b_field: float) -> np.ndarray:
+    """Coordinates on ``affine.sector`` of the steady state at (rabi, b_field), solved there; the
+    state mapped back through its frame is checked, with the residual formed from the parts."""
+    real = affine.sector
+    x = _solved(real.base + rabi * real.drive + b_field * real.field, -real.pump)
+    y = np.zeros(affine.pump.size, dtype=complex)
+    y[affine.block] = real.frame @ x
+    _checked(y, affine.base @ y + rabi * (affine.drive @ y) + b_field * affine.field * y + affine.pump)
+    return x
 
 
 def _solved(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -442,11 +454,8 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     real, block, n_periods = affine.sector, affine.block, schedule.n_periods
     # one entry when b0 == b1 or when a phase has no duration
     gens = {b: real.base + spec.rabi * real.drive + b * real.field for b in fields}
-    held = fields[-1]  # the record starts mid-train, in the steady state of this field
-    x = _solved(gens[held], -real.pump)
-    y = np.zeros(spec.dim**2, dtype=complex)
-    y[block] = real.frame @ x
-    _checked(y, affine.base @ y + spec.rabi * (affine.drive @ y) + held * affine.field * y + affine.pump)
+    # the record starts mid-train, in the steady state of the last phase's field
+    x = _sector_steady(affine, spec.rabi, fields[-1])
     keys = [(b, duration / max(n, 1)) for b, duration, n in phases]
     # exp(h G) for the augmented G = [[A, p0], [0, 0]] of each field's real generator A
     steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))

@@ -161,21 +161,13 @@ def _meta_number(meta: dict, key: str) -> float:
 
 
 def _to_internal(model: FitModel, params: dict) -> np.ndarray:
-    out = []
-    for name in model.param_names:
-        value = params[name]
-        if name in _LOG_PARAMS:
-            out.append(np.log(max(value, 1e-300)))
-        else:
-            out.append(value)
-    return np.array(out, dtype=float)
+    return np.array([np.log(max(params[name], 1e-300)) if name in _LOG_PARAMS else params[name]
+                     for name in model.param_names], dtype=float)
 
 
 def _to_external(model: FitModel, theta: np.ndarray) -> dict:
-    params = {}
-    for name, value in zip(model.param_names, theta):
-        params[name] = float(np.exp(value)) if name in _LOG_PARAMS else float(value)
-    return params
+    return {name: float(np.exp(value)) if name in _LOG_PARAMS else float(value)
+            for name, value in zip(model.param_names, theta)}
 
 
 def _external_slope(model: FitModel, params: dict) -> np.ndarray:
@@ -323,18 +315,9 @@ def _normalize(params: dict) -> dict:
 
 
 def _degenerate_result(model: FitModel, y: np.ndarray) -> FitResult:
-    params = {name: 0.0 for name in model.param_names}
-    params["offset"] = float(np.mean(y))
-    return FitResult(
-        kind=model.kind,
-        params=params,
-        uncertainties={name: 0.0 for name in model.param_names},
-        rms=0.0,
-        iterations=0,
-        converged=True,
-        seeds={},
-        degenerate=True,
-    )
+    zeros = {name: 0.0 for name in model.param_names}
+    return FitResult(kind=model.kind, params=zeros | {"offset": float(np.mean(y))},
+                     uncertainties=zeros, rms=0.0, iterations=0, converged=True, degenerate=True)
 
 
 def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> FitResult:

@@ -24,9 +24,9 @@ private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
 their operators and call it.  M is affine in the Rabi frequency and in the
 field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from one assembly.  Scans and spectra evaluate M, its pump block
-and its absorption row from them, and transients their real form on the
-block (:attr:`AffineLiouvillian.sector`).  :func:`spec_meta` is the
+those parts from one assembly.  Spectra evaluate M, its pump block and its
+absorption row from them, and transients and steady scans their real form on
+the block (:attr:`AffineLiouvillian.sector`).  :func:`spec_meta` is the
 one set of provenance keys that every output recording a transition writes.
 
 The absorption rate observable is
@@ -42,6 +42,7 @@ raises it.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
@@ -132,10 +133,14 @@ class TransitionSpec:
         if self.gamma <= 0:
             raise ValueError(f"gamma must be > 0, got {self.gamma}")
         if self.gamma > 0.1:
+            # name the first caller outside this package and dataclasses (__init__, replace)
+            frame, level, inner = sys._getframe(), 1, (__package__, "dataclasses")
+            while frame and frame.f_globals.get("__name__", "").partition(".")[0] in inner:
+                frame, level = frame.f_back, level + 1
             warnings.warn(
                 f"gamma={self.gamma} is not small compared to the decay rate; "
                 "the transit-relaxation model is meant for gamma << 1",
-                stacklevel=2,
+                stacklevel=level,
             )
         if self.dipole_scale <= 0:
             raise ValueError(f"dipole_scale must be > 0, got {self.dipole_scale}")

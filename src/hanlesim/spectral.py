@@ -19,6 +19,7 @@ generator comes from the same Lindblad assembler as the full model.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
@@ -103,8 +104,9 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     kind (``OBSERVABILITY_TOL``).  The amplitudes are verified to rebuild
     y0 - y_ss.
     """
-    parts = _parts([liouv.matrix], _invariant_block([liouv.matrix], [liouv.pump]))
-    return _annotated(liouv, [_decompose(liouv, part) for part in parts], y0)
+    blocks = _parts([liouv.matrix], _invariant_block([liouv.matrix], [liouv.pump]))
+    parts = [_decompose(liouv, block) for block in blocks]
+    return _records(parts, _spectrum(liouv.matrix, parts, y0))
 
 
 def _parts(matrices, block) -> tuple[np.ndarray, ...]:
@@ -121,37 +123,59 @@ def _parts(matrices, block) -> tuple[np.ndarray, ...]:
     return (np.arange(size),)
 
 
-def _annotated(liouv: Liouvillian, parts: list[_Modes], y0=None) -> list[EigenMode]:
-    """Sorted EigenMode records of the decompositions ``parts`` of M, pump block first."""
+#: Sorted modes of M: eigenvalues, absorption weights, amplitudes and observability flags (None
+#: without a start state), and each mode's column in the eigenvectors of M's parts side by side.
+_Spectrum = namedtuple("_Spectrum", "values weights amplitudes observable order")
+
+
+def _spectrum(matrix: np.ndarray, parts: list[_Modes], y0=None) -> _Spectrum:
+    """The modes of M from ``parts``, decompositions on invariant blocks that cover M, pump first;
+    each part's eigenpairs, and the amplitudes from ``y0``, are checked on its own block."""
+    for part in parts:
+        sub = matrix[np.ix_(part.block, part.block)]
+        residual = np.linalg.norm(sub @ part.vecs - part.vecs * part.lam, axis=0).max()
+        if residual > 1e-9:
+            raise np.linalg.LinAlgError(f"eigen residual {residual:.3e} exceeds 1e-9 "
+                                        f"(matrix condition number {np.linalg.cond(sub):.3e})")
     lam = np.concatenate([part.lam for part in parts])
     weights = np.concatenate([part.w_modes for part in parts])
-    vecs = np.zeros((liouv.size, liouv.size), dtype=complex)
-    start = 0
-    for part in parts:
+    order = np.lexsort((lam.imag, -lam.real))
+    if y0 is None:
+        none = [None] * lam.size
+        return _Spectrum(lam[order], weights[order], none, none, order)
+    y0 = _as_vector(y0, matrix.shape[0])
+    offset = y0 - parts[0].y_ss
+    amps = [part.amplitudes(y0) for part in parts]
+    residual = np.linalg.norm(np.concatenate(
+        [part.vecs @ part_amps - offset[part.block] for part, part_amps in zip(parts, amps)]))
+    if residual > 1e-9 * max(1.0, np.linalg.norm(offset)):
+        raise np.linalg.LinAlgError(f"amplitude reconstruction residual {residual:.3e}")
+    amps = np.concatenate(amps)
+    amp_floor = OBSERVABILITY_TOL * max(np.abs(amps).max(), np.finfo(float).tiny)
+    weight_floor = OBSERVABILITY_TOL * max(np.abs(weights).max(), np.finfo(float).tiny)
+    observable = (np.abs(amps) > amp_floor) & (np.abs(weights) > weight_floor)
+    return _Spectrum(lam[order], weights[order], amps[order], observable[order].tolist(), order)
+
+
+def _records(parts: list[_Modes], spectrum: _Spectrum) -> list[EigenMode]:
+    """EigenMode records of ``spectrum``, with full-size eigenvectors, zero off their part."""
+    vecs = np.zeros((parts[0].y_ss.size, spectrum.order.size), dtype=complex)
+    starts = np.cumsum([0] + [part.block.size for part in parts])
+    for part, start in zip(parts, starts):
         vecs[part.block, start:start + part.block.size] = part.vecs
-        start += part.block.size
-    residuals = np.linalg.norm(liouv.matrix @ vecs - vecs * lam, axis=0)
-    if residuals.max() > 1e-9:
-        raise np.linalg.LinAlgError(
-            f"eigen residual {residuals.max():.3e} exceeds 1e-9 "
-            f"(matrix condition number {np.linalg.cond(liouv.matrix):.3e})"
-        )
-    amps = observable = [None] * lam.size
-    if y0 is not None:
-        y0 = _as_vector(y0, liouv.size)
-        offset = y0 - parts[0].y_ss
-        amps = np.concatenate([part.amplitudes(y0) for part in parts])
-        residual = np.linalg.norm(vecs @ amps - offset)
-        if residual > 1e-9 * max(1.0, np.linalg.norm(offset)):
-            raise np.linalg.LinAlgError(f"amplitude reconstruction residual {residual:.3e}")
-        amp_floor = OBSERVABILITY_TOL * max(np.abs(amps).max(), np.finfo(float).tiny)
-        weight_floor = OBSERVABILITY_TOL * max(np.abs(weights).max(), np.finfo(float).tiny)
-        observable = ((np.abs(amps) > amp_floor) & (np.abs(weights) > weight_floor)).tolist()
-    return [
-        EigenMode(value=lam[k], vector=vecs[:, k], amplitude=amps[k], weight=weights[k],
-                  observable=observable[k])
-        for k in np.lexsort((lam.imag, -lam.real))
-    ]
+    return [EigenMode(value, vecs[:, column], amplitude=amplitude, weight=weight, observable=flag)
+            for value, weight, amplitude, flag, column in zip(*spectrum)]
+
+
+def _groups(rates: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Group labels and ambiguity flags of decay rates |Re lambda| (see :func:`classify_groups`)."""
+    t12, t23 = sqrt(gamma * 0.5), sqrt(0.5)
+    groups = np.where(rates < t12, 1, np.where(rates < t23, 2, 3))
+    ambiguous = np.zeros(rates.shape, dtype=bool)
+    for thr in (t12, t23):
+        low, high = thr * (1 - GROUP_AMBIGUITY_BAND), thr * (1 + GROUP_AMBIGUITY_BAND)
+        ambiguous |= (low <= rates) & (rates <= high)
+    return groups, ambiguous
 
 
 def classify_groups(modes: list[EigenMode], gamma: float) -> list[EigenMode]:
@@ -162,15 +186,9 @@ def classify_groups(modes: list[EigenMode], gamma: float) -> list[EigenMode]:
     separates groups 2|3.  Near saturation the grouping loses meaning; modes
     within ``GROUP_AMBIGUITY_BAND`` of a threshold are flagged.
     """
-    t12 = sqrt(gamma * 0.5)
-    t23 = sqrt(0.5)
-    for mode in modes:
-        rate = abs(mode.value.real)
-        mode.group = 1 if rate < t12 else (2 if rate < t23 else 3)
-        mode.ambiguous_group = any(
-            thr * (1 - GROUP_AMBIGUITY_BAND) <= rate <= thr * (1 + GROUP_AMBIGUITY_BAND)
-            for thr in (t12, t23)
-        )
+    groups, ambiguous = _groups(np.abs([mode.value.real for mode in modes]), gamma)
+    for mode, group, flag in zip(modes, groups.tolist(), ambiguous.tolist()):
+        mode.group, mode.ambiguous_group = group, flag
     return modes
 
 
@@ -284,7 +302,7 @@ def open_lambda_liouvillian(spec: OpenLambdaSpec) -> Liouvillian:
     )
 
 
-#: Column order of the rows produced by :func:`intensity_sweep`.
+#: Names of the columns of :func:`intensity_sweep`, in order.
 SWEEP_COLUMNS = ("intensity", "b_case", "re_lambda", "im_lambda", "group", "observable", "w_mode")
 
 
@@ -300,45 +318,42 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     checked steady solve on the pump block, outside which it vanishes.
     Returns {(intensity, case): list of EigenMode}.
     """
-    return {(intensity, case): modes for intensity, case, modes in _sweep(spec, intensities, b1)}
+    return {(intensity, case): classify_groups(_records(parts, spectrum), spec.gamma)
+            for intensity, case, parts, spectrum in _sweep(spec, intensities, b1)}
 
 
 def _sweep(spec: TransitionSpec, intensities, b1: float):
-    """Yield (intensity, case, modes) of :func:`sweep_modes` in grid order, B0 before B1."""
+    """Yield (intensity, case, parts, spectrum) of each point, in grid order, B0 before B1."""
     affine = affine_liouvillian(spec)
-    parts = _parts([affine.base, affine.drive], affine.block)
+    blocks = _parts([affine.base, affine.drive], affine.block)
     for intensity in intensities:
         rabi = spec.with_intensity(intensity).rabi
         liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}
-        decomposed = {case: [_decompose(m, part) for part in parts] for case, m in liouvs.items()}
+        parts = {case: [_decompose(m, block) for block in blocks] for case, m in liouvs.items()}
         for case, other in (("B0", "B1"), ("B1", "B0")):
             # initial condition: the system was sitting in the other phase's steady state
-            modes = _annotated(liouvs[case], decomposed[case], decomposed[other][0].y_ss)
-            yield float(intensity), case, classify_groups(modes, spec.gamma)
+            spectrum = _spectrum(liouvs[case].matrix, parts[case], parts[other][0].y_ss)
+            yield float(intensity), case, parts[case], spectrum
 
 
-def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> list[dict]:
+def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
     """Observable-eigenvalue table over an intensity grid, at field 0 and ``b1``.
 
-    Rows are ordered by the intensity grid, then field case ("B0" before
-    "B1"), then by the deterministic eigenmode order; every mode is emitted
-    with its group label and observability flag so consumers can filter.
-    Row keys are ``SWEEP_COLUMNS``; ``w_mode`` is the magnitude of the mode's
-    absorption weight.
+    Returns columns, {name: list} in ``SWEEP_COLUMNS`` order, one entry per
+    mode: by the intensity grid, then field case ("B0" before "B1"), then the
+    eigenmode order.  Every mode is listed with its group label and its
+    observability flag (0 or 1), so consumers can filter.  ``w_mode`` is the
+    magnitude of the mode's absorption weight.
     """
-    rows = []
-    # one point's modes at a time, so the sweep never holds every eigenvector
-    for intensity, case, modes in _sweep(spec, intensities, b1):
-        for mode in modes:
-            rows.append(
-                {
-                    "intensity": intensity,
-                    "b_case": case,
-                    "re_lambda": float(mode.value.real),
-                    "im_lambda": float(mode.value.imag),
-                    "group": int(mode.group),
-                    "observable": int(bool(mode.observable)),
-                    "w_mode": float(abs(mode.weight)),
-                }
-            )
-    return rows
+    columns = {name: [] for name in SWEEP_COLUMNS}
+    for intensity, case, _, spectrum in _sweep(spec, intensities, b1):
+        count, values, weights = spectrum.order.size, spectrum.values, spectrum.weights
+        columns["intensity"] += [intensity] * count
+        columns["b_case"] += [case] * count
+        columns["re_lambda"] += values.real.tolist()
+        columns["im_lambda"] += values.imag.tolist()
+        columns["group"] += _groups(np.abs(values.real), spec.gamma)[0].tolist()
+        columns["observable"] += map(int, spectrum.observable)
+        # hypot is what abs() of a complex scalar computes, to the last bit
+        columns["w_mode"] += np.hypot(weights.real, weights.imag).tolist()
+    return columns

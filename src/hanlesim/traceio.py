@@ -31,7 +31,6 @@ __all__ = [
     "save_trace",
     "load_trace",
     "render_table",
-    "render_sweep",
     "render_fit",
     "save_fit",
     "write_outputs",
@@ -77,21 +76,21 @@ def _format_column(cells) -> list:
     return list(map(plain, cells))
 
 
-def render_table(columns, rows, meta: dict | None = None) -> str:
+def render_table(names, columns, meta: dict | None = None) -> str:
     """Generic numeric CSV: sorted ``#`` metadata, header, repr-formatted rows.
 
-    Formats a column at a time; every row must have the same number of cells.
+    ``columns`` holds one sequence of cells per name, each formatted at once;
+    columns of unequal length raise ValueError.
     """
     lines = _meta_lines(meta or {})
-    lines.append(",".join(columns))
-    formatted = [_format_column(cells) for cells in zip(*rows, strict=True)]
-    lines.extend(map(",".join, zip(*formatted)))
+    lines.append(",".join(names))
+    lines.extend(map(",".join, zip(*map(_format_column, columns), strict=True)))
     return "\n".join(lines) + "\n"
 
 
 def render_trace(trace: TransientTrace) -> str:
-    rows = zip(trace.times.tolist(), trace.w.tolist(), trace.b.tolist())
-    return render_table(TRACE_COLUMNS, rows, trace.meta)
+    columns = (trace.times.tolist(), trace.w.tolist(), trace.b.tolist())
+    return render_table(TRACE_COLUMNS, columns, trace.meta)
 
 
 def save_trace(trace: TransientTrace, path) -> None:
@@ -169,14 +168,6 @@ def load_trace(path) -> TransientTrace:
     return TransientTrace(
         times=np.array(times), w=np.array(w), b=np.array(b), meta=meta,
     )
-
-
-def render_sweep(rows) -> str:
-    """CSV for intensity-sweep mode tables (see ``spectral.intensity_sweep``)."""
-    from .spectral import SWEEP_COLUMNS
-
-    table = [[row[name] for name in SWEEP_COLUMNS] for row in rows]
-    return render_table(SWEEP_COLUMNS, table)
 
 
 def render_fit(result) -> str:

@@ -140,7 +140,7 @@ def test_real_frame_is_unitary_and_makes_the_generator_real(spec):
     block = dynamics._invariant_block([liouv.matrix], [liouv.pump, y0])
     rows, cols = np.divmod(block, spec.dim)
     np.testing.assert_array_equal(np.sort(cols * spec.dim + rows), block)  # closed under transpose
-    frame = dynamics._real_frame(block, spec.dim)
+    frame = liouvillian._real_frame(block, spec.dim)
     adjoint = frame.conj().T
     assert np.abs(adjoint @ frame - np.eye(block.size)).max() <= 1e-15
     scale = np.abs(liouv.matrix).max()

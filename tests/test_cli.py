@@ -5,6 +5,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -228,6 +229,15 @@ class TestExitCodes:
             assert run(argv + ["--output", str(tmp_path / "o.csv")]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_gamma_warning_is_raised_once_per_run(self, tmp_path):
+        # under the default filters, every spec the run builds warns from one line outside hanlesim
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default")
+            assert run(["transient", "--gamma", "0.2", "--samples-per-period", "40",
+                        "--output", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert [warning.category for warning in caught] == [UserWarning]
+        assert caught[0].filename == __file__
+
     def test_parser_is_built_once(self):
         assert build_parser() is build_parser()
 
@@ -405,11 +415,12 @@ class TestSteady:
         assert len(calls) <= 3
 
     def test_solves_on_the_pump_block(self, monkeypatch, tmp_path):
-        # 1 -> 2 linear light: the pump block holds 34 of the 64 Liouville indices
+        # 1 -> 2 linear light: the pump block holds 34 of the 64 Liouville indices, and its
+        # Theta-even sector 21 real coordinates
         shapes = record_shapes(monkeypatch, "solve")
         assert run(["steady", "--fg", "1", "--fe", "2", "--scan-b-points", "5",
                     "--output", str(tmp_path / "scan.csv")]) == EXIT_OK
-        assert shapes == [(34, 34)] * 5
+        assert shapes == [(21, 21)] * 5
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.06",

@@ -228,6 +228,12 @@ class TestTransitionSpec:
             with pytest.raises(ValueError):
                 TransitionSpec(fg=1, fe=0, rabi=0.1, gamma=0.002, pol=(bad, 0.0, 0.0))
 
+    def test_gamma_warning_names_the_line_that_built_the_spec(self):
+        with pytest.warns(UserWarning, match="gamma=0.2 is not small") as record:
+            TransitionSpec(fg=1, fe=0, rabi=0.0, gamma=0.2).with_intensity(0.3).with_field(0.01)
+        assert len(record) == 3  # the constructor, then each dataclasses.replace
+        assert {warning.filename for warning in record} == {__file__}
+
     def test_polarization_string_is_resolved(self):
         spec = eit_spec(0.02, pol="sigma+")
         np.testing.assert_allclose(spec.pol, (0.0, 0.0, 1.0))

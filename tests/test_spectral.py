@@ -1,7 +1,10 @@
 """Eigenmode machinery, observability, dark states, the open three-level model."""
 
+from math import sqrt
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
@@ -23,7 +26,7 @@ from hanlesim import (
 from hanlesim.cli import _transition_spec, build_config
 from hanlesim.dynamics import _invariant_block
 from hanlesim.liouvillian import coupling_matrix, hamiltonian, isotropic_ground
-from hanlesim.spectral import OBSERVABILITY_TOL, SWEEP_COLUMNS, EigenMode
+from hanlesim.spectral import GROUP_AMBIGUITY_BAND, OBSERVABILITY_TOL, SWEEP_COLUMNS, EigenMode
 
 from support import (
     GAMMA,
@@ -254,27 +257,78 @@ class TestOpenLambda:
         assert identity @ liouv.pump == pytest.approx(GAMMA)
 
 
+def per_mode_groups(rates, gamma):
+    """(group, ambiguous) of each rate by classify_groups' rule as first written, one mode at a time."""
+    t12, t23 = sqrt(gamma * 0.5), sqrt(0.5)
+    return [
+        (1 if rate < t12 else (2 if rate < t23 else 3),
+         any(thr * (1 - GROUP_AMBIGUITY_BAND) <= rate <= thr * (1 + GROUP_AMBIGUITY_BAND)
+             for thr in (t12, t23)))
+        for rate in rates
+    ]
+
+
+@st.composite
+def rates_and_gamma(draw):
+    """A gamma in (0, 2], gamma >= 1 included, and rates on, just beside and away from its edges."""
+    gamma = draw(st.one_of(st.floats(0.0, 2.0, exclude_min=True), st.sampled_from([1.0, 1.5, 2.0])))
+    edges = [thr * (1 + side * GROUP_AMBIGUITY_BAND)
+             for thr in (sqrt(gamma * 0.5), sqrt(0.5)) for side in (-1, 0, 1)]
+    near = st.sampled_from(edges).flatmap(
+        lambda edge: st.sampled_from([np.nextafter(edge, 0.0), edge, np.nextafter(edge, 4.0)]))
+    rates = draw(st.lists(st.one_of(near, st.floats(0.0, 3.0)), max_size=30))
+    return np.array(rates, dtype=float), gamma
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rates_and_gamma())
+def test_vectorized_groups_follow_the_per_mode_rule(drawn):
+    rates, gamma = drawn
+    groups, ambiguous = spectral._groups(rates, gamma)
+    expected = per_mode_groups(rates.tolist(), gamma)
+    assert list(zip(groups.tolist(), ambiguous.tolist())) == expected
+    modes = classify_groups([EigenMode(complex(-rate, 0.5), np.zeros(1)) for rate in rates], gamma)
+    assert [(mode.group, mode.ambiguous_group) for mode in modes] == expected
+
+
 class TestIntensitySweep:
     def test_row_grid_and_columns(self):
         spec = eit_spec(0.0)
         grid = (0.002, 0.02)
-        rows = intensity_sweep(spec, grid, b1=0.03)
-        assert len(rows) == 2 * 2 * 16  # intensities x B cases x modes
-        assert set(rows[0]) == set(SWEEP_COLUMNS)
-        assert sorted({r["intensity"] for r in rows}) == [0.002, 0.02]
-        assert {r["b_case"] for r in rows} == {"B0", "B1"}
+        columns = intensity_sweep(spec, grid, b1=0.03)
+        assert list(columns) == list(SWEEP_COLUMNS)
+        assert {len(cells) for cells in columns.values()} == {2 * 2 * 16}  # intensities x cases x modes
+        assert sorted(set(columns["intensity"])) == [0.002, 0.02]
+        assert set(columns["b_case"]) == {"B0", "B1"}
 
     def test_weights_nonnegative_flags_integral(self):
-        rows = intensity_sweep(eit_spec(0.0), (0.006,), b1=0.03)
-        for row in rows:
-            assert row["w_mode"] >= 0.0
-            assert row["observable"] in (0, 1)
-            assert row["group"] in (1, 2, 3)
+        columns = intensity_sweep(eit_spec(0.0), (0.006,), b1=0.03)
+        assert min(columns["w_mode"]) >= 0.0
+        assert set(columns["observable"]) <= {0, 1}
+        assert set(columns["group"]) <= {1, 2, 3}
 
     def test_sweep_modes_keyed_by_intensity_and_case(self):
         result = sweep_modes(eit_spec(0.0), (0.002,), b1=0.03)
         assert set(result) == {(0.002, "B0"), (0.002, "B1")}
         assert len(result[(0.002, "B0")]) == 16
+
+    def test_columns_equal_the_records_and_build_none(self, monkeypatch):
+        config = build_config("fig7a", None, {}, "spectrum")
+        spec = _transition_spec(config)
+        grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
+        expected = {name: [] for name in SWEEP_COLUMNS}
+        for (intensity, case), modes in sweep_modes(spec, grid, config.b1).items():
+            for mode in modes:
+                for name, cell in zip(SWEEP_COLUMNS, (
+                        intensity, case, float(mode.value.real), float(mode.value.imag),
+                        mode.group, int(mode.observable), float(abs(mode.weight)))):
+                    expected[name].append(cell)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("intensity_sweep built an EigenMode")
+
+        monkeypatch.setattr(spectral, "EigenMode", refuse)
+        assert intensity_sweep(spec, grid, config.b1) == expected
 
 
 def full_eig_sweep(spec, intensities, b1):

@@ -10,7 +10,7 @@ from hanlesim.dynamics import TransientTrace
 from hanlesim.fit import evaluate_model
 from hanlesim.cli import _transition_spec, build_config
 from hanlesim.spectral import SWEEP_COLUMNS, intensity_sweep
-from hanlesim.traceio import _format_cell, render_fit, render_sweep, render_table, render_trace
+from hanlesim.traceio import _format_cell, render_fit, render_table, render_trace
 
 
 def sample_trace():
@@ -116,40 +116,47 @@ class TestLoadErrors:
             load_trace(path)
 
 
+def sweep_csv(columns):
+    """The spectrum command's table of ``intensity_sweep`` columns."""
+    return render_table(list(columns), list(columns.values()))
+
+
 class TestSweepRendering:
-    def row(self):
-        return {"intensity": 0.02, "b_case": "B0", "re_lambda": -0.0024,
-                "im_lambda": 0.0, "group": 1, "observable": True, "w_mode": 0.9}
+    def columns(self):
+        return intensity_sweep(_transition_spec(build_config("fig7a", None, {}, "spectrum")),
+                               (0.02,), 0.03)
 
     def test_column_order_and_bare_strings(self):
-        text = render_sweep([self.row()])
+        text = sweep_csv(self.columns())
         lines = text.splitlines()
         assert lines[0] == "intensity,b_case,re_lambda,im_lambda,group,observable,w_mode"
         assert "'B0'" not in text and "B0" in text
 
     def test_deterministic(self):
-        rows = [self.row()]
-        assert render_sweep(rows) == render_sweep(rows)
+        columns = self.columns()
+        assert sweep_csv(columns) == sweep_csv(columns)
 
     def test_column_formatting_matches_per_cell_formatting(self):
         config = build_config("fig7a", None, {}, "spectrum")
         grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
-        rows = intensity_sweep(_transition_spec(config), grid, config.b1)
+        columns = intensity_sweep(_transition_spec(config), grid, config.b1)
         per_cell = [",".join(SWEEP_COLUMNS)] + [
-            ",".join(_format_cell(row[name]) for name in SWEEP_COLUMNS) for row in rows]
-        assert render_sweep(rows) == "\n".join(per_cell) + "\n"
+            ",".join(_format_cell(cell) for cell in row)
+            for row in zip(*(columns[name] for name in SWEEP_COLUMNS))]
+        assert sweep_csv(columns) == "\n".join(per_cell) + "\n"
 
     def test_mixed_and_numpy_columns_format_per_cell(self):
         rows = [(1, 2.5, "a", np.float64(0.1), True, (1, 2)),
                 (2.0, 3, "b", 7, np.int64(4), "x")]
-        columns = ("a", "b", "c", "d", "e", "f")
-        expected = [",".join(columns)] + [",".join(_format_cell(cell) for cell in row) for row in rows]
-        assert render_table(columns, rows) == "\n".join(expected) + "\n"
+        names = ("a", "b", "c", "d", "e", "f")
+        expected = [",".join(names)] + [",".join(_format_cell(cell) for cell in row) for row in rows]
+        assert render_table(names, list(zip(*rows))) == "\n".join(expected) + "\n"
         assert expected[1] == "1,2.5,a,0.1,True,(1, 2)"
 
-    def test_ragged_rows_are_refused(self):
-        with pytest.raises(ValueError):
-            render_table(("a", "b"), [(1.0, 2.0), (3.0,)])
+    def test_columns_of_unequal_length_are_refused(self):
+        for columns in ([(1.0, 2.0), (3.0,)], [(1.0,), (2.0, 3.0)]):
+            with pytest.raises(ValueError):
+                render_table(("a", "b"), columns)
 
 
 class TestFitRendering:
