@@ -112,7 +112,7 @@ def build_config(preset_name=None, config_path=None, overrides=None,
                 loaded = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ConfigError(f"invalid JSON in {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")
@@ -147,6 +147,8 @@ def build_config(preset_name=None, config_path=None, overrides=None,
         merged["intensities"] = tuple(_finite(v, message) for v in merged["intensities"])
     if not (merged["drop_exp_term"] is None or isinstance(merged["drop_exp_term"], bool)):
         raise ConfigError("config key 'drop_exp_term' must be true, false or null")
+    if not isinstance(merged["polarization"], str):
+        raise ConfigError("config key 'polarization' must be a string")
     return RunConfig(**merged)
 
 
@@ -161,35 +163,29 @@ def _finite(value, message: str) -> float:
 
 
 def _transition_spec(config: RunConfig) -> TransitionSpec:
-    try:
-        base = TransitionSpec(
-            fg=config.fg,
-            fe=config.fe,
-            rabi=0.0,
-            gamma=config.gamma,
-            detuning=config.detuning,
-            zeeman_g=config.zeeman_g,
-            zeeman_e=config.zeeman_e,
-            pol=config.polarization,
-            dipole_scale=config.dipole_scale,
-        )
-        return base.with_intensity(config.intensity)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    base = TransitionSpec(
+        fg=config.fg,
+        fe=config.fe,
+        rabi=0.0,
+        gamma=config.gamma,
+        detuning=config.detuning,
+        zeeman_g=config.zeeman_g,
+        zeeman_e=config.zeeman_e,
+        pol=config.polarization,
+        dipole_scale=config.dipole_scale,
+    )
+    return base.with_intensity(config.intensity)
 
 
 def _schedule(config: RunConfig) -> SwitchSchedule:
-    try:
-        return SwitchSchedule(
-            b1=config.b1,
-            b0=config.b0,
-            period=config.period,
-            duty=config.duty,
-            n_periods=config.n_periods,
-            samples_per_period=config.samples_per_period,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return SwitchSchedule(
+        b1=config.b1,
+        b0=config.b0,
+        period=config.period,
+        duty=config.duty,
+        n_periods=config.n_periods,
+        samples_per_period=config.samples_per_period,
+    )
 
 
 def _fit_json(trace, config: RunConfig, switched: bool) -> str:
@@ -197,8 +193,8 @@ def _fit_json(trace, config: RunConfig, switched: bool) -> str:
 
     A ``switched`` trace (a ``transient`` record) must hold both field
     phases; any other trace is cut only when its field changes.  The model
-    comes from :func:`hanlesim.fit.model_for_phase`.  Every failure raises
-    ConfigError.
+    comes from :func:`hanlesim.fit.model_for_phase`.  A fit that cannot be
+    made raises ValueError.
     """
     if switched or np.ptp(trace.b) > 0:
         if config.fit_phase not in ("off", "on"):
@@ -208,11 +204,8 @@ def _fit_json(trace, config: RunConfig, switched: bool) -> str:
             raise ConfigError(f"trace holds fewer than two field phases; no {config.fit_phase!r} "
                               "phase to fit")
         trace = phases[0] if config.fit_phase == "off" else phases[1]
-    try:
-        model = model_for_phase(trace.meta, config.fit_model, config.drop_exp_term)
-        return traceio.render_fit(fit_trace(trace, model))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    model = model_for_phase(trace.meta, config.fit_model, config.drop_exp_term)
+    return traceio.render_fit(fit_trace(trace, model))
 
 
 def cmd_transient(args) -> int:
@@ -253,8 +246,6 @@ def cmd_fit(args) -> int:
         trace = load_trace(args.trace)
     except OSError as exc:
         raise ConfigError(f"cannot read trace: {exc}") from None
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
 
     write_outputs((_fit_json(trace, config, switched=False), args.output))
     return EXIT_OK
@@ -273,19 +264,12 @@ def cmd_steady(args) -> int:
 
 
 def cmd_transit(args) -> int:
-    if args.diameter_m is None or args.temperature_k is None:
-        raise ConfigError("transit requires --diameter-m and --temperature-k")
     if args.mass_amu is not None:
         mass_amu = args.mass_amu
     else:
         mass_amu = ISOTOPE_MASS_AMU[args.isotope]
-    if not (math.isfinite(mass_amu) and mass_amu > 0):
-        raise ConfigError("mass must be finite and positive")
     mass_kg = mass_amu * _ATOMIC_MASS_KG
-    try:
-        tau = transit_time(args.diameter_m, args.temperature_k, mass_kg)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    tau = transit_time(args.diameter_m, args.temperature_k, mass_kg)
     payload = {
         "diameter_m": args.diameter_m,
         "temperature_k": args.temperature_k,
@@ -424,18 +408,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; on a failure its ``hanlesim:`` line leads stderr, then the warnings raised."""
+    """Run one command; the one place that turns its failure into an exit code.
+
+    On a failure its ``hanlesim:`` line leads stderr, then the warnings raised.
+    """
     args = build_parser().parse_args(argv)
     failure = None
     with warnings.catch_warnings(record=True) as caught:
         try:
             code = args.handler(args)
-        except ConfigError as exc:
+        except (np.linalg.LinAlgError, ArithmeticError) as exc:  # overflow, division by zero
+            code, failure = EXIT_NUMERICAL, f"hanlesim: numerical failure: {exc}"
+        except ValueError as exc:  # ConfigError, bad JSON and the library's checks of its inputs
             code, failure = EXIT_USAGE, f"hanlesim: {exc}"
         except OSError as exc:  # every input is read under its own handler
             code, failure = EXIT_USAGE, f"hanlesim: cannot write output: {exc}"
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-            code, failure = EXIT_NUMERICAL, f"hanlesim: numerical failure: {exc}"
         except MemoryError as exc:
             code, failure = EXIT_NUMERICAL, f"hanlesim: out of memory: {exc}"
     if failure is not None:

@@ -441,8 +441,9 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     h = d / max(n, 1): one matrix exponential per pair of field and step,
     whatever the number of periods, then the samples and the hand-off
     state by doubling (see the module notes).  ``meta["solver"]`` is
-    ``"expm"``.  The record's arrays are allocated before the first step, so
-    a record that memory cannot hold raises MemoryError at once.
+    ``"expm"``.  The record is built and its times checked before the steady
+    solve, so a record too large for memory (MemoryError) or times that do
+    not increase (ValueError; phase starts that overflow) fail at once.
 
     Returns
     -------
@@ -450,8 +451,19 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     """
     phases = [phase for phase in schedule.phases() if phase[1] > 0]
     fields, durations, counts = zip(*phases)
+    n_periods = schedule.n_periods
+    # each phase's times are offset by its start, the sequential sum of the durations before it
+    starts = np.cumsum(np.concatenate(([0.0], np.tile(durations, n_periods)[:-1])))
+    grid = np.concatenate([np.linspace(0.0, d, n, endpoint=False) for _, d, n in phases])
+    names = ("b0", "b1", "period", "duty", "n_periods", "samples_per_period")
+    meta = spec_meta(spec) | {"solver": "expm"} | {name: getattr(schedule, name) for name in names}
+    times = np.repeat(starts, np.tile(counts, n_periods)) + np.tile(grid, n_periods)
+    b = np.tile(np.repeat(fields, counts), n_periods)
+    trace = TransientTrace(times, np.empty(times.size), b, meta)  # its w is filled in place
+    states = np.zeros((trace.times.size, spec.dim**2), dtype=complex) if keep_states else None
+
     affine = affine_liouvillian(spec)
-    real, block, n_periods = affine.sector, affine.block, schedule.n_periods
+    real, block = affine.sector, affine.block
     # one entry when b0 == b1 or when a phase has no duration
     gens = {b: real.base + spec.rabi * real.drive + b * real.field for b in fields}
     # the record starts mid-train, in the steady state of the last phase's field
@@ -461,26 +473,15 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))
              for b, h in dict.fromkeys(keys)}
 
-    # the whole record is allocated before any step, so one too large fails at once; each
-    # phase's times are offset by its start, the sequential sum of the durations before it
-    starts = np.cumsum(np.concatenate(([0.0], np.tile(durations, n_periods)[:-1])))
-    grid = np.concatenate([np.linspace(0.0, d, n, endpoint=False) for _, d, n in phases])
-    times = np.repeat(starts, np.tile(counts, n_periods)) + np.tile(grid, n_periods)
-    b = np.tile(np.repeat(fields, counts), n_periods)
-    w = np.empty(times.size)
-    states = np.zeros((times.size, spec.dim**2), dtype=complex) if keep_states else None
     start, z = 0, np.append(x, 1.0)
     for _ in range(n_periods):
         for key, n_samples in zip(keys, counts):
             rows = _stepped(steps[key], z, n_samples)[:, :-1]
-            w[start:start + n_samples] = rows[:n_samples] @ real.weights
+            trace.w[start:start + n_samples] = rows[:n_samples] @ real.weights
             if keep_states:
                 states[start:start + n_samples, block] = rows[:n_samples] @ real.frame.T
             z, start = np.append(rows[-1], 1.0), start + n_samples
 
-    names = ("b0", "b1", "period", "duty", "n_periods", "samples_per_period")
-    meta = spec_meta(spec) | {"solver": "expm"} | {name: getattr(schedule, name) for name in names}
-    trace = TransientTrace(times, w, b, meta)
     return (trace, states) if keep_states else trace
 
 
@@ -529,7 +530,12 @@ def transit_time(diameter: float, temperature: float, mass: float) -> float:
 
     tau = D / sqrt(2 k_B T / m), with everything in SI units: diameter in
     meters, temperature in kelvin, mass in kilograms; the result is seconds.
+    A thermal speed that underflows to 0 raises ZeroDivisionError, a time
+    that is inf or 0 FloatingPointError.
     """
     if not all(isfinite(v) and v > 0 for v in (diameter, temperature, mass)):
         raise ValueError("diameter, temperature and mass must all be finite and positive")
-    return diameter / sqrt(2.0 * _BOLTZMANN * temperature / mass)
+    tau = diameter / sqrt(2.0 * _BOLTZMANN * temperature / mass)
+    if not (isfinite(tau) and tau > 0):
+        raise FloatingPointError(f"transit time {tau!r} s overflowed or underflowed")
+    return tau

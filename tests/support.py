@@ -1,6 +1,8 @@
 """Shared helpers for the test suite."""
 
 import inspect
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -12,6 +14,16 @@ from hanlesim.liouvillian import vectorize
 PRESET_INTENSITIES = (0.002, 0.006, 0.02, 0.06, 2.0)
 GAMMA = 0.002
 B1 = 0.03
+
+
+def subprocess_env() -> dict:
+    """``os.environ`` with the package's ``src`` first on ``PYTHONPATH``, for a child interpreter.
+
+    pytest puts ``src`` on its own import path only, so a child started as
+    ``python -m hanlesim`` from an uninstalled checkout needs it passed on.
+    """
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    return os.environ | {"PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def eit_spec(intensity=0.02, **kwargs) -> TransitionSpec:

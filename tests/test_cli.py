@@ -10,16 +10,25 @@ import warnings
 import numpy as np
 import pytest
 
+import hanlesim.cli as cli
 from hanlesim import absorption, build_liouvillian, list_presets, load_trace, transit_time
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
+from hanlesim.spectral import intensity_sweep
 
-from support import count_assemblies, eia_spec, record_shapes
+from support import B1, count_assemblies, eia_spec, record_shapes, subprocess_env
 
 TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
 
 
 def run(argv):
     return main(argv)
+
+
+def table_columns(path):
+    """{name: cells} of a CSV table, its ``#`` metadata skipped."""
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()
+                     if not line.startswith("#")]
+    return dict(zip(header, zip(*rows)))
 
 
 def steady_scan_meta(path):
@@ -53,6 +62,48 @@ class TestExitCodes:
         code = run(["transient", "--config", str(cfg), "--output", str(tmp_path / "o.csv")])
         assert code == EXIT_USAGE
 
+    def test_config_that_is_not_utf8_exits_2_and_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'\xff\xfe{"gamma": 0.002}')
+        out = tmp_path / "o.csv"
+        assert run(["transient", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"hanlesim: invalid JSON in {cfg}: ")
+        assert not out.exists()
+
+    # main alone maps an exception to an exit code, whichever command raised it:
+    # LinAlgError, though a ValueError, is a numerical failure
+    @pytest.mark.parametrize("name, argv", [
+        ("switched_transient", ["transient"]),
+        ("_sector_steady", ["steady", "--scan-b-points", "3"]),
+        ("intensity_sweep", ["spectrum", "--intensities", "0.1"]),
+    ], ids=["transient", "steady", "spectrum"])
+    @pytest.mark.parametrize("error, code, line", [
+        (ValueError("boom"), EXIT_USAGE, "hanlesim: boom"),
+        (np.linalg.LinAlgError("boom"), EXIT_NUMERICAL, "hanlesim: numerical failure: boom"),
+    ], ids=["value-error", "linalg-error"])
+    def test_library_error_is_mapped_by_main(self, monkeypatch, tmp_path, capsys, name, argv,
+                                             error, code, line):
+        def failing(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, name, failing)
+        out = tmp_path / "o.csv"
+        assert run(argv + ["--output", str(out)]) == code
+        assert capsys.readouterr().err.splitlines() == [line]
+        assert not out.exists()
+
+    # the phase starts overflow to inf, or the subnormal sample grid collapses
+    @pytest.mark.parametrize("argv", [
+        ["--period", "1e308", "--n-periods", "3", "--samples-per-period", "4"],
+        ["--period", "1e-320", "--samples-per-period", "4000"],
+    ], ids=["period-1e308", "period-1e-320"])
+    def test_times_that_do_not_increase_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "o.csv"
+        assert run(["transient", *argv, "--output", str(out)]) == EXIT_USAGE
+        first = capsys.readouterr().err.splitlines()[0]
+        assert first == "hanlesim: times must be strictly increasing"
+        assert not out.exists()
+
     def test_negative_transit_diameter(self, tmp_path, capsys):
         code = run(["transit", "--diameter-m", "-0.01", "--temperature-k", "330",
                     "--output", str(tmp_path / "o.json")])
@@ -66,6 +117,17 @@ class TestExitCodes:
         out = tmp_path / "t.json"
         argv = ["transit", "--output", str(out)] + [arg for pair in values.items() for arg in pair]
         assert run(argv) == EXIT_USAGE
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--diameter-m", "1e308", "--temperature-k", "1e-308"],
+        ["--diameter-m", "1e308", "--temperature-k", "1e-300"],
+        ["--diameter-m", "0.01", "--temperature-k", "1e308", "--mass-amu", "1e-270"],
+    ], ids=["speed-0", "time-inf", "time-0"])
+    def test_transit_time_outside_the_float_range_exits_3(self, tmp_path, capsys, extra):
+        out = tmp_path / "t.json"
+        assert run(["transit", *extra, "--output", str(out)]) == EXIT_NUMERICAL
+        assert capsys.readouterr().err.startswith("hanlesim: numerical failure: ")
         assert not out.exists()
 
     def test_unwritable_second_output_writes_neither(self, tmp_path, capsys):
@@ -115,9 +177,15 @@ class TestExitCodes:
         ("transient", {"period": "1e3"}),
         ("spectrum", {"intensities": ["0.5"]}),
         ("spectrum", {"b1": "0.01"}),
+        ("transient", {"polarization": None}),
+        ("transient", {"polarization": 1}),
+        ("steady", {"polarization": [1, 0, 0]}),
+        ("transient", {"polarization": ["1", "0", "0"]}),
+        ("spectrum", {"polarization": {"a": 1}}),
     ], ids=["intensities-string", "intensities-bool", "drop-string", "drop-int", "int-fraction",
             "int-bool", "sweep-points-bool", "float-bool", "fg-string", "int-string",
-            "gamma-string", "period-string", "intensity-string", "b1-string"])
+            "gamma-string", "period-string", "intensity-string", "b1-string", "pol-null",
+            "pol-number", "pol-numbers", "pol-strings", "pol-dict"])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -286,7 +354,7 @@ class TestExitCodes:
         proc = subprocess.run(
             [sys.executable, "-m", "hanlesim", "transient", "--n-periods", str(n_periods),
              "--samples-per-period", "4", "--output", str(out)],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=subprocess_env(),
         )
         assert proc.returncode == code, proc.stderr
         assert proc.stderr.startswith("hanlesim: ")
@@ -432,6 +500,44 @@ class TestSteady:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestSpectrum:
+    ARGV = ["spectrum", "--fg", "1", "--fe", "2"]
+
+    def test_intensity_flag_matches_config_and_library(self, tmp_path):
+        flagged, configured, cfg = tmp_path / "f.csv", tmp_path / "c.csv", tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"intensities": [0.1, 0.2]}))
+        assert run(self.ARGV + ["--intensities", "0.1,0.2", "--output", str(flagged)]) == EXIT_OK
+        assert run(self.ARGV + ["--config", str(cfg), "--output", str(configured)]) == EXIT_OK
+        assert flagged.read_bytes() == configured.read_bytes()
+        table = table_columns(flagged)
+        expected = intensity_sweep(eia_spec(), [0.1, 0.2], b1=B1)
+        assert list(table) == list(expected)
+        for name, values in expected.items():
+            parse = str if isinstance(values[0], str) else float
+            assert [parse(cell) for cell in table[name]] == values, name
+
+    @pytest.mark.parametrize("grid", [["--intensities=-0.1"], ["--intensities", "0"]],
+                             ids=["negative", "zero"])
+    def test_intensity_that_is_not_positive_exits_2(self, tmp_path, capsys, grid):
+        out = tmp_path / "o.csv"
+        assert run(self.ARGV + grid + ["--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "hanlesim: intensity grid must be nonempty and positive\n"
+        assert not out.exists()
+
+
+def test_polarization_flag_reaches_every_physics_command(tmp_path):
+    flags = ["--fg", "1", "--fe", "2", "--polarization", "sigma+"]
+    transient, steady, spectrum = tmp_path / "t.csv", tmp_path / "s.csv", tmp_path / "m.csv"
+    assert run(["transient", *flags, "--samples-per-period", "40",
+                "--output", str(transient)]) == EXIT_OK
+    assert run(["steady", *flags, "--scan-b-points", "3", "--output", str(steady)]) == EXIT_OK
+    assert run(["spectrum", *flags, "--intensities", "0.1", "--output", str(spectrum)]) == EXIT_OK
+    assert load_trace(transient).meta["pol"] == (0, 0, 1)
+    assert steady_scan_meta(steady)["pol"] == (0, 0, 1)
+    expected = intensity_sweep(eia_spec(pol="sigma+"), [0.1], b1=B1)
+    assert [float(v) for v in table_columns(spectrum)["re_lambda"]] == expected["re_lambda"]
+
+
 class TestFitCommand:
     def test_auto_model_from_trace_meta(self, tmp_path):
         trace_path = tmp_path / "t.csv"
@@ -503,7 +609,7 @@ class TestSubprocess:
         proc = subprocess.run(
             [sys.executable, "-c",
              "import sys, hanlesim.cli; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert proc.stdout.strip() == "[]"
@@ -513,7 +619,7 @@ class TestSubprocess:
         proc = subprocess.run(
             [sys.executable, "-m", "hanlesim", "transit", "--diameter-m", "0.01",
              "--temperature-k", "330", "--output", str(out)],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=subprocess_env(),
         )
         assert proc.returncode == EXIT_OK
         assert json.loads(out.read_text())["transit_time_s"] == pytest.approx(3.97964e-05, rel=1e-4)

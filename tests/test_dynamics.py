@@ -373,6 +373,22 @@ class TestSwitchedTransient:
         np.testing.assert_allclose(trace.w, w_ref, rtol=0, atol=1e-9)
         np.testing.assert_allclose(states, states_ref, rtol=0, atol=1e-9)
 
+    # periods so long that the phase starts overflow to inf, or so short that the
+    # subnormal sample grid collapses, must be refused before the steady solve and any step
+    @pytest.mark.parametrize("period, n_periods, samples", [(1e308, 3, 4), (1e-320, 1, 4000)],
+                             ids=["starts-overflow", "samples-collapse"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_times_that_do_not_increase_are_refused_before_the_first_step(
+            self, monkeypatch, period, n_periods, samples):
+        def stepped(*args):
+            raise AssertionError("a record whose times do not increase was stepped")
+
+        monkeypatch.setattr(dynamics, "_stepped", stepped)
+        schedule = SwitchSchedule(b1=0.03, period=period, n_periods=n_periods,
+                                  samples_per_period=samples)
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            switched_transient(eit_spec(0.02), schedule)
+
     def test_split_phases_rezeroes_clocks(self):
         spec = eit_spec(0.02)
         trace = switched_transient(spec, SwitchSchedule(b1=0.03, period=1000.0, samples_per_period=200))
@@ -572,3 +588,14 @@ class TestTransitTime:
                 args[index] = bad
                 with pytest.raises(ValueError, match="finite"):
                     transit_time(*args)
+
+    # finite, positive inputs whose thermal speed underflows to 0 or overflows to inf,
+    # or whose time overflows: the result would be inf or 0
+    @pytest.mark.parametrize("args, error", [
+        ((0.01, 5e-324, 1e300), ZeroDivisionError),
+        ((1e308, 1e-300, 1.4e-25), FloatingPointError),
+        ((0.01, 1e308, 1e-300), FloatingPointError),
+    ], ids=["speed-0", "time-inf", "time-0"])
+    def test_result_outside_the_float_range_raises(self, args, error):
+        with pytest.raises(error):
+            transit_time(*args)
