@@ -112,7 +112,7 @@ def build_config(preset_name=None, config_path=None, overrides=None,
                 loaded = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:  # too deep
             raise ConfigError(f"invalid JSON in {config_path}: {exc}") from None
         if not isinstance(loaded, dict):
             raise ConfigError(f"{config_path}: config must be a JSON object")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import itertools
 import json
 import math
 import os
@@ -100,8 +101,27 @@ def save_trace(trace: TransientTrace, path) -> None:
 def _parse_meta_value(text: str):
     try:
         return ast.literal_eval(text)
-    except (ValueError, SyntaxError):
+    except (ValueError, SyntaxError, RecursionError, MemoryError):  # deep nesting too
         return text
+
+
+def _columns(rows, width: int, time_col: int):
+    """The data rows as columns, parsed in one pass; None where the line loop must run.
+
+    The loop names a faulty row's line and skips blank and ``#`` rows, whose
+    comma count or ``float`` fails here.
+    """
+    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
+        return None
+    try:
+        values = np.array(list(map(float, ",".join(rows).split(","))))
+    except ValueError:
+        return None
+    columns = np.ascontiguousarray(values.reshape(len(rows), width).T)
+    times = columns[time_col]
+    if np.isfinite(values).all() and (times[1:] > times[:-1]).all():
+        return columns
+    return None
 
 
 def load_trace(path) -> TransientTrace:
@@ -112,8 +132,11 @@ def load_trace(path) -> TransientTrace:
     an optional field column ``b``.  Malformed input raises ``ValueError``
     naming the offending 1-based line number.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
     meta = {}
     header_index = None
@@ -139,6 +162,11 @@ def load_trace(path) -> TransientTrace:
     time_col = header.index("time")
     signal_col = header.index(signal_name)
     b_col = header.index("b") if "b" in header else None
+
+    columns = _columns(lines[header_index + 1:], len(header), time_col)
+    if columns is not None:
+        b = columns[b_col] if b_col is not None else np.zeros(columns.shape[1])
+        return TransientTrace(columns[time_col], columns[signal_col], b, meta)
 
     times, w, b = [], [], []
     for index in range(header_index + 1, len(lines)):

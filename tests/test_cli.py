@@ -70,6 +70,15 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"hanlesim: invalid JSON in {cfg}: ")
         assert not out.exists()
 
+    def test_config_nested_too_deep_exits_2_and_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"fg": ' + "[" * 100000 + "]" * 100000 + "}")
+        out = tmp_path / "o.csv"
+        assert run(["steady", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0].startswith(
+            f"hanlesim: invalid JSON in {cfg}: ")
+        assert not out.exists()
+
     # main alone maps an exception to an exit code, whichever command raised it:
     # LinAlgError, though a ValueError, is a numerical failure
     @pytest.mark.parametrize("name, argv", [
@@ -558,6 +567,30 @@ class TestFitCommand:
         payload = json.loads(fit_path.read_text())
         assert payload["model"] == "single_exp"
         assert payload["converged"]
+
+    def test_trace_that_is_not_utf8_exits_2_and_names_the_file(self, tmp_path, capsys):
+        trace_path = tmp_path / "t.csv"
+        trace_path.write_bytes(b"\xff\xfetime,w\n0.0,1.0\n")
+        out = tmp_path / "f.json"
+        assert run(["fit", "--trace", str(trace_path), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines() == [
+            f"hanlesim: {trace_path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte"]
+        assert not out.exists()
+
+    def test_deeply_nested_meta_value_fits_as_without_it(self, tmp_path):
+        trace_path = tmp_path / "t.csv"
+        assert run(["transient", "--preset", "fig5c", "--output", str(trace_path)]) == EXIT_OK
+        fits = []
+        for minuses in (0, 3000, 100000):
+            deep = tmp_path / f"deep{minuses}.csv"
+            extra = f"# x={'-' * minuses}1\n" if minuses else ""
+            deep.write_text(extra + trace_path.read_text())
+            out = tmp_path / f"f{minuses}.json"
+            assert run(["fit", "--trace", str(deep), "--fit-phase", "off",
+                        "--output", str(out)]) == EXIT_OK
+            fits.append(out.read_bytes())
+        assert fits[1] == fits[0] and fits[2] == fits[0]
 
     @pytest.mark.parametrize("preset, phase", [("fig5c", "off"), ("fig5c", "on"), ("fig6c", "on")])
     def test_same_json_as_transient_with_fit(self, tmp_path, preset, phase):

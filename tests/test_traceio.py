@@ -1,10 +1,14 @@
 """CSV/JSON serialization: round trips, determinism, error reporting."""
 
 import json
+import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hanlesim.traceio as traceio
 from hanlesim import FitModel, fit, load_trace, save_fit, save_trace
 from hanlesim.dynamics import TransientTrace
 from hanlesim.fit import evaluate_model
@@ -114,6 +118,178 @@ class TestLoadErrors:
         path = self.write(tmp_path, "time,w\n")
         with pytest.raises(ValueError):
             load_trace(path)
+
+    def test_file_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"\xff\xfetime,w\n0.0,1.0\n")
+        with pytest.raises(ValueError, match="utf-8") as info:
+            load_trace(path)
+        assert str(info.value).startswith(f"{path}: ")
+
+    @pytest.mark.parametrize("minuses", [3000, 100000])
+    def test_deeply_nested_meta_value_is_kept_as_text(self, tmp_path, minuses):
+        path = tmp_path / "deep.csv"
+        value = "-" * minuses + "1"
+        path.write_text(f"# x={value}\ntime,w\n0.0,1.0\n")
+        assert load_trace(path).meta == {"x": value}
+
+
+def loop_load(path):
+    """(times, w, b) or the refusal message, by the per-line loop alone.
+
+    A copy of how ``load_trace`` read the data rows before it parsed them in
+    one pass; the header of every file given to it is well formed.
+    """
+    lines = path.read_text(encoding="utf-8").splitlines()
+    header_index = next(i for i, line in enumerate(lines)
+                        if line.strip() and not line.startswith("#"))
+    header = [name.strip().lower() for name in lines[header_index].split(",")]
+    time_col = header.index("time")
+    signal_col = header.index("w" if "w" in header else "signal")
+    b_col = header.index("b") if "b" in header else None
+    times, w, b = [], [], []
+    for index in range(header_index + 1, len(lines)):
+        line = lines[index].strip()
+        lineno = index + 1
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            return f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
+        try:
+            row = [float(cell) for cell in cells]
+        except ValueError:
+            return f"{path}:{lineno}: non-numeric value"
+        if any(not math.isfinite(value) for value in row):
+            return f"{path}:{lineno}: non-finite value"
+        if times and row[time_col] <= times[-1]:
+            return f"{path}:{lineno}: time values must be strictly increasing"
+        times.append(row[time_col])
+        w.append(row[signal_col])
+        b.append(row[b_col] if b_col is not None else 0.0)
+    if not times:
+        return f"{path}: no data rows"
+    return np.array(times), np.array(w), np.array(b)
+
+
+# (body, the line the loop names, or None when it accepts the file)
+DATA_ROW_CASES = {
+    "blank-line-then-non-numeric": ("time,w\n0.0,1.0\n\n1.0,x\n", 4),
+    "hash-line-then-non-increasing": ("time,w\n0.0,1.0\n# note\n0.0,2.0\n", 4),
+    "non-finite-before-wrong-width": ("time,w\n0.0,inf\n1.0,2.0,3.0\n", 2),
+    "wrong-width-before-non-finite": ("time,w\n0.0,1.0,3.0\n1.0,nan\n", 2),
+    "right-total-wrong-rows": ("time,w,b\n1,2\n3,4,5,6\n", 2),
+    "non-numeric": ("time,w\n0.0,1.0\n1.0,oops\n", 3),
+    "empty-cell": ("time,w\n0.0,1.0\n1.0,\n", 3),
+    "nan-time": ("time,w\nnan,1.0\n", 2),
+    "non-increasing": ("time,w\n0.0,1.0\n2.0,1.0\n1.0,1.0\n", 4),
+    "equal-signed-zero-times": ("time,w\n0.0,1.0\n-0.0,1.0\n", 3),
+    "meta-only-after-header": ("time,w\n# a=1\n\n", None),
+    "blank-and-hash-lines-inside": ("time,w\n0.0,1.0\n\n# a,b\n  \n1.0,2.0\n\n", None),
+    "spaces-around-cells": ("time , w\n 0.0 , 1e-3 \n1_0.5,\t2\n", None),
+    "signal-alias": ("time,signal\n0.0,1.0\n1.0,0.5\n", None),
+    "no-b-column": ("w,time\n1.0,0.0\n0.5,1.0\n", None),
+    "crlf": ("time,w,b\r\n0.0,1.0,0.0\r\n1.0,0.5,0.03\r\n", None),
+}
+
+
+class TestOnePassParse:
+    @pytest.mark.parametrize("name", DATA_ROW_CASES)
+    def test_same_result_as_the_line_loop(self, tmp_path, name):
+        body, lineno = DATA_ROW_CASES[name]
+        path = tmp_path / "t.csv"
+        path.write_bytes(body.encode())
+        expected = loop_load(path)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                load_trace(path)
+            assert str(info.value) == expected
+            assert lineno is None or expected.startswith(f"{path}:{lineno}: ")
+        else:
+            loaded = load_trace(path)
+            for got, want in zip((loaded.times, loaded.w, loaded.b), expected):
+                np.testing.assert_array_equal(got, want)
+            assert lineno is None
+
+    def test_crlf_values(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(DATA_ROW_CASES["crlf"][0].encode())
+        loaded = load_trace(path)
+        np.testing.assert_array_equal(loaded.w, [1.0, 0.5])
+        np.testing.assert_array_equal(loaded.b, [0.0, 0.03])
+
+    def test_well_formed_rows_skip_the_line_loop(self, tmp_path, monkeypatch):
+        times = np.linspace(0.0, 2000.0, 4000)
+        trace = TransientTrace(times, np.sin(times) * 1e-3, np.where(times < 1000.0, 0.0, 0.03),
+                               {"gamma": 0.002})
+        path = tmp_path / "t.csv"
+        path.write_text(render_trace(trace))
+
+        def boom(value):
+            raise AssertionError("the line loop ran")
+
+        # the loop checks each value with math.isfinite; the one-pass parse does not
+        monkeypatch.setattr(traceio, "math", SimpleNamespace(isfinite=boom))
+        loaded = load_trace(path)
+        assert render_trace(loaded) == render_trace(trace)
+        path.write_text(render_trace(trace) + "\n")  # a blank line goes to the loop
+        with pytest.raises(AssertionError, match="the line loop ran"):
+            load_trace(path)
+
+
+CELLS = st.one_of(st.sampled_from(["nan", "-inf", "x", "", " 1 ", "-0.0", "1e400"]),
+                  *[st.integers(0, 99).map(str) for _ in range(4)])
+
+
+@st.composite
+def csv_bodies(draw):
+    """A header and rows of its width, now and then a blank, ``#`` or other-width row."""
+    header = draw(st.sampled_from(["time,w", "time,w,b", "w,b,time"]))
+    width = header.count(",") + 1
+    # one_of draws each branch alike, so three branches give full-width rows
+    full = [st.lists(CELLS, min_size=width, max_size=width).map(",".join) for _ in range(3)]
+    row = st.one_of(*full, st.lists(CELLS, min_size=1, max_size=4).map(",".join),
+                    st.sampled_from(["", "  ", "# a=1", "# a,b"]))
+    return "\n".join([header, *draw(st.lists(row, max_size=6))]) + "\n"
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(csv_bodies())
+def test_any_rows_give_the_line_loop_result(tmp_path_factory, body):
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    path.write_text(body)
+    expected = loop_load(path)
+    try:
+        loaded = load_trace(path)
+    except ValueError as exc:
+        assert str(exc) == expected
+    else:
+        assert not isinstance(expected, str)
+        for got, want in zip((loaded.times, loaded.w, loaded.b), expected):
+            np.testing.assert_array_equal(got, want)
+
+
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+               1.7976931348623157e308, 0.30000000000000004, 1.2345678901234567e-5)
+floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def traces(draw):
+    times = sorted(draw(st.lists(floats, min_size=1, max_size=30, unique=True)))
+    w = draw(st.lists(floats, min_size=len(times), max_size=len(times)))
+    b = draw(st.lists(floats, min_size=len(times), max_size=len(times)))
+    meta = {"gamma": draw(floats), "n_periods": draw(st.integers(0, 10**6)), "polarization": "linear-y"}
+    return TransientTrace(np.array(times), np.array(w), np.array(b), meta)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(traces())
+def test_render_load_render_is_byte_exact(tmp_path_factory, trace):
+    path = tmp_path_factory.getbasetemp() / "render-load-render.csv"
+    text = render_trace(trace)
+    path.write_text(text)
+    assert render_trace(load_trace(path)) == text
 
 
 def sweep_csv(columns):
