@@ -25,9 +25,10 @@ The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
 state along the nonzero pattern of M.  Outside it the state stays exactly
 zero, so only M[block, block] is decomposed, exponentiated or solved.
-``_steady`` solves on the pump's block, ``_sector_steady`` on an affine
-family's sector (see below), and ``_checked``, shared by every steady
-state, checks residual (on the full M), trace, Hermiticity and PSD.
+``_steady`` solves a bare Liouvillian on its pump's block, ``_sector_steady``
+an affine family (transients, steady scans, sweeps) on its sector (see
+below), and ``_checked``, shared by every steady state, checks residual (on
+the full M), trace, Hermiticity and PSD.
 
 Transients are stepped in real arithmetic, in the coordinates of their
 affine family's ``sector``: M preserves Hermiticity (Lindblad, CMP 48, 119
@@ -191,15 +192,15 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
     return _checked(y_ss, liouv.matrix @ y_ss + liouv.pump)
 
 
-def _sector_steady(affine: AffineLiouvillian, rabi: float, b_field: float) -> np.ndarray:
-    """Coordinates on ``affine.sector`` of the steady state at (rabi, b_field), solved there; the
-    state mapped back through its frame is checked, with the residual formed from the parts."""
+def _sector_steady(affine: AffineLiouvillian, rabi: float, b_field: float):
+    """(x, y): the steady state at (rabi, b_field) in coordinates x on ``affine.sector``, solved
+    there, and full-size as y, checked, with the residual formed from the parts."""
     real = affine.sector
     x = _solved(real.base + rabi * real.drive + b_field * real.field, -real.pump)
     y = np.zeros(affine.pump.size, dtype=complex)
     y[affine.block] = real.frame @ x
     _checked(y, affine.base @ y + rabi * (affine.drive @ y) + b_field * affine.field * y + affine.pump)
-    return x
+    return x, y
 
 
 def _solved(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -232,13 +233,14 @@ def _checked(y_ss: np.ndarray, residual: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Modes:
-    """One eigendecomposition of M on an invariant block, with absorption weights.
+    """One eigendecomposition of ``sub``, M on an invariant block, with absorption weights.
 
-    ``y_ss`` is full-size and zero outside ``block``; ``w_modes[k]`` is the
-    absorption functional of eigenvector k and ``w_ss`` that of ``y_ss``.
+    ``y_ss``, a full-size steady state, is zero on ``block`` unless the pump lies
+    on it; ``w_modes[k]`` is the absorption functional of eigenvector k, ``w_ss`` of ``y_ss``.
     """
 
     block: np.ndarray
+    sub: np.ndarray
     lam: np.ndarray
     vecs: np.ndarray
     y_ss: np.ndarray
@@ -251,12 +253,16 @@ class _Modes:
         return np.linalg.solve(self.vecs, offset) if offset.any() else offset
 
 
-def _decompose(liouv: Liouvillian, block: np.ndarray) -> _Modes:
+def _decompose(sub: np.ndarray, block: np.ndarray, y_ss: np.ndarray, row: np.ndarray) -> _Modes:
+    """``sub``, M on ``block``, decomposed; ``row`` is the absorption row on the block."""
+    lam, vecs = np.linalg.eig(sub)
+    return _Modes(block, sub, lam, vecs, y_ss, row @ vecs, (row @ y_ss[block]).real)
+
+
+def _block_modes(liouv: Liouvillian, block: np.ndarray) -> _Modes:
     """M decomposed on an invariant block, with the checked steady state when the pump lies on it."""
     y_ss = _steady(liouv, block) if liouv.pump[block].any() else np.zeros(liouv.size, dtype=complex)
-    lam, vecs = np.linalg.eig(liouv.matrix[np.ix_(block, block)])
-    row = liouv.absorption_row[block]
-    return _Modes(block, lam, vecs, y_ss, row @ vecs, (row @ y_ss[block]).real)
+    return _decompose(liouv.matrix[np.ix_(block, block)], block, y_ss, liouv.absorption_row[block])
 
 
 def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, keep_states=False):
@@ -344,7 +350,7 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0, liouv.size)
-    modes = _decompose(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
+    modes = _block_modes(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
     if (cond := np.linalg.cond(modes.vecs)) <= MODAL_CONDITION_LIMIT:
         w_t, states = _modal_run(modes, y0, times, keep_states=keep_states)
         return _sampled(liouv, times, w_t, states, "modal")
@@ -355,8 +361,7 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
         stacklevel=2,
     )
     block = modes.block
-    gen = np.zeros((block.size + 1, block.size + 1), dtype=complex)
-    gen[:-1] = np.column_stack((liouv.matrix[np.ix_(block, block)], liouv.pump[block]))
+    gen = np.vstack((np.column_stack((modes.sub, liouv.pump[block])), np.zeros(block.size + 1)))
     rows = np.empty((times.size, block.size + 1), dtype=complex)
     if times.size:
         rows[0] = _expm(times[0] * gen) @ np.append(y0[block], 1.0)
@@ -467,7 +472,7 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     # one entry when b0 == b1 or when a phase has no duration
     gens = {b: real.base + spec.rabi * real.drive + b * real.field for b in fields}
     # the record starts mid-train, in the steady state of the last phase's field
-    x = _sector_steady(affine, spec.rabi, fields[-1])
+    x = _sector_steady(affine, spec.rabi, fields[-1])[0]
     keys = [(b, duration / max(n, 1)) for b, duration, n in phases]
     # exp(h G) for the augmented G = [[A, p0], [0, 0]] of each field's real generator A
     steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))

@@ -153,7 +153,7 @@ def model_for_phase(meta: dict, kind: str = "auto", drop_exp_term: bool | None =
 def _meta_number(meta: dict, key: str) -> float:
     try:
         number = float(meta[key])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         number = float("nan")
     if not isfinite(number):
         raise ValueError(f"trace metadata {key!r} must be a finite number")

@@ -24,10 +24,10 @@ private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
 their operators and call it.  M is affine in the Rabi frequency and in the
 field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from one assembly.  Spectra evaluate M, its pump block and its
-absorption row from them, and transients and steady scans their real form on
-the block (:attr:`AffineLiouvillian.sector`).  :func:`spec_meta` is the
-one set of provenance keys that every output recording a transition writes.
+those parts from one assembly.  Spectra, transients and steady scans solve
+for steady states on their real form (:attr:`AffineLiouvillian.sector`).
+:func:`spec_meta` is the one set of provenance keys that every output
+recording a transition writes.
 
 The absorption rate observable is
 
@@ -330,7 +330,7 @@ class AffineLiouvillian:
     The Rabi frequency enters M only through the optical coupling in H, and
     the field only through the diagonal Zeeman terms, so only on the diagonal
     of M; p0, W and the other parameters depend on neither.  Build it with
-    :func:`affine_liouvillian`; ``meta`` holds the :func:`spec_meta` keys.
+    :func:`affine_liouvillian`.
 
     :attr:`sector` holds the parts in real coordinates, derived once by index.
     M preserves Hermiticity, so in the Hermitian basis of ``_real_frame`` its
@@ -349,7 +349,6 @@ class AffineLiouvillian:
     field: np.ndarray
     pump: np.ndarray
     coupling: np.ndarray
-    meta: dict
 
     absorption_row = Liouvillian.absorption_row  # W, so c, depends on neither rabi nor b
 
@@ -399,13 +398,6 @@ class AffineLiouvillian:
         pump = (coefs * parts[3][rows]).sum(axis=0)
         return RealSector(base, drive, field, pump, (self.absorption_row[block] @ frame).real, frame)
 
-    def at(self, rabi: float, b_field: float) -> Liouvillian:
-        """The Liouvillian at Rabi frequency ``rabi`` and field ``b_field``."""
-        matrix = self.base + rabi * self.drive
-        matrix.flat[:: matrix.shape[0] + 1] += b_field * self.field
-        meta = self.meta | {"intensity": rabi**2}
-        return Liouvillian(matrix, self.pump, self.coupling, b_field, meta)
-
 
 def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     """The affine parts of M: ``base`` from one :func:`build_liouvillian` at (rabi, b) = (0, 0),
@@ -426,7 +418,7 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     no_decay = np.zeros((spec.dim, spec.dim))
     drive = _lindblad(optical, no_decay, [], no_decay, 0.0, base.coupling, 0.0, {}).matrix
     shifts = -1j * (z[:, None] - z[None, :]).reshape(-1)
-    return AffineLiouvillian(base.matrix, drive, shifts, base.pump, base.coupling, spec_meta(spec))
+    return AffineLiouvillian(base.matrix, drive, shifts, base.pump, base.coupling)
 
 
 def _invariant_block(matrices, seeds) -> np.ndarray:

@@ -25,7 +25,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .dynamics import _as_vector, _decompose, _Modes
+from .dynamics import _as_vector, _block_modes, _decompose, _Modes, _sector_steady
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
@@ -105,8 +105,8 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     y0 - y_ss.
     """
     blocks = _parts([liouv.matrix], _invariant_block([liouv.matrix], [liouv.pump]))
-    parts = [_decompose(liouv, block) for block in blocks]
-    return _records(parts, _spectrum(liouv.matrix, parts, y0))
+    parts = [_block_modes(liouv, block) for block in blocks]
+    return _records(parts, _spectrum(parts, y0))
 
 
 def _parts(matrices, block) -> tuple[np.ndarray, ...]:
@@ -128,22 +128,21 @@ def _parts(matrices, block) -> tuple[np.ndarray, ...]:
 _Spectrum = namedtuple("_Spectrum", "values weights amplitudes observable order")
 
 
-def _spectrum(matrix: np.ndarray, parts: list[_Modes], y0=None) -> _Spectrum:
+def _spectrum(parts: list[_Modes], y0=None) -> _Spectrum:
     """The modes of M from ``parts``, decompositions on invariant blocks that cover M, pump first;
     each part's eigenpairs, and the amplitudes from ``y0``, are checked on its own block."""
     for part in parts:
-        sub = matrix[np.ix_(part.block, part.block)]
-        residual = np.linalg.norm(sub @ part.vecs - part.vecs * part.lam, axis=0).max()
+        residual = np.linalg.norm(part.sub @ part.vecs - part.vecs * part.lam, axis=0).max()
         if residual > 1e-9:
             raise np.linalg.LinAlgError(f"eigen residual {residual:.3e} exceeds 1e-9 "
-                                        f"(matrix condition number {np.linalg.cond(sub):.3e})")
+                                        f"(matrix condition number {np.linalg.cond(part.sub):.3e})")
     lam = np.concatenate([part.lam for part in parts])
     weights = np.concatenate([part.w_modes for part in parts])
     order = np.lexsort((lam.imag, -lam.real))
     if y0 is None:
         none = [None] * lam.size
         return _Spectrum(lam[order], weights[order], none, none, order)
-    y0 = _as_vector(y0, matrix.shape[0])
+    y0 = _as_vector(y0, parts[0].y_ss.size)
     offset = y0 - parts[0].y_ss
     amps = [part.amplitudes(y0) for part in parts]
     residual = np.linalg.norm(np.concatenate(
@@ -314,9 +313,8 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     switched-field initial condition (the steady state of the other case).
     M is assembled once for the sweep (see :func:`affine_liouvillian`), and
     its pump block and split are found once, from the pattern of its parts.
-    Each case is decomposed once; its steady state comes from the one
-    checked steady solve on the pump block, outside which it vanishes.
-    Returns {(intensity, case): list of EigenMode}.
+    Each case is decomposed once, with the steady state of one checked solve
+    on the family's sector.  Returns {(intensity, case): list of EigenMode}.
     """
     return {(intensity, case): classify_groups(_records(parts, spectrum), spec.gamma)
             for intensity, case, parts, spectrum in _sweep(spec, intensities, b1)}
@@ -325,15 +323,20 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
 def _sweep(spec: TransitionSpec, intensities, b1: float):
     """Yield (intensity, case, parts, spectrum) of each point, in grid order, B0 before B1."""
     affine = affine_liouvillian(spec)
-    blocks = _parts([affine.base, affine.drive], affine.block)
+    slices = [(block, affine.base[np.ix_(block, block)], affine.drive[np.ix_(block, block)],
+               affine.field[block], affine.absorption_row[block])
+              for block in _parts([affine.base, affine.drive], affine.block)]
     for intensity in intensities:
         rabi = spec.with_intensity(intensity).rabi
-        liouvs = {"B0": affine.at(rabi, 0.0), "B1": affine.at(rabi, b1)}
-        parts = {case: [_decompose(m, block) for block in blocks] for case, m in liouvs.items()}
-        for case, other in (("B0", "B1"), ("B1", "B0")):
+        steady = {case: _sector_steady(affine, rabi, b)[1] for case, b in (("B0", 0.0), ("B1", b1))}
+        for case, other, b_field in (("B0", "B1", 0.0), ("B1", "B0", b1)):
+            parts = []
+            for block, base, drive, field, row in slices:
+                sub = base + rabi * drive
+                sub.flat[:: block.size + 1] += b_field * field
+                parts.append(_decompose(sub, block, steady[case], row))
             # initial condition: the system was sitting in the other phase's steady state
-            spectrum = _spectrum(liouvs[case].matrix, parts[case], parts[other][0].y_ss)
-            yield float(intensity), case, parts[case], spectrum
+            yield float(intensity), case, parts, _spectrum(parts, steady[other])
 
 
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:

@@ -230,14 +230,21 @@ def write_outputs(*outputs) -> None:
 
     Raises
     ------
+    ValueError
+        Before anything is written, when two paths resolve to the same
+        regular or absent file.
     OSError
         When a path cannot be examined or written; the temporary files are
         removed first.
     """
-    staged, direct = [], []
+    staged, direct, files = [], [], set()
     for text, path in outputs:
         if path in (None, "-"):
             continue
+        real = os.path.realpath(path)
+        if real in files and (os.path.isfile(real) or not os.path.exists(real)):
+            raise ValueError(f"two outputs name the same file {path}")
+        files.add(real)
         try:
             mode = os.lstat(path).st_mode
         except FileNotFoundError:

@@ -17,14 +17,16 @@ from hanlesim import (
     propagate_integrated,
     propagate_modal,
     steady_state,
+    sweep_modes,
     switched_transient,
     trajectory_physicality,
 )
 import hanlesim.liouvillian as liouvillian
+import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
-from support import rk4_phases
+from support import rk4_phases, steady_vector
 
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -213,14 +215,15 @@ def _complement_is_invariant(liouv) -> bool:
 @given(transitions(), st.floats(-0.5, 0.5), st.floats(-0.5, 0.5), st.floats(0.5, 3.0))
 def test_affine_parts_reproduce_the_assembled_matrix(spec, detuning, zeeman_e, dipole_scale):
     spec = replace(spec, detuning=detuning, zeeman_e=zeeman_e, dipole_scale=dipole_scale)
-    liouv = affine_liouvillian(spec).at(spec.rabi, spec.b_field)
+    affine = affine_liouvillian(spec)
+    matrix = affine.base + spec.rabi * affine.drive
+    matrix.flat[:: matrix.shape[0] + 1] += spec.b_field * affine.field
     expected = build_liouvillian(spec)
     scale = np.abs(expected.matrix).max()
-    assert np.abs(liouv.matrix - expected.matrix).max() <= 1e-14 * scale
-    np.testing.assert_array_equal(liouv.pump, expected.pump)
-    np.testing.assert_array_equal(liouv.coupling, expected.coupling)
-    assert liouv.b_field == expected.b_field
-    assert liouv.meta == expected.meta
+    assert np.abs(matrix - expected.matrix).max() <= 1e-14 * scale
+    np.testing.assert_array_equal(affine.pump, expected.pump)
+    np.testing.assert_array_equal(affine.coupling, expected.coupling)
+    np.testing.assert_array_equal(affine.absorption_row, expected.absorption_row)
 
 
 @PROPERTY_SETTINGS
@@ -349,6 +352,42 @@ def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, det
     else:
         assert real.base.shape == (block.size, block.size)
         np.testing.assert_array_equal(real.frame, liouvillian._real_frame(block, spec.dim))
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(NAMED_POLARIZATIONS))
+def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
+    # one real steady solve per (intensity, case), of the sector's size, none while decomposing,
+    # and no Liouvillian evaluated beyond the family's two assemblies
+    spec = replace(spec, pol=pol)
+    intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
+    solved, built, solve = [], [], dynamics._solved
+    decompose, make = spectral._decompose, liouvillian.Liouvillian
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_decompose solved a linear system")
+
+    def decompose_solving_nothing(*args):
+        with pytest.MonkeyPatch.context() as inner:
+            inner.setattr(np.linalg, "solve", refuse)
+            return decompose(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_solved", lambda sub, rhs: solved.append(sub) or solve(sub, rhs))
+        patch.setattr(spectral, "_decompose", decompose_solving_nothing)
+        patch.setattr(liouvillian, "Liouvillian", lambda *args: built.append(1) or make(*args))
+        modes = sweep_modes(spec, intensities, b1)
+    shape = affine_liouvillian(spec).sector.base.shape
+    assert len(solved) == 2 * len(intensities) and len(built) == 2
+    assert all(sub.dtype == np.float64 and sub.shape == shape for sub in solved)
+    # each case starts in the other case's steady state: its amplitudes rebuild the difference
+    for (intensity, case), point in modes.items():
+        spec_i = spec.with_intensity(intensity)
+        fields = {"B0": 0.0, "B1": b1}
+        offset = steady_vector(spec_i, fields["B1" if case == "B0" else "B0"]) - steady_vector(
+            spec_i, fields[case])
+        rebuilt = sum(mode.amplitude * mode.vector for mode in point)
+        assert np.linalg.norm(rebuilt - offset) <= 1e-9 * max(1.0, np.linalg.norm(offset))
 
 
 @st.composite

@@ -191,10 +191,13 @@ class TestExitCodes:
         ("steady", {"polarization": [1, 0, 0]}),
         ("transient", {"polarization": ["1", "0", "0"]}),
         ("spectrum", {"polarization": {"a": 1}}),
+        ("transient", {"gamma": 10**400}),
+        ("spectrum", {"intensities": [0.3, 10**400]}),
     ], ids=["intensities-string", "intensities-bool", "drop-string", "drop-int", "int-fraction",
             "int-bool", "sweep-points-bool", "float-bool", "fg-string", "int-string",
             "gamma-string", "period-string", "intensity-string", "b1-string", "pol-null",
-            "pol-number", "pol-numbers", "pol-strings", "pol-dict"])
+            "pol-number", "pol-numbers", "pol-strings", "pol-dict", "gamma-huge-int",
+            "intensity-huge-int"])
     def test_config_value_of_wrong_type_exits_2(self, tmp_path, capsys, command, config):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
@@ -235,8 +238,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("hanlesim: ")
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize("meta", ["# phase_b=(1,)", "# fe=2\n# fg=(1,)\n# phase_b=0.03"],
-                             ids=["phase_b-tuple", "fg-tuple"])
+    # an integer beyond the float range is as unusable as a tuple
+    @pytest.mark.parametrize("meta", ["# phase_b=(1,)", "# fe=2\n# fg=(1,)\n# phase_b=0.03",
+                                      "# phase_b=1" + "0" * 400,
+                                      "# fe=2\n# fg=1" + "0" * 400 + "\n# phase_b=0.03"],
+                             ids=["phase_b-tuple", "fg-tuple", "phase_b-huge-int", "fg-huge-int"])
     def test_fit_rejects_non_numeric_trace_metadata(self, tmp_path, capsys, meta):
         times = np.linspace(0.0, 2000.0, 300).tolist()
         rows = "".join(f"{t!r},{float(np.exp(-t / 300))!r}\n" for t in times)
@@ -389,6 +395,24 @@ class TestOutputFiles:
         after = os.stat(os.devnull)
         assert stat.S_ISCHR(after.st_mode)
         assert (after.st_ino, after.st_rdev) == (before.st_ino, before.st_rdev)
+
+    FIT = ["transient", "--preset", "fig5a", "--samples-per-period", "400", "--output"]
+
+    @pytest.mark.parametrize("second", ["f.csv", "link.csv", "absent.csv"])
+    def test_two_outputs_naming_one_file_exit_2_and_write_nothing(self, tmp_path, capsys, second):
+        target = tmp_path / "f.csv"
+        target.write_text("old\n")
+        (tmp_path / "link.csv").symlink_to(target)
+        first = target if second != "absent.csv" else tmp_path / second
+        argv = self.FIT + [str(first), "--fit-output", str(tmp_path / second)]
+        assert run(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            f"hanlesim: two outputs name the same file {tmp_path / second}\n")
+        assert target.read_text() == "old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["f.csv", "link.csv"]
+
+    def test_one_device_may_take_both_outputs(self):
+        assert run(self.FIT + [os.devnull, "--fit-output", os.devnull]) == EXIT_OK
 
     def test_replaced_file_keeps_its_permissions(self, tmp_path):
         out = tmp_path / "t.json"

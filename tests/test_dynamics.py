@@ -536,7 +536,6 @@ class TestSwitchedTransient:
 
         assert not hasattr(dynamics, "_augmented")  # the complex-to-real transform per field is gone
         monkeypatch.setattr(dynamics, "_augmented", refuse, raising=False)
-        monkeypatch.setattr(liouvillian.AffineLiouvillian, "at", refuse)
         schedule = SwitchSchedule(b1=0.03, b0=0.01, period=1000.0, n_periods=2, samples_per_period=200)
         trace = switched_transient(eia_spec(0.06), schedule)
         assert trace.times.size == 400

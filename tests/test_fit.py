@@ -92,7 +92,8 @@ class TestModelForPhase:
         assert model_for_phase({"phase_b": 0.03}, drop_exp_term=True).drop_exp_term
 
     @pytest.mark.parametrize("meta", [{"phase_b": (1,)}, {"phase_b": float("nan")},
-                                      {"phase_b": 0.03, "fg": "one", "fe": 2.0}])
+                                      {"phase_b": 0.03, "fg": "one", "fe": 2.0},
+                                      {"phase_b": 10**400}])
     def test_non_numeric_metadata_raises(self, meta):
         with pytest.raises(ValueError, match="must be a finite number"):
             model_for_phase(meta)

@@ -9,11 +9,13 @@ from hanlesim import (
     build_liouvillian,
     devectorize,
     hamiltonian,
+    intensity_sweep,
     steady_state,
     vectorize,
 )
 from hanlesim.angular import AngMom, polarization, projectors, q_matrix
 import hanlesim.liouvillian as liouvillian
+import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_matrix, isotropic_ground
 
 from support import PRESET_INTENSITIES, eia_spec, eit_spec
@@ -263,22 +265,24 @@ def test_isotropic_ground_is_maximally_mixed_ground_state():
     assert np.trace(sigma0) == pytest.approx(1.0)
 
 
+def _by_point(columns) -> dict:
+    """The rows of sweep columns, listed by their (intensity, case)."""
+    points = {}
+    for row in zip(*columns.values()):
+        points.setdefault(row[:2], []).append(row)
+    return points
+
+
 class TestAffineParts:
     @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
     def test_field_part_is_exact_on_the_paper_transitions(self, make_spec):
         spec = make_spec(0.0)
         affine = affine_liouvillian(spec)
-        for b_field in np.linspace(-0.15, 0.15, 201):
-            expected = build_liouvillian(spec.with_field(float(b_field))).matrix
-            np.testing.assert_array_equal(affine.at(0.0, float(b_field)).matrix, expected)
-
-    def test_evaluation_records_the_driven_transition(self):
-        spec = eia_spec(0.3, dipole_scale=2.5).with_field(0.01)
-        liouv = affine_liouvillian(eia_spec(0.0, dipole_scale=2.5)).at(spec.rabi, 0.01)
-        expected = build_liouvillian(spec)
-        np.testing.assert_allclose(liouv.matrix, expected.matrix, rtol=0, atol=1e-15)
-        assert liouv.meta == expected.meta
-        assert liouv.b_field == 0.01
+        for b_field in np.linspace(-0.15, 0.15, 201).tolist():
+            expected = build_liouvillian(spec.with_field(b_field)).matrix
+            matrix = affine.base + 0.0 * affine.drive
+            matrix.flat[:: matrix.shape[0] + 1] += b_field * affine.field
+            np.testing.assert_array_equal(matrix, expected)
 
     def test_assembles_the_full_matrix_once(self, monkeypatch):
         calls = []
@@ -288,11 +292,17 @@ class TestAffineParts:
         affine_liouvillian(eia_spec(0.3, detuning=0.1).with_field(0.02))
         assert len(calls) == 1
 
-    def test_parts_do_not_change_between_evaluations(self):
-        affine = affine_liouvillian(eit_spec(0.0))
-        base = affine.base.copy()
-        affine.at(0.5, 0.03)
-        np.testing.assert_array_equal(affine.base, base)
+    def test_parts_do_not_change_between_evaluations(self, monkeypatch):
+        # a sweep evaluates the parts at each point: reversing its grid changes no point's modes
+        spec = eit_spec(0.0)
+        affine = affine_liouvillian(spec)
+        before = [part.copy() for part in (affine.base, affine.drive, affine.field)]
+        monkeypatch.setattr(spectral, "affine_liouvillian", lambda _: affine)
+        grid = (0.002, 0.3, 2.0)
+        forward, backward = (_by_point(intensity_sweep(spec, g, b1=0.03)) for g in (grid, grid[::-1]))
+        assert forward == backward
+        for part, copy in zip((affine.base, affine.drive, affine.field), before):
+            np.testing.assert_array_equal(part, copy)
 
     def test_refuses_a_field_off_the_diagonal(self, monkeypatch):
         # a field with a transverse part couples neighbouring sublevels
