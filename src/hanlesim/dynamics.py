@@ -27,8 +27,9 @@ state along the nonzero pattern of M.  Outside it the state stays exactly
 zero, so only M[block, block] is decomposed, exponentiated or solved.
 ``_steady`` solves a bare Liouvillian on its pump's block, ``_sector_steady``
 an affine family (transients, steady scans, sweeps) on its sector (see
-below), and ``_checked``, shared by every steady state, checks residual (on
-the full M), trace, Hermiticity and PSD.
+below), a grid's points stacked into one solve, and ``_checked``, shared by
+every steady state, checks each one's residual (on the full M), trace,
+Hermiticity and PSD.
 
 Transients are stepped in real arithmetic, in the coordinates of their
 affine family's ``sector``: M preserves Hermiticity (Lindblad, CMP 48, 119
@@ -82,6 +83,9 @@ MAX_INTEGRATOR_STEP = 0.05
 
 #: Eigenvector condition number beyond which the modal solver uses the matrix exponential.
 MODAL_CONDITION_LIMIT = 1e10
+
+#: Grid points per stacked solve or eig of a steady scan or sweep: bounds its memory on long grids.
+STACK_CHUNK = 32
 
 #: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
 _PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
@@ -182,6 +186,18 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     return devectorize(_steady(liouv, _invariant_block([liouv.matrix], [liouv.pump])))
 
 
+def _chunks(count: int):
+    """Slices that cover range(count) in runs of ``STACK_CHUNK``, the points of one stack."""
+    return (slice(start, start + STACK_CHUNK) for start in range(0, count, STACK_CHUNK))
+
+
+def _failure(message: str, points, k: int) -> np.linalg.LinAlgError:
+    """The error of the first failing point k, named by its row (intensity, field) of ``points``."""
+    if points is not None:
+        message += f" at intensity {points[k][0]:.6g}, field {points[k][1]:.6g}"
+    return np.linalg.LinAlgError(message)
+
+
 def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
     """-M^{-1} p0 on an invariant block holding the pump, zero outside it, checked physical.
 
@@ -189,97 +205,71 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
     """
     y_ss = np.zeros(liouv.size, dtype=complex)
     y_ss[block] = _solved(liouv.matrix[np.ix_(block, block)], -liouv.pump[block])
-    return _checked(y_ss, liouv.matrix @ y_ss + liouv.pump)
-
-
-def _sector_steady(affine: AffineLiouvillian, rabi: float, b_field: float):
-    """(x, y): the steady state at (rabi, b_field) in coordinates x on ``affine.sector``, solved
-    there, and full-size as y, checked, with the residual formed from the parts."""
-    real = affine.sector
-    x = _solved(real.base + rabi * real.drive + b_field * real.field, -real.pump)
-    y = np.zeros(affine.pump.size, dtype=complex)
-    y[affine.block] = real.frame @ x
-    _checked(y, affine.base @ y + rabi * (affine.drive @ y) + b_field * affine.field * y + affine.pump)
-    return x, y
-
-
-def _solved(sub: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """sub^-1 rhs for a steady state; a singular ``sub`` raises with its condition number."""
-    try:
-        return np.linalg.solve(sub, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(
-            f"steady-state solve failed (condition number {np.linalg.cond(sub):.3e}); "
-            "a positive transit rate should forbid a null space"
-        ) from exc
-
-
-def _checked(y_ss: np.ndarray, residual: np.ndarray) -> np.ndarray:
-    """A full-size steady state, once its residual M y_ss + p0, trace, Hermiticity and PSD pass."""
-    residual = np.linalg.norm(residual)
-    if not residual <= 1e-10:  # each check is written so that NaN fails it
-        raise np.linalg.LinAlgError(f"steady-state residual {residual:.3e} exceeds 1e-10")
-    sigma = devectorize(y_ss)
-    trace = float(np.trace(sigma).real)
-    if not abs(trace - 1.0) <= 1e-9:
-        raise np.linalg.LinAlgError(f"steady-state trace {trace!r} is not 1")
-    if not np.abs(sigma - sigma.conj().T).max() <= 1e-10:
-        raise np.linalg.LinAlgError("steady state is not Hermitian")
-    smallest = np.linalg.eigvalsh((sigma + sigma.conj().T) / 2.0).min()
-    if not smallest >= -1e-10:
-        raise np.linalg.LinAlgError(f"steady state has negative population {smallest:.3e}")
+    _checked(y_ss[None], (liouv.matrix @ y_ss + liouv.pump)[None])
     return y_ss
 
 
-@dataclass(frozen=True)
-class _Modes:
-    """One eigendecomposition of ``sub``, M on an invariant block, with absorption weights.
-
-    ``y_ss``, a full-size steady state, is zero on ``block`` unless the pump lies
-    on it; ``w_modes[k]`` is the absorption functional of eigenvector k, ``w_ss`` of ``y_ss``.
-    """
-
-    block: np.ndarray
-    sub: np.ndarray
-    lam: np.ndarray
-    vecs: np.ndarray
-    y_ss: np.ndarray
-    w_modes: np.ndarray
-    w_ss: float
-
-    def amplitudes(self, y0: np.ndarray) -> np.ndarray:
-        """Coefficients of y0 - y_ss over the eigenvectors, on the block only."""
-        offset = y0[self.block] - self.y_ss[self.block]
-        return np.linalg.solve(self.vecs, offset) if offset.any() else offset
+def _sector_steady(affine: AffineLiouvillian, rabi, b_field) -> np.ndarray:
+    """The steady state at each (rabi, b_field) of their broadcast, in coordinates on ``affine.sector``,
+    solved there ``STACK_CHUNK`` points to a stack and checked full-size, the residual from the parts."""
+    real, block = affine.sector, affine.block
+    rabi, b_field = np.broadcast_arrays(rabi, b_field)
+    shape, rabi, b_field = rabi.shape, rabi.ravel(), b_field.ravel()
+    points = np.column_stack((rabi**2, b_field))
+    x = np.empty((rabi.size, real.pump.size))
+    for part in _chunks(rabi.size):
+        r, b = rabi[part, None], b_field[part, None]
+        x[part] = _solved(real.base + r[..., None] * real.drive + b[..., None] * real.field,
+                          -real.pump, points[part])
+        y = np.zeros((r.size, affine.pump.size), dtype=complex)
+        y[:, block] = x[part] @ real.frame.T
+        _checked(y, y @ affine.base.T + r * (y @ affine.drive.T) + b * affine.field * y + affine.pump,
+                 points[part])
+    return x.reshape(shape + x.shape[1:])
 
 
-def _decompose(sub: np.ndarray, block: np.ndarray, y_ss: np.ndarray, row: np.ndarray) -> _Modes:
-    """``sub``, M on ``block``, decomposed; ``row`` is the absorption row on the block."""
+def _solved(sub: np.ndarray, rhs: np.ndarray, points=None) -> np.ndarray:
+    """sub^-1 rhs for a steady state, or for each matrix of a stack ``sub``; a singular matrix
+    raises with its condition number, named by its row of ``points``."""
+    try:
+        return np.linalg.solve(sub, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as exc:
+        cond = np.linalg.cond(sub).reshape(-1)
+        k = int(np.argmax(cond))
+        raise _failure(f"steady-state solve failed (condition number {cond[k]:.3e}); "
+                       "a positive transit rate should forbid a null space", points, k) from exc
+
+
+def _checked(y_ss: np.ndarray, residual: np.ndarray, points=None) -> None:
+    """Check full-size steady states, rows of ``y_ss``: each one's residual M y_ss + p0 (a row of
+    ``residual``), trace, Hermiticity and PSD; the first that fails raises, named by ``points``."""
+    dim = round(sqrt(y_ss.shape[1]))
+    sigma = y_ss.reshape(-1, dim, dim)
+    adjoint = sigma.conj().transpose(0, 2, 1)
+    residual = np.linalg.norm(residual, axis=1)
+    trace = np.trace(sigma, axis1=1, axis2=2).real
+    # each check is written so that NaN fails it
+    failed = np.stack((~(residual <= 1e-10), ~(np.abs(trace - 1.0) <= 1e-9),
+                       ~(np.abs(sigma - adjoint).max(axis=(1, 2)) <= 1e-10)))
+    first = int(failed.any(axis=0).argmax()) if failed.any() else sigma.shape[0]
+    # the states before the first failure are finite; one of them may still not be PSD
+    smallest = np.linalg.eigvalsh((sigma[:first] + adjoint[:first]) / 2.0).min(axis=1)
+    if (negative := np.flatnonzero(~(smallest >= -1e-10))).size:
+        k = negative[0]
+        raise _failure(f"steady state has negative population {smallest[k]:.3e}", points, k)
+    if first < sigma.shape[0]:
+        messages = (f"steady-state residual {residual[first]:.3e} exceeds 1e-10",
+                    f"steady-state trace {float(trace[first])!r} is not 1",
+                    "steady state is not Hermitian")
+        raise _failure(messages[failed[:, first].argmax()], points, first)
+
+
+def _decompose(sub: np.ndarray, row: np.ndarray):
+    """(eigenvalues, eigenvectors, absorption weights row @ vectors) of ``sub``, M on an invariant
+    subspace with ``row`` the absorption row there, or of each matrix of a stack; complex always."""
     lam, vecs = np.linalg.eig(sub)
-    return _Modes(block, sub, lam, vecs, y_ss, row @ vecs, (row @ y_ss[block]).real)
-
-
-def _block_modes(liouv: Liouvillian, block: np.ndarray) -> _Modes:
-    """M decomposed on an invariant block, with the checked steady state when the pump lies on it."""
-    y_ss = _steady(liouv, block) if liouv.pump[block].any() else np.zeros(liouv.size, dtype=complex)
-    return _decompose(liouv.matrix[np.ix_(block, block)], block, y_ss, liouv.absorption_row[block])
-
-
-def _modal_run(modes: _Modes, y0: np.ndarray, times: np.ndarray, keep_states=False):
-    """(absorption at ``times``, states there or None) from y0, zero outside ``modes.block``."""
-    block = modes.block
-    amps = modes.amplitudes(y0)
-    phases = np.exp(np.outer(modes.lam, times))  # (block size, n_samples)
-    # complex parts cancel in the sum over modes
-    w_t = modes.w_ss + (amps * modes.w_modes) @ phases
-    stray = np.abs(w_t.imag).max() if w_t.size else 0.0
-    if stray > 1e-9:
-        warnings.warn(f"modal absorption has stray imaginary part {stray:.3e}", stacklevel=3)
-    states = None
-    if keep_states:
-        states = np.tile(modes.y_ss, (times.size, 1))
-        states[:, block] += (modes.vecs @ (amps[:, None] * phases)).T
-    return w_t.real, states
+    vecs = vecs.astype(complex, copy=False)
+    return lam.astype(complex, copy=False), vecs, row @ vecs
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -350,18 +340,30 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0, liouv.size)
-    modes = _block_modes(liouv, _invariant_block([liouv.matrix], [liouv.pump, y0]))
-    if (cond := np.linalg.cond(modes.vecs)) <= MODAL_CONDITION_LIMIT:
-        w_t, states = _modal_run(modes, y0, times, keep_states=keep_states)
-        return _sampled(liouv, times, w_t, states, "modal")
+    block = _invariant_block([liouv.matrix], [liouv.pump, y0])
+    y_ss = _steady(liouv, block) if liouv.pump.any() else np.zeros(liouv.size, dtype=complex)
+    sub, row = liouv.matrix[np.ix_(block, block)], liouv.absorption_row[block]
+    lam, vecs, w_modes = _decompose(sub, row)
+    if (cond := np.linalg.cond(vecs)) <= MODAL_CONDITION_LIMIT:
+        offset = y0[block] - y_ss[block]
+        amps = np.linalg.solve(vecs, offset) if offset.any() else offset
+        phases = np.exp(np.outer(lam, times))  # (block size, n_samples)
+        # complex parts cancel in the sum over modes
+        w_t = (row @ y_ss[block]).real + (amps * w_modes) @ phases
+        if (stray := np.abs(w_t.imag).max(initial=0.0)) > 1e-9:
+            warnings.warn(f"modal absorption has stray imaginary part {stray:.3e}", stacklevel=2)
+        states = None
+        if keep_states:
+            states = np.tile(y_ss, (times.size, 1))
+            states[:, block] += (vecs @ (amps[:, None] * phases)).T
+        return _sampled(liouv, times, w_t.real, states, "modal")
 
     warnings.warn(
         f"eigenvector condition number {cond:.3e} too large for the modal "
         "solver; using the matrix exponential",
         stacklevel=2,
     )
-    block = modes.block
-    gen = np.vstack((np.column_stack((modes.sub, liouv.pump[block])), np.zeros(block.size + 1)))
+    gen = np.vstack((np.column_stack((sub, liouv.pump[block])), np.zeros(block.size + 1)))
     rows = np.empty((times.size, block.size + 1), dtype=complex)
     if times.size:
         rows[0] = _expm(times[0] * gen) @ np.append(y0[block], 1.0)
@@ -472,7 +474,7 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     # one entry when b0 == b1 or when a phase has no duration
     gens = {b: real.base + spec.rabi * real.drive + b * real.field for b in fields}
     # the record starts mid-train, in the steady state of the last phase's field
-    x = _sector_steady(affine, spec.rabi, fields[-1])[0]
+    x = _sector_steady(affine, spec.rabi, fields[-1])
     keys = [(b, duration / max(n, 1)) for b, duration, n in phases]
     # exp(h G) for the augmented G = [[A, p0], [0, 0]] of each field's real generator A
     steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))

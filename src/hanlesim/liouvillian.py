@@ -318,9 +318,9 @@ def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
     )
 
 
-#: An affine family in the real coordinates x of its transients, y[block] = frame @ x: M acts on
-#: x as base + rabi * drive + b * field, and p0 and the absorption row are ``pump`` and ``weights``.
-RealSector = namedtuple("RealSector", "base drive field pump weights frame")
+#: An affine family in the real coordinates x of one sector, y[block] = frame @ x: M acts on x as
+#: base + rabi * drive + b * field, and p0 and the absorption row are ``pump`` and ``weights``.
+RealSector = namedtuple("RealSector", "base drive field pump weights frame block")
 
 
 @dataclass(frozen=True)
@@ -332,16 +332,17 @@ class AffineLiouvillian:
     of M; p0, W and the other parameters depend on neither.  Build it with
     :func:`affine_liouvillian`.
 
-    :attr:`sector` holds the parts in real coordinates, derived once by index.
+    :meth:`real_sector` holds the parts in real coordinates, derived by index.
     M preserves Hermiticity, so in the Hermitian basis of ``_real_frame`` its
     parts and p0 are real.  With linear light at zero detuning M also
     commutes with Theta(sigma) = S P sigma^* P S, a pi rotation about x with
     complex conjugation: P reverses m -> -m inside each manifold and
-    S = diag((-1)^(F - m)).  Theta fixes p0, so every transient state is
-    Theta-even, and only the even combinations are kept (73 of the 130 block
-    indices of 3 -> 4).  Where a test finds that Theta maps the block outside
-    itself, fails to commute with a part or moves p0 (circular or general
-    light, nonzero detuning), the whole block is kept, through the same code.
+    S = diag((-1)^(F - m)).  Theta fixes p0 and the absorption row, so every
+    transient state is Theta-even, and :attr:`sector` keeps the pump block's
+    even combinations (73 of its 130 indices on 3 -> 4).  Where a test finds
+    that Theta maps a block outside itself, fails to commute with a part or
+    moves p0 or the row (circular or general light, nonzero detuning), the
+    whole block is kept, through the same code.
     """
 
     base: np.ndarray
@@ -360,18 +361,25 @@ class AffineLiouvillian:
 
     @cached_property
     def sector(self) -> RealSector:
-        """The parts on the block's Theta-even sector, or on the whole block, formed by gathers.
+        """The parts on the pump block's Theta-even sector, or on the whole block."""
+        return self.real_sector(self.block, 1)
+
+    def real_sector(self, block: np.ndarray, parity: int) -> RealSector:
+        """The parts on the Theta-even (``parity`` 1) or Theta-odd (-1) sector of an invariant
+        ``block`` closed under (i, j) <-> (j, i), by gathers: where Theta fails, the whole block
+        or nothing.  The row is even, so the odd sector's ``weights`` are zero.
 
         Raises ValueError if a part is not real to rounding in the Hermitian basis (M does not
         preserve Hermiticity), numpy.linalg.LinAlgError, a subclass, if one is not finite.
         """
-        block, dim = self.block, self.coupling.shape[0]
+        dim = self.coupling.shape[0]
         rows, coefs = _frame_entries(block, dim)
         basis = _real_frame(block, dim)
         parts = [_congruence(part[block][:, block], rows, coefs) for part in (self.base, self.drive)]
         # diag(field) T is T with its rows scaled, so only the product with T^H takes gathers
         parts.append((coefs.conj()[:, :, None] * (self.field[block, None] * basis)[rows]).sum(axis=0))
         parts.append((coefs.conj() * self.pump[block][rows]).sum(axis=0))
+        parts.append((coefs * self.absorption_row[block][rows]).sum(axis=0))  # a row: c T
         if not all(np.isfinite(part).all() for part in parts):
             raise np.linalg.LinAlgError("the generator in the real frame is not finite")
         scale = max(np.abs(part.real).max() for part in parts)
@@ -380,23 +388,26 @@ class AffineLiouvillian:
         parts = [part.real for part in parts]
         # p0 holds the rest state, the isotropic ground mixture: nonzero on the ground levels
         theta = _reflection(block, np.count_nonzero(self.pump[:: dim + 1]), dim)
-        if theta is not None:  # kept if R A R = A for each part A and R p0 = p0
+        if theta is not None:  # kept if R A R = A for each part A, R p0 = p0 and R c = c
             source, sign = theta
             images = [sign[:, None] * part[source][:, source] * sign for part in parts[:3]]
             if any(np.abs(image - part).max() > 1e-13 * np.abs(part).max()
-                   for image, part in zip(images + [sign * parts[3][source]], parts)):
+                   for image, part in zip(images + [sign * part[source] for part in parts[3:]], parts)):
                 theta = None
         position = np.arange(block.size)
         source, sign = theta or (position, np.ones(block.size))
-        # an even vector per orbit: e_k for a fixed point of sign +1, (e_k + sign_k e_source_k) / sqrt 2
+        # a vector per orbit of this parity: e_k for a fixed point of sign parity,
+        # (e_k + parity sign_k e_source_k) / sqrt 2 for a pair
         pair = source != position
-        keep = (position <= source) & (pair | (sign > 0))
+        keep = (position <= source) & (pair | (parity * sign > 0))
         rows = np.stack((position, source))[:, keep]
-        coefs = np.stack((np.where(pair, sqrt(0.5), 1.0), np.where(pair, sign * sqrt(0.5), 0.0)))[:, keep]
+        coefs = np.stack((np.where(pair, sqrt(0.5), 1.0),
+                          np.where(pair, parity * sign * sqrt(0.5), 0.0)))[:, keep]
         frame = (basis[:, rows] * coefs).sum(axis=1)
         base, drive, field = (_congruence(part, rows, coefs) for part in parts[:3])
         pump = (coefs * parts[3][rows]).sum(axis=0)
-        return RealSector(base, drive, field, pump, (self.absorption_row[block] @ frame).real, frame)
+        weights = (self.absorption_row[block] @ frame).real if parity > 0 else np.zeros(frame.shape[1])
+        return RealSector(base, drive, field, pump, weights, frame, block)
 
 
 def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:

@@ -1,9 +1,11 @@
 """Eigenmode analysis of the evolution matrix.
 
-The full spectrum of M is computed (one invariant block at a time where M
-splits into two), labelled into three rate groups (slow ground-state modes
-of order the transit rate, optical-coherence modes near half the decay
-rate, excited-population modes near the decay rate), and tested for
+The full spectrum of M is computed one invariant subspace at a time (the
+blocks M splits into, and in sweeps their halves even and odd under the
+symmetry Theta of :class:`hanlesim.liouvillian.AffineLiouvillian`),
+labelled into three rate groups (slow ground-state modes of order the
+transit rate, optical-coherence modes near half the decay rate,
+excited-population modes near the decay rate), and tested for
 observability in a switched-field experiment: a decay mode shows up in the
 absorption signal only if (a) the initial condition actually excites it and
 (b) its density-matrix component couples to the light.
@@ -19,13 +21,14 @@ generator comes from the same Lindblad assembler as the full model.
 
 from __future__ import annotations
 
+import itertools
 from collections import namedtuple
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
 import numpy as np
 
-from .dynamics import _as_vector, _block_modes, _decompose, _Modes, _sector_steady
+from .dynamics import _as_vector, _chunks, _decompose, _failure, _sector_steady, _steady
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
@@ -105,8 +108,10 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     y0 - y_ss.
     """
     blocks = _parts([liouv.matrix], _invariant_block([liouv.matrix], [liouv.pump]))
-    parts = [_block_modes(liouv, block) for block in blocks]
-    return _records(parts, _spectrum(parts, y0))
+    y_ss = _steady(liouv, blocks[0])
+    parts = [(liouv.matrix[np.ix_(block, block)][None], liouv.absorption_row[block]) for block in blocks]
+    offsets = None if y0 is None else [(_as_vector(y0, liouv.size) - y_ss)[b][None] for b in blocks]
+    return _records(_spectrum(parts, offsets), 0, [(block, None) for block in blocks], liouv.size)
 
 
 def _parts(matrices, block) -> tuple[np.ndarray, ...]:
@@ -123,47 +128,70 @@ def _parts(matrices, block) -> tuple[np.ndarray, ...]:
     return (np.arange(size),)
 
 
-#: Sorted modes of M: eigenvalues, absorption weights, amplitudes and observability flags (None
-#: without a start state), and each mode's column in the eigenvectors of M's parts side by side.
-_Spectrum = namedtuple("_Spectrum", "values weights amplitudes observable order")
+#: Sorted modes of M at each point of a stack, each (points, modes): eigenvalues, absorption
+#: weights, amplitudes and observability flags (None without start states), and each mode's column
+#: in the eigenvectors of M's parts side by side; then those eigenvectors, a stack per part, if kept.
+_Spectrum = namedtuple("_Spectrum", "values weights amplitudes observable order vecs")
 
 
-def _spectrum(parts: list[_Modes], y0=None) -> _Spectrum:
-    """The modes of M from ``parts``, decompositions on invariant blocks that cover M, pump first;
-    each part's eigenpairs, and the amplitudes from ``y0``, are checked on its own block."""
-    for part in parts:
-        residual = np.linalg.norm(part.sub @ part.vecs - part.vecs * part.lam, axis=0).max()
-        if residual > 1e-9:
-            raise np.linalg.LinAlgError(f"eigen residual {residual:.3e} exceeds 1e-9 "
-                                        f"(matrix condition number {np.linalg.cond(part.sub):.3e})")
-    lam = np.concatenate([part.lam for part in parts])
-    weights = np.concatenate([part.w_modes for part in parts])
-    order = np.lexsort((lam.imag, -lam.real))
-    if y0 is None:
-        none = [None] * lam.size
-        return _Spectrum(lam[order], weights[order], none, none, order)
-    y0 = _as_vector(y0, parts[0].y_ss.size)
-    offset = y0 - parts[0].y_ss
-    amps = [part.amplitudes(y0) for part in parts]
-    residual = np.linalg.norm(np.concatenate(
-        [part.vecs @ part_amps - offset[part.block] for part, part_amps in zip(parts, amps)]))
-    if residual > 1e-9 * max(1.0, np.linalg.norm(offset)):
-        raise np.linalg.LinAlgError(f"amplitude reconstruction residual {residual:.3e}")
-    amps = np.concatenate(amps)
-    amp_floor = OBSERVABILITY_TOL * max(np.abs(amps).max(), np.finfo(float).tiny)
-    weight_floor = OBSERVABILITY_TOL * max(np.abs(weights).max(), np.finfo(float).tiny)
+def _spectrum(parts, offsets=None, points=None, vectors=True) -> _Spectrum:
+    """The modes of M at each point of a stack, from ``parts``, pairs of a stack of M on an invariant
+    subspace and the absorption row there, taken one at a time; the subspaces cover M.
+
+    ``offsets`` holds per part a stack of y0 - y_ss, or None where it is zero by structure.  Each
+    eigenpair and the amplitudes are checked at every point, and the first point that fails raises,
+    named by its row of ``points``.  Eigenvectors are kept with ``vectors``.
+    """
+    lam, weights, amps, vecs, misfit, length = [], [], [], [], 0.0, 0.0
+    for (subs, row), offset in zip(parts, offsets or itertools.repeat(None)):
+        part_lam, part_vecs, part_weights = _decompose(subs, row)
+        residual = np.linalg.norm(subs @ part_vecs - part_vecs * part_lam[:, None, :], axis=1).max(axis=1)
+        if (failed := np.flatnonzero(residual > 1e-9)).size:
+            k = failed[0]
+            raise _failure(f"eigen residual {residual[k]:.3e} exceeds 1e-9 "
+                           f"(matrix condition number {np.linalg.cond(subs[k]):.3e})", points, k)
+        part_amps = np.zeros(part_lam.shape, dtype=complex)
+        if offset is not None:
+            moved = offset.any(axis=1)
+            part_amps[moved] = np.linalg.solve(part_vecs[moved], offset[moved][..., None])[..., 0]
+            rebuilt = (part_vecs @ part_amps[..., None])[..., 0]
+            misfit = misfit + np.linalg.norm(rebuilt - offset, axis=1)**2
+            length = length + np.linalg.norm(offset, axis=1)**2
+        lam.append(part_lam), weights.append(part_weights), amps.append(part_amps)
+        if vectors:
+            vecs.append(part_vecs)
+    lam, weights = np.concatenate(lam, axis=1), np.concatenate(weights, axis=1)
+    order = np.lexsort((lam.imag, -lam.real), axis=1)
+    values, weights = np.take_along_axis(lam, order, 1), np.take_along_axis(weights, order, 1)
+    if offsets is None:
+        return _Spectrum(values, weights, None, None, order, vecs)
+    residual = np.sqrt(misfit)
+    if (failed := np.flatnonzero(residual > 1e-9 * np.maximum(1.0, np.sqrt(length)))).size:
+        k = failed[0]
+        raise _failure(f"amplitude reconstruction residual {residual[k]:.3e}", points, k)
+    amps = np.take_along_axis(np.concatenate(amps, axis=1), order, 1)
+    tiny = np.finfo(float).tiny
+    amp_floor = OBSERVABILITY_TOL * np.maximum(np.abs(amps).max(axis=1, keepdims=True), tiny)
+    weight_floor = OBSERVABILITY_TOL * np.maximum(np.abs(weights).max(axis=1, keepdims=True), tiny)
     observable = (np.abs(amps) > amp_floor) & (np.abs(weights) > weight_floor)
-    return _Spectrum(lam[order], weights[order], amps[order], observable[order].tolist(), order)
+    return _Spectrum(values, weights, amps, observable, order, vecs)
 
 
-def _records(parts: list[_Modes], spectrum: _Spectrum) -> list[EigenMode]:
-    """EigenMode records of ``spectrum``, with full-size eigenvectors, zero off their part."""
-    vecs = np.zeros((parts[0].y_ss.size, spectrum.order.size), dtype=complex)
-    starts = np.cumsum([0] + [part.block.size for part in parts])
-    for part, start in zip(parts, starts):
-        vecs[part.block, start:start + part.block.size] = part.vecs
+def _records(spectrum: _Spectrum, point: int, embeddings, size: int) -> list[EigenMode]:
+    """EigenMode records of one point of ``spectrum``, with full-size eigenvectors, zero off their
+    part: ``embeddings`` holds each part's (block, frame), y[block] = frame @ x, frame None for 1."""
+    vecs = np.zeros((size, spectrum.order.shape[1]), dtype=complex)
+    start = 0
+    for (block, frame), part_vecs in zip(embeddings, spectrum.vecs):
+        part_vecs = part_vecs[point]
+        vecs[block, start:start + part_vecs.shape[1]] = part_vecs if frame is None else frame @ part_vecs
+        start += part_vecs.shape[1]
+    none = [None] * vecs.shape[1]
+    amps = none if spectrum.amplitudes is None else spectrum.amplitudes[point]
+    flags = none if spectrum.observable is None else spectrum.observable[point].tolist()
     return [EigenMode(value, vecs[:, column], amplitude=amplitude, weight=weight, observable=flag)
-            for value, weight, amplitude, flag, column in zip(*spectrum)]
+            for value, weight, amplitude, flag, column in zip(
+                spectrum.values[point], spectrum.weights[point], amps, flags, spectrum.order[point])]
 
 
 def _groups(rates: np.ndarray, gamma: float) -> tuple[np.ndarray, np.ndarray]:
@@ -305,6 +333,10 @@ def open_lambda_liouvillian(spec: OpenLambdaSpec) -> Liouvillian:
 SWEEP_COLUMNS = ("intensity", "b_case", "re_lambda", "im_lambda", "group", "observable", "w_mode")
 
 
+#: The field cases of a sweep, in the order of its table: field 0, then ``b1``.
+CASES = ("B0", "B1")
+
+
 def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     """Annotated eigenmodes for every (intensity, field case) of a sweep.
 
@@ -312,31 +344,48 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     is analyzed at fields 0 ("B0") and ``b1`` ("B1"); observability uses the
     switched-field initial condition (the steady state of the other case).
     M is assembled once for the sweep (see :func:`affine_liouvillian`), and
-    its pump block and split are found once, from the pattern of its parts.
-    Each case is decomposed once, with the steady state of one checked solve
-    on the family's sector.  Returns {(intensity, case): list of EigenMode}.
+    each case is decomposed on its real sectors, one stacked eig per sector,
+    with the eigenvectors mapped back.  Returns {(intensity, case): list of EigenMode}.
     """
-    return {(intensity, case): classify_groups(_records(parts, spectrum), spec.gamma)
-            for intensity, case, parts, spectrum in _sweep(spec, intensities, b1)}
+    out = {}
+    for grid, spectra, embeddings in _sweep(spec, intensities, b1, vectors=True):
+        for point, intensity in enumerate(grid.tolist()):
+            for case, spectrum in zip(CASES, spectra):
+                records = _records(spectrum, point, embeddings, spec.dim**2)
+                out[(intensity, case)] = classify_groups(records, spec.gamma)
+    return out
 
 
-def _sweep(spec: TransitionSpec, intensities, b1: float):
-    """Yield (intensity, case, parts, spectrum) of each point, in grid order, B0 before B1."""
+def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
+    """Yield (intensities, spectra of the cases, each part's (block, frame)) per chunk of the grid.
+
+    The parts are the Theta-even and Theta-odd sectors of M's invariant blocks (see
+    :meth:`AffineLiouvillian.real_sector`).  The start states are Theta-even and lie on the pump
+    block, so only its even sector, the first part, sees them: elsewhere the amplitudes and the
+    weights are zero by structure.
+    """
     affine = affine_liouvillian(spec)
-    slices = [(block, affine.base[np.ix_(block, block)], affine.drive[np.ix_(block, block)],
-               affine.field[block], affine.absorption_row[block])
-              for block in _parts([affine.base, affine.drive], affine.block)]
-    for intensity in intensities:
-        rabi = spec.with_intensity(intensity).rabi
-        steady = {case: _sector_steady(affine, rabi, b)[1] for case, b in (("B0", 0.0), ("B1", b1))}
-        for case, other, b_field in (("B0", "B1", 0.0), ("B1", "B0", b1)):
-            parts = []
-            for block, base, drive, field, row in slices:
-                sub = base + rabi * drive
-                sub.flat[:: block.size + 1] += b_field * field
-                parts.append(_decompose(sub, block, steady[case], row))
-            # initial condition: the system was sitting in the other phase's steady state
-            yield float(intensity), case, parts, _spectrum(parts, steady[other])
+    grid = np.asarray(intensities, dtype=float)
+    rabi = np.array([spec.with_intensity(intensity).rabi for intensity in grid.tolist()])
+    fields = np.array([0.0, b1])
+    # the steady states of every (intensity, case) on the family's sector, in grid order
+    x = _sector_steady(affine, rabi[:, None], fields)
+    sectors = [affine.real_sector(block, parity)
+               for block in _parts([affine.base, affine.drive], affine.block) for parity in (1, -1)]
+    sectors = [sector for sector in sectors if sector.pump.size]
+    seen = sectors[0]  # the pump block's even sector, or all of M's when M does not split
+    to_seen = (seen.frame[np.searchsorted(seen.block, affine.block)].conj().T @ affine.sector.frame).real
+    embeddings = [(sector.block, sector.frame) for sector in sectors]
+    for part in _chunks(grid.size):
+        r = rabi[part, None, None]
+        spectra = []
+        for case, b_field in enumerate(fields):  # each starts in the other's steady state
+            points = np.column_stack((grid[part], np.full(r.shape[0], b_field)))
+            offset = (x[part, 1 - case] - x[part, case]) @ to_seen.T
+            parts = ((sector.base + r * sector.drive + b_field * sector.field, sector.weights)
+                     for sector in sectors)  # formed one at a time
+            spectra.append(_spectrum(parts, [offset] + [None] * (len(sectors) - 1), points, vectors))
+        yield grid[part], spectra, embeddings
 
 
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
@@ -349,14 +398,17 @@ def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
     magnitude of the mode's absorption weight.
     """
     columns = {name: [] for name in SWEEP_COLUMNS}
-    for intensity, case, _, spectrum in _sweep(spec, intensities, b1):
-        count, values, weights = spectrum.order.size, spectrum.values, spectrum.weights
-        columns["intensity"] += [intensity] * count
-        columns["b_case"] += [case] * count
-        columns["re_lambda"] += values.real.tolist()
-        columns["im_lambda"] += values.imag.tolist()
-        columns["group"] += _groups(np.abs(values.real), spec.gamma)[0].tolist()
-        columns["observable"] += map(int, spectrum.observable)
+    for grid, spectra, _ in _sweep(spec, intensities, b1):
+        # (intensity, case, mode) stacks, flattened in table order
+        values, weights, observable = (np.stack([getattr(spectrum, name) for spectrum in spectra], axis=1)
+                                       for name in ("values", "weights", "observable"))
+        count = values.shape[2]
+        columns["intensity"] += [value for value in grid.tolist() for _ in range(len(CASES) * count)]
+        columns["b_case"] += [case for case in CASES for _ in range(count)] * grid.size
+        columns["re_lambda"] += values.real.ravel().tolist()
+        columns["im_lambda"] += values.imag.ravel().tolist()
+        columns["group"] += _groups(np.abs(values.real), spec.gamma)[0].ravel().tolist()
+        columns["observable"] += observable.ravel().astype(int).tolist()
         # hypot is what abs() of a complex scalar computes, to the last bit
-        columns["w_mode"] += np.hypot(weights.real, weights.imag).tolist()
+        columns["w_mode"] += np.hypot(weights.real, weights.imag).ravel().tolist()
     return columns

@@ -5,7 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
 import hanlesim.dynamics as dynamics
@@ -357,8 +357,9 @@ def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, det
 @PROPERTY_SETTINGS
 @given(transitions(), st.sampled_from(NAMED_POLARIZATIONS))
 def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
-    # one real steady solve per (intensity, case), of the sector's size, none while decomposing,
-    # and no Liouvillian evaluated beyond the family's two assemblies
+    # one stacked real steady solve per chunk of (intensity, case) points, each matrix of the
+    # sector's size, none while decomposing, and no Liouvillian evaluated beyond the family's
+    # two assemblies
     spec = replace(spec, pol=pol)
     intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
     solved, built, solve = [], [], dynamics._solved
@@ -373,13 +374,14 @@ def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
             return decompose(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dynamics, "_solved", lambda sub, rhs: solved.append(sub) or solve(sub, rhs))
+        patch.setattr(dynamics, "STACK_CHUNK", 3)  # the 4 points in stacks of 3 and 1
+        patch.setattr(dynamics, "_solved", lambda sub, *args: solved.append(sub) or solve(sub, *args))
         patch.setattr(spectral, "_decompose", decompose_solving_nothing)
         patch.setattr(liouvillian, "Liouvillian", lambda *args: built.append(1) or make(*args))
         modes = sweep_modes(spec, intensities, b1)
     shape = affine_liouvillian(spec).sector.base.shape
-    assert len(solved) == 2 * len(intensities) and len(built) == 2
-    assert all(sub.dtype == np.float64 and sub.shape == shape for sub in solved)
+    assert [sub.shape for sub in solved] == [(3, *shape), (1, *shape)] and len(built) == 2
+    assert all(sub.dtype == np.float64 for sub in solved)
     # each case starts in the other case's steady state: its amplitudes rebuild the difference
     for (intensity, case), point in modes.items():
         spec_i = spec.with_intensity(intensity)
@@ -408,3 +410,53 @@ def test_sector_transient_equals_the_whole_block_transient(spec, schedule):
     assert np.abs(trace.w - whole.w).max() <= 1e-12 * np.abs(whole.w).max()
     assert np.abs(states - whole_states).max() <= 1e-12 * np.abs(whole_states).max()
     assert trajectory_physicality(states)["hermiticity_defect"] == 0.0
+
+
+def _reference_sweep_point(spec, b_field, b_other):
+    """(eigenvalues, amplitudes, weights, observable flags) of one sweep point from one complex eig
+    of the assembled M, the start state the steady state at ``b_other``, both solved on the full M."""
+    liouv, other = (build_liouvillian(spec.with_field(b)) for b in (b_field, b_other))
+    lam, vecs = np.linalg.eig(liouv.matrix)
+    offset = (np.linalg.solve(other.matrix, -other.pump)
+              - np.linalg.solve(liouv.matrix, -liouv.pump))
+    amps = np.linalg.solve(vecs, offset)
+    weights = liouv.absorption_row @ vecs
+    visible = ((np.abs(amps) > OBSERVABILITY_TOL * np.abs(amps).max())
+               & (np.abs(weights) > OBSERVABILITY_TOL * np.abs(weights).max()))
+    return lam, amps, weights, visible
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(("linear-x", "linear-y", "sigma+")))
+def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
+    spec = replace(spec, pol=pol)
+    # sigma+ on Fg = Fe >= 3/2 is defective at zero field: its amplitudes are refused
+    assume(pol != "sigma+" or spec.fg.twice_f != spec.fe.twice_f or spec.fg.twice_f < 3)
+    intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
+    sweep = sweep_modes(spec, intensities, b1)
+    for intensity in intensities:
+        spec_i = spec.with_intensity(intensity)
+        for case, b_field, b_other in (("B0", 0.0, b1), ("B1", b1, 0.0)):
+            modes = sweep[(intensity, case)]
+            values = np.array([mode.value for mode in modes])
+            matrix = build_liouvillian(spec_i.with_field(b_field)).matrix
+            assert _matched_relative_distance(values, np.linalg.eigvals(matrix)) <= 1e-12
+            amps, weights = (np.abs([getattr(mode, name) for mode in modes]) for name in ("amplitude", "weight"))
+            ref_values, ref_amps, ref_weights, ref_flags = _reference_sweep_point(spec_i, b_field, b_other)
+            ref_amps, ref_weights = np.abs(ref_amps), np.abs(ref_weights)
+            cost = np.abs(values[:, None] - ref_values[None, :])
+            found, ref = linear_sum_assignment(cost)
+            scale = np.abs(ref_values).max()
+            floors = OBSERVABILITY_TOL * np.array([[amps.max(), ref_amps.max()],
+                                                   [weights.max(), ref_weights.max()]])
+            for i, j in zip(found, ref):
+                if np.count_nonzero(np.abs(ref_values - ref_values[j]) <= 1e-6 * scale) > 1:
+                    continue  # inside a degenerate cluster the amplitudes depend on the chosen basis
+                assert abs(amps[i] - ref_amps[j]) <= 1e-9 * max(1.0, ref_amps.max())
+                assert abs(weights[i] - ref_weights[j]) <= 1e-9 * ref_weights.max()
+                # the floors scale with the largest amplitude, which a cluster may hold, and an
+                # amplitude near rounding may fall on either side: a flag is compared where
+                # both values, against both floors, decide it alike
+                if all(min(pair) > floor.max() or max(pair) <= floor.min() for pair, floor in (
+                        ((amps[i], ref_amps[j]), floors[0]), ((weights[i], ref_weights[j]), floors[1]))):
+                    assert modes[i].observable == ref_flags[j], (intensity, case, ref_values[j])

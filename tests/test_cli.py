@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -11,11 +12,13 @@ import numpy as np
 import pytest
 
 import hanlesim.cli as cli
-from hanlesim import absorption, build_liouvillian, list_presets, load_trace, transit_time
+import hanlesim.dynamics as dynamics
+import hanlesim.spectral as spectral
+from hanlesim import absorption, build_liouvillian, list_presets, load_trace, steady_state, transit_time
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from hanlesim.spectral import intensity_sweep
 
-from support import B1, count_assemblies, eia_spec, record_shapes, subprocess_env
+from support import B1, count_assemblies, eia_spec, eit_spec, record_shapes, subprocess_env
 
 TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
 
@@ -508,6 +511,51 @@ class TestSteady:
             expected.append(absorption(np.linalg.solve(liouv.matrix, -liouv.pump), spec))
         np.testing.assert_allclose([float(row[1]) for row in rows], expected, rtol=1e-13, atol=0)
 
+    @pytest.mark.parametrize("make_spec, fg, fe", [(eit_spec, "1", "0"), (eia_spec, "1", "2")])
+    def test_stacked_scan_matches_the_per_point_steady_state(self, tmp_path, make_spec, fg, fe):
+        out = tmp_path / "scan.csv"
+        assert run(["steady", "--fg", fg, "--fe", fe, "--intensity", "0.3", "--scan-b-points", "201",
+                    "--output", str(out)]) == EXIT_OK
+        columns = table_columns(out)
+        spec = make_spec(0.3)
+        expected = np.array([absorption(steady_state(build_liouvillian(spec.with_field(float(b)))), spec)
+                             for b in columns["b"]])
+        w = np.array(columns["w"], dtype=float)
+        assert w.size == 201
+        assert np.abs(w - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    def test_a_scan_longer_than_a_stack_gives_the_same_bytes(self, monkeypatch, tmp_path):
+        argv = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.06", "--scan-b-points", "11",
+                "--output"]
+        whole, chunked = tmp_path / "whole.csv", tmp_path / "chunked.csv"
+        assert dynamics.STACK_CHUNK >= 11
+        assert run(argv + [str(whole)]) == EXIT_OK
+        monkeypatch.setattr(dynamics, "STACK_CHUNK", 4)
+        shapes = record_shapes(monkeypatch, "solve")
+        assert run(argv + [str(chunked)]) == EXIT_OK
+        assert shapes == [(4, 21, 21), (4, 21, 21), (3, 21, 21)]
+        assert chunked.read_bytes() == whole.read_bytes()
+
+    def test_an_interior_point_that_fails_a_check_exits_3_and_is_named(self, monkeypatch, tmp_path,
+                                                                        capsys):
+        # the full-size field part breaks after the sector is formed from it: the residual then
+        # refuses every point with a field, and the scan starts at zero field
+        make = cli.affine_liouvillian
+
+        def broken(spec):
+            affine = make(spec)
+            affine.sector
+            affine.field[:] *= 1.5
+            return affine
+
+        monkeypatch.setattr(cli, "affine_liouvillian", broken)
+        out = tmp_path / "scan.csv"
+        assert run(["steady", "--fg", "1", "--fe", "2", "--intensity", "0.3", "--scan-b-min", "0",
+                    "--scan-b-max", "0.02", "--scan-b-points", "5", "--output", str(out)]) == EXIT_NUMERICAL
+        assert re.fullmatch(r"hanlesim: numerical failure: steady-state residual \S+ exceeds 1e-10 "
+                            r"at intensity 0\.3, field 0\.005", capsys.readouterr().err.splitlines()[0])
+        assert not out.exists()
+
     @pytest.mark.parametrize("points", [3, 201])
     def test_assembles_at_most_three_times(self, monkeypatch, tmp_path, points):
         calls = count_assemblies(monkeypatch)
@@ -521,7 +569,7 @@ class TestSteady:
         shapes = record_shapes(monkeypatch, "solve")
         assert run(["steady", "--fg", "1", "--fe", "2", "--scan-b-points", "5",
                     "--output", str(tmp_path / "scan.csv")]) == EXIT_OK
-        assert shapes == [(21, 21)] * 5
+        assert shapes == [(5, 21, 21)]  # one stacked solve for the scan
 
     def test_byte_identical_reruns(self, tmp_path):
         argv = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.06",
@@ -555,6 +603,24 @@ class TestSpectrum:
         out = tmp_path / "o.csv"
         assert run(self.ARGV + grid + ["--output", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err == "hanlesim: intensity grid must be nonempty and positive\n"
+        assert not out.exists()
+
+    def test_an_interior_point_that_fails_a_check_exits_3_and_is_named(self, monkeypatch, tmp_path,
+                                                                        capsys):
+        # eigenvalues off by 1e-3 at the second point of the stack fail its eigen residual
+        decompose = spectral._decompose
+
+        def broken(subs, row):
+            lam, vecs, weights = decompose(subs, row)
+            lam[1] += 1e-3
+            return lam, vecs, weights
+
+        monkeypatch.setattr(spectral, "_decompose", broken)
+        out = tmp_path / "o.csv"
+        assert run(self.ARGV + ["--intensities", "0.1,0.2,0.3", "--output", str(out)]) == EXIT_NUMERICAL
+        assert re.fullmatch(r"hanlesim: numerical failure: eigen residual \S+ exceeds 1e-9 \(matrix "
+                            r"condition number \S+\) at intensity 0\.2, field 0",
+                            capsys.readouterr().err.splitlines()[0])
         assert not out.exists()
 
 

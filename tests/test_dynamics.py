@@ -518,9 +518,9 @@ class TestSwitchedTransient:
             with monkeypatch.context() as patch:
                 shapes = record_shapes(patch, "solve")
                 switched_transient(spec, SwitchSchedule(b1=0.02, samples_per_period=40))
-            # the steady solve on the sector, and the exponential's Pade solve on its
-            # augmented generator [[A, p0], [0, 0]], one larger
-            assert set(shapes) == {(size, size), (size + 1, size + 1)}
+            # the steady solve on the sector, a stack of one point, and the exponential's Pade
+            # solve on its augmented generator [[A, p0], [0, 0]], one larger
+            assert set(shapes) == {(1, size, size), (size + 1, size + 1)}
 
     @pytest.mark.parametrize("fg, fe, size", [(1, 0, 7), (1, 2, 21), (2, 3, 43), (3, 3, 56), (3, 4, 73)])
     def test_linear_light_at_zero_detuning_steps_the_even_sector(self, fg, fe, size):

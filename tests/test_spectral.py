@@ -385,6 +385,26 @@ class TestSplitSweep:
                     assert abs(abs(modes[i].weight) - abs(ref_modes[j].weight)) <= 1e-8 * weight_scale
         assert isolated > len(reference) * 5
 
+    @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
+    @pytest.mark.parametrize("pol", ["linear-x", "linear-y"])
+    def test_modes_off_the_even_pump_sector_are_unseen_by_structure(self, make_spec, pol):
+        # the start states are Theta-even and lie on the pump block: every mode of the pump
+        # block's odd sector and of the rest block has amplitude and weight exactly 0
+        spec = make_spec(0.0, pol=pol)
+        affine = liouvillian.affine_liouvillian(spec)
+        (grid, spectra, embeddings), = spectral._sweep(spec, (0.02, 0.3, 2.0), 0.01)
+        assert len(embeddings) == 4  # even and odd halves of the pump block, then of the rest
+        np.testing.assert_array_equal(embeddings[0][0], affine.block)
+        np.testing.assert_array_equal(embeddings[0][1], affine.sector.frame)
+        seen = affine.sector.base.shape[0]
+        for spectrum in spectra:
+            unseen = spectrum.order >= seen  # the first part's columns come first
+            assert unseen.sum() == grid.size * (spec.dim**2 - seen)
+            assert np.all(spectrum.amplitudes[unseen] == 0) and np.all(spectrum.weights[unseen] == 0)
+            assert not spectrum.observable[unseen].any() and spectrum.observable[~unseen].any()
+        columns = intensity_sweep(spec, grid, 0.01)
+        assert columns["w_mode"].count(0.0) >= 2 * grid.size * (spec.dim**2 - seen)
+
     @pytest.mark.parametrize("points", [2, 40])
     def test_sweep_assembles_at_most_three_times(self, monkeypatch, points):
         calls = count_assemblies(monkeypatch)
@@ -409,15 +429,15 @@ class TestSplitSweep:
         shapes = {name: record_shapes(monkeypatch, name) for name in ("eig", "svd", "solve")}
         sweep_modes(spec, (0.02, 0.3, 2.0), b1=0.01)
         assert shapes.pop("svd") == []  # no condition number is taken
-        for name, recorded in shapes.items():
+        for name, recorded in shapes.items():  # stacks over the grid: each matrix is the last two dims
             assert recorded, name
-            assert max(max(shape) for shape in recorded) <= block_size, name
+            assert max(max(shape[-2:]) for shape in recorded) <= block_size, name
 
     def test_circular_light_decomposes_the_full_matrix(self, monkeypatch):
         # sigma+ light on 1 -> 2: the pump block feeds its complement, so M does not split
         liouv = build_liouvillian(eia_spec(0.3, pol="sigma+").with_field(0.01))
         shapes = record_shapes(monkeypatch, "eig")
         modes = eigenmodes(liouv)
-        assert shapes == [(liouv.size, liouv.size)]
+        assert shapes == [(1, liouv.size, liouv.size)]  # a stack of one point
         assert nearest_match_distance([m.value for m in modes], np.linalg.eig(liouv.matrix)[0]) < 1e-12
 
