@@ -61,11 +61,11 @@ class AngMom:
             return f
         if isinstance(f, bool):
             raise TypeError("angular momentum cannot be a bool")
-        if isinstance(f, (int, np.integer)):
-            return cls(2 * int(f))
-        if isinstance(f, (float, np.floating)):
-            return cls(_twice(f, "F"))
-        raise TypeError(f"cannot interpret {f!r} as an angular momentum")
+        if not isinstance(f, (int, float, np.integer, np.floating)):
+            raise TypeError(f"cannot interpret {f!r} as an angular momentum")
+        if not f >= 0:
+            raise ValueError(f"F must be non-negative, got {f:g}")
+        return cls(_twice(f, "F"))
 
     @property
     def f(self) -> float:

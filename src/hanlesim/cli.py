@@ -108,7 +108,7 @@ def build_config(preset_name=None, config_path=None, overrides=None,
         merged.update(preset["config"])
     if config_path is not None:
         try:
-            with open(config_path, "r", encoding="utf-8") as handle:
+            with open(config_path, "r", encoding="utf-8-sig") as handle:
                 loaded = json.load(handle)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from None

@@ -243,25 +243,30 @@ def _solved(sub: np.ndarray, rhs: np.ndarray, points=None) -> np.ndarray:
 def _checked(y_ss: np.ndarray, residual: np.ndarray, points=None) -> None:
     """Check full-size steady states, rows of ``y_ss``: each one's residual M y_ss + p0 (a row of
     ``residual``), trace, Hermiticity and PSD; the first that fails raises, named by ``points``."""
-    dim = round(sqrt(y_ss.shape[1]))
-    sigma = y_ss.reshape(-1, dim, dim)
-    adjoint = sigma.conj().transpose(0, 2, 1)
+    trace, defect, smallest = _state_checks(y_ss)
     residual = np.linalg.norm(residual, axis=1)
-    trace = np.trace(sigma, axis1=1, axis2=2).real
     # each check is written so that NaN fails it
-    failed = np.stack((~(residual <= 1e-10), ~(np.abs(trace - 1.0) <= 1e-9),
-                       ~(np.abs(sigma - adjoint).max(axis=(1, 2)) <= 1e-10)))
-    first = int(failed.any(axis=0).argmax()) if failed.any() else sigma.shape[0]
-    # the states before the first failure are finite; one of them may still not be PSD
-    smallest = np.linalg.eigvalsh((sigma[:first] + adjoint[:first]) / 2.0).min(axis=1)
-    if (negative := np.flatnonzero(~(smallest >= -1e-10))).size:
-        k = negative[0]
-        raise _failure(f"steady state has negative population {smallest[k]:.3e}", points, k)
-    if first < sigma.shape[0]:
-        messages = (f"steady-state residual {residual[first]:.3e} exceeds 1e-10",
-                    f"steady-state trace {float(trace[first])!r} is not 1",
-                    "steady state is not Hermitian")
-        raise _failure(messages[failed[:, first].argmax()], points, first)
+    failed = np.stack((~(residual <= 1e-10), ~(np.abs(trace - 1.0) <= 1e-9), ~(defect <= 1e-10),
+                       ~(smallest >= -1e-10)))
+    if failed.any():
+        k = int(failed.any(axis=0).argmax())
+        messages = (f"steady-state residual {residual[k]:.3e} exceeds 1e-10",
+                    f"steady-state trace {float(trace[k])!r} is not 1", "steady state is not Hermitian",
+                    f"steady state has negative population {smallest[k]:.3e}")
+        raise _failure(messages[failed[:, k].argmax()], points, k)
+
+
+def _state_checks(states: np.ndarray):
+    """(trace, Hermiticity defect, least eigenvalue of the Hermitian part) of the density matrix of
+    each Liouville vector, a row of ``states``; the eigenvalue is NaN where one is not finite."""
+    dim = round(sqrt(states.shape[1]))
+    sigma = states.reshape(-1, dim, dim)
+    adjoint = sigma.conj().transpose(0, 2, 1)
+    finite = np.isfinite(sigma).all(axis=(1, 2))
+    # eigvalsh may return finite values for a matrix that is not finite, or fail on it
+    hermitian = np.where(finite[:, None, None], sigma + adjoint, 0.0) / 2.0
+    smallest = np.where(finite, np.linalg.eigvalsh(hermitian).min(axis=1), np.nan)
+    return np.trace(sigma, axis1=1, axis2=2).real, np.abs(sigma - adjoint).max(axis=(1, 2)), smallest
 
 
 def _decompose(sub: np.ndarray, row: np.ndarray):
@@ -516,19 +521,11 @@ def trajectory_physicality(states: np.ndarray) -> dict:
     Returns the worst trace drift ``max |Tr sigma - 1|``, the most negative
     population eigenvalue, and the worst Hermiticity defect over the samples.
     """
-    states = np.asarray(states)
-    if states.shape[0] == 0:
-        return {"trace_drift": 0.0, "min_eigenvalue": np.inf, "hermiticity_defect": 0.0}
-    dim = round(sqrt(states.shape[1]))
-    sigmas = states.reshape(-1, dim, dim).astype(complex)
-    adjoints = sigmas.conj().transpose(0, 2, 1)
-    worst_drift = float(np.abs(np.trace(sigmas, axis1=1, axis2=2).real - 1.0).max())
-    worst_defect = float(np.abs(sigmas - adjoints).max())
-    min_eig = float(np.linalg.eigvalsh((sigmas + adjoints) / 2.0).min())
+    trace, defect, smallest = _state_checks(np.asarray(states, dtype=complex))
     return {
-        "trace_drift": worst_drift,
-        "min_eigenvalue": min_eig,
-        "hermiticity_defect": worst_defect,
+        "trace_drift": float(np.abs(trace - 1.0).max(initial=0.0)),
+        "min_eigenvalue": float(smallest.min(initial=np.inf)),
+        "hermiticity_defect": float(defect.max(initial=0.0)),
     }
 
 

@@ -338,7 +338,8 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
     -----
     A perfectly constant trace short-circuits to amplitude 0, rate 0 and
     offset = mean, flagged ``degenerate=True``.  Non-convergence within the
-    iteration budget is reported via ``converged=False``, not an exception.
+    iteration budget is reported via ``converged=False``, not an exception;
+    a cost or J^T J that overflows raises FloatingPointError.
     """
     t = np.asarray(trace.times, dtype=float)
     y = np.asarray(trace.w, dtype=float)
@@ -369,9 +370,12 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
     theta, residual, jac, cost, iterations, converged = _levenberg(model, theta0, t, y)
     params = _normalize(_to_external(model, theta))
 
+    normal = jac.T @ jac
+    if not (np.isfinite(cost) and np.isfinite(normal).all()):
+        raise FloatingPointError(f"fit cost {cost:.3e} or J^T J overflowed; rescale the trace")
     dof = max(t.size - n_params, 1)
     variance = cost / dof
-    covariance = variance * np.linalg.pinv(jac.T @ jac)
+    covariance = variance * np.linalg.pinv(normal)
     sigma_internal = np.sqrt(np.maximum(np.diag(covariance), 0.0))
     sigmas = sigma_internal * np.abs(_external_slope(model, params))
     uncertainties = {name: float(sigma) for name, sigma in zip(model.param_names, sigmas)}

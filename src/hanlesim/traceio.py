@@ -18,7 +18,7 @@ import ast
 import contextlib
 import itertools
 import json
-import math
+import operator
 import os
 import stat
 import sys
@@ -98,30 +98,16 @@ def save_trace(trace: TransientTrace, path) -> None:
     write_outputs((render_trace(trace), path))
 
 
-def _parse_meta_value(text: str):
+def _floats(rows, width: int):
+    """The cells of rows of ``width`` cells each as ``width`` columns, converted in one call, and
+    how many rows those hold: all, or the rows before the first with a cell ``float`` refuses."""
+    cells = iter(",".join(rows).split(","))
     try:
-        return ast.literal_eval(text)
-    except (ValueError, SyntaxError, RecursionError, MemoryError):  # deep nesting too
-        return text
-
-
-def _columns(rows, width: int, time_col: int):
-    """The data rows as columns, parsed in one pass; None where the line loop must run.
-
-    The loop names a faulty row's line and skips blank and ``#`` rows, whose
-    comma count or ``float`` fails here.
-    """
-    if set(map(str.count, rows, itertools.repeat(","))) != {width - 1}:
-        return None
-    try:
-        values = np.array(list(map(float, ",".join(rows).split(","))))
-    except ValueError:
-        return None
-    columns = np.ascontiguousarray(values.reshape(len(rows), width).T)
-    times = columns[time_col]
-    if np.isfinite(values).all() and (times[1:] > times[:-1]).all():
-        return columns
-    return None
+        values = np.fromiter(map(float, cells), float, len(rows) * width)
+    except ValueError:  # the refused cell is the last one taken from ``cells``
+        count = (len(rows) * width - operator.length_hint(cells) - 1) // width
+        return _floats(rows[:count], width)[0], count
+    return np.ascontiguousarray(values.reshape(len(rows), width).T), len(rows)
 
 
 def load_trace(path) -> TransientTrace:
@@ -129,28 +115,29 @@ def load_trace(path) -> TransientTrace:
 
     Accepts the files written by :func:`save_trace` and minimal external
     files: a ``time`` column, a signal column named ``w`` or ``signal`` and
-    an optional field column ``b``.  Malformed input raises ``ValueError``
-    naming the offending 1-based line number.
+    an optional field column ``b``.  Each line is read by its stripped text:
+    blank and ``#`` lines are skipped, ``# key=value`` ones above the header
+    read as metadata.  Malformed input raises ``ValueError`` naming the
+    offending 1-based line number.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             lines = handle.read().splitlines()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
     meta = {}
-    header_index = None
-    for index, line in enumerate(lines):
+    for header_index, line in enumerate(map(str.strip, lines)):
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, _, value = body.partition("=")
-                meta[key.strip()] = _parse_meta_value(value.strip())
-            continue
-        if line.strip():
-            header_index = index
+            key, equals, value = (part.strip() for part in line[1:].partition("="))
+            if equals:
+                try:
+                    meta[key] = ast.literal_eval(value)
+                except (ValueError, SyntaxError, RecursionError, MemoryError):  # deep nesting too
+                    meta[key] = value
+        elif line:
             break
-    if header_index is None:
+    else:
         raise ValueError(f"{path}: no header row found")
 
     header = [name.strip().lower() for name in lines[header_index].split(",")]
@@ -159,43 +146,34 @@ def load_trace(path) -> TransientTrace:
     signal_name = "w" if "w" in header else ("signal" if "signal" in header else None)
     if signal_name is None:
         raise ValueError(f"{path}:{header_index + 1}: missing signal column ('w' or 'signal')")
-    time_col = header.index("time")
-    signal_col = header.index(signal_name)
-    b_col = header.index("b") if "b" in header else None
 
-    columns = _columns(lines[header_index + 1:], len(header), time_col)
-    if columns is not None:
-        b = columns[b_col] if b_col is not None else np.zeros(columns.shape[1])
-        return TransientTrace(columns[time_col], columns[signal_col], b, meta)
-
-    times, w, b = [], [], []
-    for index in range(header_index + 1, len(lines)):
-        line = lines[index].strip()
-        lineno = index + 1
-        if not line or line.startswith("#"):
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} columns, got {len(cells)}"
-            )
-        try:
-            row = [float(cell) for cell in cells]
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
-        if any(not math.isfinite(value) for value in row):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
-        if times and row[time_col] <= times[-1]:
-            raise ValueError(f"{path}:{lineno}: time values must be strictly increasing")
-        times.append(row[time_col])
-        w.append(row[signal_col])
-        b.append(row[b_col] if b_col is not None else 0.0)
-
-    if not times:
+    rows = lines[header_index + 1:]
+    numbers = np.arange(header_index + 2, len(lines) + 1)
+    width = len(header)
+    commas = np.fromiter(map(str.count, rows, itertools.repeat(",")), int, len(rows))
+    # rows of numbers have width - 1 commas and no "#", so a file of such rows skips this filter
+    if (commas != width - 1).any() or "#" in "".join(rows):
+        kept = [row.lstrip()[:1] not in ("", "#") for row in rows]
+        rows, numbers, commas = list(itertools.compress(rows, kept)), numbers[kept], commas[kept]
+    if not rows:
         raise ValueError(f"{path}: no data rows")
-    return TransientTrace(
-        times=np.array(times), w=np.array(w), b=np.array(b), meta=meta,
-    )
+
+    # the first faulty row, named by the first check it fails: width, numeric, finite, time order
+    first = int(np.append(commas != width - 1, True).argmax())
+    fault = f"expected {width} columns, got {commas[first] + 1}" if first < len(rows) else None
+    columns, numeric = _floats(rows[:first], width)
+    if numeric < first:
+        first, fault = numeric, "non-numeric value"
+    times = columns[header.index("time")]
+    non_finite = ~np.isfinite(columns).all(axis=0)
+    faulty = np.flatnonzero(non_finite | np.append(False, times[1:] <= times[:-1]))
+    if faulty.size:
+        first = faulty[0]
+        fault = "non-finite value" if non_finite[first] else "time values must be strictly increasing"
+    if fault:
+        raise ValueError(f"{path}:{numbers[first]}: {fault}")
+    b = columns[header.index("b")] if "b" in header else np.zeros(len(rows))
+    return TransientTrace(times, columns[header.index(signal_name)], b, meta)
 
 
 def render_fit(result) -> str:

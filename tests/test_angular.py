@@ -24,6 +24,12 @@ class TestAngMom:
         np.testing.assert_allclose(AngMom.coerce(1).m_values(), [-1.0, 0.0, 1.0])
         np.testing.assert_allclose(AngMom.coerce(1.5).m_values(), [-1.5, -0.5, 0.5, 1.5])
 
+    @pytest.mark.parametrize("f, shown", [(-1, "-1"), (-1.0, "-1"), (-1.5, "-1.5"), (np.int64(-2), "-2"),
+                                          (float("nan"), "nan")])
+    def test_negative_f_is_named_as_given(self, f, shown):
+        with pytest.raises(ValueError, match=rf"^F must be non-negative, got {shown}$"):
+            AngMom.coerce(f)
+
     def test_rejects_non_half_integers(self):
         with pytest.raises(ValueError):
             AngMom.coerce(0.3)

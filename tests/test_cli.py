@@ -14,7 +14,8 @@ import pytest
 import hanlesim.cli as cli
 import hanlesim.dynamics as dynamics
 import hanlesim.spectral as spectral
-from hanlesim import absorption, build_liouvillian, list_presets, load_trace, steady_state, transit_time
+from hanlesim import (TransientTrace, absorption, build_liouvillian, list_presets, load_trace, save_trace,
+                      steady_state, transit_time)
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from hanlesim.spectral import intensity_sweep
 
@@ -72,6 +73,21 @@ class TestExitCodes:
         assert run(["transient", "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
         assert capsys.readouterr().err.startswith(f"hanlesim: invalid JSON in {cfg}: ")
         assert not out.exists()
+
+    def test_negative_f_is_named_as_given(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(["transient", "--fg", "-1", "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "hanlesim: F must be non-negative, got -1\n"
+        assert not out.exists()
+
+    def test_config_with_a_byte_order_mark_is_read(self, tmp_path):
+        cfg, plain = tmp_path / "cfg.json", tmp_path / "plain.json"
+        cfg.write_bytes(b'\xef\xbb\xbf{"fg": 1, "fe": 0, "samples_per_period": 40}')
+        plain.write_bytes(cfg.read_bytes()[3:])
+        outputs = [tmp_path / "bom.csv", tmp_path / "plain.csv"]
+        for config, out in zip((cfg, plain), outputs):
+            assert run(["transient", "--config", str(config), "--output", str(out)]) == EXIT_OK
+        assert outputs[0].read_bytes() == outputs[1].read_bytes()
 
     def test_config_nested_too_deep_exits_2_and_names_the_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -292,6 +308,21 @@ class TestExitCodes:
         if "--with-fit" in argv:
             argv = argv + ["--fit-output", str(out / "f.json")]
         assert run(argv + ["--output", str(out / "o.csv")]) == EXIT_NUMERICAL
+        assert "numerical failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    # a finite trace this large overflows the fit's cost (1e200) or only its J^T J (1e154)
+    @pytest.mark.parametrize("scale", [1e200, 1e154])
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    def test_fit_that_overflows_exits_3(self, tmp_path, capsys, scale):
+        times = np.linspace(0.0, 1000.0, 200)
+        trace = tmp_path / "t.csv"
+        save_trace(TransientTrace(times, scale * (np.exp(-0.004 * times) + 0.2),
+                                  np.zeros_like(times), {}), trace)
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run(["fit", "--trace", str(trace), "--model", "single_exp",
+                    "--output", str(out / "f.json")]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
@@ -667,6 +698,16 @@ class TestFitCommand:
             f"hanlesim: {trace_path}: 'utf-8' codec can't decode byte 0xff in position 0: "
             "invalid start byte"]
         assert not out.exists()
+
+    def test_trace_with_a_byte_order_mark_fits_as_without_it(self, tmp_path):
+        trace_path, bom_path = tmp_path / "t.csv", tmp_path / "bom.csv"
+        assert run(["transient", "--preset", "fig5c", "--output", str(trace_path)]) == EXIT_OK
+        bom_path.write_bytes(b"\xef\xbb\xbf" + trace_path.read_bytes())
+        fits = [tmp_path / "f.json", tmp_path / "bom.json"]
+        for trace, out in zip((trace_path, bom_path), fits):
+            assert run(["fit", "--trace", str(trace), "--fit-phase", "off",
+                        "--output", str(out)]) == EXIT_OK
+        assert fits[0].read_bytes() == fits[1].read_bytes()
 
     def test_deeply_nested_meta_value_fits_as_without_it(self, tmp_path):
         trace_path = tmp_path / "t.csv"

@@ -541,6 +541,37 @@ class TestSwitchedTransient:
         assert trace.times.size == 400
 
 
+# on these matrices eigvalsh returns 0.0 (a NaN on the diagonal) or fails (an inf off it)
+NON_FINITE_STATES = {"nan-diagonal": (0, np.nan), "inf-off-diagonal": (5, np.inf)}
+
+
+def non_finite_states(name):
+    """Three 1 -> 0 states, the middle one with one non-finite entry."""
+    index, value = NON_FINITE_STATES[name]
+    states = np.zeros((3, 16), dtype=complex)
+    states[:, 0] = 1.0
+    states[1, index] = value
+    return states
+
+
+@pytest.mark.parametrize("name", NON_FINITE_STATES)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_physicality_of_a_non_finite_state_is_nan(name):
+    states = non_finite_states(name)
+    assert np.isnan(trajectory_physicality(states)["min_eigenvalue"])
+    assert trajectory_physicality(states[[0, 2]])["min_eigenvalue"] == 0.0
+
+
+@pytest.mark.parametrize("name", NON_FINITE_STATES)
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_steady_check_names_a_non_finite_state_by_its_residual(name):
+    states = non_finite_states(name)
+    residual = np.where(np.isfinite(states), 0.0, states)
+    with pytest.raises(np.linalg.LinAlgError, match=r"^steady-state residual (nan|inf) exceeds 1e-10 at "
+                                                    r"intensity 2, field 0\.03$"):
+        dynamics._checked(states, residual, [(1.0, 0.0), (2.0, 0.03), (3.0, 0.0)])
+
+
 def test_physicality_matches_per_sample_reference():
     rng = np.random.default_rng(11)
     states = rng.normal(size=(30, 16)) + 1j * rng.normal(size=(30, 16))

@@ -2,7 +2,6 @@
 
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -81,6 +80,21 @@ class TestTraceRoundTrip:
         path.write_text("time,w\n0.0,1.0\n1.0,0.5\n")
         loaded = load_trace(path)
         np.testing.assert_array_equal(loaded.b, [0.0, 0.0])
+
+    def test_lines_above_the_header_are_read_by_their_stripped_text(self, tmp_path):
+        path = tmp_path / "indented.csv"
+        path.write_text("  # note\n\t# a = (1, 2) \n   \n  time,w\n0.0,1.0\n  # b=3\n1.0,0.5\n")
+        loaded = load_trace(path)
+        assert loaded.meta == {"a": (1, 2)}
+        np.testing.assert_array_equal(loaded.w, [1.0, 0.5])
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        trace = sample_trace()
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + render_trace(trace).encode())
+        loaded = load_trace(path)
+        assert loaded.meta == trace.meta
+        assert render_trace(loaded) == render_trace(trace)
 
 
 class TestLoadErrors:
@@ -185,6 +199,7 @@ DATA_ROW_CASES = {
     "non-increasing": ("time,w\n0.0,1.0\n2.0,1.0\n1.0,1.0\n", 4),
     "equal-signed-zero-times": ("time,w\n0.0,1.0\n-0.0,1.0\n", 3),
     "meta-only-after-header": ("time,w\n# a=1\n\n", None),
+    "meta-above-header": ("# a=1\n\ntime,w\n0.0,1.0\n", None),
     "blank-and-hash-lines-inside": ("time,w\n0.0,1.0\n\n# a,b\n  \n1.0,2.0\n\n", None),
     "spaces-around-cells": ("time , w\n 0.0 , 1e-3 \n1_0.5,\t2\n", None),
     "signal-alias": ("time,signal\n0.0,1.0\n1.0,0.5\n", None),
@@ -218,23 +233,23 @@ class TestOnePassParse:
         np.testing.assert_array_equal(loaded.w, [1.0, 0.5])
         np.testing.assert_array_equal(loaded.b, [0.0, 0.03])
 
-    def test_well_formed_rows_skip_the_line_loop(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("skipped", [False, True], ids=["plain", "blank-and-hash-rows"])
+    def test_rows_are_converted_in_one_call(self, tmp_path, monkeypatch, skipped):
         times = np.linspace(0.0, 2000.0, 4000)
         trace = TransientTrace(times, np.sin(times) * 1e-3, np.where(times < 1000.0, 0.0, 0.03),
                                {"gamma": 0.002})
+        lines = render_trace(trace).splitlines()
+        if skipped:
+            lines[1000:1000] = ["", "# note", "  # a=1", "   "]
         path = tmp_path / "t.csv"
-        path.write_text(render_trace(trace))
+        path.write_text("\n".join(lines) + "\n")
 
-        def boom(value):
-            raise AssertionError("the line loop ran")
-
-        # the loop checks each value with math.isfinite; the one-pass parse does not
-        monkeypatch.setattr(traceio, "math", SimpleNamespace(isfinite=boom))
+        calls, floats = [], traceio._floats
+        monkeypatch.setattr(traceio, "_floats",
+                            lambda rows, width: calls.append(len(rows)) or floats(rows, width))
         loaded = load_trace(path)
         assert render_trace(loaded) == render_trace(trace)
-        path.write_text(render_trace(trace) + "\n")  # a blank line goes to the loop
-        with pytest.raises(AssertionError, match="the line loop ran"):
-            load_trace(path)
+        assert calls == [4000]
 
 
 CELLS = st.one_of(st.sampled_from(["nan", "-inf", "x", "", " 1 ", "-0.0", "1e400"]),
