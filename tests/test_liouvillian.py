@@ -74,7 +74,8 @@ def kron_generator(h, p_e, jumps, gamma):
 def test_assembler_equals_the_kronecker_form_bit_for_bit(monkeypatch, pol):
     calls = []
     lindblad = liouvillian._lindblad
-    monkeypatch.setattr(liouvillian, "_lindblad", lambda *args: calls.append(args) or lindblad(*args))
+    for module in (liouvillian, spectral):  # both callers: the full model and the open one
+        monkeypatch.setattr(module, "_lindblad", lambda *args: calls.append(args) or lindblad(*args))
     for twice_fg in range(7):
         for twice_fe in (twice_fg - 2, twice_fg, twice_fg + 2):
             if twice_fe < 0 or twice_fg + twice_fe == 0:  # 0 -> 0 has no dipole
@@ -84,6 +85,12 @@ def test_assembler_equals_the_kronecker_form_bit_for_bit(monkeypatch, pol):
             matrix = build_liouvillian(spec).matrix
             h, p_e, jumps, _, gamma = calls[-1][:5]
             np.testing.assert_array_equal(matrix, kron_generator(h, p_e, jumps, gamma))
+    for sink_fraction in (0.0, 0.25, 1.0):
+        open_spec = spectral.OpenLambdaSpec(rabi=0.7, gamma=0.002, detuning=0.13, zeeman=0.03,
+                                            sink_fraction=sink_fraction)
+        matrix = spectral.open_lambda_liouvillian(open_spec).matrix
+        h, p_e, jumps, _, gamma = calls[-1][:5]
+        np.testing.assert_array_equal(matrix, kron_generator(h, p_e, jumps, gamma))
     # any operators, with P_e off its diagonal too
     rng = np.random.default_rng(8)
     h, p_e, jump = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)) for _ in range(3))
