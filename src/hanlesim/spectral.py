@@ -370,7 +370,7 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
     fields = np.array([0.0, b1])
     # the steady states of every (intensity, case) on the family's sector, in grid order
     x = _sector_steady(affine, rabi[:, None], fields)
-    sectors = [affine.real_sector(block, parity)
+    sectors = [affine.sector if parity > 0 and block is affine.block else affine.real_sector(block, parity)
                for block in _parts([affine.base, affine.drive], affine.block) for parity in (1, -1)]
     sectors = [sector for sector in sectors if sector.pump.size]
     seen = sectors[0]  # the pump block's even sector, or all of M's when M does not split

@@ -406,6 +406,7 @@ def test_sector_transient_equals_the_whole_block_transient(spec, schedule):
     trace, states = switched_transient(spec, schedule, keep_states=True)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(liouvillian, "_reflection", lambda *args: None)  # the detector forced off
+        patch.setattr(liouvillian, "_MEMO", {})  # so the family is built again, with it off
         whole, whole_states = switched_transient(spec, schedule, keep_states=True)
     assert np.abs(trace.w - whole.w).max() <= 1e-12 * np.abs(whole.w).max()
     assert np.abs(states - whole_states).max() <= 1e-12 * np.abs(whole_states).max()
@@ -460,3 +461,76 @@ def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
                 if all(min(pair) > floor.max() or max(pair) <= floor.min() for pair, floor in (
                         ((amps[i], ref_amps[j]), floors[0]), ((weights[i], ref_weights[j]), floors[1]))):
                     assert modes[i].observable == ref_flags[j], (intensity, case, ref_values[j])
+
+
+# the memo of the last family's block and sector, keyed by the spec at (rabi, b) = (0, 0)
+
+MEMO_GRID = ((0.01, 0.01), (0.3, 0.02), (1.0, -0.03), (2.0, 0.05))  # (intensity, field)
+MEMO_SCHEDULE = dict(b0=0.0, period=40.0, samples_per_period=4)
+
+
+def _count_builds(patch) -> list:
+    """A list that grows by "block" or "sector" each time a family's block or sector is derived."""
+    calls, find, real = [], liouvillian._invariant_block, liouvillian.AffineLiouvillian.real_sector
+    for module in (liouvillian, dynamics, spectral):
+        patch.setattr(module, "_invariant_block", lambda *args: calls.append("block") or find(*args))
+    patch.setattr(liouvillian.AffineLiouvillian, "real_sector",
+                  lambda *args: calls.append("sector") or real(*args))
+    return calls
+
+
+def _transients(spec) -> list:
+    """w of a switched transient at each (intensity, field) of ``MEMO_GRID``."""
+    return [switched_transient(spec.with_intensity(intensity), SwitchSchedule(b1=b1, **MEMO_SCHEDULE)).w
+            for intensity, b1 in MEMO_GRID]
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(NAMED_POLARIZATIONS), st.sampled_from([0.0, 0.1]))
+def test_a_memo_hit_serves_the_fresh_block_and_sector_read_only(spec, pol, detuning):
+    spec = replace(spec, pol=pol, detuning=detuning)
+    liouvillian._MEMO.clear()
+    first = affine_liouvillian(spec)
+    other = spec.with_intensity(0.7).with_field(-0.02)  # the same key
+    hit = affine_liouvillian(other)
+    assert hit.block is first.block and hit.sector is first.sector
+    liouvillian._MEMO.clear()
+    fresh = affine_liouvillian(other)
+    assert fresh.sector is not hit.sector
+    for served, built in zip((hit.block, *hit.sector), (fresh.block, *fresh.sector)):
+        assert (served.dtype, served.shape) == (built.dtype, built.shape)
+        assert served.tobytes() == built.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            served[...] = 0
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(NAMED_POLARIZATIONS), st.sampled_from([0.0, 0.1]))
+def test_a_grid_of_transients_derives_the_block_and_sector_once(spec, pol, detuning):
+    spec = replace(spec, pol=pol, detuning=detuning)
+    second = replace(spec, gamma=0.001)  # another transition: a different key
+    liouvillian._MEMO.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_builds(patch)
+        _transients(spec)
+        assert calls == ["block", "sector"]
+        # interleaved, the second transition evicts the first, which is then derived again
+        for one in (second, spec):
+            switched_transient(one, SwitchSchedule(b1=0.01, **MEMO_SCHEDULE))
+        assert calls == ["block", "sector"] * 3
+        assert list(liouvillian._MEMO) == [replace(spec, rabi=0.0, b_field=0.0)]
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(NAMED_POLARIZATIONS))
+def test_signed_zero_detunings_share_a_memo_entry_and_give_the_same_transients(spec, pol):
+    negative, positive = (replace(spec, pol=pol, detuning=detuning) for detuning in (-0.0, 0.0))
+    liouvillian._MEMO.clear()
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_builds(patch)
+        served = _transients(negative) + _transients(positive)
+        assert calls == ["block", "sector"]
+    liouvillian._MEMO.clear()
+    built = _transients(negative)  # each sign from a fresh family gives the same bits too
+    for k, w in enumerate(served):
+        assert w.tobytes() == built[k % len(MEMO_GRID)].tobytes()

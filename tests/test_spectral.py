@@ -419,6 +419,15 @@ class TestSplitSweep:
         sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
         assert len(calls) == 1
 
+    def test_forms_each_sector_once_per_sweep(self, monkeypatch):
+        # the pump block's even sector is the family's own: the sweep does not form it again
+        calls, real = [], liouvillian.AffineLiouvillian.real_sector
+        monkeypatch.setattr(liouvillian.AffineLiouvillian, "real_sector",
+                            lambda self, block, parity: calls.append((block.size, parity))
+                            or real(self, block, parity))
+        sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
+        assert sorted(calls) == [(30, -1), (30, 1), (34, -1), (34, 1)]
+
     @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
     @pytest.mark.parametrize("pol", ["linear-x", "linear-y"])
     def test_no_eig_larger_than_the_pump_block(self, monkeypatch, make_spec, pol):
