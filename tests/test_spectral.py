@@ -405,6 +405,29 @@ class TestSplitSweep:
         columns = intensity_sweep(spec, grid, 0.01)
         assert columns["w_mode"].count(0.0) >= 2 * grid.size * (spec.dim**2 - seen)
 
+    @pytest.mark.parametrize("pol", ["linear-y", "sigma+"])
+    def test_chunk_boundaries_inside_a_case_pair_change_nothing(self, monkeypatch, pol):
+        # stacks of 1 and 3 points cut between B0 and B1 of one intensity; under sigma+ M does
+        # not split, so the start states are mapped onto the decomposed part
+        spec, grid = eia_spec(0.0, pol=pol), (0.02, 0.3, 2.0)
+        runs = []
+        for chunk in (1, 3, 32):
+            monkeypatch.setattr(dynamics, "STACK_CHUNK", chunk)
+            runs.append((intensity_sweep(spec, grid, 0.03), sweep_modes(spec, grid, 0.03)))
+        columns, modes = runs[0]
+        for other_columns, other_modes in runs[1:]:
+            assert other_columns == columns
+            assert list(other_modes) == list(modes)
+            for key, records in modes.items():
+                for mode, other in zip(records, other_modes[key], strict=True):
+                    assert (other.value, other.weight, other.amplitude, other.observable) == (
+                        mode.value, mode.weight, mode.amplitude, mode.observable), key
+                    assert np.array_equal(other.vector, mode.vector), key
+        rows = [(intensity, case, float(mode.value.real), float(mode.value.imag), mode.group,
+                 int(mode.observable), float(np.hypot(mode.weight.real, mode.weight.imag)))
+                for (intensity, case), records in modes.items() for mode in records]
+        assert list(zip(*columns.values())) == rows
+
     @pytest.mark.parametrize("points", [2, 40])
     def test_sweep_assembles_at_most_three_times(self, monkeypatch, points):
         calls = count_assemblies(monkeypatch)
