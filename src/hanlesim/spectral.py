@@ -343,49 +343,48 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     For each squared Rabi frequency in ``intensities`` the evolution matrix
     is analyzed at fields 0 ("B0") and ``b1`` ("B1"); observability uses the
     switched-field initial condition (the steady state of the other case).
-    M is assembled once for the sweep (see :func:`affine_liouvillian`), and
-    each case is decomposed on its real sectors, one stacked eig per sector,
-    with the eigenvectors mapped back.  Returns {(intensity, case): list of EigenMode}.
+    M is assembled once for the sweep (see :func:`affine_liouvillian`), and the
+    points are decomposed on their real sectors, one eig per sector for a stack of
+    up to ``STACK_CHUNK`` of them, with the eigenvectors mapped back.  Returns
+    {(intensity, case): list of EigenMode}, intensity-major with "B0" before "B1".
     """
     out = {}
-    for grid, spectra, embeddings in _sweep(spec, intensities, b1, vectors=True):
-        for point, intensity in enumerate(grid.tolist()):
-            for case, spectrum in zip(CASES, spectra):
-                records = _records(spectrum, point, embeddings, spec.dim**2)
-                out[(intensity, case)] = classify_groups(records, spec.gamma)
+    for keys, spectrum, embeddings in _sweep(spec, intensities, b1, vectors=True):
+        for point, key in enumerate(keys):
+            out[key] = classify_groups(_records(spectrum, point, embeddings, spec.dim**2), spec.gamma)
     return out
 
 
 def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
-    """Yield (intensities, spectra of the cases, each part's (block, frame)) per chunk of the grid.
+    """Yield (keys, spectrum, each part's (block, frame)) per ``STACK_CHUNK`` slice of the sweep's points.
 
-    The parts are the Theta-even and Theta-odd sectors of M's invariant blocks (see
+    The points are the (intensity, case) keys, intensity-major with the cases in ``CASES`` order,
+    the list the steady solve walks; a check that fails names the first failing point in that
+    order.  The parts are the Theta-even and Theta-odd sectors of M's invariant blocks (see
     :meth:`AffineLiouvillian.real_sector`).  The start states are Theta-even and lie on the pump
     block, so only its even sector, the first part, sees them: elsewhere the amplitudes and the
     weights are zero by structure.
     """
     affine = affine_liouvillian(spec)
-    grid = np.asarray(intensities, dtype=float)
-    rabi = np.array([spec.with_intensity(intensity).rabi for intensity in grid.tolist()])
-    fields = np.array([0.0, b1])
-    # the steady states of every (intensity, case) on the family's sector, in grid order
-    x = _sector_steady(affine, rabi[:, None], fields)
+    grid = np.asarray(intensities, dtype=float).tolist()
+    keys = [(intensity, case) for intensity in grid for case in CASES]
+    rabi = np.repeat([spec.with_intensity(intensity).rabi for intensity in grid], len(CASES))
+    points = np.array([(intensity, b_field) for intensity in grid for b_field in (0.0, b1)])
+    # the steady states on the family's sector; each point starts in the other case's
+    x = _sector_steady(affine, rabi, points[:, 1])
+    start = x.reshape(len(grid), len(CASES), -1)[:, ::-1].reshape(x.shape)
     sectors = [affine.sector if parity > 0 and block is affine.block else affine.real_sector(block, parity)
                for block in _parts([affine.base, affine.drive], affine.block) for parity in (1, -1)]
     sectors = [sector for sector in sectors if sector.pump.size]
     seen = sectors[0]  # the pump block's even sector, or all of M's when M does not split
     to_seen = (seen.frame[np.searchsorted(seen.block, affine.block)].conj().T @ affine.sector.frame).real
     embeddings = [(sector.block, sector.frame) for sector in sectors]
-    for part in _chunks(grid.size):
-        r = rabi[part, None, None]
-        spectra = []
-        for case, b_field in enumerate(fields):  # each starts in the other's steady state
-            points = np.column_stack((grid[part], np.full(r.shape[0], b_field)))
-            offset = (x[part, 1 - case] - x[part, case]) @ to_seen.T
-            parts = ((sector.base + r * sector.drive + b_field * sector.field, sector.weights)
-                     for sector in sectors)  # formed one at a time
-            spectra.append(_spectrum(parts, [offset] + [None] * (len(sectors) - 1), points, vectors))
-        yield grid[part], spectra, embeddings
+    for part in _chunks(len(keys)):
+        r, b = rabi[part, None, None], points[part, 1, None, None]
+        parts = ((sector.base + r * sector.drive + b * sector.field, sector.weights)
+                 for sector in sectors)  # formed one at a time
+        offsets = [(start[part] - x[part]) @ to_seen.T] + [None] * (len(sectors) - 1)
+        yield keys[part], _spectrum(parts, offsets, points[part], vectors), embeddings
 
 
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
@@ -398,17 +397,15 @@ def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
     magnitude of the mode's absorption weight.
     """
     columns = {name: [] for name in SWEEP_COLUMNS}
-    for grid, spectra, _ in _sweep(spec, intensities, b1):
-        # (intensity, case, mode) stacks, flattened in table order
-        values, weights, observable = (np.stack([getattr(spectrum, name) for spectrum in spectra], axis=1)
-                                       for name in ("values", "weights", "observable"))
-        count = values.shape[2]
-        columns["intensity"] += [value for value in grid.tolist() for _ in range(len(CASES) * count)]
-        columns["b_case"] += [case for case in CASES for _ in range(count)] * grid.size
+    for keys, spectrum, _ in _sweep(spec, intensities, b1):
+        # (point, mode) stacks, flattened in table order
+        values, weights, count = spectrum.values, spectrum.weights, spectrum.values.shape[1]
+        columns["intensity"] += [intensity for intensity, _ in keys for _ in range(count)]
+        columns["b_case"] += [case for _, case in keys for _ in range(count)]
         columns["re_lambda"] += values.real.ravel().tolist()
         columns["im_lambda"] += values.imag.ravel().tolist()
         columns["group"] += _groups(np.abs(values.real), spec.gamma)[0].ravel().tolist()
-        columns["observable"] += observable.ravel().astype(int).tolist()
+        columns["observable"] += spectrum.observable.ravel().astype(int).tolist()
         # hypot is what abs() of a complex scalar computes, to the last bit
         columns["w_mode"] += np.hypot(weights.real, weights.imag).ravel().tolist()
     return columns

@@ -638,7 +638,8 @@ class TestSpectrum:
 
     def test_an_interior_point_that_fails_a_check_exits_3_and_is_named(self, monkeypatch, tmp_path,
                                                                         capsys):
-        # eigenvalues off by 1e-3 at the second point of the stack fail its eigen residual
+        # eigenvalues off by 1e-3 at the second point of the stack, (0.1, B1), fail its eigen
+        # residual
         decompose = spectral._decompose
 
         def broken(subs, row):
@@ -650,7 +651,7 @@ class TestSpectrum:
         out = tmp_path / "o.csv"
         assert run(self.ARGV + ["--intensities", "0.1,0.2,0.3", "--output", str(out)]) == EXIT_NUMERICAL
         assert re.fullmatch(r"hanlesim: numerical failure: eigen residual \S+ exceeds 1e-9 \(matrix "
-                            r"condition number \S+\) at intensity 0\.2, field 0",
+                            r"condition number \S+\) at intensity 0\.1, field 0\.03",
                             capsys.readouterr().err.splitlines()[0])
         assert not out.exists()
 
