@@ -16,10 +16,11 @@ the exact modal solution
 from one eigendecomposition, the one ``spectral.eigenmodes`` also uses;
 when the eigenvectors are too ill-conditioned to trust, it exponentiates the
 complex G instead.  ``propagate_integrated`` is a fixed-step classic RK4
-integrator that knows nothing about the spectrum, the test suite's oracle
+integrator that uses no spectrum and no exponential, the test suite's oracle
 for the modal solver.  One RK4 step of size h is exactly the affine map
 y <- R y + r, R = sum_{k<=4} (hM)^k/k! and r = h sum_{k<=3} (hM)^k/(k+1)! p0,
-built once on the full M and applied with one matrix-vector product per step.
+built once on the full M as S = [[R, r], [0, 1]] on [y; 1]; its samples
+come from doubling S as above, in runs of ``STEP_CHUNK`` samples.
 
 The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
@@ -86,6 +87,9 @@ MODAL_CONDITION_LIMIT = 1e10
 
 #: Grid points per stacked solve or eig of a steady scan or sweep: bounds its memory on long grids.
 STACK_CHUNK = 32
+
+#: Samples per doubling run of the RK4 oracle: bounds its memory on long records.
+STEP_CHUNK = 4096
 
 #: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
 _PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
@@ -405,36 +409,39 @@ def _rk4_series(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_states: bool = False):
     """Fixed-step fourth-order integration of dy/dt = M y + p0.
 
-    Independent of the modal solver and of the spectrum of M; serves as the
-    modal solver's ground-truth oracle.
+    Independent of the modal solver, of the spectrum of M and of the matrix
+    exponential; serves as the modal solver's ground-truth oracle.
     Samples at 0, dt, 2*dt, ..., n*dt for the largest n with n*dt <= t_end up
     to rounding, so at ``t_end`` last when it is a multiple of ``dt``.  The
-    classic RK4 step of size ``dt`` is built once as the affine map
-    y <- R y + r on the full M and applied with one matrix-vector product per
-    sample.
+    classic RK4 step of size ``dt`` is built once on the full M as the
+    augmented map S = [[R, r], [0, 1]] of y <- R y + r; the samples come from
+    doubling S in runs of ``STEP_CHUNK``, each from the last run's hand-off.
 
     Raises
     ------
     ValueError
-        If ``t_end`` is negative or not finite, or ``dt`` is not in (0, 0.05]:
+        If ``t_end`` is negative, ``t_end`` or ``t_end / dt`` is not finite, or ``dt`` is not in (0, 0.05]:
         the scheme is only accurate with steps well below the fastest decay time, 1.
     """
     if not 0.0 < dt <= MAX_INTEGRATOR_STEP:
         raise ValueError(f"dt must lie in (0, {MAX_INTEGRATOR_STEP}], got {dt}")
     if not (isfinite(t_end) and t_end >= 0):
         raise ValueError(f"t_end must be finite and >= 0, got {t_end}")
-    times = np.arange(floor(t_end / dt * (1.0 + 1e-12)) + 1) * dt
-    y = _as_vector(y0, liouv.size)
+    if not isfinite(n_steps := t_end / dt * (1.0 + 1e-12)):
+        raise ValueError(f"t_end / dt must be finite, got t_end={t_end!r}, dt={dt!r}")
+    times = np.arange(floor(n_steps) + 1) * dt
+    z = np.append(_as_vector(y0, liouv.size), 1.0)
     a = dt * liouv.matrix
-    step, shift = np.eye(y.size) + _rk4_series(a, a), _rk4_series(a, dt * liouv.pump)
-    row, w = liouv.absorption_row, np.empty(times.size)
-    states = np.empty((times.size, y.size), dtype=complex) if keep_states else None
-    for i in range(times.size):
-        if i:
-            y = step @ y + shift
-        w[i] = (row @ y).real
+    step = np.eye(z.size, dtype=complex)  # [R - I, r] is the RK4 series of hM times [hM, h p0]
+    step[:-1] += _rk4_series(a, np.column_stack((a, dt * liouv.pump)))
+    w = np.empty(times.size)
+    states = np.empty((times.size, liouv.size), dtype=complex) if keep_states else None
+    for start in range(0, times.size, STEP_CHUNK):
+        rows = _stepped(step, z, min(STEP_CHUNK, times.size - start))
+        w[start:start + STEP_CHUNK] = (rows[:-1, :-1] @ liouv.absorption_row).real
         if keep_states:
-            states[i] = y
+            states[start:start + STEP_CHUNK] = rows[:-1, :-1]
+        z = rows[-1]
     return _sampled(liouv, times, w, states, "integrated")
 
 

@@ -75,8 +75,10 @@ class TestPropagators:
         fine = propagate_integrated(liouv, y0, dt=0.025, t_end=50.0)
         np.testing.assert_allclose(coarse.w, fine.w[::2], atol=1e-9)
 
+    @pytest.mark.parametrize("chunk", [1, 4, dynamics.STEP_CHUNK])
     @pytest.mark.parametrize("steps", [1, 7, 25])
-    def test_step_map_matches_classic_rk4_steps(self, steps):
+    def test_step_map_matches_classic_rk4_steps(self, steps, chunk, monkeypatch):
+        monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)  # runs of 1 and 4 test each hand-off
         spec = eia_spec(0.2).with_field(0.03)
         liouv = build_liouvillian(spec)
         m, p0, h = liouv.matrix, liouv.pump, 0.037
@@ -103,21 +105,31 @@ class TestPropagators:
         modal = propagate_modal(liouv, y0, times)
 
         def refuse(*args, **kwargs):
-            raise AssertionError("the integrator must not use the spectrum or the block")
+            raise AssertionError("the integrator must not use the spectrum, the block or the exponential")
 
         monkeypatch.setattr(np.linalg, "eig", refuse)
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         monkeypatch.setattr(dynamics, "_invariant_block", refuse)
+        monkeypatch.setattr(dynamics, "_expm", refuse)
         trace = propagate_integrated(liouv, y0, dt=0.05, t_end=10.0)
         np.testing.assert_allclose(trace.w, modal.w, rtol=0, atol=1e-9)
 
     @pytest.mark.parametrize("t_end, n_steps", [(3.33, 66), (0.08, 1), (2.0, 40), (100.0, 2000),
                                                  (2500.0, 50000)])
-    def test_integrator_never_samples_past_t_end(self, t_end, n_steps):
+    def test_integrator_never_samples_past_t_end(self, t_end, n_steps, monkeypatch):
+        counts, stepped = [], dynamics._stepped
+
+        def spy(step, z0, n_samples):
+            counts.append(n_samples)
+            return stepped(step, z0, n_samples)
+
+        monkeypatch.setattr(dynamics, "_stepped", spy)
         spec = eit_spec(0.02)
         trace = propagate_integrated(build_liouvillian(spec), steady_vector(spec, 0.0), dt=0.05,
                                      t_end=t_end)
         assert trace.times.size == n_steps + 1
+        # memory stays bounded: runs of at most STEP_CHUNK samples that cover the record
+        assert max(counts) <= dynamics.STEP_CHUNK and sum(counts) == trace.times.size
         assert trace.times[-1] <= t_end
         if t_end in (2.0, 100.0, 2500.0):  # multiples of dt end exactly at t_end
             assert trace.times[-1] == t_end
@@ -129,6 +141,9 @@ class TestPropagators:
             propagate_integrated(liouv, y0, dt=0.06, t_end=1.0)
         with pytest.raises(ValueError):
             propagate_integrated(liouv, y0, dt=-0.01, t_end=1.0)
+        # a step so small that t_end / dt overflows
+        with pytest.raises(ValueError, match=r"^t_end / dt must be finite, got t_end=1\.0, dt=5e-324$"):
+            propagate_integrated(liouv, y0, dt=5e-324, t_end=1.0)
 
     @pytest.mark.parametrize("t_end", [float("inf"), float("nan"), -1.0])
     def test_integrator_rejects_a_horizon_that_is_not_finite_and_nonnegative(self, t_end):
