@@ -4,9 +4,10 @@ Each propagator has one path.  ``switched_transient`` steps every
 constant-field phase exactly: with z = [y; 1], dy/dt = M y + p0 becomes
 dz/dt = G z for the augmented generator G = [[M, p0], [0, 0]], so one
 E = exp(hG) advances the state by a sample step h (Van Loan, IEEE TAC 23,
-395 (1978)); G is taken in real coordinates (see below).  A phase's
-samples and hand-off state come from doubling: samples [m, 2m) are E^m
-applied to samples [0, m), then E^m is squared.
+395 (1978)); G is taken in real coordinates (see below).  A phase's n
+absorption samples c E^j z (c the absorption row) are baby rows c E^b, b < m
+for m the power of two nearest sqrt(n), times giant states E^(am) z, each set
+formed by doubling (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)).
 The exponential is numpy scaling and squaring with a [13/13] Pade
 approximant (Higham, SIMAX 26, 1179 (2005)).  ``propagate_modal`` evaluates
 the exact modal solution
@@ -20,7 +21,7 @@ integrator that uses no spectrum and no exponential, the test suite's oracle
 for the modal solver.  One RK4 step of size h is exactly the affine map
 y <- R y + r, R = sum_{k<=4} (hM)^k/k! and r = h sum_{k<=3} (hM)^k/(k+1)! p0,
 built once on the full M as S = [[R, r], [0, 1]] on [y; 1]; its samples
-come from doubling S as above, in runs of ``STEP_CHUNK`` samples.
+come from S as above, in runs of ``STEP_CHUNK`` samples.
 
 The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
@@ -88,7 +89,7 @@ MODAL_CONDITION_LIMIT = 1e10
 #: Grid points per stacked solve or eig of a steady scan or sweep: bounds its memory on long grids.
 STACK_CHUNK = 32
 
-#: Samples per doubling run of the RK4 oracle: bounds its memory on long records.
+#: Samples per run of the RK4 oracle: bounds its memory on long records.
 STEP_CHUNK = 4096
 
 #: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
@@ -305,11 +306,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
-def _stepped(step: np.ndarray, z0: np.ndarray, n_samples: int) -> np.ndarray:
-    """Rows k = 0 .. max(n_samples, 1) hold step^k z0, the samples and then the hand-off state,
-    filled by doubling: rows [m, 2m) are step^m times rows [0, m), then step^m is squared.
-    """
-    rows = np.empty((max(n_samples, 1) + 1, z0.size), dtype=np.result_type(step, z0))
+def _stepped(step: np.ndarray, z0: np.ndarray, n_steps: int) -> np.ndarray:
+    """Rows k = 0 .. n_steps hold step^k z0, filled by doubling: rows [m, 2m) are
+    step^m times rows [0, m), then step^m is squared."""
+    rows = np.empty((n_steps + 1, z0.size), dtype=np.result_type(step, z0))
     rows[0] = z0
     power, filled = step, 1
     while True:
@@ -319,6 +319,24 @@ def _stepped(step: np.ndarray, z0: np.ndarray, n_samples: int) -> np.ndarray:
         if filled == rows.shape[0]:
             return rows
         power = power @ power
+
+
+def _sampled_steps(step: np.ndarray, z0: np.ndarray, n_samples: int, row):
+    """(samples, hand-off) by the baby and giant steps of the module notes: row @ step^j z0 for j < n,
+    or with no ``row`` (m is then 1) the states y of step^j z0 = [y; 1], and step^max(n, 1) z0, the
+    last giant state times the powers step^(2^i) kept for the set bits of n mod m; n is n_samples."""
+    count, baby, powers = max(n_samples, 1), row, [step]
+    m = 1 if row is None else 1 << round(log2(count) / 2)
+    for i in range(m.bit_length() - 1):  # baby rows [2^i, 2^(i+1)) are rows [0, 2^i) times step^(2^i)
+        baby = np.vstack((baby, baby @ powers[i]))
+        powers.append(powers[i] @ powers[i])
+    giants = _stepped(powers[-1], z0, count // m)
+    samples = giants[:n_samples, :-1] if row is None else (giants @ baby.T).reshape(-1)[:n_samples]
+    z = giants[count // m]
+    for i, power in enumerate(powers[:-1]):
+        if count >> i & 1:
+            z = power @ z
+    return samples, z
 
 
 def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
@@ -415,7 +433,7 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     to rounding, so at ``t_end`` last when it is a multiple of ``dt``.  The
     classic RK4 step of size ``dt`` is built once on the full M as the
     augmented map S = [[R, r], [0, 1]] of y <- R y + r; the samples come from
-    doubling S in runs of ``STEP_CHUNK``, each from the last run's hand-off.
+    S as in the module notes, in runs of ``STEP_CHUNK``, each from the last run's hand-off.
 
     Raises
     ------
@@ -436,12 +454,12 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     step[:-1] += _rk4_series(a, np.column_stack((a, dt * liouv.pump)))
     w = np.empty(times.size)
     states = np.empty((times.size, liouv.size), dtype=complex) if keep_states else None
+    row = None if keep_states else np.append(liouv.absorption_row, 0.0)
     for start in range(0, times.size, STEP_CHUNK):
-        rows = _stepped(step, z, min(STEP_CHUNK, times.size - start))
-        w[start:start + STEP_CHUNK] = (rows[:-1, :-1] @ liouv.absorption_row).real
+        samples, z = _sampled_steps(step, z, min(STEP_CHUNK, times.size - start), row)
         if keep_states:
-            states[start:start + STEP_CHUNK] = rows[:-1, :-1]
-        z = rows[-1]
+            states[start:start + STEP_CHUNK] = samples
+        w[start:start + STEP_CHUNK] = (samples @ liouv.absorption_row if keep_states else samples).real
     return _sampled(liouv, times, w, states, "integrated")
 
 
@@ -458,8 +476,8 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
 
     A phase of duration d with n samples is stepped exactly with
     h = d / max(n, 1): one matrix exponential per pair of field and step,
-    whatever the number of periods, then the samples and the hand-off
-    state by doubling (see the module notes).  ``meta["solver"]`` is
+    whatever the number of periods, then the samples and the hand-off state
+    by baby and giant steps (see the module notes).  ``meta["solver"]`` is
     ``"expm"``.  The record is built and its times checked before the steady
     solve, so a record too large for memory (MemoryError) or times that do
     not increase (ValueError; phase starts that overflow) fail at once.
@@ -492,14 +510,15 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))
              for b, h in dict.fromkeys(keys)}
 
+    row = None if keep_states else np.append(real.weights, 0.0)  # with keep_states, the states
     start, z = 0, np.append(x, 1.0)
     for _ in range(n_periods):
         for key, n_samples in zip(keys, counts):
-            rows = _stepped(steps[key], z, n_samples)[:, :-1]
-            trace.w[start:start + n_samples] = rows[:n_samples] @ real.weights
+            samples, z = _sampled_steps(steps[key], z, n_samples, row)
             if keep_states:
-                states[start:start + n_samples, block] = rows[:n_samples] @ real.frame.T
-            z, start = np.append(rows[-1], 1.0), start + n_samples
+                states[start:start + n_samples, block] = samples @ real.frame.T
+            trace.w[start:start + n_samples] = samples @ real.weights if keep_states else samples
+            z[-1], start = 1.0, start + n_samples
 
     return (trace, states) if keep_states else trace
 

@@ -24,8 +24,8 @@ private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
 their operators and call it.  M is affine in the Rabi frequency and in the
 field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from one assembly per call.  Their real form, where steady states
-are solved (:attr:`AffineLiouvillian.sector`), is kept for the last transition.
+those parts from one assembly and keeps them, and their real form where steady
+states are solved (:attr:`AffineLiouvillian.sector`), for the last transition.
 :func:`spec_meta` is the one set of provenance keys that every output
 recording a transition writes.
 
@@ -322,7 +322,7 @@ def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
 #: An affine family in the real coordinates x of one sector, y[block] = frame @ x: M acts on x as
 #: base + rabi * drive + b * field, and p0 and the absorption row are ``pump`` and ``weights``.
 RealSector = namedtuple("RealSector", "base drive field pump weights frame block")
-_MEMO = {}  # {spec at (rabi, b) = (0, 0): block and sector} of the last family affine_liouvillian built
+_MEMO = {}  # {spec at (rabi, b) = (0, 0): family} of the last family affine_liouvillian built
 
 
 @dataclass(frozen=True)
@@ -333,7 +333,7 @@ class AffineLiouvillian:
     the field only through the diagonal Zeeman terms, so only on the diagonal
     of M; p0, W and the other parameters depend on neither, and nor do
     :attr:`block` and :attr:`sector`: build it with :func:`affine_liouvillian`,
-    which keeps those two for the last transition it built.
+    which keeps the whole family for the last transition it built.
 
     :meth:`real_sector` holds the parts in real coordinates, derived by index.
     M preserves Hermiticity, so in the Hermitian basis of ``_real_frame`` its
@@ -418,16 +418,19 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     ``drive`` the assembler's -i[H, .] for H the optical coupling at unit Rabi frequency, and
     ``field`` -i(z_i - z_j) at index (i, j), for z the Zeeman diagonal of H at unit field.
 
-    The parts are assembled at every call.  ``block`` and ``sector`` depend on neither rabi nor b:
-    they are derived here, raising as :meth:`AffineLiouvillian.real_sector` does, and the last
-    transition's serve, read-only, every later call whose spec differs from it only in those two.
+    ``block`` and ``sector`` are derived here, raising as :meth:`AffineLiouvillian.real_sector` does.
+    None of the family depends on rabi or b: the last transition's, its arrays read-only, is returned
+    to every later call whose spec differs from it only in those two, which assembles nothing.
 
     Raises
     ------
     ValueError
         If the Zeeman terms have an entry off the diagonal: M would not be affine in the field.
     """
-    base = build_liouvillian(key := replace(spec, rabi=0.0, b_field=0.0))
+    if (key := replace(spec, rabi=0.0, b_field=0.0)) in _MEMO:
+        return _MEMO[key]
+    _MEMO.clear()  # frees the last family before this one's temporaries, for a lower peak RSS
+    base = build_liouvillian(key)
     zeeman = hamiltonian(replace(spec, rabi=0.0, b_field=1.0, detuning=0.0))
     z = np.diagonal(zeeman)
     if np.any(zeeman - np.diag(z)):
@@ -437,13 +440,11 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     drive = _lindblad(optical, no_decay, [], no_decay, 0.0, base.coupling, 0.0, {}).matrix
     shifts = -1j * (z[:, None] - z[None, :]).reshape(-1)
     family = AffineLiouvillian(base.matrix, drive, shifts, base.pump, base.coupling)
-    if key not in _MEMO:  # copies: keeping the arrays derived among the temporaries raised peak RSS
-        sector = RealSector(*(array.copy(order="K") for array in family.sector))
-        for array in sector:
+    family.sector  # derives the block, the sector and the absorption row, or raises
+    for value in vars(family).values():
+        for array in value if isinstance(value, RealSector) else [value]:
             array.flags.writeable = False
-        _MEMO.clear()
-        _MEMO[key] = {"block": sector.block, "sector": sector}
-    vars(family).update(_MEMO[key])  # where the cached properties keep their values
+    _MEMO[key] = family
     return family
 
 

@@ -361,6 +361,9 @@ def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
     # sector's size, none while decomposing, and no Liouvillian evaluated beyond the family's
     # two assemblies
     spec = replace(spec, pol=pol)
+    # as in test_sweep_modes_match_a_full_eig_per_point: the amplitudes of a defective point are refused
+    assume(pol != "sigma+" or spec.fg.twice_f != spec.fe.twice_f or spec.fg.twice_f < 3)
+    liouvillian._MEMO.clear()  # a key repeated by an earlier example would be served assembled
     intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
     solved, built, solve = [], [], dynamics._solved
     decompose, make = spectral._decompose, liouvillian.Liouvillian
@@ -463,7 +466,7 @@ def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
                     assert modes[i].observable == ref_flags[j], (intensity, case, ref_values[j])
 
 
-# the memo of the last family's block and sector, keyed by the spec at (rabi, b) = (0, 0)
+# the memo of the last family, keyed by the spec at (rabi, b) = (0, 0)
 
 MEMO_GRID = ((0.01, 0.01), (0.3, 0.02), (1.0, -0.03), (2.0, 0.05))  # (intensity, field)
 MEMO_SCHEDULE = dict(b0=0.0, period=40.0, samples_per_period=4)
@@ -493,11 +496,13 @@ def test_a_memo_hit_serves_the_fresh_block_and_sector_read_only(spec, pol, detun
     first = affine_liouvillian(spec)
     other = spec.with_intensity(0.7).with_field(-0.02)  # the same key
     hit = affine_liouvillian(other)
-    assert hit.block is first.block and hit.sector is first.sector
+    assert hit is first
     liouvillian._MEMO.clear()
     fresh = affine_liouvillian(other)
-    assert fresh.sector is not hit.sector
-    for served, built in zip((hit.block, *hit.sector), (fresh.block, *fresh.sector)):
+    assert fresh is not hit
+    dense = ("base", "drive", "field", "pump", "coupling")
+    for served, built in zip([getattr(hit, name) for name in dense] + [hit.block, *hit.sector],
+                             [getattr(fresh, name) for name in dense] + [fresh.block, *fresh.sector]):
         assert (served.dtype, served.shape) == (built.dtype, built.shape)
         assert served.tobytes() == built.tobytes()
         with pytest.raises(ValueError, match="read-only"):

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, determinism, output contracts."""
 
+import dataclasses
 import json
 import os
 import re
@@ -569,12 +570,14 @@ class TestSteady:
 
     def test_an_interior_point_that_fails_a_check_exits_3_and_is_named(self, monkeypatch, tmp_path,
                                                                         capsys):
-        # the full-size field part breaks after the sector is formed from it: the residual then
-        # refuses every point with a field, and the scan starts at zero field
+        # the full-size field part of a writable copy of the served family breaks after the
+        # copy's sector is formed from it: the residual then refuses every point with a field,
+        # and the scan starts at zero field
         make = cli.affine_liouvillian
 
         def broken(spec):
-            affine = make(spec)
+            served = make(spec)
+            affine = dataclasses.replace(served, field=served.field.copy())
             affine.sector
             affine.field[:] *= 1.5
             return affine

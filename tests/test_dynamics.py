@@ -117,13 +117,13 @@ class TestPropagators:
     @pytest.mark.parametrize("t_end, n_steps", [(3.33, 66), (0.08, 1), (2.0, 40), (100.0, 2000),
                                                  (2500.0, 50000)])
     def test_integrator_never_samples_past_t_end(self, t_end, n_steps, monkeypatch):
-        counts, stepped = [], dynamics._stepped
+        counts, sampled = [], dynamics._sampled_steps
 
-        def spy(step, z0, n_samples):
+        def spy(step, z0, n_samples, row):
             counts.append(n_samples)
-            return stepped(step, z0, n_samples)
+            return sampled(step, z0, n_samples, row)
 
-        monkeypatch.setattr(dynamics, "_stepped", spy)
+        monkeypatch.setattr(dynamics, "_sampled_steps", spy)
         spec = eit_spec(0.02)
         trace = propagate_integrated(build_liouvillian(spec), steady_vector(spec, 0.0), dt=0.05,
                                      t_end=t_end)
@@ -293,6 +293,48 @@ class TestPropagators:
         liouv = build_liouvillian(eit_spec(0.02))  # 1 -> 0: 16 Liouville entries
         with pytest.raises(ValueError, match=r"^initial state has 9 Liouville entries; the model has 16$"):
             propagate(liouv, y0)
+
+
+SAMPLED_COUNTS = (0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 2000)
+
+
+def step_map(kind):
+    """(step map E on [y; 1], absorption row c, start state z0) of a real sector or a complex RK4 run."""
+    if kind == "sector":  # exp(hG) on 3 -> 4's Theta-even sector, from the steady state at zero field
+        spec = TransitionSpec(fg=3, fe=4, rabi=0.0, gamma=GAMMA).with_intensity(0.6)
+        affine = liouvillian.affine_liouvillian(spec)
+        real = affine.sector
+        gen = np.zeros((real.pump.size + 1,) * 2)
+        gen[:-1, :-1] = real.base + spec.rabi * real.drive + 0.02 * real.field
+        gen[:-1, -1] = real.pump
+        x0 = dynamics._sector_steady(affine, spec.rabi, 0.0)
+        return dynamics._expm(0.5 * gen), real.weights, np.append(x0, 1.0)
+    liouv = build_liouvillian(eia_spec(0.06).with_field(0.03))  # the RK4 map at dt = 0.05
+    a = 0.05 * liouv.matrix
+    step = np.eye(liouv.size + 1, dtype=complex)
+    step[:-1] += dynamics._rk4_series(a, np.column_stack((a, 0.05 * liouv.pump)))
+    return step, liouv.absorption_row, np.append(steady_vector(eia_spec(0.06), 0.0), 1.0)
+
+
+@pytest.mark.parametrize("rows", ["absorption", "states"])
+@pytest.mark.parametrize("kind", ["sector", "rk4"])
+def test_sampled_steps_match_one_step_at_a_time(kind, rows):
+    # the samples row @ E^j z0 (with no row the states y of E^j z0 = [y; 1]) for j < n and the
+    # hand-off E^max(n, 1) z0, against a matvec per step in extended precision; the map has an
+    # eigenvalue 1, along which any double-precision stepping (one matvec per step, or doubling)
+    # carries rounding that grows as n eps
+    step, row, z0 = step_map(kind)
+    row = np.append(row, 0.0) if rows == "absorption" else None
+    exact, states = step.astype(np.clongdouble), [z0.astype(np.clongdouble)]
+    for _ in range(max(SAMPLED_COUNTS)):
+        states.append(exact @ states[-1])
+    states = np.array(states)
+    for n in SAMPLED_COUNTS:
+        samples, handoff = dynamics._sampled_steps(step, z0, n, row)
+        expected = states[:n, :-1] if row is None else states[:n] @ row
+        z, bound = states[max(n, 1)], 1e-13 + n * np.finfo(float).eps
+        assert np.abs(samples - expected).max(initial=0.0) <= bound * np.abs(expected).max(initial=0.0), n
+        assert np.abs(handoff - z).max() <= bound * np.abs(z).max(), n
 
 
 class TestSwitchSchedule:

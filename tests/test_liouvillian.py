@@ -292,12 +292,17 @@ class TestAffineParts:
             np.testing.assert_array_equal(matrix, expected)
 
     def test_assembles_the_full_matrix_once(self, monkeypatch):
-        calls = []
-        build = liouvillian.build_liouvillian
-        monkeypatch.setattr(liouvillian, "build_liouvillian",
-                            lambda spec: calls.append(spec) or build(spec))
-        affine_liouvillian(eia_spec(0.3, detuning=0.1).with_field(0.02))
-        assert len(calls) == 1
+        calls = {name: [] for name in ("build_liouvillian", "hamiltonian", "_lindblad")}
+        for name, seen in calls.items():
+            monkeypatch.setattr(liouvillian, name, lambda *args, seen=seen, make=getattr(liouvillian, name):
+                                seen.append(args) or make(*args))
+        family = affine_liouvillian(eia_spec(0.3, detuning=0.1).with_field(0.02))
+        assert len(calls["build_liouvillian"]) == 1 and calls["hamiltonian"]
+        # a call with the same spec at another Rabi frequency and field assembles nothing
+        for seen in calls.values():
+            seen.clear()
+        assert affine_liouvillian(eia_spec(1.2, detuning=0.1).with_field(-0.05)) is family
+        assert calls == {"build_liouvillian": [], "hamiltonian": [], "_lindblad": []}
 
     def test_parts_do_not_change_between_evaluations(self, monkeypatch):
         # a sweep evaluates the parts at each point: reversing its grid changes no point's modes
