@@ -18,12 +18,13 @@ one rule that picks the model of a phase from its field and transition.
 
 The optimizer is a damped Gauss-Newton iteration with a Levenberg-style
 damping schedule (x10 on a rejected step, /10 on an accepted one), analytic
-Jacobians built from the prediction's own terms, at most 200 trial steps and
-a relative gradient tolerance of 1e-10.  Rates and the frequency are
-optimized in log space, which enforces positivity without constraints.
-Seeding is deterministic: the frequency from the dominant discrete-Fourier
-bin of the mean-subtracted trace, envelope rates from log-linear fits, the
-slow amplitude from a moving-average split of the signal.
+Jacobians built from the prediction's own terms at accepted points only (a
+rejected trial step costs one residual), at most 200 trial steps and a
+relative gradient tolerance of 1e-10.  Rates and the frequency are optimized
+in log space, which enforces positivity without constraints.  Seeding is
+deterministic: the frequency from the dominant discrete-Fourier bin of the
+mean-subtracted trace, envelope rates from log-linear fits, the slow
+amplitude from a moving-average split of the signal.
 """
 
 from __future__ import annotations
@@ -104,28 +105,22 @@ class FitResult:
 
 def evaluate_model(model: FitModel, params: dict, times: np.ndarray) -> np.ndarray:
     """Model prediction at the given times (external parameterization)."""
-    return _predict_and_jacobian(model, params, np.asarray(times, dtype=float))[0]
+    return _predict(model, params, np.asarray(times, dtype=float))[0]
 
 
-def _predict_and_jacobian(model: FitModel, params: dict, t: np.ndarray):
-    """(prediction, d(prediction)/d(external params) with columns in param order),
-    both from one evaluation of each exponential, sine and cosine."""
-    ones = np.ones_like(t)
+def _predict(model: FitModel, params: dict, t: np.ndarray):
+    """(prediction, its exponentials and its oscillation's argument and sine)."""
     if model.kind == "single_exp":
         decay = np.exp(-params["rate"] * t)
-        return params["amp"] * decay + params["offset"], np.column_stack(
-            [decay, -params["amp"] * t * decay, ones])
+        return params["amp"] * decay + params["offset"], (decay,)
     env = np.exp(-params["rate_osc"] * t)
     arg = params["freq"] * t + params["phase"]
-    sin_a, cos_a = np.sin(arg), np.cos(arg)
+    sin_a = np.sin(arg)
     prediction = params["amp_osc"] * env * sin_a + params["offset"]
-    cols = [env * sin_a, -params["amp_osc"] * t * env * sin_a,
-            params["amp_osc"] * t * env * cos_a, params["amp_osc"] * env * cos_a, ones]
-    if not model.drop_exp_term:
-        decay = np.exp(-params["rate_exp"] * t)
-        prediction = prediction + params["amp_exp"] * decay
-        cols = [decay, -params["amp_exp"] * t * decay] + cols
-    return prediction, np.column_stack(cols)
+    if model.drop_exp_term:
+        return prediction, (env, arg, sin_a)
+    decay = np.exp(-params["rate_exp"] * t)
+    return prediction + params["amp_exp"] * decay, (env, arg, sin_a, decay)
 
 
 def model_for_phase(meta: dict, kind: str = "auto", drop_exp_term: bool | None = None) -> FitModel:
@@ -175,29 +170,47 @@ def _external_slope(model: FitModel, params: dict) -> np.ndarray:
     return np.array([params[name] if name in _LOG_PARAMS else 1.0 for name in model.param_names])
 
 
-def _residual_jacobian(model: FitModel, theta: np.ndarray, t: np.ndarray, y: np.ndarray):
+def _residual(model: FitModel, theta: np.ndarray, t: np.ndarray, y: np.ndarray):
+    """(residual, external params, prediction terms) at internal parameters ``theta``."""
     params = _to_external(model, theta)
-    prediction, jac = _predict_and_jacobian(model, params, t)
-    return prediction - y, jac * _external_slope(model, params)
+    prediction, terms = _predict(model, params, t)
+    return prediction - y, params, terms
+
+
+def _linearize(model: FitModel, params: dict, t: np.ndarray, terms: tuple, residual: np.ndarray):
+    """(J, J^T r, J^T J, damping diagonal) from one point's :func:`_predict` terms."""
+    if model.kind == "single_exp":
+        cols = [terms[0], -params["amp"] * t * terms[0]]
+    else:
+        env, arg, sin_a = terms[:3]
+        cos_a = np.cos(arg)
+        cols = [env * sin_a, -params["amp_osc"] * t * env * sin_a,
+                params["amp_osc"] * t * env * cos_a, params["amp_osc"] * env * cos_a]
+        if not model.drop_exp_term:
+            cols = [terms[3], -params["amp_exp"] * t * terms[3]] + cols
+    jac = np.column_stack(cols + [np.ones_like(t)]) * _external_slope(model, params)
+    normal = jac.T @ jac
+    diag = np.diag(normal)
+    diag = np.maximum(diag, 1e-14 * max(diag.max(), np.finfo(float).tiny))
+    return jac, jac.T @ residual, normal, diag
 
 
 def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray):
     """Damped Gauss-Newton steps until the gradient is small, the damping exceeds
     1e15, an accepted step moves theta by less than 1e-15 relative, or
-    ``MAX_ITERATIONS`` trial steps; ``converged`` is the gradient test at the end."""
+    ``MAX_ITERATIONS`` trial steps; ``converged`` is the gradient test at the end.
+    A trial step evaluates the residual only: J, J^T r and J^T J are formed at the
+    start and at accepted points, and a rejected step repeats only the damped solve."""
     theta = theta0.copy()
-    residual, jac = _residual_jacobian(model, theta, t, y)
+    residual, params, terms = _residual(model, theta, t, y)
     cost = residual @ residual
-    tolerance = GRADIENT_TOL * max(1.0, np.abs(jac.T @ residual).max())
+    jac, gradient, normal, diag = _linearize(model, params, t, terms, residual)
+    tolerance = GRADIENT_TOL * max(1.0, np.abs(gradient).max())
     damping = 1e-3
     iterations = 0
     while iterations < MAX_ITERATIONS and damping <= 1e15:
-        gradient = jac.T @ residual
         if np.abs(gradient).max() <= tolerance:
             break
-        normal = jac.T @ jac
-        diag = np.diag(normal).copy()
-        diag = np.maximum(diag, 1e-14 * max(diag.max(), np.finfo(float).tiny))
         iterations += 1
         try:
             step = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
@@ -205,18 +218,18 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
             damping *= 10.0
             continue
         trial = theta + step
-        trial_residual, trial_jac = _residual_jacobian(model, trial, t, y)
+        trial_residual, params, terms = _residual(model, trial, t, y)
         trial_cost = trial_residual @ trial_residual
         if trial_cost < cost:
             relative_move = np.abs(step).max() / (1.0 + np.abs(theta).max())
-            theta, residual, jac, cost = trial, trial_residual, trial_jac, trial_cost
+            theta, residual, cost = trial, trial_residual, trial_cost
+            jac, gradient, normal, diag = _linearize(model, params, t, terms, residual)
             damping = max(damping / 10.0, 1e-15)
             if relative_move < 1e-15:
                 break
         else:
             damping *= 10.0
-    converged = np.abs(jac.T @ residual).max() <= tolerance
-    return theta, residual, jac, cost, iterations, bool(converged)
+    return theta, residual, jac, normal, cost, iterations, bool(np.abs(gradient).max() <= tolerance)
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
@@ -364,13 +377,15 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
         unknown = set(seeds) - set(model.param_names)
         if unknown:
             raise ValueError(f"unknown seed parameters: {sorted(unknown)}")
+        for name, value in seeds.items():
+            if not isfinite(value) or (name in _LOG_PARAMS and value <= 0):
+                positive = " positive" if name in _LOG_PARAMS else ""
+                raise ValueError(f"seed {name!r} must be a finite{positive} number, got {value!r}")
         seed_params.update(seeds)
 
     theta0 = _to_internal(model, seed_params)
-    theta, residual, jac, cost, iterations, converged = _levenberg(model, theta0, t, y)
+    theta, _, _, normal, cost, iterations, converged = _levenberg(model, theta0, t, y)
     params = _normalize(_to_external(model, theta))
-
-    normal = jac.T @ jac
     if not (np.isfinite(cost) and np.isfinite(normal).all()):
         raise FloatingPointError(f"fit cost {cost:.3e} or J^T J overflowed; rescale the trace")
     dof = max(t.size - n_params, 1)

@@ -1,13 +1,20 @@
 """Trace-model fitting: round trips, robustness, rate tables."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 from hanlesim import FitModel, SwitchSchedule, build_liouvillian, eigenmodes, fit, rate_vs_intensity
+from hanlesim.cli import _schedule, _transition_spec, build_config
 from hanlesim.dynamics import TransientTrace, split_phases, switched_transient
-from hanlesim.fit import _residual_jacobian, _to_internal, evaluate_model, model_for_phase
+from hanlesim.fit import (_external_slope, _linearize, _residual, _to_external, _to_internal,
+                          evaluate_model, model_for_phase)
 
 from support import GAMMA, PRESET_INTENSITIES, eia_spec, eit_spec
+
+#: the module, not the ``fit`` function the package exports under the same name
+fit_module = importlib.import_module("hanlesim.fit")
 
 Y2_TRUE = {
     "amp_exp": 0.5, "rate_exp": 0.002, "amp_osc": 1.0, "rate_osc": 0.01,
@@ -63,16 +70,225 @@ def test_solver_jacobian_matches_central_differences(model, params):
     # log frequency, so every such column carries the chain-rule factor
     theta = _to_internal(model, params)
     y = evaluate_model(model, params, TIMES) + 0.01
-    _, jac = _residual_jacobian(model, theta, TIMES, y)
+    residual, external, terms = _residual(model, theta, TIMES, y)
+    jac = _linearize(model, external, TIMES, terms, residual)[0]
     for k in range(theta.size):
         h = 1e-7 * max(1.0, abs(theta[k]))
         up, down = theta.copy(), theta.copy()
         up[k] += h
         down[k] -= h
-        numeric = (_residual_jacobian(model, up, TIMES, y)[0]
-                   - _residual_jacobian(model, down, TIMES, y)[0]) / (2.0 * h)
+        numeric = (_residual(model, up, TIMES, y)[0]
+                   - _residual(model, down, TIMES, y)[0]) / (2.0 * h)
         error = np.abs(jac[:, k] - numeric).max() / np.abs(numeric).max()
         assert error <= 1e-6, (model.param_names[k], error)
+
+
+def eager_residual_jacobian(model, theta, t, y):
+    """(residual, J) at internal parameters ``theta``, both from one evaluation of
+    each exponential, sine and cosine: every trial point of the eager loop."""
+    params = _to_external(model, theta)
+    ones = np.ones_like(t)
+    if model.kind == "single_exp":
+        decay = np.exp(-params["rate"] * t)
+        prediction = params["amp"] * decay + params["offset"]
+        cols = [decay, -params["amp"] * t * decay, ones]
+    else:
+        env = np.exp(-params["rate_osc"] * t)
+        arg = params["freq"] * t + params["phase"]
+        sin_a, cos_a = np.sin(arg), np.cos(arg)
+        prediction = params["amp_osc"] * env * sin_a + params["offset"]
+        cols = [env * sin_a, -params["amp_osc"] * t * env * sin_a,
+                params["amp_osc"] * t * env * cos_a, params["amp_osc"] * env * cos_a, ones]
+        if not model.drop_exp_term:
+            decay = np.exp(-params["rate_exp"] * t)
+            prediction = prediction + params["amp_exp"] * decay
+            cols = [decay, -params["amp_exp"] * t * decay] + cols
+    return prediction - y, np.column_stack(cols) * _external_slope(model, params)
+
+
+def eager_levenberg(model, theta0, t, y):
+    """(theta, residual, J, cost, iterations, converged) by the eager loop alone.
+
+    A copy of how ``_levenberg`` stepped before a rejected trial step reused the
+    Jacobian: every trial point forms its J, and every step forms J^T r and J^T J.
+    """
+    theta = theta0.copy()
+    residual, jac = eager_residual_jacobian(model, theta, t, y)
+    cost = residual @ residual
+    tolerance = fit_module.GRADIENT_TOL * max(1.0, np.abs(jac.T @ residual).max())
+    damping = 1e-3
+    iterations = 0
+    while iterations < fit_module.MAX_ITERATIONS and damping <= 1e15:
+        gradient = jac.T @ residual
+        if np.abs(gradient).max() <= tolerance:
+            break
+        normal = jac.T @ jac
+        diag = np.diag(normal).copy()
+        diag = np.maximum(diag, 1e-14 * max(diag.max(), np.finfo(float).tiny))
+        iterations += 1
+        try:
+            step = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
+        except np.linalg.LinAlgError:
+            damping *= 10.0
+            continue
+        trial = theta + step
+        trial_residual, trial_jac = eager_residual_jacobian(model, trial, t, y)
+        trial_cost = trial_residual @ trial_residual
+        if trial_cost < cost:
+            relative_move = np.abs(step).max() / (1.0 + np.abs(theta).max())
+            theta, residual, jac, cost = trial, trial_residual, trial_jac, trial_cost
+            damping = max(damping / 10.0, 1e-15)
+            if relative_move < 1e-15:
+                break
+        else:
+            damping *= 10.0
+    converged = np.abs(jac.T @ residual).max() <= tolerance
+    return theta, residual, jac, cost, iterations, bool(converged)
+
+
+def preset_on_phase(name):
+    """The field-on phase of a transient preset's record and the model the CLI fits to it."""
+    config = build_config(preset_name=name, expected_command="transient")
+    phase = split_phases(switched_transient(_transition_spec(config), _schedule(config)))[1]
+    return phase, model_for_phase(phase.meta)
+
+
+def step_trace():
+    """A 0/1 step: ``single_exp`` fits of it overflow exp at trial points and reject NaN costs."""
+    times = np.linspace(0.0, 1000.0, 200)
+    return TransientTrace(times, (times >= 500.0).astype(float), np.zeros_like(times), {})
+
+
+def noisy(model, params, seed):
+    scale = 0.01 * np.ptp(evaluate_model(model, params, TIMES))
+    return make_trace(model, params, noise=scale, rng=np.random.default_rng(seed)), model
+
+
+LEVENBERG_CASES = {
+    "fig5e-on": lambda: preset_on_phase("fig5e"),
+    "fig6e-on": lambda: preset_on_phase("fig6e"),
+    "single_exp-noisy": lambda: noisy(FitModel("single_exp"),
+                                      {"amp": 0.8, "rate": 0.004, "offset": 0.1}, 1),
+    "damped_sine-noisy": lambda: noisy(FitModel("exp_plus_damped_sine"), Y2_TRUE, 2),
+    "damped_sine-dropped-noisy": lambda: noisy(
+        FitModel("exp_plus_damped_sine", drop_exp_term=True), Y2_DROPPED, 3),
+    "step-single_exp": lambda: (step_trace(), FitModel("single_exp")),
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+def levenberg_inputs(trace, model):
+    """The (model, theta0, t, y) that ``fit`` hands ``_levenberg`` for ``trace``."""
+    captured = []
+
+    def capture(*args):
+        captured.append(args)
+        raise _Captured
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fit_module, "_levenberg", capture)
+        with pytest.raises(_Captured):
+            fit(trace, model)
+    return captured[0]
+
+
+def solve_failing_once(at_call):
+    """(``np.linalg.solve`` that raises LinAlgError on its ``at_call``-th call only,
+    the list it appends each call to)."""
+    solve, calls = np.linalg.solve, []
+
+    def failing(*args):
+        calls.append(None)
+        if len(calls) == at_call:
+            raise np.linalg.LinAlgError("singular matrix")
+        return solve(*args)
+    return failing, calls
+
+
+def assert_bit_equal(new, old):
+    new_theta, new_residual, new_jac, new_normal, new_cost, new_iterations, new_converged = new
+    old_theta, old_residual, old_jac, old_cost, old_iterations, old_converged = old
+    for name, a, b in (("theta", new_theta, old_theta), ("residual", new_residual, old_residual),
+                       ("jac", new_jac, old_jac), ("normal", new_normal, old_jac.T @ old_jac),
+                       ("cost", new_cost, old_cost)):
+        assert np.asarray(a).dtype == np.asarray(b).dtype, name
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    assert (new_iterations, new_converged) == (old_iterations, old_converged)
+
+
+class TestLevenbergMatchesTheEagerLoop:
+    # bit for bit: the same iterates, the same last point and its J^T J as fit used to form it
+    @pytest.mark.parametrize("case", LEVENBERG_CASES)
+    def test_every_return_is_bit_equal(self, case):
+        args = levenberg_inputs(*LEVENBERG_CASES[case]())
+        with np.errstate(all="ignore"):  # the step trace overflows exp by design
+            assert_bit_equal(fit_module._levenberg(*args), eager_levenberg(*args))
+
+    def test_step_trace_rejects_non_finite_trial_costs(self):
+        # the case above exercises the NaN branch: some trial point's cost is NaN
+        model, theta0, t, y = levenberg_inputs(*LEVENBERG_CASES["step-single_exp"]())
+        costs = []
+        residual = fit_module._residual
+
+        def record(*args):
+            point = residual(*args)
+            costs.append(point[0] @ point[0])
+            return point
+        with pytest.MonkeyPatch.context() as patch, np.errstate(all="ignore"):
+            patch.setattr(fit_module, "_residual", record)
+            fit_module._levenberg(model, theta0, t, y)
+        assert np.isnan(costs).any()
+
+    @pytest.mark.parametrize("at_call", [1, 5])
+    def test_a_failed_solve_raises_the_damping_alike(self, monkeypatch, at_call):
+        args = levenberg_inputs(*LEVENBERG_CASES["damped_sine-noisy"]())
+        results = []
+        for levenberg in (fit_module._levenberg, eager_levenberg):
+            failing, calls = solve_failing_once(at_call)
+            monkeypatch.setattr(np.linalg, "solve", failing)
+            results.append(levenberg(*args))
+            assert len(calls) > at_call  # it raised, and the loop went on
+        assert_bit_equal(*results)
+
+
+def test_fig6e_forms_the_jacobian_only_at_the_start_and_accepted_points(monkeypatch):
+    trace, model = preset_on_phase("fig6e")
+    residuals, linearized, inverted = [], [], []
+    residual, linearize, pinv = fit_module._residual, fit_module._linearize, np.linalg.pinv
+
+    def spy_residual(*args):
+        point = residual(*args)
+        residuals.append(point[0])
+        return point
+
+    def spy_linearize(*args):
+        linearized.append(linearize(*args))
+        return linearized[-1]
+
+    def spy_pinv(matrix, *args, **kwargs):
+        inverted.append(matrix)
+        return pinv(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(fit_module, "_residual", spy_residual)
+    monkeypatch.setattr(fit_module, "_linearize", spy_linearize)
+    monkeypatch.setattr(np.linalg, "pinv", spy_pinv)
+    result = fit(trace, model)
+    assert (result.iterations, result.converged) == (200, False)
+
+    # a trial step is accepted exactly when its cost falls below the best so far
+    costs = [r @ r for r in residuals]
+    accepted = sum(cost < min(costs[:k]) for k, cost in enumerate(costs) if k)
+    assert len(residuals) == 201
+    assert accepted == 100
+    assert len(linearized) == accepted + 1
+    # each build forms its own J^T J, and fit's covariance inverts the last one as it is
+    for jac, _, normal, _ in linearized:
+        assert normal.tobytes() == (jac.T @ jac).tobytes()
+    assert len({id(normal) for _, _, normal, _ in linearized}) == len(linearized)
+    assert len(inverted) == 1 and inverted[0] is linearized[-1][2]
 
 
 class TestModelForPhase:
@@ -182,6 +398,23 @@ class TestEdgeCases:
         getattr(trace, column)[index] = bad
         with pytest.raises(ValueError, match="finite"):
             fit(trace, model)
+
+    @pytest.mark.parametrize("model, name, bad", [
+        (FitModel("single_exp"), "rate", -0.1), (FitModel("single_exp"), "rate", 0.0),
+        (FitModel("single_exp"), "rate", np.inf), (FitModel("single_exp"), "amp", np.nan),
+        (FitModel("single_exp"), "offset", -np.inf),
+        (FitModel("exp_plus_damped_sine"), "rate_exp", -0.002),
+        (FitModel("exp_plus_damped_sine"), "rate_osc", 0.0),
+        (FitModel("exp_plus_damped_sine"), "freq", -0.06),
+        (FitModel("exp_plus_damped_sine"), "amp_osc", np.inf),
+        (FitModel("exp_plus_damped_sine"), "phase", np.nan),
+    ])
+    def test_non_finite_or_non_positive_seed_raises_naming_it(self, model, name, bad):
+        # a negative rate seed was clamped to 1e-300 and "converged" there; NaN or inf
+        # ones surfaced as an overflow that blamed the trace
+        true = {"amp": 1.0, "rate": 0.1, "offset": 0.2} if model.kind == "single_exp" else Y2_TRUE
+        with pytest.raises(ValueError, match=f"seed '{name}' must be a finite"):
+            fit(make_trace(model, true), model, seeds={name: bad})
 
     def test_unknown_seed_key(self):
         trace = make_trace(FitModel("single_exp"), {"amp": 1.0, "rate": 0.01, "offset": 0.0})
