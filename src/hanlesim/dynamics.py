@@ -21,7 +21,7 @@ integrator that uses no spectrum and no exponential, the test suite's oracle
 for the modal solver.  One RK4 step of size h is exactly the affine map
 y <- R y + r, R = sum_{k<=4} (hM)^k/k! and r = h sum_{k<=3} (hM)^k/(k+1)! p0,
 built once on the full M as S = [[R, r], [0, 1]] on [y; 1]; its samples
-come from S as above, in runs of ``STEP_CHUNK`` samples.
+come from S as above.
 
 The modal solver and the exponential work on an invariant block of M: the
 Liouville indices reachable from the supports of p0 and of the initial
@@ -88,9 +88,6 @@ MODAL_CONDITION_LIMIT = 1e10
 
 #: Grid points per stacked solve or eig of a steady scan or sweep: bounds its memory on long grids.
 STACK_CHUNK = 32
-
-#: Samples per run of the RK4 oracle: bounds its memory on long records.
-STEP_CHUNK = 4096
 
 #: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
 _PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
@@ -432,8 +429,11 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     Samples at 0, dt, 2*dt, ..., n*dt for the largest n with n*dt <= t_end up
     to rounding, so at ``t_end`` last when it is a multiple of ``dt``.  The
     classic RK4 step of size ``dt`` is built once on the full M as the
-    augmented map S = [[R, r], [0, 1]] of y <- R y + r; the samples come from
-    S as in the module notes, in runs of ``STEP_CHUNK``, each from the last run's hand-off.
+    augmented map S = [[R, r], [0, 1]] of y <- R y + r; the whole record comes
+    from S by one baby- and giant-step call, as in the module notes.  With
+    ``keep_states`` the states are a view of that call's rows, which have one
+    more row and column (the hand-off and the trailing 1), so the states are
+    held once, not copied.
 
     Raises
     ------
@@ -452,14 +452,11 @@ def propagate_integrated(liouv: Liouvillian, y0, dt: float, t_end: float, keep_s
     a = dt * liouv.matrix
     step = np.eye(z.size, dtype=complex)  # [R - I, r] is the RK4 series of hM times [hM, h p0]
     step[:-1] += _rk4_series(a, np.column_stack((a, dt * liouv.pump)))
-    w = np.empty(times.size)
-    states = np.empty((times.size, liouv.size), dtype=complex) if keep_states else None
     row = None if keep_states else np.append(liouv.absorption_row, 0.0)
-    for start in range(0, times.size, STEP_CHUNK):
-        samples, z = _sampled_steps(step, z, min(STEP_CHUNK, times.size - start), row)
-        if keep_states:
-            states[start:start + STEP_CHUNK] = samples
-        w[start:start + STEP_CHUNK] = (samples @ liouv.absorption_row if keep_states else samples).real
+    samples = _sampled_steps(step, z, times.size, row)[0]
+    states = samples if keep_states else None
+    w = (samples @ liouv.absorption_row if keep_states else samples).real.copy()
+    del samples  # without keep_states the complex samples are freed before the trace is built
     return _sampled(liouv, times, w, states, "integrated")
 
 

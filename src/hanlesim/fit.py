@@ -349,6 +349,7 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
 
     Notes
     -----
+    Fewer than 10 samples per parameter raise ValueError, even when constant.
     A perfectly constant trace short-circuits to amplitude 0, rate 0 and
     offset = mean, flagged ``degenerate=True``.  Non-convergence within the
     iteration budget is reported via ``converged=False``, not an exception;
@@ -360,14 +361,14 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
         raise ValueError("trace must contain equal, nonzero numbers of finite times and samples")
     t = t - t[0]
 
-    if np.ptp(y) == 0.0:
-        return _degenerate_result(model, y)
-
     n_params = len(model.param_names)
     if t.size < 10 * n_params:
         raise ValueError(
             f"need at least {10 * n_params} samples to fit {n_params} parameters, got {t.size}"
         )
+
+    if np.ptp(y) == 0.0:
+        return _degenerate_result(model, y)
 
     if model.kind == "single_exp":
         seed_params = _seed_single_exp(t, y)

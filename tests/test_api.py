@@ -37,3 +37,12 @@ def minimum_python() -> tuple:
 def test_source_parses_on_the_minimum_python(path):
     # the grammar only: no interpreter of that version is needed, and none checks the library calls
     ast.parse(path.read_text(encoding="utf-8"), filename=str(path), feature_version=minimum_python())
+
+
+def test_hanlesim_fit_names_the_function_and_import_module_reaches_the_module():
+    # the package binds its ``fit`` function over the attribute of its own ``fit`` submodule
+    module = importlib.import_module("hanlesim.fit")
+    assert type(module) is type(hanlesim) and module.__name__ == "hanlesim.fit"
+    assert callable(hanlesim.fit) and hanlesim.fit is module.fit
+    import hanlesim.fit as bound  # binds the package attribute, so the function too
+    assert bound is module.fit

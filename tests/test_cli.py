@@ -235,9 +235,11 @@ class TestExitCodes:
         ("transient", ["--duty", "0"], None),
         ("transient", ["--b0", "0.03", "--b1", "0.03"], None),
         ("transient", ["--samples-per-period", "4"], None),
+        ("transient", ["--fg", "1", "--fe", "0", "--samples-per-period", "2"], None),
         ("transient", [], {"fit_model": "bogus"}),
         ("fit", [], {"fit_model": "bogus"}),
-    ], ids=["duty-1", "duty-0", "equal-fields", "too-few-samples", "bad-model", "fit-bad-model"])
+    ], ids=["duty-1", "duty-0", "equal-fields", "too-few-samples", "one-constant-sample",
+            "bad-model", "fit-bad-model"])
     def test_fit_failure_exits_2_and_writes_nothing(self, tmp_path, capsys, command, extra,
                                                     config):
         trace = tmp_path / "in" / "t.csv"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+from math import floor
 
 import numpy as np
 import pytest
@@ -28,6 +29,26 @@ from hanlesim import (
 from hanlesim.cli import _ATOMIC_MASS_KG
 
 from support import GAMMA, eia_spec, eit_spec, record_shapes, rk4_phases, steady_vector
+
+
+def chunked_integrated(liouv, y0, dt, t_end):
+    """(times, w) of ``propagate_integrated`` as it sampled before one call covered the record.
+
+    A copy of the loop that took the samples in runs of 4096, each run starting
+    from the hand-off state of the one before.
+    """
+    chunk = 4096
+    times = np.arange(floor(t_end / dt * (1.0 + 1e-12)) + 1) * dt
+    z = np.append(y0, 1.0)  # y0 a Liouville vector
+    a = dt * liouv.matrix
+    step = np.eye(z.size, dtype=complex)
+    step[:-1] += dynamics._rk4_series(a, np.column_stack((a, dt * liouv.pump)))
+    w = np.empty(times.size)
+    row = np.append(liouv.absorption_row, 0.0)
+    for start in range(0, times.size, chunk):
+        samples, z = dynamics._sampled_steps(step, z, min(chunk, times.size - start), row)
+        w[start:start + chunk] = samples.real
+    return times, w
 
 
 def augmented(liouv):
@@ -75,10 +96,8 @@ class TestPropagators:
         fine = propagate_integrated(liouv, y0, dt=0.025, t_end=50.0)
         np.testing.assert_allclose(coarse.w, fine.w[::2], atol=1e-9)
 
-    @pytest.mark.parametrize("chunk", [1, 4, dynamics.STEP_CHUNK])
     @pytest.mark.parametrize("steps", [1, 7, 25])
-    def test_step_map_matches_classic_rk4_steps(self, steps, chunk, monkeypatch):
-        monkeypatch.setattr(dynamics, "STEP_CHUNK", chunk)  # runs of 1 and 4 test each hand-off
+    def test_step_map_matches_classic_rk4_steps(self, steps):
         spec = eia_spec(0.2).with_field(0.03)
         liouv = build_liouvillian(spec)
         m, p0, h = liouv.matrix, liouv.pump, 0.037
@@ -128,11 +147,20 @@ class TestPropagators:
         trace = propagate_integrated(build_liouvillian(spec), steady_vector(spec, 0.0), dt=0.05,
                                      t_end=t_end)
         assert trace.times.size == n_steps + 1
-        # memory stays bounded: runs of at most STEP_CHUNK samples that cover the record
-        assert max(counts) <= dynamics.STEP_CHUNK and sum(counts) == trace.times.size
+        assert counts == [trace.times.size]  # one baby- and giant-step call covers the record
         assert trace.times[-1] <= t_end
         if t_end in (2.0, 100.0, 2500.0):  # multiples of dt end exactly at t_end
             assert trace.times[-1] == t_end
+
+    def test_one_call_matches_the_chunked_loop_on_a_long_record(self):
+        spec = eia_spec(0.3)
+        liouv = build_liouvillian(spec.with_field(0.03))
+        y0 = steady_vector(spec, 0.0)
+        trace = propagate_integrated(liouv, y0, dt=0.05, t_end=2500.0)
+        times, w = chunked_integrated(liouv, y0, dt=0.05, t_end=2500.0)
+        assert trace.times.size == 50001
+        np.testing.assert_array_equal(trace.times, times)
+        np.testing.assert_allclose(trace.w, w, rtol=1e-13, atol=0)
 
     def test_integrator_rejects_oversized_step(self):
         liouv = build_liouvillian(eit_spec(0.02))

@@ -385,6 +385,12 @@ class TestEdgeCases:
         assert result.params == {"amp": 0.0, "rate": 0.0, "offset": pytest.approx(0.37)}
         assert result.converged
 
+    @pytest.mark.parametrize("kind", ["single_exp", "exp_plus_damped_sine"])
+    def test_a_constant_trace_too_short_to_fit_raises(self, kind):
+        one = TransientTrace(TIMES[:1], [0.37], [0.0], {})
+        with pytest.raises(ValueError, match="^need at least"):
+            fit(one, FitModel(kind))
+
     def test_too_few_samples(self):
         short = TransientTrace(TIMES[:20], np.sin(TIMES[:20]), np.zeros(20), {})
         with pytest.raises(ValueError):
@@ -478,9 +484,27 @@ class TestRateVsIntensity:
             assert 0.5 < row["rate_osc"] / row["rate_b0"] < 2.0
         assert rows[0]["freq"] == pytest.approx(0.06, rel=0.05)
 
+    @pytest.mark.parametrize("make_spec, dropped", [(eit_spec, False), (eia_spec, True)],
+                             ids=["1-0", "1-2"])
+    def test_each_row_is_the_fit_of_both_phases(self, make_spec, dropped):
+        schedule = SwitchSchedule(b1=0.03)
+        intensities = (0.006, 0.06)
+        rows = rate_vs_intensity(make_spec(0.0), intensities, schedule)
+        for intensity, row in zip(intensities, rows):
+            off, on = split_phases(switched_transient(make_spec(intensity), schedule))
+            result_b0 = fit(off, FitModel("single_exp"))
+            result_b1 = fit(on, FitModel("exp_plus_damped_sine", drop_exp_term=dropped))
+            expected = {"intensity": intensity, "rate_b0": result_b0.params["rate"],
+                        "rate_osc": result_b1.params["rate_osc"], "freq": result_b1.params["freq"],
+                        "converged_b0": result_b0.converged, "converged_b1": result_b1.converged}
+            if not dropped:
+                expected["rate_exp"] = result_b1.params["rate_exp"]
+            assert row == expected
+
     @pytest.mark.parametrize("schedule", [SwitchSchedule(b1=0.03, b0=0.01), SwitchSchedule(b1=0.0),
-                                          SwitchSchedule(b1=0.03, duty=1.0)],
-                             ids=["b0-nonzero", "b1-zero", "no-switch"])
+                                          SwitchSchedule(b1=0.03, duty=1.0),
+                                          SwitchSchedule(b1=0.03, duty=0.0)],
+                             ids=["b0-nonzero", "b1-zero", "no-switch", "duty-0"])
     def test_schedule_without_a_field_off_phase_raises(self, schedule):
         with pytest.raises(ValueError, match="switches from b0 = 0"):
             rate_vs_intensity(eit_spec(0.0), [0.02], schedule)
