@@ -180,15 +180,15 @@ def q_matrix(fg, fe, q: int) -> np.ndarray:
         )
     n_g, n_e = a_g.multiplicity, a_e.multiplicity
     out = np.zeros((n_g + n_e, n_g + n_e), dtype=complex)
-    for i, tmg in enumerate(a_g.twice_m_values()):
-        for j, tme in enumerate(a_e.twice_m_values()):
-            if tmg != tme + 2 * q:
-                continue
-            # (-1)**(Fe - 1 + m_g); the exponent is always an integer here
-            phase = -1.0 if ((a_e.twice_f - 2 + tmg) // 2) % 2 else 1.0
-            out[i, n_g + j] = phase * _wigner3j_twice(
-                a_e.twice_f, 2, a_g.twice_f, tme, 2 * q, -tmg
-            )
+    for j, tme in enumerate(a_e.twice_m_values()):
+        tmg = tme + 2 * q  # the one ground level m_e couples to, if it exists
+        if abs(tmg) > a_g.twice_f:
+            continue
+        # (-1)**(Fe - 1 + m_g); the exponent is always an integer here
+        phase = -1.0 if ((a_e.twice_f - 2 + tmg) // 2) % 2 else 1.0
+        out[(tmg + a_g.twice_f) // 2, n_g + j] = phase * _wigner3j_twice(
+            a_e.twice_f, 2, a_g.twice_f, tme, 2 * q, -tmg
+        )
     return out
 
 

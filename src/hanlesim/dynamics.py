@@ -35,7 +35,7 @@ Hermiticity and PSD.
 
 Transients are stepped in real arithmetic, in the coordinates of their
 affine family's ``sector``: M preserves Hermiticity (Lindblad, CMP 48, 119
-(1976)), so it is real in the Hermitian basis of ``_real_frame``, and with
+(1976)), so it is real in the Hermitian basis of ``_frame_entries``, and with
 linear light at zero detuning only the coordinates even under its symmetry
 Theta are kept (see :class:`hanlesim.liouvillian.AffineLiouvillian`).  The
 states rebuilt from real coordinates are exactly Hermitian.
@@ -185,7 +185,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
         If M is (numerically) singular on the block (the message reports its
         condition number), or a residual, trace, Hermiticity or PSD check fails.
     """
-    return devectorize(_steady(liouv, _invariant_block([liouv.matrix], [liouv.pump])))
+    return devectorize(_steady(liouv, _invariant_block(np.nonzero(liouv.matrix), [liouv.pump])))
 
 
 def _chunks(count: int):
@@ -213,7 +213,8 @@ def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
 
 def _sector_steady(affine: AffineLiouvillian, rabi, b_field) -> np.ndarray:
     """The steady state at each (rabi, b_field) of their broadcast, in coordinates on ``affine.sector``,
-    solved there ``STACK_CHUNK`` points to a stack and checked full-size, the residual from the parts."""
+    solved there ``STACK_CHUNK`` points to a stack and checked full-size, the residual from the family's
+    nonzeros (:meth:`AffineLiouvillian.product`)."""
     real, block = affine.sector, affine.block
     rabi, b_field = np.broadcast_arrays(rabi, b_field)
     shape, rabi, b_field = rabi.shape, rabi.ravel(), b_field.ravel()
@@ -225,8 +226,7 @@ def _sector_steady(affine: AffineLiouvillian, rabi, b_field) -> np.ndarray:
                           -real.pump, points[part])
         y = np.zeros((r.size, affine.pump.size), dtype=complex)
         y[:, block] = x[part] @ real.frame.T
-        _checked(y, y @ affine.base.T + r * (y @ affine.drive.T) + b * affine.field * y + affine.pump,
-                 points[part])
+        _checked(y, affine.product(y, r, b) + affine.pump, points[part])
     return x.reshape(shape + x.shape[1:])
 
 
@@ -364,7 +364,7 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     """
     times = np.asarray(times, dtype=float)
     y0 = _as_vector(y0, liouv.size)
-    block = _invariant_block([liouv.matrix], [liouv.pump, y0])
+    block = _invariant_block(np.nonzero(liouv.matrix), [liouv.pump, y0])
     y_ss = _steady(liouv, block) if liouv.pump.any() else np.zeros(liouv.size, dtype=complex)
     sub, row = liouv.matrix[np.ix_(block, block)], liouv.absorption_row[block]
     lam, vecs, w_modes = _decompose(sub, row)

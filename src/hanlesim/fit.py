@@ -208,27 +208,29 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
     tolerance = GRADIENT_TOL * max(1.0, np.abs(gradient).max())
     damping = 1e-3
     iterations = 0
-    while iterations < MAX_ITERATIONS and damping <= 1e15:
-        if np.abs(gradient).max() <= tolerance:
-            break
-        iterations += 1
-        try:
-            step = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
-        except np.linalg.LinAlgError:
-            damping *= 10.0
-            continue
-        trial = theta + step
-        trial_residual, params, terms = _residual(model, trial, t, y)
-        trial_cost = trial_residual @ trial_residual
-        if trial_cost < cost:
-            relative_move = np.abs(step).max() / (1.0 + np.abs(theta).max())
-            theta, residual, cost = trial, trial_residual, trial_cost
-            jac, gradient, normal, diag = _linearize(model, params, t, terms, residual)
-            damping = max(damping / 10.0, 1e-15)
-            if relative_move < 1e-15:
+    # a trial point may overflow, giving a NaN or inf cost, which the test below rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        while iterations < MAX_ITERATIONS and damping <= 1e15:
+            if np.abs(gradient).max() <= tolerance:
                 break
-        else:
-            damping *= 10.0
+            iterations += 1
+            try:
+                step = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
+            except np.linalg.LinAlgError:
+                damping *= 10.0
+                continue
+            trial = theta + step
+            trial_residual, params, terms = _residual(model, trial, t, y)
+            trial_cost = trial_residual @ trial_residual
+            if trial_cost < cost:
+                relative_move = np.abs(step).max() / (1.0 + np.abs(theta).max())
+                theta, residual, cost = trial, trial_residual, trial_cost
+                jac, gradient, normal, diag = _linearize(model, params, t, terms, residual)
+                damping = max(damping / 10.0, 1e-15)
+                if relative_move < 1e-15:
+                    break
+            else:
+                damping *= 10.0
     return theta, residual, jac, normal, cost, iterations, bool(np.abs(gradient).max() <= tolerance)
 
 

@@ -22,9 +22,10 @@ Lindblad generator of the same shape: -i[H, .], -(1/2){P_e, .}, a weighted
 sum of jumps L . L^dag, and relaxation at gamma toward a rest state.  One
 private assembler writes those superoperator terms; :func:`build_liouvillian`
 and the open three-level reduction in :mod:`hanlesim.spectral` only build
-their operators and call it.  M is affine in the Rabi frequency and in the
-field, which enters only on its diagonal; :func:`affine_liouvillian` takes
-those parts from one assembly and keeps them, and their real form where steady
+their operators and call it; it emits M's nonzeros, and the dense M is
+scattered from them.  M is affine in the Rabi frequency and in the field, which
+enters only on its diagonal; :func:`affine_liouvillian` takes those parts as
+nonzeros from one assembly and keeps them, and their real form where steady
 states are solved (:attr:`AffineLiouvillian.sector`), for the last transition.
 :func:`spec_meta` is the one set of provenance keys that every output
 recording a transition writes.
@@ -178,6 +179,10 @@ class TransitionSpec:
         return replace(self, rabi=sqrt(intensity))
 
 
+#: Nonzeros of a Liouville-space matrix: M[rows[k], cols[k]] sums values[k] over k, in order.
+Entries = namedtuple("Entries", "rows cols values")
+
+
 @dataclass(frozen=True)
 class Liouvillian:
     """Evolution matrix and pump vector of one model, with what its outputs record.
@@ -276,7 +281,14 @@ def spec_meta(spec: TransitionSpec) -> dict:
 
 
 def _lindblad(h, p_e, jumps, rest, gamma, coupling, b_field, meta) -> Liouvillian:
-    """Assemble M and p0 of a Lindblad generator (row-major vectorization).
+    """M and p0 of a Lindblad generator: M scattered from its entries (:func:`_lindblad_entries`), and
+    p0 = gamma * vec(rest)."""
+    return Liouvillian(_dense(_lindblad_entries(h, p_e, jumps, gamma), h.shape[0] ** 2),
+                       gamma * vectorize(rest), coupling, b_field, meta)
+
+
+def _lindblad_entries(h, p_e, jumps, gamma) -> Entries:
+    """The nonzeros of M for a Lindblad generator (row-major vectorization).
 
     dsigma/dt = -i[H, sigma] - (1/2){P_e, sigma} + sum_k w_k L_k sigma L_k^dag
     - gamma (sigma - rest), for ``jumps`` = [(w_k, L_k), ...].  With
@@ -285,27 +297,34 @@ def _lindblad(h, p_e, jumps, rest, gamma, coupling, b_field, meta) -> Liouvillia
     L_ik conj(L_jl), for A = -iH - P_e/2 and B = iH - P_e/2.  Where both
     one-sided actions meet, on the diagonal of M, the entry is formed as in
     the Kronecker form -i(H kron I - I kron H^T) - (P_e kron I + I kron P_e^T)/2,
-    as -i(H_ii - H_jj) - (P_ii + P_jj)/2, so M is the same to the last bit.
-    The inhomogeneous part of the relaxation becomes p0 = gamma * vec(rest).
+    as -i(H_ii - H_jj) - (P_ii + P_jj)/2.  The entries come in the Kronecker
+    form's order: A sigma and sigma B off the diagonal, the diagonal, each jump,
+    then -gamma on the diagonal; summed in that order (``_dense``), they give
+    that form to the last bit.
     """
     dim = h.shape[0]
+    every = np.arange(dim * dim)
+    index = every.reshape(dim, dim)  # of (i, j) in vec(sigma)
+    left, right = -1j * h - 0.5 * p_e, 1j * h.T - 0.5 * p_e.T  # A, and B^T
+    off = ~np.eye(dim, dtype=bool)
+    (i, k), (j, l) = np.nonzero(off & (left != 0)), np.nonzero(off & (right != 0))
     diag_h, diag_p = np.diagonal(h), np.diagonal(p_e)
-    every = np.arange(dim)
-    m4 = np.zeros((dim, dim, dim, dim), dtype=complex)
-    m4[:, every, :, every] = -1j * h - 0.5 * p_e
-    m4[every, :, every, :] = 1j * h.T - 0.5 * p_e.T
-    m = m4.reshape(dim * dim, dim * dim)
-    m.flat[:: dim * dim + 1] = (-1j * (diag_h[:, None] - diag_h[None, :])
-                                - 0.5 * (diag_p[:, None] + diag_p[None, :])).reshape(-1)
+    terms = [(index[i].ravel(), index[k].ravel(), np.repeat(left[i, k], dim)),  # (i, j) <- (k, j)
+             (index[:, j].ravel(), index[:, l].ravel(), np.tile(right[j, l], dim)),  # (i, j) <- (i, l)
+             (every, every, (-1j * (diag_h[:, None] - diag_h[None, :])
+                             - 0.5 * (diag_p[:, None] + diag_p[None, :])).reshape(-1))]
     for weight, jump in jumps:  # L_ik conj(L_jl) over the nonzero (i, k) and (j, l) only
         (rows, cols), values = np.nonzero(jump), jump[jump != 0]
-        m4[rows[:, None], rows, cols[:, None], cols] += weight * (values[:, None] * values.conj())
-    m.flat[:: dim * dim + 1] -= gamma
-    return Liouvillian(m, gamma * vectorize(rest), coupling, b_field, meta)
+        terms.append((index[rows[:, None], rows].ravel(), index[cols[:, None], cols].ravel(),
+                      (weight * (values[:, None] * values.conj())).ravel()))
+    terms.append((every, every, np.full(dim * dim, -gamma, dtype=complex)))
+    rows, cols, values = (np.concatenate(part) for part in zip(*terms))
+    nonzero = values != 0
+    return Entries(rows[nonzero], cols[nonzero], values[nonzero])
 
 
-def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
-    """Assemble M and p0 for ``dy/dt = M y + p0`` of a transition.
+def _operators(spec: TransitionSpec) -> tuple:
+    """(H, P_e, jumps, rest state, gamma, W) of a transition, the first arguments of :func:`_lindblad`.
 
     The jumps are the three dipole components Q_q, each weighted 2Fe+1
     (spontaneous emission feeding the ground manifold), and the rest state
@@ -313,10 +332,12 @@ def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
     """
     _, p_e = projectors(spec.fg, spec.fe)
     jumps = [(spec.fe.multiplicity, q_matrix(spec.fg, spec.fe, q)) for q in (-1, 0, 1)]
-    return _lindblad(
-        hamiltonian(spec), p_e, jumps, isotropic_ground(spec), spec.gamma,
-        coupling_matrix(spec), spec.b_field, spec_meta(spec),
-    )
+    return hamiltonian(spec), p_e, jumps, isotropic_ground(spec), spec.gamma, coupling_matrix(spec)
+
+
+def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
+    """Assemble M and p0 for ``dy/dt = M y + p0`` of a transition (see :func:`_operators`)."""
+    return _lindblad(*_operators(spec), spec.b_field, spec_meta(spec))
 
 
 #: An affine family in the real coordinates x of one sector, y[block] = frame @ x: M acts on x as
@@ -333,13 +354,16 @@ class AffineLiouvillian:
     the field only through the diagonal Zeeman terms, so only on the diagonal
     of M; p0, W and the other parameters depend on neither, and nor do
     :attr:`block` and :attr:`sector`: build it with :func:`affine_liouvillian`,
-    which keeps the whole family for the last transition it built.
+    which keeps the whole family for the last transition it built.  It holds
+    ``base`` and ``drive`` as the entries the assembler emitted, ``base_entries``
+    and ``drive_entries``: the block, the sectors and :meth:`product` come from
+    those, and the dense ``base`` and ``drive`` are scattered from them when read.
 
-    :meth:`real_sector` holds the parts in real coordinates, derived by index.
-    M preserves Hermiticity, so in the Hermitian basis of ``_real_frame`` its
-    parts and p0 are real.  With linear light at zero detuning M also
-    commutes with Theta(sigma) = S P sigma^* P S, a pi rotation about x with
-    complex conjugation: P reverses m -> -m inside each manifold and
+    :meth:`real_sector` holds the parts in real coordinates, formed from the
+    nonzeros.  M preserves Hermiticity, so in the Hermitian basis of
+    ``_frame_entries`` its parts and p0 are real.  With linear light at zero
+    detuning M also commutes with Theta(sigma) = S P sigma^* P S, a pi rotation
+    about x with complex conjugation: P reverses m -> -m inside each manifold and
     S = diag((-1)^(F - m)).  Theta fixes p0 and the absorption row, so every
     transient state is Theta-even, and :attr:`sector` keeps the pump block's
     even combinations (73 of its 130 indices on 3 -> 4).  Where a test finds
@@ -348,75 +372,117 @@ class AffineLiouvillian:
     whole block is kept, through the same code.
     """
 
-    base: np.ndarray
-    drive: np.ndarray
+    base_entries: Entries
+    drive_entries: Entries
     field: np.ndarray
     pump: np.ndarray
     coupling: np.ndarray
 
     absorption_row = Liouvillian.absorption_row  # W, so c, depends on neither rabi nor b
 
+    # the dense M at rabi = b = 0 and dM/drabi, read-only like the rest of the family
+    base = cached_property(lambda self: _dense(self.base_entries, self.pump.size, writeable=False))
+    drive = cached_property(lambda self: _dense(self.drive_entries, self.pump.size, writeable=False))
+
     @cached_property
     def block(self) -> np.ndarray:
-        """The pump's invariant block of M(rabi, b) at every rabi and b, found once: the
-        field term is diagonal, so it reaches nothing that ``base`` and ``drive`` do not."""
-        return _invariant_block([self.base, self.drive], [self.pump])
+        """The pump's invariant block of M(rabi, b) at every rabi and b, found once over the nonzeros
+        of ``base`` and ``drive``: the field term is diagonal, so it reaches nothing they do not."""
+        return _invariant_block(self.edges, [self.pump])
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(rows, cols) of the nonzeros of ``base`` and ``drive``, M's pattern off its diagonal."""
+        return tuple(np.concatenate(pair) for pair in zip(self.base_entries[:2], self.drive_entries[:2]))
 
     @cached_property
     def sector(self) -> RealSector:
         """The parts on the pump block's Theta-even sector, or on the whole block."""
         return self.real_sector(self.block, 1)
 
+    def product(self, y: np.ndarray, rabi, b_field) -> np.ndarray:
+        """M(rabi, b) y for each row of the stack ``y``, with ``rabi`` and ``b_field`` one per row,
+        by one scatter of each part's nonzeros."""
+        out = b_field * self.field * y
+        offsets = y.shape[1] * np.arange(y.shape[0])[:, None]
+        for (rows, cols, values), scale in ((self.base_entries, 1.0), (self.drive_entries, rabi)):
+            np.add.at(out.reshape(-1), (rows + offsets).ravel(), (y[:, cols] * (scale * values)).ravel())
+        return out
+
     def real_sector(self, block: np.ndarray, parity: int) -> RealSector:
         """The parts on the Theta-even (``parity`` 1) or Theta-odd (-1) sector of an invariant
-        ``block`` closed under (i, j) <-> (j, i), by gathers: where Theta fails, the whole block
-        or nothing.  The row is even, so the odd sector's ``weights`` are zero.
+        ``block`` closed under (i, j) <-> (j, i): where Theta fails, the whole block or nothing.
+        The row is even, so the odd sector's ``weights`` are zero.
+
+        Each part, and p0 and the row, comes from the nonzeros on the block by one scatter in the
+        frame F = T S: the Hermitian basis T, two entries in each row, and S the Theta combinations,
+        at most four entries in each column of F.  The checks run on the same nonzeros.
 
         Raises ValueError if a part is not real to rounding in the Hermitian basis (M does not
         preserve Hermiticity), numpy.linalg.LinAlgError, a subclass, if one is not finite.
         """
-        dim = self.coupling.shape[0]
-        rows, coefs = _frame_entries(block, dim)
-        basis = _real_frame(block, dim)
-        parts = [_congruence(part[block][:, block], rows, coefs) for part in (self.base, self.drive)]
-        # diag(field) T is T with its rows scaled, so only the product with T^H takes gathers
-        parts.append((coefs.conj()[:, :, None] * (self.field[block, None] * basis)[rows]).sum(axis=0))
-        parts.append((coefs.conj() * self.pump[block][rows]).sum(axis=0))
-        parts.append((coefs * self.absorption_row[block][rows]).sum(axis=0))  # a row: c T
-        if not all(np.isfinite(part).all() for part in parts):
+        dim, size = self.coupling.shape[0], block.size
+        position = np.arange(size)
+        local = np.full(self.pump.size, -1)
+        local[block] = position
+        # the nonzeros of base, drive and diag(field) on the block, each with the index of its part
+        base, drive = self.base_entries, self.drive_entries
+        rows, cols = (local[np.concatenate((base[k], drive[k], block))] for k in (0, 1))
+        inside = (rows >= 0) & (cols >= 0)
+        rows, cols = rows[inside], cols[inside]
+        values = np.concatenate((base.values, drive.values, self.field[block]))[inside]
+        part = np.repeat([0, 1, 2], [base.values.size, drive.values.size, size])[inside]
+        pump, row = self.pump[block], self.absorption_row[block]
+        if not all(np.isfinite(vector).all() for vector in (values, pump, row)):
             raise np.linalg.LinAlgError("the generator in the real frame is not finite")
-        scale = max(np.abs(part.real).max() for part in parts)
-        if max(np.abs(part.imag).max() for part in parts) > 1e-13 * scale:
+        # the tests, on each part's nonzeros summed by position: M preserves Hermiticity where it
+        # commutes with K y = conj(y) at the transposed positions, and then commutes with Theta = K L
+        # where it commutes with the signed permutation L, sigma_ij -> s_i s_j sigma_p(j)p(i)
+        keys, inverse = np.unique((part * size + rows) * size + cols, return_inverse=True)
+        summed = _summed(inverse, values, keys.size)
+        t_rows, coefs = _frame_entries(block, dim)  # t_rows[1]: the transposed positions
+        if not _symmetric(keys, summed, (pump, row), t_rows[1], np.ones(size), conjugate=True):
             raise ValueError("M does not preserve Hermiticity: it is not real in a Hermitian basis")
-        parts = [part.real for part in parts]
-        # p0 holds the rest state, the isotropic ground mixture: nonzero on the ground levels
-        theta = _reflection(block, np.count_nonzero(self.pump[:: dim + 1]), dim)
-        if theta is not None:  # kept if R A R = A for each part A, R p0 = p0 and R c = c
+        n_ground = np.count_nonzero(self.pump[:: dim + 1])  # p0 holds the isotropic ground mixture
+        if (theta := _reflection(block, n_ground, dim)) is not None:
+            # L takes Theta's image in real coordinates within a manifold, its transpose across the two
             source, sign = theta
-            images = [sign[:, None] * part[source][:, source] * sign for part in parts[:3]]
-            if any(np.abs(image - part).max() > 1e-13 * np.abs(part).max()
-                   for image, part in zip(images + [sign * part[source] for part in parts[3:]], parts)):
+            i, j = np.divmod(block, dim)
+            across = (i < n_ground) != (j < n_ground)
+            if not _symmetric(keys, summed, (pump, row), np.where(across, t_rows[1][source], source),
+                              sign * np.where(across & (i > j), -1.0, 1.0), conjugate=False):
                 theta = None
-        position = np.arange(block.size)
-        source, sign = theta or (position, np.ones(block.size))
-        # a vector per orbit of this parity: e_k for a fixed point of sign parity,
-        # (e_k + parity sign_k e_source_k) / sqrt 2 for a pair
+        source, sign = theta or (position, np.ones(size))
+        # S: a column per orbit of this parity, e_k for a fixed point of sign parity,
+        # (e_k + parity sign_k e_source_k) / sqrt 2 for a pair, k the lower of the two
         pair = source != position
         keep = (position <= source) & (pair | (parity * sign > 0))
-        rows = np.stack((position, source))[:, keep]
-        coefs = np.stack((np.where(pair, sqrt(0.5), 1.0),
-                          np.where(pair, parity * sign * sqrt(0.5), 0.0)))[:, keep]
-        frame = (basis[:, rows] * coefs).sum(axis=1)
-        base, drive, field = (_congruence(part, rows, coefs) for part in parts[:3])
-        pump = (coefs * parts[3][rows]).sum(axis=0)
-        weights = (self.absorption_row[block] @ frame).real if parity > 0 else np.zeros(frame.shape[1])
+        owner = np.where(keep, position, source)  # where the column holding position k starts
+        weight = np.where(keep, np.where(pair, sqrt(0.5), 1.0), parity * sign[source] * sqrt(0.5))
+        weight = np.where(keep[owner], weight, 0.0)  # a position in no column of this parity
+        columns = np.maximum(np.cumsum(keep) - 1, 0)[owner][t_rows]
+        # F = T S by rows: row r of T holds coefs[0, r] in its own column and coefs[1, r'] in that of
+        # r' = t_rows[1, r], and each column of T lies in one column of S
+        frame_coefs = np.stack((coefs[0], coefs[1][t_rows[1]])) * weight[t_rows]
+        count = np.count_nonzero(keep)
+        # F^H A F of each part: entry (p, q) of part k sums at (k * count + p) * count + q
+        keys = (part * count + columns[:, None, rows]) * count + columns[None, :, cols]
+        terms = frame_coefs[:, None, rows].conj() * values * frame_coefs[None, :, cols]
+        parts = _summed(keys.ravel(), terms.ravel(), 3 * count * count).real
+        base, drive, field = parts.reshape(3, count, count)
+        pump = _summed(columns.ravel(), (frame_coefs.conj() * pump).ravel(), count).real
+        weights = (_summed(columns.ravel(), (frame_coefs * row).ravel(), count).real if parity > 0
+                   else np.zeros(count))
+        frame = np.zeros((size, count), dtype=complex)
+        entry = frame_coefs != 0
+        frame[np.broadcast_to(position, entry.shape)[entry], columns[entry]] = frame_coefs[entry]
         return RealSector(base, drive, field, pump, weights, frame, block)
 
 
 def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
-    """The affine parts of M: ``base`` from one :func:`build_liouvillian` at (rabi, b) = (0, 0),
-    ``drive`` the assembler's -i[H, .] for H the optical coupling at unit Rabi frequency, and
-    ``field`` -i(z_i - z_j) at index (i, j), for z the Zeeman diagonal of H at unit field.
+    """The affine parts of M: ``base`` from one assembly at (rabi, b) = (0, 0), ``drive`` the
+    assembler's -i[H, .] for H the optical coupling at unit Rabi frequency, and ``field``
+    -i(z_i - z_j) at index (i, j), for z the Zeeman diagonal of H at unit field.
 
     ``block`` and ``sector`` are derived here, raising as :meth:`AffineLiouvillian.real_sector` does.
     None of the family depends on rabi or b: the last transition's, its arrays read-only, is returned
@@ -430,48 +496,53 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     if (key := replace(spec, rabi=0.0, b_field=0.0)) in _MEMO:
         return _MEMO[key]
     _MEMO.clear()  # frees the last family before this one's temporaries, for a lower peak RSS
-    base = build_liouvillian(key)
-    zeeman = hamiltonian(replace(spec, rabi=0.0, b_field=1.0, detuning=0.0))
+    h, p_e, jumps, rest, gamma, coupling = _operators(key)
+    # the Zeeman terms of H at unit field, (g_g P_g + g_e P_e) F_z: F_z with its rows scaled
+    levels = np.repeat([spec.zeeman_g, spec.zeeman_e], [spec.n_ground, spec.n_excited])
+    zeeman = levels[:, None] * fz_matrix(spec.fg, spec.fe)
     z = np.diagonal(zeeman)
     if np.any(zeeman - np.diag(z)):
         raise ValueError("the magnetic field enters M off its diagonal; M is not affine in it")
-    optical = hamiltonian(replace(spec, rabi=1.0, b_field=0.0, detuning=0.0))
+    optical = (sqrt(spec.dipole_scale) / 2.0) * (coupling + coupling.conj().T)  # as in hamiltonian
     no_decay = np.zeros((spec.dim, spec.dim))
-    drive = _lindblad(optical, no_decay, [], no_decay, 0.0, base.coupling, 0.0, {}).matrix
-    shifts = -1j * (z[:, None] - z[None, :]).reshape(-1)
-    family = AffineLiouvillian(base.matrix, drive, shifts, base.pump, base.coupling)
+    family = AffineLiouvillian(
+        _lindblad_entries(h, p_e, jumps, gamma), _lindblad_entries(optical, no_decay, [], 0.0),
+        -1j * (z[:, None] - z[None, :]).reshape(-1), gamma * vectorize(rest), coupling,
+    )
     family.sector  # derives the block, the sector and the absorption row, or raises
     for value in vars(family).values():
-        for array in value if isinstance(value, RealSector) else [value]:
+        for array in value if isinstance(value, tuple) else [value]:
             array.flags.writeable = False
     _MEMO[key] = family
     return family
 
 
-def _invariant_block(matrices, seeds) -> np.ndarray:
-    """Sorted Liouville indices reachable from the seeds' supports.
+def _invariant_block(edges, seeds) -> np.ndarray:
+    """Sorted Liouville indices reachable from the seeds' supports over ``edges`` = (rows, cols).
 
-    Index j is reached from index i when some matrix has a nonzero entry
-    (j, i).  Every matrix therefore maps a vector supported on the block to
-    one supported on it, and a state that starts on the block never leaves.
-    A block seeded by Hermitian vectors, such as the pump, is closed under
-    (i, j) <-> (j, i), since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
+    Index rows[k] is reached from index cols[k].  With the edges a matrix's nonzeros, it
+    maps a vector supported on the block to one supported on it, and a state that starts
+    on the block never leaves.  A block seeded by Hermitian vectors, such as the pump, is
+    closed under (i, j) <-> (j, i), since a Lindblad generator has M(sigma^dag) = M(sigma)^dag.
     """
-    pattern = np.zeros(matrices[0].shape, dtype=bool)
-    for matrix in matrices:
-        pattern |= matrix != 0
-    reached = np.zeros(pattern.shape[0], dtype=bool)
-    for seed in seeds:
-        reached |= seed != 0
-    frontier = reached.copy()
+    rows, cols = edges
+    reached = np.logical_or.reduce([seed != 0 for seed in seeds])
+    frontier = reached
     while frontier.any():
-        frontier = pattern[:, frontier].any(axis=1) & ~reached
-        reached |= frontier
+        step = np.zeros_like(reached)
+        step[rows[frontier[cols]]] = True
+        frontier = step & ~reached
+        reached = reached | frontier
     return np.flatnonzero(reached)
 
 
 def _frame_entries(block: np.ndarray, dim: int):
-    """(rows, coefs), each (2, block size): column k of ``_real_frame`` holds coefs[:, k] at rows[:, k]."""
+    """(rows, coefs), each (2, block size): column k of the Hermitian basis T holds coefs[:, k] at rows[:, k].
+
+    T is unitary, with y[block] = T x for x the real Hermitian coordinates of a state; ``block``
+    must be closed under (i, j) <-> (j, i).  sigma_ii maps to itself, and each pair i < j to
+    sqrt(2) Re sigma_ij at the position of (i, j) and sqrt(2) Im sigma_ij at that of (j, i), rows[1].
+    """
     rows, cols = np.divmod(block, dim)
     partner = np.searchsorted(block, cols * dim + rows)  # position of (j, i)
     upper, lower = rows < cols, rows > cols
@@ -481,22 +552,8 @@ def _frame_entries(block: np.ndarray, dim: int):
     return np.stack((np.arange(block.size), partner)), np.stack(coefs)
 
 
-def _real_frame(block: np.ndarray, dim: int) -> np.ndarray:
-    """Unitary T with y[block] = T x, for x the real Hermitian coordinates of a state.
-
-    ``block`` must be closed under (i, j) <-> (j, i), as a block seeded by Hermitian
-    vectors is.  A diagonal entry sigma_ii maps to itself, and each pair i < j to
-    sqrt(2) Re sigma_ij (at the position of (i, j)) and sqrt(2) Im sigma_ij (at the
-    position of (j, i)): the columns of T are an orthonormal basis of Hermitian matrices.
-    """
-    rows, coefs = _frame_entries(block, dim)
-    frame = np.zeros((block.size, block.size), dtype=complex)
-    np.add.at(frame, (rows, np.arange(block.size)), coefs)
-    return frame
-
-
 def _reflection(block: np.ndarray, n_ground: int, dim: int):
-    """(source, sign) with (Theta x)[k] = sign[k] x[source[k]] in ``_real_frame`` coordinates, or
+    """(source, sign) with (Theta x)[k] = sign[k] x[source[k]] in the real coordinates of T, or
     None when Theta maps the block outside itself.  On Hermitian sigma, Theta(sigma)_ij =
     s_i s_j sigma_p(j)p(i) for p: m -> -m and s_i = (-1)^(F - m_i), so a coordinate keeps its
     kind (diagonal, Re or Im), and an Im coordinate changes sign where p flips its pair's order.
@@ -507,16 +564,45 @@ def _reflection(block: np.ndarray, n_ground: int, dim: int):
     u, v = flip[rows], flip[cols]
     image = np.where(rows > cols, np.maximum(u, v) * dim + np.minimum(u, v),
                      np.minimum(u, v) * dim + np.maximum(u, v))
-    if not np.isin(image, block).all():
+    source = np.minimum(np.searchsorted(block, image), block.size - 1)
+    if not (block[source] == image).all():
         return None
-    sign = s[rows] * s[cols] * np.where((rows > cols) & (u > v), -1.0, 1.0)
-    return np.searchsorted(block, image), sign
+    return source, s[rows] * s[cols] * np.where((rows > cols) & (u > v), -1.0, 1.0)
 
 
-def _congruence(a: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray:
-    """C^H a C, for the C whose column k holds coefs[:, k] at rows rows[:, k]: four gathers."""
-    a = (a[:, rows] * coefs).sum(axis=1)
-    return (coefs.conj()[:, :, None] * a[rows]).sum(axis=0)
+def _symmetric(keys, values, vectors, image, sign, conjugate: bool) -> bool:
+    """Whether J A J = A for each of three parts A, their entries summed by sorted key
+    (part * n + p) * n + q, and J v = v for each of two vectors, to 1e-13 of its largest entry,
+    for (J y)[k] = sign[k] y[image[k]] on n positions, its value conjugated too with ``conjugate``."""
+    n = image.size
+    part, p, q = keys // n**2, keys // n % n, keys % n
+    mirror = (part * n + image[p]) * n + image[q]
+    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+    mirrored = np.where(keys[at] == mirror, values[at], 0.0) * sign[p] * sign[q]
+    vectors = np.stack(vectors)  # as parts 3 and 4
+    mirrored = np.concatenate((mirrored, (sign * vectors[:, image]).ravel()))
+    values = np.concatenate((values, vectors.ravel()))
+    which = np.concatenate((part, np.full(n, 3), np.full(n, 4)))
+    defect, largest = np.zeros(5), np.zeros(5)
+    np.maximum.at(defect, which, np.abs(values - (mirrored.conj() if conjugate else mirrored)))
+    np.maximum.at(largest, which, np.abs(values))
+    return bool((defect <= 1e-13 * largest).all())
+
+
+def _summed(keys: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
+    """The sums of ``values`` by key in 0..length-1, each in the order given, by one scatter;
+    a zero value adds nothing, so its key may lie outside that range."""
+    kept = values != 0
+    out = np.zeros(length, dtype=complex)
+    np.add.at(out, keys[kept], values[kept])
+    return out
+
+
+def _dense(entries: Entries, size: int, writeable: bool = True) -> np.ndarray:
+    """The size x size matrix with the given nonzeros, each entry summed in their order."""
+    matrix = _summed(entries.rows * size + entries.cols, entries.values, size * size).reshape(size, size)
+    matrix.flags.writeable = writeable
+    return matrix
 
 
 def vectorize(sigma: np.ndarray) -> np.ndarray:

@@ -107,24 +107,26 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     kind (``OBSERVABILITY_TOL``).  The amplitudes are verified to rebuild
     y0 - y_ss.
     """
-    blocks = _parts([liouv.matrix], _invariant_block([liouv.matrix], [liouv.pump]))
+    edges = np.nonzero(liouv.matrix)
+    blocks = _parts(edges, _invariant_block(edges, [liouv.pump]), liouv.size)
     y_ss = _steady(liouv, blocks[0])
     parts = [(liouv.matrix[np.ix_(block, block)][None], liouv.absorption_row[block]) for block in blocks]
     offsets = None if y0 is None else [(_as_vector(y0, liouv.size) - y_ss)[b][None] for b in blocks]
     return _records(_spectrum(parts, offsets), 0, [(block, None) for block in blocks], liouv.size)
 
 
-def _parts(matrices, block) -> tuple[np.ndarray, ...]:
-    """Invariant blocks splitting every M with the pattern of ``matrices``, pump ``block`` first.
+def _parts(edges, block, size) -> tuple[np.ndarray, ...]:
+    """Invariant blocks splitting every M with the nonzeros ``edges`` = (rows, cols), pump ``block`` first.
 
     M maps nothing from the pump's block to its complement.  When it maps
     nothing back either (linear light), those are the two parts; otherwise,
     as with circular light on most transitions, the one part is all of M.
     """
-    size = matrices[0].shape[0]
-    rest = np.setdiff1d(np.arange(size), block)
-    if rest.size and not any(matrix[np.ix_(block, rest)].any() for matrix in matrices):
-        return block, rest
+    rows, cols = edges
+    inside = np.zeros(size, dtype=bool)
+    inside[block] = True
+    if block.size < size and not (inside[rows] & ~inside[cols]).any():
+        return block, np.flatnonzero(~inside)
     return (np.arange(size),)
 
 
@@ -367,14 +369,17 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
     """
     affine = affine_liouvillian(spec)
     grid = np.asarray(intensities, dtype=float).tolist()
+    for intensity in grid:  # the first that is negative or not finite raises as in with_intensity
+        if not 0.0 <= intensity < np.inf:
+            spec.with_intensity(intensity)
     keys = [(intensity, case) for intensity in grid for case in CASES]
-    rabi = np.repeat([spec.with_intensity(intensity).rabi for intensity in grid], len(CASES))
+    rabi = np.repeat(np.sqrt(grid), len(CASES))  # as with_intensity takes it
     points = np.array([(intensity, b_field) for intensity in grid for b_field in (0.0, b1)])
     # the steady states on the family's sector; each point starts in the other case's
     x = _sector_steady(affine, rabi, points[:, 1])
     start = x.reshape(len(grid), len(CASES), -1)[:, ::-1].reshape(x.shape)
     sectors = [affine.sector if parity > 0 and block is affine.block else affine.real_sector(block, parity)
-               for block in _parts([affine.base, affine.drive], affine.block) for parity in (1, -1)]
+               for block in _parts(affine.edges, affine.block, affine.pump.size) for parity in (1, -1)]
     sectors = [sector for sector in sectors if sector.pump.size]
     seen = sectors[0]  # the pump block's even sector, or all of M's when M does not split
     to_seen = (seen.frame[np.searchsorted(seen.block, affine.block)].conj().T @ affine.sector.frame).real

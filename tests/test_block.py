@@ -1,5 +1,6 @@
 """Properties over random transitions: invariant block, steady state, propagators, split spectrum, affine M."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +27,7 @@ import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
-from support import rk4_phases, steady_vector
+from support import dense_block, dense_family, dense_real_sector, real_frame, rk4_phases, steady_vector
 
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -69,14 +70,14 @@ def _start_state(spec):
 def test_block_is_invariant_and_shared_by_every_field(spec):
     liouv = build_liouvillian(spec)
     # the pump alone seeds only ground populations; the closure must find the rest
-    block = dynamics._invariant_block([liouv.matrix], [liouv.pump])
+    block = dynamics._invariant_block(np.nonzero(liouv.matrix), [liouv.pump])
     complement = np.setdiff1d(np.arange(liouv.size), block)
     assert np.all(liouv.matrix[np.ix_(complement, block)] == 0)
     y0 = _start_state(spec)
     assert np.all(y0[complement] == 0)
     other = build_liouvillian(spec.with_field(-spec.b_field + 0.05))
     np.testing.assert_array_equal(
-        dynamics._invariant_block([other.matrix], [other.pump, y0]), block
+        dynamics._invariant_block(np.nonzero(other.matrix), [other.pump, y0]), block
     )
 
 
@@ -139,10 +140,10 @@ def test_block_modal_propagation_matches_full_integration(spec):
 @given(transitions())
 def test_real_frame_is_unitary_and_makes_the_generator_real(spec):
     liouv, y0 = build_liouvillian(spec), _start_state(spec)
-    block = dynamics._invariant_block([liouv.matrix], [liouv.pump, y0])
+    block = dynamics._invariant_block(np.nonzero(liouv.matrix), [liouv.pump, y0])
     rows, cols = np.divmod(block, spec.dim)
     np.testing.assert_array_equal(np.sort(cols * spec.dim + rows), block)  # closed under transpose
-    frame = liouvillian._real_frame(block, spec.dim)
+    frame = real_frame(block, spec.dim)
     adjoint = frame.conj().T
     assert np.abs(adjoint @ frame - np.eye(block.size)).max() <= 1e-15
     scale = np.abs(liouv.matrix).max()
@@ -206,7 +207,7 @@ def _matched_relative_distance(values, reference) -> float:
 
 
 def _complement_is_invariant(liouv) -> bool:
-    block = dynamics._invariant_block([liouv.matrix], [liouv.pump])
+    block = dynamics._invariant_block(np.nonzero(liouv.matrix), [liouv.pump])
     rest = np.setdiff1d(np.arange(liouv.size), block)
     return not liouv.matrix[np.ix_(block, rest)].any()
 
@@ -244,6 +245,35 @@ def test_affine_parts_equal_differences_of_assemblies(spec, detuning, zeeman_e, 
     # the difference rounds at the size of -i(H_ii - H_jj), which holds the detuning too
     scale = np.abs(np.diagonal(field_on).imag).max()
     assert np.abs(affine.field - diagonal).max() <= 1e-15 * scale
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from([*NAMED_POLARIZATIONS, None]), st.sampled_from([0.0, 0.5]), st.booleans())
+def test_sectors_from_the_nonzeros_match_the_dense_route(spec, pol, detuning, theta_off):
+    # the block by reachability over the nonzeros, and each sector part by one scatter of them,
+    # against the dense route on the Kronecker form's parts, with Theta as detected and forced off;
+    # both parities of the pump block and, where M splits (linear light), of its complement;
+    # pol None keeps the transition's own polarization: named or general
+    spec = replace(spec, pol=pol or spec.pol, detuning=detuning)
+    dense = dense_family(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liouvillian, "_MEMO", {})
+        if theta_off:
+            patch.setattr(liouvillian, "_reflection", lambda *args: None)
+        affine = affine_liouvillian(spec)
+        block = dense_block([dense.base, dense.drive], [dense.pump])
+        np.testing.assert_array_equal(affine.block, block)
+        rest = np.setdiff1d(np.arange(affine.pump.size), block)
+        split = rest.size > 0 and not (dense.base[np.ix_(block, rest)].any()
+                                       or dense.drive[np.ix_(block, rest)].any())
+        blocks = spectral._parts(affine.edges, affine.block, affine.pump.size)
+        assert [part.tolist() for part in blocks] == ([block.tolist(), rest.tolist()] if split
+                                                      else [list(range(affine.pump.size))])
+        for part, parity in itertools.product(blocks, (1, -1)):
+            sector, expected = affine.real_sector(part, parity), dense_real_sector(dense, part, parity)
+            for name, value, reference in zip(sector._fields, sector, expected):
+                assert value.shape == reference.shape, name
+                assert np.abs(value - reference).max(initial=0.0) <= 1e-15 * np.abs(reference).max(initial=0.0), name
 
 
 @PROPERTY_SETTINGS
@@ -289,7 +319,7 @@ def test_mode_amplitudes_rebuild_the_offset_and_weights_are_absorption(spec):
                & (np.abs(weights) > OBSERVABILITY_TOL * np.abs(weights).max()))
     assert [mode.observable for mode in modes] == visible.tolist()
     if _complement_is_invariant(liouv):  # linear light: y0 lives on the pump block
-        block = dynamics._invariant_block([liouv.matrix], [liouv.pump])
+        block = dynamics._invariant_block(np.nonzero(liouv.matrix), [liouv.pump])
         complement = [mode for mode in modes if not mode.vector[block].any()]
         assert len(complement) == liouv.size - block.size
         assert all(mode.amplitude == 0 and mode.observable is False for mode in complement)
@@ -310,7 +340,7 @@ def _theta_reference(spec, y):
 @given(transitions())
 def test_theta_is_an_involutive_signed_permutation_of_real_coordinates(spec):
     block = affine_liouvillian(spec).block
-    frame = liouvillian._real_frame(block, spec.dim)
+    frame = real_frame(block, spec.dim)
     # Theta of each real basis matrix, in real coordinates, from the matrix formula
     images = np.zeros((spec.dim**2, block.size), dtype=complex)
     for k in range(block.size):
@@ -351,7 +381,7 @@ def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, det
             assert np.abs(_theta_reference(spec, state) - state).max() <= 1e-15
     else:
         assert real.base.shape == (block.size, block.size)
-        np.testing.assert_array_equal(real.frame, liouvillian._real_frame(block, spec.dim))
+        np.testing.assert_array_equal(real.frame, real_frame(block, spec.dim))
 
 
 @PROPERTY_SETTINGS
@@ -359,14 +389,14 @@ def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, det
 def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
     # one stacked real steady solve per chunk of (intensity, case) points, each matrix of the
     # sector's size, none while decomposing, and no Liouvillian evaluated beyond the family's
-    # two assemblies
+    # two assemblies of nonzeros
     spec = replace(spec, pol=pol)
     # as in test_sweep_modes_match_a_full_eig_per_point: the amplitudes of a defective point are refused
     assume(pol != "sigma+" or spec.fg.twice_f != spec.fe.twice_f or spec.fg.twice_f < 3)
     liouvillian._MEMO.clear()  # a key repeated by an earlier example would be served assembled
     intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
     solved, built, solve = [], [], dynamics._solved
-    decompose, make = spectral._decompose, liouvillian.Liouvillian
+    decompose, assemble = spectral._decompose, liouvillian._lindblad_entries
 
     def refuse(*args, **kwargs):
         raise AssertionError("_decompose solved a linear system")
@@ -380,7 +410,7 @@ def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
         patch.setattr(dynamics, "STACK_CHUNK", 3)  # the 4 points in stacks of 3 and 1
         patch.setattr(dynamics, "_solved", lambda sub, *args: solved.append(sub) or solve(sub, *args))
         patch.setattr(spectral, "_decompose", decompose_solving_nothing)
-        patch.setattr(liouvillian, "Liouvillian", lambda *args: built.append(1) or make(*args))
+        patch.setattr(liouvillian, "_lindblad_entries", lambda *args: built.append(1) or assemble(*args))
         modes = sweep_modes(spec, intensities, b1)
     shape = affine_liouvillian(spec).sector.base.shape
     assert [sub.shape for sub in solved] == [(3, *shape), (1, *shape)] and len(built) == 2

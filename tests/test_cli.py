@@ -487,6 +487,15 @@ class TestTransient:
         assert trace.meta["intensity"] == pytest.approx(0.06)  # flag wins
         assert trace.times.size == 100                         # file beat preset
 
+    def test_a_fit_whose_trial_points_overflow_warns_nothing(self, tmp_path, capsys):
+        # the fit converges, and the overflow of a rejected trial point is not reported
+        fit_out = tmp_path / "f.json"
+        assert run(["transient", "--fg", "1", "--fe", "0", "--intensity", "0.006", "--samples-per-period",
+                    "2000", "--with-fit", "--output", str(tmp_path / "o.csv"),
+                    "--fit-output", str(fit_out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert json.loads(fit_out.read_text())["converged"]
+
     def test_with_fit_writes_both(self, tmp_path):
         out, fit_out = tmp_path / "o.csv", tmp_path / "f.json"
         assert run(["transient", "--preset", "fig5b", "--output", str(out),

@@ -18,7 +18,7 @@ import hanlesim.liouvillian as liouvillian
 import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_matrix, isotropic_ground
 
-from support import PRESET_INTENSITIES, eia_spec, eit_spec
+from support import PRESET_INTENSITIES, eia_spec, eit_spec, kron_generator
 
 
 def random_density_matrix(rng, dim):
@@ -57,17 +57,6 @@ def test_liouvillian_matches_direct_bloch_evaluation(make_spec):
         direct = bloch_rhs(spec, sigma)
         assembled = devectorize(liouv.matrix @ vectorize(sigma) + liouv.pump)
         np.testing.assert_allclose(assembled, direct, atol=1e-12)
-
-
-def kron_generator(h, p_e, jumps, gamma):
-    """M in the Kronecker form vec(A X B) = (A kron B^T) vec(X), term by term."""
-    eye = np.eye(h.shape[0])
-    m = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    m -= 0.5 * (np.kron(p_e, eye) + np.kron(eye, p_e.T))
-    for weight, jump in jumps:
-        m += weight * np.kron(jump, jump.conj())
-    m -= gamma * np.eye(m.shape[0])
-    return m
 
 
 @pytest.mark.parametrize("pol", ["linear-y", "sigma+", (0.6, 0.64j, -0.48)])
@@ -292,17 +281,19 @@ class TestAffineParts:
             np.testing.assert_array_equal(matrix, expected)
 
     def test_assembles_the_full_matrix_once(self, monkeypatch):
-        calls = {name: [] for name in ("build_liouvillian", "hamiltonian", "_lindblad")}
+        # the full M's operators once, and the nonzeros of it and of the drive
+        calls = {name: [] for name in ("_operators", "hamiltonian", "_lindblad_entries")}
         for name, seen in calls.items():
             monkeypatch.setattr(liouvillian, name, lambda *args, seen=seen, make=getattr(liouvillian, name):
                                 seen.append(args) or make(*args))
         family = affine_liouvillian(eia_spec(0.3, detuning=0.1).with_field(0.02))
-        assert len(calls["build_liouvillian"]) == 1 and calls["hamiltonian"]
+        assert len(calls["_operators"]) == 1 and calls["hamiltonian"]
+        assert len(calls["_lindblad_entries"]) == 2
         # a call with the same spec at another Rabi frequency and field assembles nothing
         for seen in calls.values():
             seen.clear()
         assert affine_liouvillian(eia_spec(1.2, detuning=0.1).with_field(-0.05)) is family
-        assert calls == {"build_liouvillian": [], "hamiltonian": [], "_lindblad": []}
+        assert calls == {"_operators": [], "hamiltonian": [], "_lindblad_entries": []}
 
     def test_parts_do_not_change_between_evaluations(self, monkeypatch):
         # a sweep evaluates the parts at each point: reversing its grid changes no point's modes

@@ -307,6 +307,24 @@ class TestIntensitySweep:
         assert set(columns["observable"]) <= {0, 1}
         assert set(columns["group"]) <= {1, 2, 3}
 
+    def test_rabi_frequencies_are_those_of_the_spec_copies(self, monkeypatch):
+        # the sweep takes rabi from the grid itself: bit for bit what with_intensity gives
+        spec, grid, seen = eit_spec(0.0), np.geomspace(1e-3, 4.0, 40), []
+        steady = spectral._sector_steady
+        monkeypatch.setattr(spectral, "_sector_steady",
+                            lambda affine, rabi, b_field: seen.append(rabi) or steady(affine, rabi, b_field))
+        intensity_sweep(spec, grid, b1=0.03)
+        expected = np.repeat([spec.with_intensity(intensity).rabi for intensity in grid.tolist()], 2)
+        assert seen[0].tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("bad", [-0.5, -np.inf, np.nan, np.inf])
+    def test_an_intensity_negative_or_not_finite_raises_as_with_intensity(self, bad):
+        with pytest.raises(ValueError) as expected:
+            eit_spec(0.0).with_intensity(bad)
+        with pytest.raises(ValueError) as raised:
+            intensity_sweep(eit_spec(0.0), (0.1, bad, -1.0), b1=0.03)
+        assert str(raised.value) == str(expected.value)
+
     def test_sweep_modes_keyed_by_intensity_and_case(self):
         result = sweep_modes(eit_spec(0.0), (0.002,), b1=0.03)
         assert set(result) == {(0.002, "B0"), (0.002, "B1")}
@@ -458,7 +476,7 @@ class TestSplitSweep:
     def test_no_eig_larger_than_the_pump_block(self, monkeypatch, make_spec, pol):
         spec = make_spec(0.0, pol=pol)
         liouv = build_liouvillian(spec.with_intensity(0.3).with_field(0.01))
-        block_size = _invariant_block([liouv.matrix], [liouv.pump]).size
+        block_size = _invariant_block(np.nonzero(liouv.matrix), [liouv.pump]).size
         assert block_size < liouv.size
         shapes = {name: record_shapes(monkeypatch, name) for name in ("eig", "svd", "solve")}
         sweep_modes(spec, (0.02, 0.3, 2.0), b1=0.01)
