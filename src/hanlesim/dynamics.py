@@ -4,10 +4,12 @@ Each propagator has one path.  ``switched_transient`` steps every
 constant-field phase exactly: with z = [y; 1], dy/dt = M y + p0 becomes
 dz/dt = G z for the augmented generator G = [[M, p0], [0, 0]], so one
 E = exp(hG) advances the state by a sample step h (Van Loan, IEEE TAC 23,
-395 (1978)); G is taken in real coordinates (see below).  A phase's n
-absorption samples c E^j z (c the absorption row) are baby rows c E^b, b < m
-for m the power of two nearest sqrt(n), times giant states E^(am) z, each set
-formed by doubling (Paterson & Stockmeyer, SIAM J. Comput. 2, 60 (1973)).
+395 (1978)); G is taken in real coordinates (see below), and E's last row is
+set to [0 ... 0 1], as the exact exponential's is, so z keeps its 1 exactly.
+A phase's n absorption samples c E^j z (c the absorption row) are baby rows
+c E^b, b < m for m the power of two nearest sqrt(n), times giant states
+E^(am) z, each set formed by doubling (Paterson & Stockmeyer, SIAM J.
+Comput. 2, 60 (1973)).
 The exponential is numpy scaling and squaring with a [13/13] Pade
 approximant (Higham, SIMAX 26, 1179 (2005)).  ``propagate_modal`` evaluates
 the exact modal solution
@@ -303,6 +305,16 @@ def _expm(a: np.ndarray) -> np.ndarray:
     return r
 
 
+def _augmented_map(a: np.ndarray, pump: np.ndarray, h: float) -> np.ndarray:
+    """exp(h G) for the augmented generator G = [[a, pump], [0, 0]] of dy/dt = a y + pump, its last
+    row set to exactly [0 ... 0 1], as that of the exact exponential is: a product of such maps then
+    keeps the trailing 1 of [y; 1] exactly."""
+    step = _expm(h * np.vstack((np.column_stack((a, pump)), np.zeros(pump.size + 1))))
+    step[-1] = 0.0
+    step[-1, -1] = 1.0
+    return step
+
+
 def _stepped(step: np.ndarray, z0: np.ndarray, n_steps: int) -> np.ndarray:
     """Rows k = 0 .. n_steps hold step^k z0, filled by doubling: rows [m, 2m) are
     step^m times rows [0, m), then step^m is squared."""
@@ -387,14 +399,14 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
         "solver; using the matrix exponential",
         stacklevel=2,
     )
-    gen = np.vstack((np.column_stack((sub, liouv.pump[block])), np.zeros(block.size + 1)))
+    pump = liouv.pump[block]
     rows = np.empty((times.size, block.size + 1), dtype=complex)
     if times.size:
-        rows[0] = _expm(times[0] * gen) @ np.append(y0[block], 1.0)
+        rows[0] = _augmented_map(sub, pump, times[0]) @ np.append(y0[block], 1.0)
     steps = {}  # then one exponential per distinct gap between samples
     for k, gap in enumerate(np.diff(times).tolist(), start=1):
         if gap not in steps:
-            steps[gap] = _expm(gap * gen)
+            steps[gap] = _augmented_map(sub, pump, gap)
         rows[k] = steps[gap] @ rows[k - 1]
     states = None
     if keep_states:
@@ -503,9 +515,7 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
     # the record starts mid-train, in the steady state of the last phase's field
     x = _sector_steady(affine, spec.rabi, fields[-1])
     keys = [(b, duration / max(n, 1)) for b, duration, n in phases]
-    # exp(h G) for the augmented G = [[A, p0], [0, 0]] of each field's real generator A
-    steps = {(b, h): _expm(h * np.vstack((np.column_stack((gens[b], real.pump)), np.zeros(x.size + 1))))
-             for b, h in dict.fromkeys(keys)}
+    steps = {(b, h): _augmented_map(gens[b], real.pump, h) for b, h in dict.fromkeys(keys)}
 
     row = None if keep_states else np.append(real.weights, 0.0)  # with keep_states, the states
     start, z = 0, np.append(x, 1.0)
@@ -515,7 +525,7 @@ def switched_transient(spec: TransitionSpec, schedule: SwitchSchedule, keep_stat
             if keep_states:
                 states[start:start + n_samples, block] = samples @ real.frame.T
             trace.w[start:start + n_samples] = samples @ real.weights if keep_states else samples
-            z[-1], start = 1.0, start + n_samples
+            start += n_samples
 
     return (trace, states) if keep_states else trace
 

@@ -52,7 +52,7 @@ from math import isfinite, sqrt
 
 import numpy as np
 
-from .angular import AngMom, fz_matrix, polarization, projectors, q_matrix
+from .angular import AngMom, polarization, projectors, q_matrix
 
 __all__ = [
     "TransitionSpec",
@@ -233,30 +233,17 @@ class Liouvillian:
 
 def coupling_matrix(spec: TransitionSpec) -> np.ndarray:
     """Polarization-contracted lowering block W = sum_q e_q Q_q."""
-    e = np.asarray(spec.pol, dtype=complex)
-    out = np.zeros((spec.dim, spec.dim), dtype=complex)
-    for idx, q in enumerate((-1, 0, 1)):
-        if e[idx] != 0:
-            out += e[idx] * q_matrix(spec.fg, spec.fe, q)
-    return out
+    return _operators(spec).coupling
 
 
 def hamiltonian(spec: TransitionSpec) -> np.ndarray:
     """Rotating-frame Hamiltonian: Zeeman shifts, detuning, optical coupling."""
-    p_g, p_e = projectors(spec.fg, spec.fe)
-    f_z = fz_matrix(spec.fg, spec.fe)
-    w = coupling_matrix(spec)
-    h = (spec.zeeman_g * p_g + spec.zeeman_e * p_e) @ f_z * spec.b_field
-    h = h.astype(complex)
-    h += spec.detuning * p_e
-    h += (spec.rabi * sqrt(spec.dipole_scale) / 2.0) * (w + w.conj().T)
-    return h
+    return _operators(spec).h
 
 
 def isotropic_ground(spec: TransitionSpec) -> np.ndarray:
     """The isotropic ground mixture sigma0 = P_g / (2Fg+1) that fresh atoms carry."""
-    p_g, _ = projectors(spec.fg, spec.fe)
-    return p_g.astype(complex) / spec.n_ground
+    return _operators(spec).rest
 
 
 def spec_meta(spec: TransitionSpec) -> dict:
@@ -281,10 +268,12 @@ def spec_meta(spec: TransitionSpec) -> dict:
 
 
 def _lindblad(h, p_e, jumps, rest, gamma, coupling, b_field, meta) -> Liouvillian:
-    """M and p0 of a Lindblad generator: M scattered from its entries (:func:`_lindblad_entries`), and
-    p0 = gamma * vec(rest)."""
-    return Liouvillian(_dense(_lindblad_entries(h, p_e, jumps, gamma), h.shape[0] ** 2),
-                       gamma * vectorize(rest), coupling, b_field, meta)
+    """M and p0 of a Lindblad generator: M scattered from its entries (:func:`_lindblad_entries`),
+    each summed in their order, and p0 = gamma * vec(rest)."""
+    rows, cols, values = _lindblad_entries(h, p_e, jumps, gamma)
+    size = h.shape[0] ** 2
+    matrix = _summed(rows * size + cols, values, size * size).reshape(size, size)
+    return Liouvillian(matrix, gamma * vectorize(rest), coupling, b_field, meta)
 
 
 def _lindblad_entries(h, p_e, jumps, gamma) -> Entries:
@@ -299,7 +288,7 @@ def _lindblad_entries(h, p_e, jumps, gamma) -> Entries:
     the Kronecker form -i(H kron I - I kron H^T) - (P_e kron I + I kron P_e^T)/2,
     as -i(H_ii - H_jj) - (P_ii + P_jj)/2.  The entries come in the Kronecker
     form's order: A sigma and sigma B off the diagonal, the diagonal, each jump,
-    then -gamma on the diagonal; summed in that order (``_dense``), they give
+    then -gamma on the diagonal; summed in that order (``_lindblad``), they give
     that form to the last bit.
     """
     dim = h.shape[0]
@@ -323,21 +312,36 @@ def _lindblad_entries(h, p_e, jumps, gamma) -> Entries:
     return Entries(rows[nonzero], cols[nonzero], values[nonzero])
 
 
-def _operators(spec: TransitionSpec) -> tuple:
-    """(H, P_e, jumps, rest state, gamma, W) of a transition, the first arguments of :func:`_lindblad`.
+#: The operators of a transition, each formed once by :func:`_operators`.
+Operators = namedtuple("Operators", "h p_e jumps rest coupling zeeman optical")
+
+
+def _operators(spec: TransitionSpec) -> Operators:
+    """H, P_e, the jumps, the rest state and W of a transition, with the parts H is composed of.
 
     The jumps are the three dipole components Q_q, each weighted 2Fe+1
-    (spontaneous emission feeding the ground manifold), and the rest state
-    is the isotropic ground mixture.
+    (spontaneous emission feeding the ground manifold), W = sum_q e_q Q_q is
+    contracted from the same Q_q, and the rest state is the isotropic ground
+    mixture P_g/(2Fg+1).  H = b diag(z) + detuning P_e + rabi V, with
+    ``zeeman`` the diagonal z of the Zeeman terms at unit field (the level's
+    zeeman_* times m) and ``optical`` the coupling at unit Rabi frequency,
+    V = (sqrt(dipole_scale)/2) (W + W^dag).
     """
-    _, p_e = projectors(spec.fg, spec.fe)
+    p_g, p_e = projectors(spec.fg, spec.fe)
     jumps = [(spec.fe.multiplicity, q_matrix(spec.fg, spec.fe, q)) for q in (-1, 0, 1)]
-    return hamiltonian(spec), p_e, jumps, isotropic_ground(spec), spec.gamma, coupling_matrix(spec)
+    coupling = np.tensordot(spec.pol, [q_q for _, q_q in jumps], axes=1)
+    levels = np.repeat([spec.zeeman_g, spec.zeeman_e], [spec.n_ground, spec.n_excited])
+    zeeman = levels * np.concatenate((spec.fg.m_values(), spec.fe.m_values()))
+    optical = (sqrt(spec.dipole_scale) / 2.0) * (coupling + coupling.conj().T)
+    h = np.diag(spec.b_field * zeeman) + spec.detuning * p_e + spec.rabi * optical
+    return Operators(h, p_e, jumps, p_g.astype(complex) / spec.n_ground, coupling, zeeman, optical)
 
 
 def build_liouvillian(spec: TransitionSpec) -> Liouvillian:
     """Assemble M and p0 for ``dy/dt = M y + p0`` of a transition (see :func:`_operators`)."""
-    return _lindblad(*_operators(spec), spec.b_field, spec_meta(spec))
+    ops = _operators(spec)
+    return _lindblad(ops.h, ops.p_e, ops.jumps, ops.rest, spec.gamma, ops.coupling, spec.b_field,
+                     spec_meta(spec))
 
 
 #: An affine family in the real coordinates x of one sector, y[block] = frame @ x: M acts on x as
@@ -357,19 +361,20 @@ class AffineLiouvillian:
     which keeps the whole family for the last transition it built.  It holds
     ``base`` and ``drive`` as the entries the assembler emitted, ``base_entries``
     and ``drive_entries``: the block, the sectors and :meth:`product` come from
-    those, and the dense ``base`` and ``drive`` are scattered from them when read.
+    those.
 
     :meth:`real_sector` holds the parts in real coordinates, formed from the
-    nonzeros.  M preserves Hermiticity, so in the Hermitian basis of
-    ``_frame_entries`` its parts and p0 are real.  With linear light at zero
-    detuning M also commutes with Theta(sigma) = S P sigma^* P S, a pi rotation
-    about x with complex conjugation: P reverses m -> -m inside each manifold and
-    S = diag((-1)^(F - m)).  Theta fixes p0 and the absorption row, so every
-    transient state is Theta-even, and :attr:`sector` keeps the pump block's
-    even combinations (73 of its 130 indices on 3 -> 4).  Where a test finds
-    that Theta maps a block outside itself, fails to commute with a part or
-    moves p0 or the row (circular or general light, nonzero detuning), the
-    whole block is kept, through the same code.
+    nonzeros.  M preserves Hermiticity, so in the Hermitian basis T of
+    ``_frame_entries`` its parts, p0 and the row are real.  With linear light at
+    zero detuning M also commutes with Theta(sigma) = S P sigma^* P S, a pi
+    rotation about x with complex conjugation: P reverses m -> -m inside each
+    manifold and S = diag((-1)^(F - m)); in T's coordinates Theta is one signed
+    permutation (:func:`_reflection`).  Theta fixes p0 and the absorption row, so
+    every transient state is Theta-even, and :attr:`sector` keeps the pump block's
+    even combinations (73 of its 130 indices on 3 -> 4).  Where Theta maps a block
+    outside itself, or changes a part, p0 or the row in T's coordinates (circular
+    or general light, nonzero detuning), the whole block is kept, through the
+    same code.
     """
 
     base_entries: Entries
@@ -379,10 +384,6 @@ class AffineLiouvillian:
     coupling: np.ndarray
 
     absorption_row = Liouvillian.absorption_row  # W, so c, depends on neither rabi nor b
-
-    # the dense M at rabi = b = 0 and dM/drabi, read-only like the rest of the family
-    base = cached_property(lambda self: _dense(self.base_entries, self.pump.size, writeable=False))
-    drive = cached_property(lambda self: _dense(self.drive_entries, self.pump.size, writeable=False))
 
     @cached_property
     def block(self) -> np.ndarray:
@@ -414,12 +415,14 @@ class AffineLiouvillian:
         ``block`` closed under (i, j) <-> (j, i): where Theta fails, the whole block or nothing.
         The row is even, so the odd sector's ``weights`` are zero.
 
-        Each part, and p0 and the row, comes from the nonzeros on the block by one scatter in the
-        frame F = T S: the Hermitian basis T, two entries in each row, and S the Theta combinations,
-        at most four entries in each column of F.  The checks run on the same nonzeros.
+        In the Hermitian basis T, two entries in each row, each part R = T^H A T comes from the
+        nonzeros on the block by one scatter, and T^H p0 and the row times T by one gather each.
+        These must be real; Theta holds where its signed permutation (:func:`_reflection`) leaves
+        them unchanged, each to 1e-13 of its largest entry.  The sector's parts then come from R's
+        nonzeros by one scatter through S, the Theta combinations, and the frame is T S.
 
-        Raises ValueError if a part is not real to rounding in the Hermitian basis (M does not
-        preserve Hermiticity), numpy.linalg.LinAlgError, a subclass, if one is not finite.
+        Raises ValueError if a part, p0 or the row is not real to rounding in the Hermitian basis
+        (M does not preserve Hermiticity), numpy.linalg.LinAlgError, a subclass, if one is not finite.
         """
         dim, size = self.coupling.shape[0], block.size
         position = np.arange(size)
@@ -435,22 +438,28 @@ class AffineLiouvillian:
         pump, row = self.pump[block], self.absorption_row[block]
         if not all(np.isfinite(vector).all() for vector in (values, pump, row)):
             raise np.linalg.LinAlgError("the generator in the real frame is not finite")
-        # the tests, on each part's nonzeros summed by position: M preserves Hermiticity where it
-        # commutes with K y = conj(y) at the transposed positions, and then commutes with Theta = K L
-        # where it commutes with the signed permutation L, sigma_ij -> s_i s_j sigma_p(j)p(i)
-        keys, inverse = np.unique((part * size + rows) * size + cols, return_inverse=True)
-        summed = _summed(inverse, values, keys.size)
-        t_rows, coefs = _frame_entries(block, dim)  # t_rows[1]: the transposed positions
-        if not _symmetric(keys, summed, (pump, row), t_rows[1], np.ones(size), conjugate=True):
+        # T by rows: row r holds coefs[0, r] in column r and coefs[1, r'] in column r' = t_rows[1, r];
+        # entry (p, q) of R for part k sums at key (k * size + p) * size + q
+        t_rows, coefs = _frame_entries(block, dim)
+        by_row = np.stack((coefs[0], coefs[1][t_rows[1]]))
+        keys = ((part * size + t_rows[:, None, rows]) * size + t_rows[None, :, cols]).ravel()
+        terms = (by_row[:, None, rows].conj() * values * by_row[None, :, cols]).ravel()
+        keys, inverse = np.unique(keys[terms != 0], return_inverse=True)
+        # R's nonzeros, then T^H p0 and the row times T, each tested in its own group
+        summed = np.concatenate((_summed(inverse, terms[terms != 0], keys.size),
+                                 (coefs.conj() * pump[t_rows]).sum(0), (coefs * row[t_rows]).sum(0)))
+        group = np.concatenate((keys // size**2, np.repeat([3, 4], size)))
+        if not _negligible(summed.imag, summed, group):
             raise ValueError("M does not preserve Hermiticity: it is not real in a Hermitian basis")
+        summed, (p, q) = summed.real, np.divmod(keys % size**2, size)
+        entries, vectors = summed[: keys.size], summed[keys.size:].reshape(2, size)
         n_ground = np.count_nonzero(self.pump[:: dim + 1])  # p0 holds the isotropic ground mixture
         if (theta := _reflection(block, n_ground, dim)) is not None:
-            # L takes Theta's image in real coordinates within a manifold, its transpose across the two
             source, sign = theta
-            i, j = np.divmod(block, dim)
-            across = (i < n_ground) != (j < n_ground)
-            if not _symmetric(keys, summed, (pump, row), np.where(across, t_rows[1][source], source),
-                              sign * np.where(across & (i > j), -1.0, 1.0), conjugate=False):
+            mirror = keys + (source[p] - p) * size + source[q] - q
+            at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
+            image = np.where(keys[at] == mirror, entries[at], 0.0) * sign[p] * sign[q]
+            if not _negligible(summed - np.append(image, sign * vectors[:, source]), summed, group):
                 theta = None
         source, sign = theta or (position, np.ones(size))
         # S: a column per orbit of this parity, e_k for a fixed point of sign parity,
@@ -460,23 +469,13 @@ class AffineLiouvillian:
         owner = np.where(keep, position, source)  # where the column holding position k starts
         weight = np.where(keep, np.where(pair, sqrt(0.5), 1.0), parity * sign[source] * sqrt(0.5))
         weight = np.where(keep[owner], weight, 0.0)  # a position in no column of this parity
-        columns = np.maximum(np.cumsum(keep) - 1, 0)[owner][t_rows]
-        # F = T S by rows: row r of T holds coefs[0, r] in its own column and coefs[1, r'] in that of
-        # r' = t_rows[1, r], and each column of T lies in one column of S
-        frame_coefs = np.stack((coefs[0], coefs[1][t_rows[1]])) * weight[t_rows]
-        count = np.count_nonzero(keep)
-        # F^H A F of each part: entry (p, q) of part k sums at (k * count + p) * count + q
-        keys = (part * count + columns[:, None, rows]) * count + columns[None, :, cols]
-        terms = frame_coefs[:, None, rows].conj() * values * frame_coefs[None, :, cols]
-        parts = _summed(keys.ravel(), terms.ravel(), 3 * count * count).real
+        column, count = np.maximum(np.cumsum(keep) - 1, 0)[owner], np.count_nonzero(keep)
+        parts = _summed((keys // size**2 * count + column[p]) * count + column[q],
+                        weight[p] * entries * weight[q], 3 * count * count)
         base, drive, field = parts.reshape(3, count, count)
-        pump = _summed(columns.ravel(), (frame_coefs.conj() * pump).ravel(), count).real
-        weights = (_summed(columns.ravel(), (frame_coefs * row).ravel(), count).real if parity > 0
-                   else np.zeros(count))
-        frame = np.zeros((size, count), dtype=complex)
-        entry = frame_coefs != 0
-        frame[np.broadcast_to(position, entry.shape)[entry], columns[entry]] = frame_coefs[entry]
-        return RealSector(base, drive, field, pump, weights, frame, block)
+        pump, row = (_summed(column, weight * vector, count) for vector in vectors)
+        frame = _summed(t_rows * count + column, coefs * weight, size * count).reshape(size, count)
+        return RealSector(base, drive, field, pump, row if parity > 0 else np.zeros(count), frame, block)
 
 
 def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
@@ -487,27 +486,16 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
     ``block`` and ``sector`` are derived here, raising as :meth:`AffineLiouvillian.real_sector` does.
     None of the family depends on rabi or b: the last transition's, its arrays read-only, is returned
     to every later call whose spec differs from it only in those two, which assembles nothing.
-
-    Raises
-    ------
-    ValueError
-        If the Zeeman terms have an entry off the diagonal: M would not be affine in the field.
     """
     if (key := replace(spec, rabi=0.0, b_field=0.0)) in _MEMO:
         return _MEMO[key]
     _MEMO.clear()  # frees the last family before this one's temporaries, for a lower peak RSS
-    h, p_e, jumps, rest, gamma, coupling = _operators(key)
-    # the Zeeman terms of H at unit field, (g_g P_g + g_e P_e) F_z: F_z with its rows scaled
-    levels = np.repeat([spec.zeeman_g, spec.zeeman_e], [spec.n_ground, spec.n_excited])
-    zeeman = levels[:, None] * fz_matrix(spec.fg, spec.fe)
-    z = np.diagonal(zeeman)
-    if np.any(zeeman - np.diag(z)):
-        raise ValueError("the magnetic field enters M off its diagonal; M is not affine in it")
-    optical = (sqrt(spec.dipole_scale) / 2.0) * (coupling + coupling.conj().T)  # as in hamiltonian
-    no_decay = np.zeros((spec.dim, spec.dim))
+    ops = _operators(key)
+    z = ops.zeeman
     family = AffineLiouvillian(
-        _lindblad_entries(h, p_e, jumps, gamma), _lindblad_entries(optical, no_decay, [], 0.0),
-        -1j * (z[:, None] - z[None, :]).reshape(-1), gamma * vectorize(rest), coupling,
+        _lindblad_entries(ops.h, ops.p_e, ops.jumps, key.gamma),
+        _lindblad_entries(ops.optical, np.zeros((spec.dim, spec.dim)), [], 0.0),
+        -1j * (z[:, None] - z[None, :]).reshape(-1), key.gamma * vectorize(ops.rest), ops.coupling,
     )
     family.sector  # derives the block, the sector and the absorption row, or raises
     for value in vars(family).values():
@@ -570,39 +558,21 @@ def _reflection(block: np.ndarray, n_ground: int, dim: int):
     return source, s[rows] * s[cols] * np.where((rows > cols) & (u > v), -1.0, 1.0)
 
 
-def _symmetric(keys, values, vectors, image, sign, conjugate: bool) -> bool:
-    """Whether J A J = A for each of three parts A, their entries summed by sorted key
-    (part * n + p) * n + q, and J v = v for each of two vectors, to 1e-13 of its largest entry,
-    for (J y)[k] = sign[k] y[image[k]] on n positions, its value conjugated too with ``conjugate``."""
-    n = image.size
-    part, p, q = keys // n**2, keys // n % n, keys % n
-    mirror = (part * n + image[p]) * n + image[q]
-    at = np.minimum(np.searchsorted(keys, mirror), keys.size - 1)
-    mirrored = np.where(keys[at] == mirror, values[at], 0.0) * sign[p] * sign[q]
-    vectors = np.stack(vectors)  # as parts 3 and 4
-    mirrored = np.concatenate((mirrored, (sign * vectors[:, image]).ravel()))
-    values = np.concatenate((values, vectors.ravel()))
-    which = np.concatenate((part, np.full(n, 3), np.full(n, 4)))
-    defect, largest = np.zeros(5), np.zeros(5)
-    np.maximum.at(defect, which, np.abs(values - (mirrored.conj() if conjugate else mirrored)))
-    np.maximum.at(largest, which, np.abs(values))
-    return bool((defect <= 1e-13 * largest).all())
+def _negligible(defect: np.ndarray, values: np.ndarray, group: np.ndarray) -> bool:
+    """Whether in each of five groups the largest |defect| is within 1e-13 of the largest |values|."""
+    worst, largest = np.zeros(5), np.zeros(5)
+    np.maximum.at(worst, group, np.abs(defect))
+    np.maximum.at(largest, group, np.abs(values))
+    return bool((worst <= 1e-13 * largest).all())
 
 
 def _summed(keys: np.ndarray, values: np.ndarray, length: int) -> np.ndarray:
     """The sums of ``values`` by key in 0..length-1, each in the order given, by one scatter;
     a zero value adds nothing, so its key may lie outside that range."""
     kept = values != 0
-    out = np.zeros(length, dtype=complex)
+    out = np.zeros(length, dtype=values.dtype)
     np.add.at(out, keys[kept], values[kept])
     return out
-
-
-def _dense(entries: Entries, size: int, writeable: bool = True) -> np.ndarray:
-    """The size x size matrix with the given nonzeros, each entry summed in their order."""
-    matrix = _summed(entries.rows * size + entries.cols, entries.values, size * size).reshape(size, size)
-    matrix.flags.writeable = writeable
-    return matrix
 
 
 def vectorize(sigma: np.ndarray) -> np.ndarray:

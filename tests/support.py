@@ -127,10 +127,20 @@ def congruence(a: np.ndarray, rows: np.ndarray, coefs: np.ndarray) -> np.ndarray
     return (coefs.conj()[:, :, None] * a[rows]).sum(axis=0)
 
 
+def dense_parts(affine) -> tuple:
+    """The dense base and drive of a family, each scattered from its entries in their order."""
+    parts = []
+    for rows, cols, values in (affine.base_entries, affine.drive_entries):
+        part = np.zeros((affine.pump.size, affine.pump.size), dtype=complex)
+        np.add.at(part, (rows, cols), values)
+        parts.append(part)
+    return tuple(parts)
+
+
 def dense_real_sector(affine, block: np.ndarray, parity: int) -> liouvillian.RealSector:
-    """``affine.real_sector(block, parity)`` from dense parts (of a family or of ``dense_family``):
-    the parts in the Hermitian basis
-    by gathers, tested for Theta there (by ``liouvillian._reflection``), then combined by gathers."""
+    """``affine.real_sector(block, parity)`` from the dense parts of ``dense_family``: the parts in
+    the Hermitian basis by gathers, tested for Theta there (by ``liouvillian._reflection``), then
+    combined by gathers."""
     dim = affine.coupling.shape[0]
     rows, coefs = liouvillian._frame_entries(block, dim)
     basis = real_frame(block, dim)

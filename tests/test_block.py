@@ -27,7 +27,8 @@ import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
-from support import dense_block, dense_family, dense_real_sector, real_frame, rk4_phases, steady_vector
+from support import (dense_block, dense_family, dense_parts, dense_real_sector, real_frame, rk4_phases,
+                     steady_vector)
 
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -217,7 +218,8 @@ def _complement_is_invariant(liouv) -> bool:
 def test_affine_parts_reproduce_the_assembled_matrix(spec, detuning, zeeman_e, dipole_scale):
     spec = replace(spec, detuning=detuning, zeeman_e=zeeman_e, dipole_scale=dipole_scale)
     affine = affine_liouvillian(spec)
-    matrix = affine.base + spec.rabi * affine.drive
+    base, drive = dense_parts(affine)
+    matrix = base + spec.rabi * drive
     matrix.flat[:: matrix.shape[0] + 1] += spec.b_field * affine.field
     expected = build_liouvillian(spec)
     scale = np.abs(expected.matrix).max()
@@ -237,8 +239,9 @@ def test_affine_parts_equal_differences_of_assemblies(spec, detuning, zeeman_e, 
     drive = build_liouvillian(replace(spec, rabi=1.0, b_field=0.0)).matrix - base
     field_on = build_liouvillian(replace(spec, rabi=0.0, b_field=1.0)).matrix
     field = field_on - base
-    np.testing.assert_array_equal(affine.base, base)
-    assert np.abs(affine.drive - drive).max() <= 1e-15 * np.abs(drive).max()
+    affine_base, affine_drive = dense_parts(affine)
+    np.testing.assert_array_equal(affine_base, base)
+    assert np.abs(affine_drive - drive).max() <= 1e-15 * np.abs(drive).max()
     diagonal = np.diagonal(field)
     assert not np.any(field - np.diag(diagonal))
     assert affine.field.shape == diagonal.shape
@@ -274,6 +277,28 @@ def test_sectors_from_the_nonzeros_match_the_dense_route(spec, pol, detuning, th
             for name, value, reference in zip(sector._fields, sector, expected):
                 assert value.shape == reference.shape, name
                 assert np.abs(value - reference).max(initial=0.0) <= 1e-15 * np.abs(reference).max(initial=0.0), name
+
+
+@pytest.mark.parametrize("fg, fe", [(1, 0), (1, 2), (3, 4)])
+def test_theta_and_hermiticity_are_decided_at_their_tolerance(fg, fe):
+    # a population is its own coordinate in the Hermitian basis, and Theta swaps those of m = -Fg and
+    # m = +Fg: a real change of +e and -e there keeps Hermiticity and is odd under Theta, which holds
+    # to 1e-13 of each part's largest entry; an imaginary change breaks Hermiticity
+    affine = affine_liouvillian(TransitionSpec(fg=fg, fe=fe, rabi=0.0, gamma=0.002, pol="linear-y"))
+    block, base = affine.block, affine.base_entries
+    ends = np.array([0, 2 * fg * (affine.coupling.shape[0] + 1)])  # (m, m) for m = -Fg and +Fg
+    scale = np.abs(base.values).max()
+
+    def perturbed(change):
+        entries = liouvillian.Entries(np.append(base.rows, ends), np.append(base.cols, ends),
+                                      np.append(base.values, change * scale))
+        return replace(affine, base_entries=entries).real_sector(block, 1)
+
+    assert affine.sector.pump.size < block.size
+    assert perturbed(np.array([1e-15, -1e-15])).pump.size == affine.sector.pump.size
+    assert perturbed(np.array([1e-11, -1e-11])).pump.size == block.size
+    with pytest.raises(ValueError, match="does not preserve Hermiticity"):
+        perturbed(np.array([1e-11j, 1e-11j]))
 
 
 @PROPERTY_SETTINGS
@@ -530,9 +555,12 @@ def test_a_memo_hit_serves_the_fresh_block_and_sector_read_only(spec, pol, detun
     liouvillian._MEMO.clear()
     fresh = affine_liouvillian(other)
     assert fresh is not hit
-    dense = ("base", "drive", "field", "pump", "coupling")
-    for served, built in zip([getattr(hit, name) for name in dense] + [hit.block, *hit.sector],
-                             [getattr(fresh, name) for name in dense] + [fresh.block, *fresh.sector]):
+
+    def arrays(family):
+        return [*family.base_entries, *family.drive_entries, family.field, family.pump, family.coupling,
+                family.block, *family.sector]
+
+    for served, built in zip(arrays(hit), arrays(fresh)):
         assert (served.dtype, served.shape) == (built.dtype, built.shape)
         assert served.tobytes() == built.tobytes()
         with pytest.raises(ValueError, match="read-only"):

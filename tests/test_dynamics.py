@@ -28,7 +28,8 @@ from hanlesim import (
 )
 from hanlesim.cli import _ATOMIC_MASS_KG
 
-from support import GAMMA, eia_spec, eit_spec, entries_of, record_shapes, rk4_phases, steady_vector
+from support import (GAMMA, dense_parts, eia_spec, eit_spec, entries_of, record_shapes, rk4_phases,
+                     steady_vector)
 
 
 def chunked_integrated(liouv, y0, dt, t_end):
@@ -238,7 +239,7 @@ class TestPropagators:
         y0 = steady_vector(eia_spec(0.06), 0.0)
         affine = liouvillian.affine_liouvillian(eia_spec(0.06))
         with pytest.raises(ValueError, match="does not preserve Hermiticity"):
-            dataclasses.replace(affine, base_entries=entries_of(affine.base + 0.1j * skew)).sector
+            dataclasses.replace(affine, base_entries=entries_of(dense_parts(affine)[0] + 0.1j * skew)).sector
         # the modal fallback works in complex coordinates, so it needs no Hermiticity
         times = np.array([0.0, 1.0, 7.5])
         with pytest.warns(UserWarning, match="condition"):
@@ -252,7 +253,7 @@ class TestPropagators:
     def test_real_generator_refuses_a_matrix_that_is_not_finite(self):
         affine = liouvillian.affine_liouvillian(eia_spec(0.06))
         block = affine.block
-        base = affine.base.copy()
+        base = dense_parts(affine)[0]
         base[block[1], block[1]] = np.nan
         broken = dataclasses.replace(affine, base_entries=entries_of(base))
         with pytest.raises(np.linalg.LinAlgError, match="not finite"):
@@ -364,6 +365,29 @@ def test_sampled_steps_match_one_step_at_a_time(kind, rows):
         z, bound = states[max(n, 1)], 1e-13 + n * np.finfo(float).eps
         assert np.abs(samples - expected).max(initial=0.0) <= bound * np.abs(expected).max(initial=0.0), n
         assert np.abs(handoff - z).max() <= bound * np.abs(z).max(), n
+
+
+@pytest.mark.parametrize("fg, fe", [(1, 0), (1, 2), (3, 4)])
+def test_every_augmented_map_has_an_exact_last_row(monkeypatch, fg, fe):
+    # exp(hG) for G = [[A, p], [0, 0]] has last row [0 ... 0 1]; the Pade result misses it by about
+    # 1e-13 at h = 1250, and the trailing 1 of the state would drift from map to map
+    maps = []
+    make = dynamics._augmented_map
+    monkeypatch.setattr(dynamics, "_augmented_map", lambda *args: maps.append(make(*args)) or maps[-1])
+    spec = TransitionSpec(fg=fg, fe=fe, rabi=0.0, gamma=GAMMA).with_intensity(0.09)
+    for samples in (2, 7):  # steps of 1250 in both fields, then of 312.5 and 416.7
+        schedule = SwitchSchedule(b1=0.03, period=2500.0, samples_per_period=samples, n_periods=2)
+        switched_transient(spec, schedule)
+    assert len(maps) == 4
+    monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
+    times = np.array([0.5, 1250.5, 1300.0, 1310.0, 1320.0])  # the first time, then gaps 1250, 49.5 and 10
+    with pytest.warns(UserWarning, match="condition"):
+        propagate_modal(build_liouvillian(spec.with_field(0.03)), steady_vector(spec, 0.0), times)
+    assert len(maps) == 4 + 1 + 3
+    for step in maps:
+        last = np.zeros(step.shape[1], dtype=step.dtype)
+        last[-1] = 1.0
+        assert step[-1].tobytes() == last.tobytes()
 
 
 class TestSwitchSchedule:

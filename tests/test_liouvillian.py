@@ -18,7 +18,7 @@ import hanlesim.liouvillian as liouvillian
 import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_matrix, isotropic_ground
 
-from support import PRESET_INTENSITIES, eia_spec, eit_spec, kron_generator
+from support import PRESET_INTENSITIES, dense_parts, eia_spec, eit_spec, kron_generator
 
 
 def random_density_matrix(rng, dim):
@@ -274,46 +274,36 @@ class TestAffineParts:
     def test_field_part_is_exact_on_the_paper_transitions(self, make_spec):
         spec = make_spec(0.0)
         affine = affine_liouvillian(spec)
+        base, drive = dense_parts(affine)
         for b_field in np.linspace(-0.15, 0.15, 201).tolist():
             expected = build_liouvillian(spec.with_field(b_field)).matrix
-            matrix = affine.base + 0.0 * affine.drive
+            matrix = base + 0.0 * drive
             matrix.flat[:: matrix.shape[0] + 1] += b_field * affine.field
             np.testing.assert_array_equal(matrix, expected)
 
     def test_assembles_the_full_matrix_once(self, monkeypatch):
         # the full M's operators once, and the nonzeros of it and of the drive
-        calls = {name: [] for name in ("_operators", "hamiltonian", "_lindblad_entries")}
+        calls = {name: [] for name in ("_operators", "_lindblad_entries")}
         for name, seen in calls.items():
             monkeypatch.setattr(liouvillian, name, lambda *args, seen=seen, make=getattr(liouvillian, name):
                                 seen.append(args) or make(*args))
         family = affine_liouvillian(eia_spec(0.3, detuning=0.1).with_field(0.02))
-        assert len(calls["_operators"]) == 1 and calls["hamiltonian"]
+        assert len(calls["_operators"]) == 1
         assert len(calls["_lindblad_entries"]) == 2
         # a call with the same spec at another Rabi frequency and field assembles nothing
         for seen in calls.values():
             seen.clear()
         assert affine_liouvillian(eia_spec(1.2, detuning=0.1).with_field(-0.05)) is family
-        assert calls == {"_operators": [], "hamiltonian": [], "_lindblad_entries": []}
+        assert calls == {"_operators": [], "_lindblad_entries": []}
 
     def test_parts_do_not_change_between_evaluations(self, monkeypatch):
         # a sweep evaluates the parts at each point: reversing its grid changes no point's modes
         spec = eit_spec(0.0)
         affine = affine_liouvillian(spec)
-        before = [part.copy() for part in (affine.base, affine.drive, affine.field)]
+        before = [*dense_parts(affine), affine.field.copy()]
         monkeypatch.setattr(spectral, "affine_liouvillian", lambda _: affine)
         grid = (0.002, 0.3, 2.0)
         forward, backward = (_by_point(intensity_sweep(spec, g, b1=0.03)) for g in (grid, grid[::-1]))
         assert forward == backward
-        for part, copy in zip((affine.base, affine.drive, affine.field), before):
+        for part, copy in zip((*dense_parts(affine), affine.field), before):
             np.testing.assert_array_equal(part, copy)
-
-    def test_refuses_a_field_off_the_diagonal(self, monkeypatch):
-        # a field with a transverse part couples neighbouring sublevels
-        def tilted(fg, fe):
-            f_z = fz_matrix(fg, fe)
-            return f_z + 0.5 * (np.eye(f_z.shape[0], k=1) + np.eye(f_z.shape[0], k=-1))
-
-        fz_matrix = liouvillian.fz_matrix
-        monkeypatch.setattr(liouvillian, "fz_matrix", tilted)
-        with pytest.raises(ValueError, match="off its diagonal"):
-            affine_liouvillian(eit_spec(0.02))
