@@ -258,8 +258,8 @@ def cmd_steady(args) -> int:
         raise ConfigError("scan_b_points must be at least 1")
     grid = np.linspace(config.scan_b_min, config.scan_b_max, config.scan_b_points)
     affine = affine_liouvillian(spec)
-    w = (_sector_steady(affine, spec.rabi, grid) @ affine.sector.weights).tolist()
-    write_outputs((traceio.render_table(("b", "w"), (grid.tolist(), w), spec_meta(spec)), args.output))
+    w = _sector_steady(affine, spec.rabi, grid) @ affine.sector.weights
+    write_outputs((traceio.render_table(("b", "w"), (grid, w), spec_meta(spec)), args.output))
     return EXIT_OK
 
 

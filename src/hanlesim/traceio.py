@@ -52,7 +52,7 @@ def _format_value(value) -> str:
         return repr(complex(value))
     if isinstance(value, (tuple, list)):
         return "(" + ", ".join(_format_value(v) for v in value) + ("," if len(value) == 1 else "") + ")"
-    return repr(value) if isinstance(value, str) else str(value)
+    return repr(str(value)) if isinstance(value, str) else str(value)
 
 
 def _meta_lines(meta: dict) -> list:
@@ -64,24 +64,33 @@ def _format_cell(value) -> str:
     return value if isinstance(value, str) else _format_value(value)
 
 
-#: what ``_format_cell`` does to a cell of exactly this type
-_PLAIN_FORMATS = {float: float.__repr__, int: int.__repr__, str: str}
+#: what ``_format_cell`` does to a cell of exactly this type, where equal values have equal text
+_PLAIN_FORMATS = {int: int.__repr__, str: str}
 
 
 def _format_column(cells) -> list:
-    """``_format_cell`` of every cell, a whole column at once when it holds one plain type."""
-    kinds = set(map(type, cells))
-    plain = _PLAIN_FORMATS.get(kinds.pop()) if len(kinds) == 1 else None
-    if plain is None:
-        return [_format_cell(cell) for cell in cells]
-    return list(map(plain, cells))
+    """``_format_cell`` of every cell; a column of one plain type formats each distinct value
+    once, telling floats apart by their bits (so 0.0 and -0.0 stay distinct)."""
+    if isinstance(cells, np.ndarray) and cells.dtype != float:
+        cells = cells.tolist()
+    kinds = {float} if isinstance(cells, np.ndarray) else set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        bits, inverse = np.unique(np.asarray(cells, dtype=float).view(np.int64), return_inverse=True)
+        texts = np.array(list(map(float.__repr__, bits.view(float).tolist())), dtype=object)
+        return texts[inverse].tolist()
+    if kind in _PLAIN_FORMATS:
+        texts = {cell: _PLAIN_FORMATS[kind](cell) for cell in set(cells)}
+        return list(map(texts.__getitem__, cells))
+    return [_format_cell(cell) for cell in cells]
 
 
 def render_table(names, columns, meta: dict | None = None) -> str:
     """Generic numeric CSV: sorted ``#`` metadata, header, repr-formatted rows.
 
-    ``columns`` holds one sequence of cells per name, each formatted at once;
-    columns of unequal length raise ValueError.
+    ``columns`` holds one list, tuple or 1-D array of cells per name, each formatted
+    at once, and a value repeated in a column is formatted once; columns of unequal
+    length raise ValueError.
     """
     lines = _meta_lines(meta or {})
     lines.append(",".join(names))
@@ -90,8 +99,7 @@ def render_table(names, columns, meta: dict | None = None) -> str:
 
 
 def render_trace(trace: TransientTrace) -> str:
-    columns = (trace.times.tolist(), trace.w.tolist(), trace.b.tolist())
-    return render_table(TRACE_COLUMNS, columns, trace.meta)
+    return render_table(TRACE_COLUMNS, (trace.times, trace.w, trace.b), trace.meta)
 
 
 def save_trace(trace: TransientTrace, path) -> None:

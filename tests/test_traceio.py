@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import hanlesim.traceio as traceio
 from hanlesim import FitModel, fit, load_trace, save_fit, save_trace
@@ -95,6 +95,19 @@ class TestTraceRoundTrip:
         loaded = load_trace(path)
         assert loaded.meta == trace.meta
         assert render_trace(loaded) == render_trace(trace)
+
+    def test_numpy_strings_in_meta_load_back_as_strings(self, tmp_path):
+        trace = sample_trace()
+        trace.meta = {"label": np.str_("run-a"), "pair": (np.str_("x"), "y")}
+        path = tmp_path / "labels.csv"
+        save_trace(trace, path)
+        assert "# label='run-a'\n" in path.read_text()
+        assert load_trace(path).meta == {"label": "run-a", "pair": ("x", "y")}
+
+    def test_numpy_string_cells_are_written_bare(self):
+        assert _format_cell(np.str_("run-a")) == "run-a"
+        text = render_table(("s",), [[np.str_("run-a"), "b"]])
+        assert text == "s\nrun-a\nb\n"
 
 
 class TestLoadErrors:
@@ -305,6 +318,51 @@ def test_render_load_render_is_byte_exact(tmp_path_factory, trace):
     text = render_trace(trace)
     path.write_text(text)
     assert render_trace(load_trace(path)) == text
+
+
+#: NaNs with two different payloads, the infinities and subnormals, beside the edge floats
+NAN_PAYLOADS = tuple(np.array([0x7FF8000000000000, 0xFFF8000000000001], dtype=np.uint64).view(float).tolist())
+SPECIAL_FLOATS = EDGE_FLOATS + NAN_PAYLOADS + (math.inf, -math.inf, 1e-310, -4e-320)
+
+
+def pools(values, size=5):
+    return st.lists(values, min_size=1, max_size=size)
+
+
+def repeating(small_pools):
+    """Lists of up to 40 cells drawn from one small pool, so that most cells repeat a value."""
+    return small_pools.flatmap(lambda pool: st.lists(st.sampled_from(pool), max_size=40))
+
+
+plain_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+#: float pools closed under negation, so that 0.0 meets -0.0 and each NaN its sign-flipped payload
+float_lists = repeating(pools(plain_floats, 3).map(lambda pool: pool + [-value for value in pool]))
+columns = st.one_of(
+    float_lists,
+    float_lists.map(lambda cells: np.array(cells, dtype=float)),
+    repeating(pools(st.integers())),
+    repeating(pools(st.booleans())),
+    repeating(pools(st.text(max_size=3))),
+    repeating(pools(st.one_of(plain_floats, st.integers(-3, 3), st.booleans(), st.text(max_size=2)))),
+)
+numpy_columns = st.one_of(
+    repeating(pools(st.floats(width=32))).map(lambda cells: np.array(cells, dtype=np.float32)),
+    repeating(pools(st.integers(-2**63, 2**63 - 1))).map(lambda cells: np.array(cells, dtype=np.int64)),
+)
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(columns)
+@example([0.0, -0.0, *NAN_PAYLOADS, -0.0, 0.0])
+@example(np.array([0.0, -0.0, *NAN_PAYLOADS, -0.0, 0.0]))
+def test_a_column_formats_as_its_cells(cells):
+    assert traceio._format_column(cells) == [_format_cell(cell) for cell in cells]
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(numpy_columns)
+def test_a_numpy_column_formats_as_its_list(cells):
+    assert traceio._format_column(cells) == [_format_cell(cell) for cell in cells.tolist()]
 
 
 def sweep_csv(columns):
