@@ -357,7 +357,8 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     y0 : ndarray
         Initial state, as a density matrix or its Liouville vector.
     times : array_like
-        Strictly increasing sample times, starting anywhere >= 0.
+        Strictly increasing sample times, starting anywhere >= 0; a negative
+        or non-finite time raises ValueError before anything is solved.
     keep_states : bool
         When true, also return the Liouville vectors at each sample as an
         (n_samples, size) array.
@@ -375,6 +376,8 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     gap d; ``meta["solver"]`` is then ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
+    if (bad := times[~((0.0 <= times) & (times < np.inf))]).size:
+        raise ValueError(f"sample times must be finite and >= 0, got {bad[0]}")
     y0 = _as_vector(y0, liouv.size)
     block = _invariant_block(np.nonzero(liouv.matrix), [liouv.pump, y0])
     y_ss = _steady(liouv, block) if liouv.pump.any() else np.zeros(liouv.size, dtype=complex)

@@ -22,7 +22,7 @@ generator comes from the same Lindblad assembler as the full model.
 from __future__ import annotations
 
 import itertools
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import isfinite, sqrt
 
@@ -367,11 +367,17 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
     block, so only its even sector, the first part, sees them: elsewhere the amplitudes and the
     weights are zero by structure.
     """
-    affine = affine_liouvillian(spec)
     grid = np.asarray(intensities, dtype=float).tolist()
     for intensity in grid:  # the first that is negative or not finite raises as in with_intensity
         if not 0.0 <= intensity < np.inf:
             spec.with_intensity(intensity)
+    if not grid:
+        raise ValueError("intensity grid is empty")
+    if repeated := [intensity for intensity, count in Counter(grid).items() if count > 1]:
+        raise ValueError(f"intensity {repeated[0]!r} is repeated in the grid")
+    if not isfinite(b1):
+        raise ValueError(f"b1 must be finite, got {b1!r}")
+    affine = affine_liouvillian(spec)
     keys = [(intensity, case) for intensity in grid for case in CASES]
     rabi = np.repeat(np.sqrt(grid), len(CASES))  # as with_intensity takes it
     points = np.array([(intensity, b_field) for intensity in grid for b_field in (0.0, b1)])
@@ -395,22 +401,19 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
     """Observable-eigenvalue table over an intensity grid, at field 0 and ``b1``.
 
-    Returns columns, {name: list} in ``SWEEP_COLUMNS`` order, one entry per
-    mode: by the intensity grid, then field case ("B0" before "B1"), then the
-    eigenmode order.  Every mode is listed with its group label and its
-    observability flag (0 or 1), so consumers can filter.  ``w_mode`` is the
-    magnitude of the mode's absorption weight.
+    Returns columns, {name: 1-D ndarray} in ``SWEEP_COLUMNS`` order, one
+    entry per mode: by the intensity grid, then field case ("B0" before "B1"),
+    then the eigenmode order.  Every mode is listed with its group label and
+    its observability flag (0 or 1), so consumers can filter.  ``w_mode`` is
+    the magnitude of the mode's absorption weight.
     """
-    columns = {name: [] for name in SWEEP_COLUMNS}
-    for keys, spectrum, _ in _sweep(spec, intensities, b1):
-        # (point, mode) stacks, flattened in table order
-        values, weights, count = spectrum.values, spectrum.weights, spectrum.values.shape[1]
-        columns["intensity"] += [intensity for intensity, _ in keys for _ in range(count)]
-        columns["b_case"] += [case for _, case in keys for _ in range(count)]
-        columns["re_lambda"] += values.real.ravel().tolist()
-        columns["im_lambda"] += values.imag.ravel().tolist()
-        columns["group"] += _groups(np.abs(values.real), spec.gamma)[0].ravel().tolist()
-        columns["observable"] += spectrum.observable.ravel().astype(int).tolist()
-        # hypot is what abs() of a complex scalar computes, to the last bit
-        columns["w_mode"] += np.hypot(weights.real, weights.imag).ravel().tolist()
-    return columns
+    chunks = [(np.array(keys, dtype=[("intensity", float), ("b_case", object)]), spectrum.values,
+               spectrum.weights, spectrum.observable) for keys, spectrum, _ in _sweep(spec, intensities, b1)]
+    # (point, mode) stacks, flattened in table order
+    keys, values, weights, observable = map(np.concatenate, zip(*chunks))
+    keys = np.repeat(keys, values.shape[1])
+    # hypot is what abs() of a complex scalar computes, to the last bit
+    return dict(zip(SWEEP_COLUMNS, (
+        keys["intensity"], keys["b_case"], values.real.ravel(), values.imag.ravel(),
+        _groups(np.abs(values.real), spec.gamma)[0].ravel(), observable.ravel().astype(int),
+        np.hypot(weights.real, weights.imag).ravel())))

@@ -133,6 +133,30 @@ class TestExitCodes:
         assert first == "hanlesim: times must be strictly increasing"
         assert not out.exists()
 
+    # each is refused before anything is written; a config of None is not given, "<dir>" is a directory
+    @pytest.mark.parametrize("argv, config, line", [
+        (["transient"], "<dir>", "hanlesim: cannot read config file: "),
+        (["transient"], "[0.002]", "hanlesim: {cfg}: config must be a JSON object"),
+        (["transient", "--n-periods", str(2**30), "--samples-per-period", str(2**30)], None,
+         f"hanlesim: n_periods * samples_per_period exceeds {cli._MAX_COUNT}, more than numpy can index"),
+        (["transient", "--with-fit", "--samples-per-period", "40"], '{"fit_phase": "middle"}',
+         "hanlesim: fit_phase must be 'off' or 'on'"),
+        (["spectrum", "--sweep-points", "0"], None, "hanlesim: sweep_points must be at least 1"),
+        (["spectrum", "--sweep-min", "0"], None, "hanlesim: sweep bounds must be positive for a geometric grid"),
+        (["steady", "--scan-b-points", "0"], None, "hanlesim: scan_b_points must be at least 1"),
+        (["spectrum", "--intensities", "a,b"], None, "hanlesim: cannot parse intensity list 'a,b'"),
+    ], ids=["config-directory", "config-not-an-object", "sample-count-product", "fit-phase-middle",
+            "sweep-points-0", "sweep-min-0", "scan-b-points-0", "intensities-not-numbers"])
+    def test_a_refused_input_exits_2_and_writes_nothing(self, tmp_path, capsys, argv, config, line):
+        out, cfg = tmp_path / "o.csv", tmp_path / "cfg"
+        if config is not None:
+            cfg.mkdir() if config == "<dir>" else cfg.write_text(config)
+            argv = argv + ["--config", str(cfg)]
+        assert run(argv + ["--output", str(out)]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.splitlines()[0].startswith(line.format(cfg=cfg))
+        assert captured.out == "" and not out.exists()
+
     def test_negative_transit_diameter(self, tmp_path, capsys):
         code = run(["transit", "--diameter-m", "-0.01", "--temperature-k", "330",
                     "--output", str(tmp_path / "o.json")])
@@ -640,7 +664,13 @@ class TestSpectrum:
         assert list(table) == list(expected)
         for name, values in expected.items():
             parse = str if isinstance(values[0], str) else float
-            assert [parse(cell) for cell in table[name]] == values, name
+            assert [parse(cell) for cell in table[name]] == values.tolist(), name
+
+    def test_a_repeated_intensity_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        assert run(self.ARGV + ["--intensities", "0.1,0.1", "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err == "hanlesim: intensity 0.1 is repeated in the grid\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", [["--intensities=-0.1"], ["--intensities", "0"]],
                              ids=["negative", "zero"])
@@ -680,7 +710,7 @@ def test_polarization_flag_reaches_every_physics_command(tmp_path):
     assert load_trace(transient).meta["pol"] == (0, 0, 1)
     assert steady_scan_meta(steady)["pol"] == (0, 0, 1)
     expected = intensity_sweep(eia_spec(pol="sigma+"), [0.1], b1=B1)
-    assert [float(v) for v in table_columns(spectrum)["re_lambda"]] == expected["re_lambda"]
+    assert [float(v) for v in table_columns(spectrum)["re_lambda"]] == expected["re_lambda"].tolist()
 
 
 class TestFitCommand:

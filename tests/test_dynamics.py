@@ -282,6 +282,18 @@ class TestPropagators:
                              for t in times])
         np.testing.assert_allclose(states, expected, rtol=0, atol=1e-12)
 
+    # the fallback warns only after the decomposition, so a time checked later would warn first
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit", [dynamics.MODAL_CONDITION_LIMIT, 1.0], ids=["modal", "fallback"])
+    @pytest.mark.parametrize("times, bad", [([-1.0, 0.5], "-1.0"), ([0.0, np.inf], "inf"),
+                                            ([0.0, np.nan, 2.0], "nan")], ids=["negative", "inf", "nan"])
+    def test_a_negative_or_non_finite_time_is_refused(self, monkeypatch, limit, times, bad):
+        monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", limit)
+        liouv = build_liouvillian(eit_spec(0.02).with_field(0.03))
+        with pytest.raises(ValueError) as raised:
+            propagate_modal(liouv, steady_vector(eit_spec(0.02), 0.0), times)
+        assert str(raised.value) == f"sample times must be finite and >= 0, got {bad}"
+
     def test_modal_fallback_exponentiates_once_per_distinct_gap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
         calls = []

@@ -8,7 +8,7 @@ import pytest
 from hanlesim import FitModel, SwitchSchedule, build_liouvillian, eigenmodes, fit, rate_vs_intensity
 from hanlesim.cli import _schedule, _transition_spec, build_config
 from hanlesim.dynamics import TransientTrace, split_phases, switched_transient
-from hanlesim.fit import (_external_slope, _linearize, _residual, _to_external, _to_internal,
+from hanlesim.fit import (_external_slope, _linearize, _normalize, _residual, _to_external, _to_internal,
                           evaluate_model, model_for_phase)
 
 from support import GAMMA, PRESET_INTENSITIES, eia_spec, eit_spec
@@ -348,6 +348,19 @@ class TestRoundTrip:
         result = fit(make_trace(model, flipped), model)
         assert result.params["amp_osc"] > 0
         assert -np.pi <= result.params["phase"] < np.pi
+
+
+    @pytest.mark.parametrize("drop_exp_term", [True, False])
+    @pytest.mark.parametrize("phase", [0.3, -3.0, 2.9, 7.0])
+    def test_a_negative_oscillation_amplitude_is_flipped_into_the_phase(self, drop_exp_term, phase):
+        model = FitModel("exp_plus_damped_sine", drop_exp_term=drop_exp_term)
+        params = {"amp_osc": -0.7, "rate_osc": 0.008, "freq": 0.055, "phase": phase, "offset": 0.4}
+        if not drop_exp_term:
+            params |= {"amp_exp": 0.2, "rate_exp": 0.003}
+        normal = _normalize(dict(params))
+        assert normal["amp_osc"] == 0.7 and -np.pi <= normal["phase"] < np.pi
+        np.testing.assert_allclose(evaluate_model(model, normal, TIMES), evaluate_model(model, params, TIMES),
+                                   rtol=0, atol=1e-12)
 
 
 class TestRobustness:

@@ -24,7 +24,7 @@ from hanlesim import (
     vectorize,
 )
 from hanlesim.cli import _transition_spec, build_config
-from hanlesim.dynamics import _invariant_block
+from hanlesim.dynamics import SwitchSchedule, _invariant_block
 from hanlesim.liouvillian import coupling_matrix, hamiltonian, isotropic_ground
 from hanlesim.spectral import GROUP_AMBIGUITY_BAND, OBSERVABILITY_TOL, SWEEP_COLUMNS, EigenMode
 
@@ -325,6 +325,30 @@ class TestIntensitySweep:
             intensity_sweep(eit_spec(0.0), (0.1, bad, -1.0), b1=0.03)
         assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("sweep", [intensity_sweep, sweep_modes])
+    @pytest.mark.parametrize("grid", [(), np.array([])], ids=["tuple", "array"])
+    def test_an_empty_grid_raises(self, sweep, grid):
+        with pytest.raises(ValueError, match="^intensity grid is empty$"):
+            sweep(eit_spec(0.0), grid, 0.03)
+
+    # sweep_modes keys its modes by (intensity, case), and 0.0 and -0.0 are one key
+    @pytest.mark.parametrize("sweep", [intensity_sweep, sweep_modes])
+    @pytest.mark.parametrize("grid, named", [((0.1, 0.2, 0.1), 0.1), ((0.3, 0.0, 0.2, -0.0, 0.3), 0.3),
+                                             ((0.0, -0.0), 0.0)], ids=["0.1", "first", "signed-zero"])
+    def test_a_repeated_intensity_raises_and_is_named(self, sweep, grid, named):
+        with pytest.raises(ValueError) as raised:
+            sweep(eit_spec(0.0), grid, 0.03)
+        assert str(raised.value) == f"intensity {named!r} is repeated in the grid"
+
+    @pytest.mark.parametrize("sweep", [intensity_sweep, sweep_modes])
+    @pytest.mark.parametrize("b1", [np.nan, np.inf, -np.inf])
+    def test_a_field_that_is_not_finite_raises_as_in_switch_schedule(self, sweep, b1):
+        with pytest.raises(ValueError) as expected:
+            SwitchSchedule(b1=b1)
+        with pytest.raises(ValueError) as raised:
+            sweep(eit_spec(0.0), (0.1,), b1)
+        assert str(raised.value) == str(expected.value)
+
     def test_sweep_modes_keyed_by_intensity_and_case(self):
         result = sweep_modes(eit_spec(0.0), (0.002,), b1=0.03)
         assert set(result) == {(0.002, "B0"), (0.002, "B1")}
@@ -334,19 +358,18 @@ class TestIntensitySweep:
         config = build_config("fig7a", None, {}, "spectrum")
         spec = _transition_spec(config)
         grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
-        expected = {name: [] for name in SWEEP_COLUMNS}
-        for (intensity, case), modes in sweep_modes(spec, grid, config.b1).items():
-            for mode in modes:
-                for name, cell in zip(SWEEP_COLUMNS, (
-                        intensity, case, float(mode.value.real), float(mode.value.imag),
-                        mode.group, int(mode.observable), float(abs(mode.weight)))):
-                    expected[name].append(cell)
+        rows = [(intensity, case, float(mode.value.real), float(mode.value.imag), mode.group,
+                 int(mode.observable), float(abs(mode.weight)))
+                for (intensity, case), modes in sweep_modes(spec, grid, config.b1).items() for mode in modes]
 
         def refuse(*args, **kwargs):
             raise AssertionError("intensity_sweep built an EigenMode")
 
         monkeypatch.setattr(spectral, "EigenMode", refuse)
-        assert intensity_sweep(spec, grid, config.b1) == expected
+        columns = intensity_sweep(spec, grid, config.b1)
+        assert list(columns) == list(SWEEP_COLUMNS)
+        assert all(isinstance(column, np.ndarray) and column.ndim == 1 for column in columns.values())
+        assert list(zip(*(column.tolist() for column in columns.values()))) == rows
 
 
 def full_eig_sweep(spec, intensities, b1):
@@ -423,7 +446,7 @@ class TestSplitSweep:
         assert not spectrum.observable[unseen].any()
         assert all(row.any() for row in spectrum.observable & ~unseen)
         columns = intensity_sweep(spec, grid, 0.01)
-        assert columns["w_mode"].count(0.0) >= len(keys) * (spec.dim**2 - seen)
+        assert np.count_nonzero(columns["w_mode"] == 0.0) >= len(keys) * (spec.dim**2 - seen)
 
     @pytest.mark.parametrize("pol", ["linear-y", "sigma+"])
     def test_chunk_boundaries_inside_a_case_pair_change_nothing(self, monkeypatch, pol):
@@ -436,7 +459,9 @@ class TestSplitSweep:
             runs.append((intensity_sweep(spec, grid, 0.03), sweep_modes(spec, grid, 0.03)))
         columns, modes = runs[0]
         for other_columns, other_modes in runs[1:]:
-            assert other_columns == columns
+            assert list(other_columns) == list(columns)
+            for name, column in columns.items():
+                np.testing.assert_array_equal(other_columns[name], column)
             assert list(other_modes) == list(modes)
             for key, records in modes.items():
                 for mode, other in zip(records, other_modes[key], strict=True):

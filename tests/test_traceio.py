@@ -265,6 +265,20 @@ class TestOnePassParse:
         assert calls == [4000]
 
 
+# (body, the message after the path)
+@pytest.mark.parametrize("body, message", [
+    ("", ": no header row found"),
+    ("# a=1\n\n  # b=2\n", ": no header row found"),
+    ("# a=1\nt,w\n0.0,1.0\n", ":2: missing 'time' column"),
+], ids=["empty", "metadata-only", "no-time-column"])
+def test_a_file_without_a_usable_header_is_refused(tmp_path, body, message):
+    path = tmp_path / "t.csv"
+    path.write_text(body)
+    with pytest.raises(ValueError) as info:
+        load_trace(path)
+    assert str(info.value) == f"{path}{message}"
+
+
 CELLS = st.one_of(st.sampled_from(["nan", "-inf", "x", "", " 1 ", "-0.0", "1e400"]),
                   *[st.integers(0, 99).map(str) for _ in range(4)])
 
@@ -385,14 +399,16 @@ class TestSweepRendering:
         columns = self.columns()
         assert sweep_csv(columns) == sweep_csv(columns)
 
-    def test_column_formatting_matches_per_cell_formatting(self):
-        config = build_config("fig7a", None, {}, "spectrum")
+    @pytest.mark.parametrize("preset", ["fig7a", "fig7b"])
+    def test_column_formatting_matches_per_cell_formatting(self, preset):
+        config = build_config(preset, None, {}, "spectrum")
         grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
         columns = intensity_sweep(_transition_spec(config), grid, config.b1)
+        # the table as lists of Python cells, the form the sweep returned before it kept arrays
+        lists = {name: column.tolist() for name, column in columns.items()}
         per_cell = [",".join(SWEEP_COLUMNS)] + [
-            ",".join(_format_cell(cell) for cell in row)
-            for row in zip(*(columns[name] for name in SWEEP_COLUMNS))]
-        assert sweep_csv(columns) == "\n".join(per_cell) + "\n"
+            ",".join(_format_cell(cell) for cell in row) for row in zip(*lists.values())]
+        assert sweep_csv(columns) == sweep_csv(lists) == "\n".join(per_cell) + "\n"
 
     def test_mixed_and_numpy_columns_format_per_cell(self):
         rows = [(1, 2.5, "a", np.float64(0.1), True, (1, 2)),
