@@ -404,7 +404,7 @@ class TestSweepRendering:
         config = build_config(preset, None, {}, "spectrum")
         grid = np.geomspace(config.sweep_min, config.sweep_max, config.sweep_points)
         columns = intensity_sweep(_transition_spec(config), grid, config.b1)
-        # the table as lists of Python cells, the form the sweep returned before it kept arrays
+        # the same table as lists of Python cells: arrays and lists must render alike
         lists = {name: column.tolist() for name, column in columns.items()}
         per_cell = [",".join(SWEEP_COLUMNS)] + [
             ",".join(_format_cell(cell) for cell in row) for row in zip(*lists.values())]
