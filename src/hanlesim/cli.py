@@ -90,6 +90,8 @@ _FLOAT_FIELDS = {f.name for f in fields(RunConfig) if f.type == "float"}
 #: largest (2Fg+1) + (2Fe+1) for which it can index the Liouville matrix, of that^4 entries
 _MAX_COUNT = np.iinfo(np.intp).max // 16
 _MAX_DIM = int(_MAX_COUNT ** 0.25)
+#: the values a config may give each of these keys, as their flags do
+_CHOICES = {"fit_phase": ("off", "on"), "fit_model": ("auto", "single_exp", "exp_plus_damped_sine")}
 
 
 def build_config(preset_name=None, config_path=None, overrides=None,
@@ -149,6 +151,9 @@ def build_config(preset_name=None, config_path=None, overrides=None,
         raise ConfigError("config key 'drop_exp_term' must be true, false or null")
     if not isinstance(merged["polarization"], str):
         raise ConfigError("config key 'polarization' must be a string")
+    for name, allowed in _CHOICES.items():
+        if merged[name] not in allowed:
+            raise ConfigError(f"{name} must be {' or '.join(map(repr, allowed))}")
     return RunConfig(**merged)
 
 
@@ -197,8 +202,6 @@ def _fit_json(trace, config: RunConfig, switched: bool) -> str:
     made raises ValueError.
     """
     if switched or np.ptp(trace.b) > 0:
-        if config.fit_phase not in ("off", "on"):
-            raise ConfigError("fit_phase must be 'off' or 'on'")
         phases = split_phases(trace)
         if len(phases) < 2:
             raise ConfigError(f"trace holds fewer than two field phases; no {config.fit_phase!r} "
@@ -327,10 +330,9 @@ def _add_physics_flags(parser):
 
 
 def _add_fit_flags(parser):
-    parser.add_argument("--fit-phase", dest="fit_phase", choices=("off", "on"),
+    parser.add_argument("--fit-phase", dest="fit_phase", choices=_CHOICES["fit_phase"],
                         help="switching phase to fit when the record holds both (default: on)")
-    parser.add_argument("--model", dest="fit_model",
-                        choices=("auto", "single_exp", "exp_plus_damped_sine"),
+    parser.add_argument("--model", dest="fit_model", choices=_CHOICES["fit_model"],
                         help="trace model (default: auto, single_exp at zero field)")
     parser.add_argument("--drop-exp-term", dest="drop_exp_term",
                         action=argparse.BooleanOptionalAction, default=None,

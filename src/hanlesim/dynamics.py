@@ -88,8 +88,10 @@ MAX_INTEGRATOR_STEP = 0.05
 #: Eigenvector condition number beyond which the modal solver uses the matrix exponential.
 MODAL_CONDITION_LIMIT = 1e10
 
-#: Grid points per stacked solve or eig of a steady scan or sweep: bounds its memory on long grids.
-STACK_CHUNK = 32
+#: Grid points per stacked solve or eig of a steady scan or sweep (of each field case): bounds its memory.
+STACK_CHUNK = 64
+#: Matrix entries of a sweep's eig stack at most, those of 32 points of 3 -> 4's 73-index linear sector.
+STACK_ENTRIES = 32 * 73**2
 
 #: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
 _PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
@@ -190,16 +192,20 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
     return devectorize(_steady(liouv, _invariant_block(np.nonzero(liouv.matrix), [liouv.pump])))
 
 
-def _chunks(count: int):
-    """Slices that cover range(count) in runs of ``STACK_CHUNK``, the points of one stack."""
-    return (slice(start, start + STACK_CHUNK) for start in range(0, count, STACK_CHUNK))
+def _chunks(count: int, order: int = 1):
+    """Slices that cover range(count) in runs of ``STACK_CHUNK``, or of as many matrices of ``order`` as
+    ``STACK_ENTRIES`` entries hold where that is fewer: the points of one stack."""
+    run = min(STACK_CHUNK, max(1, STACK_ENTRIES // order**2))
+    return (slice(start, start + run) for start in range(0, count, run))
 
 
 def _failure(message: str, points, k: int) -> np.linalg.LinAlgError:
-    """The error of the first failing point k, named by its row (intensity, field) of ``points``."""
+    """The error of failing point k (kept as ``point``), named by its row (intensity, field) of ``points``."""
     if points is not None:
         message += f" at intensity {points[k][0]:.6g}, field {points[k][1]:.6g}"
-    return np.linalg.LinAlgError(message)
+    error = np.linalg.LinAlgError(message)
+    error.point = k
+    return error
 
 
 def _steady(liouv: Liouvillian, block: np.ndarray) -> np.ndarray:
@@ -357,8 +363,8 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     y0 : ndarray
         Initial state, as a density matrix or its Liouville vector.
     times : array_like
-        Strictly increasing sample times, starting anywhere >= 0; a negative
-        or non-finite time raises ValueError before anything is solved.
+        Strictly increasing sample times, starting anywhere >= 0; any other
+        times (negative, not finite, not increasing) raise ValueError first.
     keep_states : bool
         When true, also return the Liouville vectors at each sample as an
         (n_samples, size) array.
@@ -378,6 +384,8 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     times = np.asarray(times, dtype=float)
     if (bad := times[~((0.0 <= times) & (times < np.inf))]).size:
         raise ValueError(f"sample times must be finite and >= 0, got {bad[0]}")
+    if not (np.diff(times) > 0).all():
+        raise ValueError("times must be strictly increasing")
     y0 = _as_vector(y0, liouv.size)
     block = _invariant_block(np.nonzero(liouv.matrix), [liouv.pump, y0])
     y_ss = _steady(liouv, block) if liouv.pump.any() else np.zeros(liouv.size, dtype=complex)

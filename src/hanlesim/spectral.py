@@ -1,8 +1,8 @@
 """Eigenmode analysis of the evolution matrix.
 
 The full spectrum of M is computed one invariant subspace at a time (the
-blocks M splits into, and in sweeps their halves even and odd under the
-symmetry Theta of :class:`hanlesim.liouvillian.AffineLiouvillian`),
+blocks M splits into; in sweeps their halves under the symmetry Theta of
+:class:`hanlesim.liouvillian.AffineLiouvillian`, at zero field split on m -> -m),
 labelled into three rate groups (slow ground-state modes of order the
 transit rate, optical-coherence modes near half the decay rate,
 excited-population modes near the decay rate), and tested for
@@ -345,27 +345,40 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
     For each squared Rabi frequency in ``intensities`` the evolution matrix
     is analyzed at fields 0 ("B0") and ``b1`` ("B1"); observability uses the
     switched-field initial condition (the steady state of the other case).
-    M is assembled once for the sweep (see :func:`affine_liouvillian`), and the
-    points are decomposed on their real sectors, one eig per sector for a stack of
-    up to ``STACK_CHUNK`` of them, with the eigenvectors mapped back.  Returns
+    M is assembled once for the sweep (see :func:`affine_liouvillian`), and each
+    case's points are decomposed on its parts (see :func:`_sweep`), one eig per
+    part for a stack of them, with the eigenvectors mapped back.  Returns
     {(intensity, case): list of EigenMode}, intensity-major with "B0" before "B1".
     """
-    out = {}
-    for keys, spectrum, embeddings in _sweep(spec, intensities, b1, vectors=True):
-        for point, key in enumerate(keys):
-            out[key] = classify_groups(_records(spectrum, point, embeddings, spec.dim**2), spec.gamma)
-    return out
+    return {(intensity, case): classify_groups(_records(spectrum, point, embeddings, spec.dim**2), spec.gamma)
+            for grid, cases in _sweep(spec, intensities, b1, vectors=True)
+            for point, intensity in enumerate(grid) for case, (spectrum, embeddings) in zip(CASES, cases)}
+
+
+def _components(sector) -> list[np.ndarray]:
+    """The columns of each connected component of the nonzeros of a sector's ``base`` and ``drive``, by
+    least column; all its columns where Theta failed (the sector is its whole block): it is not split."""
+    size = sector.pump.size
+    if size == sector.block.size:
+        return [np.arange(size)]
+    rows, cols = np.nonzero((sector.base != 0) | (sector.drive != 0))
+    edges, found, free = (np.append(rows, cols), np.append(cols, rows)), [], np.ones(size, dtype=bool)
+    while free.any():
+        found.append(_invariant_block(edges, [np.arange(size) == free.argmax()]))
+        free[found[-1]] = False
+    return found
 
 
 def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
-    """Yield (keys, spectrum, each part's (block, frame)) per ``STACK_CHUNK`` slice of the sweep's points.
+    """Yield (intensities, a (spectrum, each part's (block, frame)) per case) per slice of the grid.
 
-    The points are the (intensity, case) keys, intensity-major with the cases in ``CASES`` order,
-    the list the steady solve walks; a check that fails names the first failing point in that
-    order.  The parts are the Theta-even and Theta-odd sectors of M's invariant blocks (see
-    :meth:`AffineLiouvillian.real_sector`).  The start states are Theta-even and lie on the pump
-    block, so only its even sector, the first part, sees them: elsewhere the amplitudes and the
-    weights are zero by structure.
+    At ``b1`` the parts are the Theta-even and Theta-odd sectors of M's invariant blocks (see
+    :meth:`AffineLiouvillian.real_sector`); at field 0, where M also commutes with m -> -m, each
+    sector's principal submatrices on its :func:`_components`.  The start states are Theta-even and
+    lie on the pump block, so only its even sector, the first, sees them: elsewhere the amplitudes
+    and the weights are zero by structure.  Both cases' stacks of a slice are evaluated, and a check
+    that fails names the first failing point in table order (intensity-major, cases in ``CASES``
+    order), the order the steady solve walks.
     """
     grid = np.asarray(intensities, dtype=float).tolist()
     for intensity in grid:  # the first that is negative or not finite raises as in with_intensity
@@ -378,24 +391,32 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
     if not isfinite(b1):
         raise ValueError(f"b1 must be finite, got {b1!r}")
     affine = affine_liouvillian(spec)
-    keys = [(intensity, case) for intensity in grid for case in CASES]
-    rabi = np.repeat(np.sqrt(grid), len(CASES))  # as with_intensity takes it
-    points = np.array([(intensity, b_field) for intensity in grid for b_field in (0.0, b1)])
-    # the steady states on the family's sector; each point starts in the other case's
-    x = _sector_steady(affine, rabi, points[:, 1])
-    start = x.reshape(len(grid), len(CASES), -1)[:, ::-1].reshape(x.shape)
+    rabi = np.sqrt(grid)  # as with_intensity takes it
+    # the steady states on the family's sector, in table order; each point starts in the other case's
+    x = _sector_steady(affine, np.repeat(rabi, 2), np.tile([0.0, b1], len(grid))).reshape(len(grid), 2, -1)
     sectors = [affine.sector if parity > 0 and block is affine.block else affine.real_sector(block, parity)
                for block in _parts(affine.edges, affine.block, affine.pump.size) for parity in (1, -1)]
     sectors = [sector for sector in sectors if sector.pump.size]
     seen = sectors[0]  # the pump block's even sector, or all of M's when M does not split
     to_seen = (seen.frame[np.searchsorted(seen.block, affine.block)].conj().T @ affine.sector.frame).real
-    embeddings = [(sector.block, sector.frame) for sector in sectors]
-    for part in _chunks(len(keys)):
-        r, b = rabi[part, None, None], points[part, 1, None, None]
-        parts = ((sector.base + r * sector.drive + b * sector.field, sector.weights)
-                 for sector in sectors)  # formed one at a time
-        offsets = [(start[part] - x[part]) @ to_seen.T] + [None] * (len(sectors) - 1)
-        yield keys[part], _spectrum(parts, offsets, points[part], vectors), embeddings
+    # each case's field and parts, a part the principal submatrices of a sector on some of its columns
+    cases = [(0.0, [(sector, c) for sector in sectors for c in _components(sector)]),
+             (b1, [(sector, np.arange(sector.pump.size)) for sector in sectors])]
+    for part in _chunks(len(grid), max(sector.pump.size for sector in sectors)):
+        r, offset, spectra, failures = rabi[part, None, None], (x[part, ::-1] - x[part]) @ to_seen.T, [], []
+        for case, (b, pieces) in enumerate(cases):
+            stack = (((sector.base + r * sector.drive + b * sector.field)[:, c[:, None], c],
+                      sector.weights[c]) for sector, c in pieces)
+            offsets = [offset[:, case, c] if sector is seen else None for sector, c in pieces]
+            points = np.column_stack((grid[part], np.full(r.size, b)))
+            try:
+                spectra.append((_spectrum(stack, offsets, points, vectors),
+                                [(sector.block, sector.frame[:, c]) for sector, c in pieces]))
+            except np.linalg.LinAlgError as exc:  # first, one that names no point
+                failures.append((getattr(exc, "point", -1), case, exc))
+        if failures:
+            raise min(failures, key=lambda failure: failure[:2])[2]
+        yield grid[part], spectra
 
 
 def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
@@ -407,13 +428,14 @@ def intensity_sweep(spec: TransitionSpec, intensities, b1: float) -> dict:
     its observability flag (0 or 1), so consumers can filter.  ``w_mode`` is
     the magnitude of the mode's absorption weight.
     """
-    chunks = [(np.array(keys, dtype=[("intensity", float), ("b_case", object)]), spectrum.values,
-               spectrum.weights, spectrum.observable) for keys, spectrum, _ in _sweep(spec, intensities, b1)]
-    # (point, mode) stacks, flattened in table order
-    keys, values, weights, observable = map(np.concatenate, zip(*chunks))
-    keys = np.repeat(keys, values.shape[1])
+    chunks = [(grid, *(np.stack([getattr(spectrum, name) for spectrum, _ in cases], axis=1)
+                       for name in ("values", "weights", "observable")))
+              for grid, cases in _sweep(spec, intensities, b1)]
+    # (intensity, case, mode) stacks, flattened in table order
+    grid, values, weights, observable = map(np.concatenate, zip(*chunks))
+    cases = np.repeat(np.array(CASES, dtype=object), values.shape[2])
     # hypot is what abs() of a complex scalar computes, to the last bit
     return dict(zip(SWEEP_COLUMNS, (
-        keys["intensity"], keys["b_case"], values.real.ravel(), values.imag.ravel(),
+        np.repeat(grid, cases.size), np.tile(cases, grid.size), values.real.ravel(), values.imag.ravel(),
         _groups(np.abs(values.real), spec.gamma)[0].ravel(), observable.ravel().astype(int),
         np.hypot(weights.real, weights.imag).ravel())))

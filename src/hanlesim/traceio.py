@@ -71,6 +71,9 @@ _PLAIN_FORMATS = {int: int.__repr__, str: str}
 def _format_column(cells) -> list:
     """``_format_cell`` of every cell; a column of one plain type formats each distinct value
     once, telling floats apart by their bits (so 0.0 and -0.0 stay distinct)."""
+    if isinstance(cells, np.ndarray) and cells.dtype.kind in "iu":  # an integer array, by value
+        values, inverse = np.unique(cells, return_inverse=True)
+        return np.array(list(map(int.__repr__, values.tolist())), dtype=object)[inverse].tolist()
     if isinstance(cells, np.ndarray) and cells.dtype != float:
         cells = cells.tolist()
     kinds = {float} if isinstance(cells, np.ndarray) else set(map(type, cells))

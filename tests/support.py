@@ -173,6 +173,23 @@ def dense_real_sector(affine, block: np.ndarray, parity: int) -> liouvillian.Rea
     return liouvillian.RealSector(base, drive, field, pump, weights, frame, block)
 
 
+def m_reversal(spec: TransitionSpec) -> np.ndarray:
+    """sigma -> U sigma U^dag as a Liouville matrix, for U the pi rotation d^F(pi) about y of each
+    manifold, <F, -m| U |F, m> = (-1)^(F - m), the excited one signed so that the superoperator
+    commutes with M at zero field and unit Rabi frequency; from the levels' quantum numbers.
+    Raises AssertionError when neither sign does (light the rotation does not fix)."""
+    levels = [(k, manifold.f, m) for k, manifold in enumerate((spec.fg, spec.fe)) for m in manifold.m_values()]
+    matrix = build_liouvillian(replace(spec, rabi=1.0, b_field=0.0)).matrix
+    for excited_sign in (1.0, -1.0):
+        u = np.zeros((spec.dim, spec.dim))
+        for index, (k, f, m) in enumerate(levels):
+            u[levels.index((k, f, -m)), index] = (-1.0) ** round(f - m) * (excited_sign if k else 1.0)
+        rotation = np.kron(u, u)  # row-major vec(U sigma U^T); U is real
+        if np.abs(rotation @ matrix - matrix @ rotation).max() <= 1e-14 * np.abs(matrix).max():
+            return rotation
+    raise AssertionError("no m -> -m rotation commutes with M at zero field")
+
+
 def entries_of(matrix: np.ndarray) -> liouvillian.Entries:
     """The nonzeros of a dense matrix, row by row."""
     rows, cols = np.nonzero(matrix)

@@ -27,8 +27,8 @@ import hanlesim.spectral as spectral
 from hanlesim.liouvillian import affine_liouvillian, coupling_absorption, vectorize
 from hanlesim.spectral import OBSERVABILITY_TOL
 
-from support import (dense_block, dense_family, dense_parts, dense_real_sector, real_frame, rk4_phases,
-                     steady_vector)
+from support import (dense_block, dense_family, dense_parts, dense_real_sector, m_reversal, real_frame,
+                     rk4_phases, steady_vector)
 
 # a few dozen transitions of Liouville size up to 256 keep this file near two seconds
 PROPERTY_SETTINGS = settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -414,19 +414,21 @@ def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, det
 def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
     # one stacked real steady solve per chunk of (intensity, case) points, each matrix of the
     # sector's size, none while decomposing, and no Liouvillian evaluated beyond the family's
-    # two assemblies of nonzeros
+    # two assemblies of nonzeros; then one eig stack of both intensities per part of each case,
+    # the zero-field components of the sectors and the sectors at b1
     spec = replace(spec, pol=pol)
     # as in test_sweep_modes_match_a_full_eig_per_point: the amplitudes of a defective point are refused
     assume(pol != "sigma+" or spec.fg.twice_f != spec.fe.twice_f or spec.fg.twice_f < 3)
     liouvillian._MEMO.clear()  # a key repeated by an earlier example would be served assembled
     intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
-    solved, built, solve = [], [], dynamics._solved
+    solved, built, decomposed, solve = [], [], [], dynamics._solved
     decompose, assemble = spectral._decompose, liouvillian._lindblad_entries
 
     def refuse(*args, **kwargs):
         raise AssertionError("_decompose solved a linear system")
 
     def decompose_solving_nothing(*args):
+        decomposed.append(args[0].shape[0])
         with pytest.MonkeyPatch.context() as inner:
             inner.setattr(np.linalg, "solve", refuse)
             return decompose(*args)
@@ -440,6 +442,8 @@ def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
     shape = affine_liouvillian(spec).sector.base.shape
     assert [sub.shape for sub in solved] == [(3, *shape), (1, *shape)] and len(built) == 2
     assert all(sub.dtype == np.float64 for sub in solved)
+    sectors = [sector for _, sector in _sweep_sectors(affine_liouvillian(spec))]
+    assert decomposed == [2] * (sum(len(spectral._components(sector)) for sector in sectors) + len(sectors))
     # each case starts in the other case's steady state: its amplitudes rebuild the difference
     for (intensity, case), point in modes.items():
         spec_i = spec.with_intensity(intensity)
@@ -519,6 +523,55 @@ def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
                 if all(min(pair) > floor.max() or max(pair) <= floor.min() for pair, floor in (
                         ((amps[i], ref_amps[j]), floors[0]), ((weights[i], ref_weights[j]), floors[1]))):
                     assert modes[i].observable == ref_flags[j], (intensity, case, ref_values[j])
+
+
+def _sweep_sectors(affine) -> list:
+    """(block, sector) of each nonempty Theta sector of M's invariant blocks, as a sweep takes them."""
+    pairs = [(block, affine.real_sector(block, parity))
+             for block in spectral._parts(affine.edges, affine.block, affine.pump.size) for parity in (1, -1)]
+    return [(block, sector) for block, sector in pairs if sector.pump.size]
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(("linear-x", "linear-y")))
+def test_zero_field_components_refine_the_m_reversal_halves(spec, pol):
+    # at zero field M commutes with m -> -m, which is diagonal +-1 in each Theta sector's
+    # coordinates: the components that split a sector lie each in one of its two halves
+    spec = replace(spec, pol=pol)
+    affine, rotation = affine_liouvillian(spec), m_reversal(spec)
+    for block, sector in _sweep_sectors(affine):
+        assert sector.pump.size < block.size  # Theta holds for linear light
+        components = spectral._components(sector)
+        np.testing.assert_array_equal(np.sort(np.concatenate(components)), np.arange(sector.pump.size))
+        label = np.zeros(sector.pump.size, dtype=int)
+        for k, columns in enumerate(components):
+            label[columns] = k
+        across = label[:, None] != label[None, :]
+        assert not sector.base[across].any() and not sector.drive[across].any()
+        reversal = sector.frame.conj().T @ rotation[np.ix_(block, block)] @ sector.frame
+        halves = np.rint(np.diagonal(reversal).real)
+        assert np.abs(reversal - np.diag(halves)).max() <= 1e-14 and set(halves.tolist()) <= {-1.0, 1.0}
+        assert all(np.unique(halves[columns]).size == 1 for columns in components)
+        matrix = sector.base + spec.rabi * sector.drive
+        split = np.concatenate([np.linalg.eigvals(matrix[np.ix_(c, c)]) for c in components])
+        assert _matched_relative_distance(split, np.linalg.eigvals(matrix)) <= 1e-12
+
+
+@PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(("sigma+", "sigma-", "detuned", None)))
+def test_a_sector_theta_does_not_split_is_one_component(spec, pol):
+    # pol None keeps the transition's own polarization, named or general; detuned is linear-y
+    # light off resonance, where Theta fails though m -> -m holds
+    if pol == "detuned":
+        spec = replace(spec, pol="linear-y", detuning=0.5)
+    elif pol is not None:
+        spec = replace(spec, pol=pol)
+    linear = spec.pol in {replace(spec, pol=linear).pol for linear in ("linear-x", "linear-y")}
+    assume(spec.detuning != 0.0 or not linear)
+    for block, sector in _sweep_sectors(affine_liouvillian(spec)):
+        assert sector.pump.size == block.size
+        (columns,) = spectral._components(sector)
+        np.testing.assert_array_equal(columns, np.arange(block.size))
 
 
 # the memo of the last family, keyed by the spec at (rabi, b) = (0, 0)

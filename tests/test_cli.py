@@ -157,6 +157,34 @@ class TestExitCodes:
         assert captured.err.splitlines()[0].startswith(line.format(cfg=cfg))
         assert captured.out == "" and not out.exists()
 
+    @pytest.mark.parametrize("config, line", [
+        ({"fit_phase": "middle"}, "hanlesim: fit_phase must be 'off' or 'on'"),
+        ({"fit_model": "cubic"},
+         "hanlesim: fit_model must be 'auto' or 'single_exp' or 'exp_plus_damped_sine'"),
+    ], ids=["fit-phase-middle", "fit-model-cubic"])
+    def test_a_fit_choice_from_a_config_is_refused_before_the_simulation(self, monkeypatch, tmp_path,
+                                                                        capsys, config, line):
+        simulated = []
+        monkeypatch.setattr(cli, "switched_transient", lambda *args: simulated.append(1))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o.csv"
+        cfg.write_text(json.dumps(config))
+        assert run(["transient", "--preset", "fig5e", "--config", str(cfg), "--with-fit",
+                    "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0] == line
+        assert simulated == [] and not out.exists()
+
+    def test_fit_of_a_single_phase_trace_refuses_a_bad_phase(self, tmp_path, capsys):
+        # the phase is not read from a trace of one field, but the config is refused all the same
+        trace, cfg, out = tmp_path / "t.csv", tmp_path / "cfg.json", tmp_path / "f.json"
+        times = np.linspace(0.0, 10.0, 40)
+        save_trace(TransientTrace(times, np.exp(-times) + 1.0, np.zeros(40), {"phase_b": 0.0}), trace)
+        assert run(["fit", "--trace", str(trace), "--output", str(out)]) == EXIT_OK
+        out.unlink()
+        cfg.write_text(json.dumps({"fit_phase": "middle"}))
+        assert run(["fit", "--trace", str(trace), "--config", str(cfg), "--output", str(out)]) == EXIT_USAGE
+        assert capsys.readouterr().err.splitlines()[0] == "hanlesim: fit_phase must be 'off' or 'on'"
+        assert not out.exists()
+
     def test_negative_transit_diameter(self, tmp_path, capsys):
         code = run(["transit", "--diameter-m", "-0.01", "--temperature-k", "330",
                     "--output", str(tmp_path / "o.json")])
@@ -682,8 +710,8 @@ class TestSpectrum:
 
     def test_an_interior_point_that_fails_a_check_exits_3_and_is_named(self, monkeypatch, tmp_path,
                                                                         capsys):
-        # eigenvalues off by 1e-3 at the second point of the stack, (0.1, B1), fail its eigen
-        # residual
+        # eigenvalues off by 1e-3 at the second point of each case's stack fail its eigen
+        # residual: (0.2, B0) comes before (0.2, B1)
         decompose = spectral._decompose
 
         def broken(subs, row):
@@ -695,7 +723,7 @@ class TestSpectrum:
         out = tmp_path / "o.csv"
         assert run(self.ARGV + ["--intensities", "0.1,0.2,0.3", "--output", str(out)]) == EXIT_NUMERICAL
         assert re.fullmatch(r"hanlesim: numerical failure: eigen residual \S+ exceeds 1e-9 \(matrix "
-                            r"condition number \S+\) at intensity 0\.1, field 0\.03",
+                            r"condition number \S+\) at intensity 0\.2, field 0",
                             capsys.readouterr().err.splitlines()[0])
         assert not out.exists()
 

@@ -294,6 +294,20 @@ class TestPropagators:
             propagate_modal(liouv, steady_vector(eit_spec(0.02), 0.0), times)
         assert str(raised.value) == f"sample times must be finite and >= 0, got {bad}"
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("limit", [dynamics.MODAL_CONDITION_LIMIT, 1.0], ids=["modal", "fallback"])
+    @pytest.mark.parametrize("times", [[2.0, 0.5, 1.0], [0.0, 1.0, 1.0]], ids=["decreasing", "repeated"])
+    def test_times_that_do_not_increase_are_refused_before_any_work(self, monkeypatch, limit, times):
+        monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", limit)
+        calls = []
+        for name in ("_decompose", "_augmented_map"):
+            work = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *args, work=work: calls.append(1) or work(*args))
+        liouv = build_liouvillian(eit_spec(0.02).with_field(0.03))
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            propagate_modal(liouv, steady_vector(eit_spec(0.02), 0.0), times)
+        assert calls == []
+
     def test_modal_fallback_exponentiates_once_per_distinct_gap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
         calls = []

@@ -12,6 +12,7 @@ import hanlesim.liouvillian as liouvillian
 import hanlesim.spectral as spectral
 from hanlesim import (
     OpenLambdaSpec,
+    TransitionSpec,
     build_liouvillian,
     classify_groups,
     dark_state,
@@ -434,27 +435,36 @@ class TestSplitSweep:
         spec = make_spec(0.0, pol=pol)
         affine = liouvillian.affine_liouvillian(spec)
         grid = [0.02, 0.3, 2.0]
-        (keys, spectrum, embeddings), = spectral._sweep(spec, grid, 0.01)
-        assert keys == [(i, c) for i in grid for c in ("B0", "B1")]
-        assert len(embeddings) == 4  # even and odd halves of the pump block, then of the rest
-        np.testing.assert_array_equal(embeddings[0][0], affine.block)
-        np.testing.assert_array_equal(embeddings[0][1], affine.sector.frame)
+        (intensities, cases), = spectral._sweep(spec, grid, 0.01)
+        assert intensities == grid
+        # at b1 the even and odd halves of the pump block, then of the rest; at field 0 each of
+        # them in its components, 2 + 2 + 2 + 2 on 1 -> 0 and 2 + 3 + 2 + 2 on 1 -> 2
+        assert [len(embeddings) for _, embeddings in cases] == [8 if make_spec is eit_spec else 9, 4]
+        np.testing.assert_array_equal(cases[1][1][0][0], affine.block)
+        np.testing.assert_array_equal(cases[1][1][0][1], affine.sector.frame)
+        components = spectral._components(affine.sector)
+        assert len(components) == 2
+        for (block, frame), columns in zip(cases[0][1], components):
+            np.testing.assert_array_equal(block, affine.block)
+            np.testing.assert_array_equal(frame, affine.sector.frame[:, columns])
         seen = affine.sector.base.shape[0]
-        unseen = spectrum.order >= seen  # the first part's columns come first
-        assert unseen.sum() == len(keys) * (spec.dim**2 - seen)
-        assert np.all(spectrum.amplitudes[unseen] == 0) and np.all(spectrum.weights[unseen] == 0)
-        assert not spectrum.observable[unseen].any()
-        assert all(row.any() for row in spectrum.observable & ~unseen)
+        for spectrum, _ in cases:
+            unseen = spectrum.order >= seen  # the columns of the even pump sector's parts come first
+            assert unseen.sum() == len(grid) * (spec.dim**2 - seen)
+            assert np.all(spectrum.amplitudes[unseen] == 0) and np.all(spectrum.weights[unseen] == 0)
+            assert not spectrum.observable[unseen].any()
+            assert all(row.any() for row in spectrum.observable & ~unseen)
         columns = intensity_sweep(spec, grid, 0.01)
-        assert np.count_nonzero(columns["w_mode"] == 0.0) >= len(keys) * (spec.dim**2 - seen)
+        assert np.count_nonzero(columns["w_mode"] == 0.0) >= 2 * len(grid) * (spec.dim**2 - seen)
 
     @pytest.mark.parametrize("pol", ["linear-y", "sigma+"])
     def test_chunk_boundaries_inside_a_case_pair_change_nothing(self, monkeypatch, pol):
-        # stacks of 1 and 3 points cut between B0 and B1 of one intensity; under sigma+ M does
-        # not split, so the start states are mapped onto the decomposed part
+        # stacks of 1 and 2 points of each case cut the grid between intensities, so a case's
+        # stack ends where the other's does; under sigma+ M does not split, so the start states
+        # are mapped onto the decomposed part
         spec, grid = eia_spec(0.0, pol=pol), (0.02, 0.3, 2.0)
         runs = []
-        for chunk in (1, 3, 32):
+        for chunk in (1, 2, 64):
             monkeypatch.setattr(dynamics, "STACK_CHUNK", chunk)
             runs.append((intensity_sweep(spec, grid, 0.03), sweep_modes(spec, grid, 0.03)))
         columns, modes = runs[0]
@@ -473,6 +483,52 @@ class TestSplitSweep:
                 for (intensity, case), records in modes.items() for mode in records]
         assert list(zip(*columns.values())) == rows
 
+    @pytest.mark.parametrize("failing, named", [
+        ({(0.1, "B1"), (0.3, "B0")}, "intensity 0.1, field 0.03"),
+        ({(0.3, "B0")}, "intensity 0.3, field 0"),
+        ({(0.3, "B1"), (0.3, "B0")}, "intensity 0.3, field 0"),
+        ({(0.2, "B1")}, "intensity 0.2, field 0.03"),
+    ], ids=["earlier-B1-wins", "B0-alone", "B0-before-B1", "B1-alone"])
+    def test_a_failure_names_the_first_failing_point_in_table_order(self, monkeypatch, failing, named):
+        # each case is one stack: the eigenvalues of the chosen points are put off by 1e-3,
+        # which fails their eigen residual in whichever stack holds them
+        spectrum, decompose, stacked = spectral._spectrum, spectral._decompose, []
+
+        def spectrum_of(parts, offsets, points, vectors):
+            stacked[:] = [[(intensity, "B1" if field else "B0") for intensity, field in points.tolist()]]
+            return spectrum(parts, offsets, points, vectors)
+
+        def broken(subs, row):
+            lam, vecs, weights = decompose(subs, row)
+            for k, key in enumerate(stacked[0]):
+                if key in failing:
+                    lam[k] += 1e-3
+            return lam, vecs, weights
+
+        monkeypatch.setattr(spectral, "_spectrum", spectrum_of)
+        monkeypatch.setattr(spectral, "_decompose", broken)
+        for sweep in (intensity_sweep, sweep_modes):
+            with pytest.raises(np.linalg.LinAlgError, match=r"^eigen residual .* at ") as raised:
+                sweep(eia_spec(0.0), (0.1, 0.2, 0.3), 0.03)
+            assert str(raised.value).endswith(f" at {named}")
+
+    @pytest.mark.parametrize("fe, pol, order, points", [
+        (2, "linear-y", 21, 64), (4, "linear-y", 73, 32), (2, "sigma+", 64, 41), (4, "sigma+", 256, 2)])
+    def test_a_sweep_stack_is_bounded_by_points_and_by_entries(self, monkeypatch, fe, pol, order, points):
+        # 3 -> 4's 73-index linear sector keeps stacks of 32 points; larger parts stack fewer
+        spec = TransitionSpec(fg=fe - 1, fe=fe, rabi=0.0, gamma=GAMMA, pol=pol)
+        affine = liouvillian.affine_liouvillian(spec)
+        largest = max(affine.real_sector(block, parity).pump.size
+                      for block in spectral._parts(affine.edges, affine.block, affine.pump.size)
+                      for parity in (1, -1))
+        assert largest == order
+        assert [part.stop - part.start for part in dynamics._chunks(100, order)][:2] == [points] * 2
+        if fe == 2:  # each case's parts in a stack of the bound, then one of the point left over
+            shapes = record_shapes(monkeypatch, "eig")
+            intensity_sweep(spec, np.geomspace(1e-3, 4.0, points + 1), 0.03)
+            assert {shape[0] for shape in shapes} == {points, 1}
+            assert [shape[0] for shape in shapes].count(1) == len(shapes) // 2
+
     @pytest.mark.parametrize("points", [2, 40])
     def test_sweep_assembles_at_most_three_times(self, monkeypatch, points):
         calls = count_assemblies(monkeypatch)
@@ -480,12 +536,18 @@ class TestSplitSweep:
         assert len(calls) <= 3
 
     def test_finds_the_block_once_per_sweep(self, monkeypatch):
-        calls = []
+        # the pump's block over the Liouville indices, once; then each zero-field component of the
+        # four sectors (2 + 3 + 2 + 2 on 1 -> 2) once, over a sector's coordinates
+        seeds = []
         for module in (spectral, dynamics, liouvillian):
             monkeypatch.setattr(module, "_invariant_block",
-                                lambda *args: calls.append(1) or _invariant_block(*args))
-        sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
-        assert len(calls) == 1
+                                lambda edges, found: seeds.append(found) or _invariant_block(edges, found))
+        spec = eia_spec(0.0)
+        sweep_modes(spec, np.geomspace(1e-3, 4.0, 5), b1=0.01)
+        pump = liouvillian.affine_liouvillian(spec).pump
+        liouville = [found for found in seeds if found[0].size == pump.size]
+        assert len(liouville) == 1 and len(liouville[0]) == 1 and liouville[0][0] is pump
+        assert len(seeds) == 1 + 9 and all(found[0].size <= 21 for found in seeds[1:])
 
     def test_forms_each_sector_once_per_sweep(self, monkeypatch):
         # the pump block's even sector is the family's own: the sweep does not form it again

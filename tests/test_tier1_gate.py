@@ -10,7 +10,10 @@ _SPEC = importlib.util.spec_from_file_location("tier1_gate", _PATH)
 tier1_gate = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(tier1_gate)
 
-RED = '<testcase classname="tests.test_acceptance" name="test_criterion_06_zeno_slowdown"><failure/></testcase>'
+RED = ('<testcase classname="tests.test_acceptance" name="test_criterion_06_zeno_slowdown">'
+       '<failure message="assert 0.004639977637962073 &lt;= (2.0 * 0.002)">traceback</failure></testcase>')
+KNOWN_RED_LINE = ("known red tests.test_acceptance::test_criterion_06_zeno_slowdown: "
+                  "assert 0.004639977637962073 <= (2.0 * 0.002)")
 GREEN = '<testcase classname="tests.test_acceptance" name="test_criterion_06_zeno_slowdown"/>'
 PASSED = '<testcase classname="tests.test_fit" name="test_a"/>'
 
@@ -37,3 +40,32 @@ def test_an_unreadable_report_fails(tmp_path, body):
     if body is not None:
         report.write_text(body)
     assert tier1_gate.main([str(report)]) == 1
+
+
+@pytest.mark.parametrize("cases, code", [
+    ([RED, PASSED], 0),
+    ([RED, '<testcase classname="tests.test_fit" name="test_a"><failure message="other"/></testcase>'], 1),
+], ids=["only-the-known-red", "another-failure"])
+def test_the_known_red_message_is_printed_whenever_it_fails(tmp_path, capsys, cases, code):
+    report = tmp_path / "tier1.xml"
+    report.write_text(f'<testsuites><testsuite name="pytest">{"".join(cases)}</testsuite></testsuites>')
+    assert tier1_gate.main([str(report)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == KNOWN_RED_LINE and "other" not in lines[0]
+
+
+@pytest.mark.parametrize("element", ["<failure/>", "<error/>"])
+def test_a_known_red_without_a_message_is_named(tmp_path, capsys, element):
+    report = tmp_path / "tier1.xml"
+    report.write_text('<testsuites><testsuite name="pytest"><testcase classname="tests.test_acceptance" '
+                      f'name="test_criterion_06_zeno_slowdown">{element}</testcase></testsuite></testsuites>')
+    assert tier1_gate.main([str(report)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == (
+        "known red tests.test_acceptance::test_criterion_06_zeno_slowdown: (no message)")
+
+
+def test_a_passing_known_red_prints_no_message(tmp_path, capsys):
+    report = tmp_path / "tier1.xml"
+    report.write_text(f'<testsuites><testsuite name="pytest">{GREEN}{PASSED}</testsuite></testsuites>')
+    assert tier1_gate.main([str(report)]) == 1
+    assert "known red tests." not in capsys.readouterr().out

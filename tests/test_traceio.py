@@ -379,6 +379,28 @@ def test_a_numpy_column_formats_as_its_list(cells):
     assert traceio._format_column(cells) == [_format_cell(cell) for cell in cells.tolist()]
 
 
+#: arrays of every integer width and sign, bool, str and mixed objects, each formatted against its own cells
+typed_columns = st.one_of(
+    *(repeating(pools(st.integers(int(np.iinfo(dtype).min), int(np.iinfo(dtype).max))))
+      .map(lambda cells, dtype=dtype: np.array(cells, dtype=dtype))
+      for dtype in (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)),
+    repeating(pools(st.booleans())).map(lambda cells: np.array(cells, dtype=bool)),
+    repeating(pools(st.text(max_size=3))).map(lambda cells: np.array(cells, dtype=object)),
+    repeating(pools(st.one_of(plain_floats, st.integers(-3, 3), st.booleans(), st.text(max_size=2))))
+    .map(lambda cells: np.array(cells, dtype=object)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(typed_columns)
+@example(np.array([0, -128, 127, 0, -1], dtype=np.int8))
+@example(np.array([2**64 - 1, 0, 2**63], dtype=np.uint64))
+def test_a_typed_array_renders_the_bytes_of_its_cells(cells):
+    per_cell = [_format_cell(cell) for cell in cells]
+    assert traceio._format_column(cells) == per_cell
+    assert render_table(("c",), [cells]) == "\n".join(["c", *per_cell]) + "\n"
+
+
 def sweep_csv(columns):
     """The spectrum command's table of ``intensity_sweep`` columns."""
     return render_table(list(columns), list(columns.values()))
