@@ -88,7 +88,7 @@ MAX_INTEGRATOR_STEP = 0.05
 #: Eigenvector condition number beyond which the modal solver uses the matrix exponential.
 MODAL_CONDITION_LIMIT = 1e10
 
-#: Grid points per stacked solve or eig of a steady scan or sweep (of each field case): bounds its memory.
+#: Grid points per stacked solve, or eig of a sweep's case (a 40-point default grid is one): bounds memory.
 STACK_CHUNK = 64
 #: Matrix entries of a sweep's eig stack at most, those of 32 points of 3 -> 4's 73-index linear sector.
 STACK_ENTRIES = 32 * 73**2
