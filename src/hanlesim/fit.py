@@ -114,13 +114,17 @@ def _predict(model: FitModel, params: dict, t: np.ndarray):
         decay = np.exp(-params["rate"] * t)
         return params["amp"] * decay + params["offset"], (decay,)
     env = np.exp(-params["rate_osc"] * t)
-    arg = params["freq"] * t + params["phase"]
+    arg = params["freq"] * t
+    arg += params["phase"]
     sin_a = np.sin(arg)
-    prediction = params["amp_osc"] * env * sin_a + params["offset"]
+    prediction = params["amp_osc"] * env
+    prediction *= sin_a
+    prediction += params["offset"]
     if model.drop_exp_term:
         return prediction, (env, arg, sin_a)
     decay = np.exp(-params["rate_exp"] * t)
-    return prediction + params["amp_exp"] * decay, (env, arg, sin_a, decay)
+    prediction += params["amp_exp"] * decay
+    return prediction, (env, arg, sin_a, decay)
 
 
 def model_for_phase(meta: dict, kind: str = "auto", drop_exp_term: bool | None = None) -> FitModel:
@@ -174,11 +178,12 @@ def _residual(model: FitModel, theta: np.ndarray, t: np.ndarray, y: np.ndarray):
     """(residual, external params, prediction terms) at internal parameters ``theta``."""
     params = _to_external(model, theta)
     prediction, terms = _predict(model, params, t)
-    return prediction - y, params, terms
+    return np.subtract(prediction, y, out=prediction), params, terms
 
 
 def _linearize(model: FitModel, params: dict, t: np.ndarray, terms: tuple, residual: np.ndarray):
-    """(J, J^T r, J^T J, damping diagonal) from one point's :func:`_predict` terms."""
+    """(J, J^T r, J^T J, damping diagonal) from one point's :func:`_predict` terms.  J is a
+    new (N, p) array in C order; J^T r from a (p, N) one rounds differently."""
     if model.kind == "single_exp":
         cols = [terms[0], -params["amp"] * t * terms[0]]
     else:
@@ -188,7 +193,10 @@ def _linearize(model: FitModel, params: dict, t: np.ndarray, terms: tuple, resid
                 params["amp_osc"] * t * env * cos_a, params["amp_osc"] * env * cos_a]
         if not model.drop_exp_term:
             cols = [terms[3], -params["amp_exp"] * t * terms[3]] + cols
-    jac = np.column_stack(cols + [np.ones_like(t)]) * _external_slope(model, params)
+    slope = _external_slope(model, params)
+    jac = np.ones((t.size, slope.size))  # the last column, the offset's, stays 1
+    for k, col in enumerate(cols):
+        np.multiply(col, slope[k], out=jac[:, k])
     normal = jac.T @ jac
     diag = np.diag(normal)
     diag = np.maximum(diag, 1e-14 * max(diag.max(), np.finfo(float).tiny))
@@ -205,14 +213,14 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
     residual, params, terms = _residual(model, theta, t, y)
     cost = residual @ residual
     jac, gradient, normal, diag = _linearize(model, params, t, terms, residual)
-    tolerance = GRADIENT_TOL * max(1.0, np.abs(gradient).max())
+    largest = np.abs(gradient).max()
+    tolerance = GRADIENT_TOL * max(1.0, largest)
     damping = 1e-3
     iterations = 0
-    # a trial point may overflow, giving a NaN or inf cost, which the test below rejects
+    # a trial point may overflow, giving a NaN or inf cost, which the test below rejects;
+    # `not largest <= tolerance` keeps stepping at a NaN gradient, as at a large one
     with np.errstate(over="ignore", invalid="ignore"):
-        while iterations < MAX_ITERATIONS and damping <= 1e15:
-            if np.abs(gradient).max() <= tolerance:
-                break
+        while iterations < MAX_ITERATIONS and damping <= 1e15 and not largest <= tolerance:
             iterations += 1
             try:
                 step = np.linalg.solve(normal + damping * np.diag(diag), -gradient)
@@ -226,12 +234,13 @@ def _levenberg(model: FitModel, theta0: np.ndarray, t: np.ndarray, y: np.ndarray
                 relative_move = np.abs(step).max() / (1.0 + np.abs(theta).max())
                 theta, residual, cost = trial, trial_residual, trial_cost
                 jac, gradient, normal, diag = _linearize(model, params, t, terms, residual)
+                largest = np.abs(gradient).max()
                 damping = max(damping / 10.0, 1e-15)
                 if relative_move < 1e-15:
                     break
             else:
                 damping *= 10.0
-    return theta, residual, jac, normal, cost, iterations, bool(np.abs(gradient).max() <= tolerance)
+    return theta, residual, jac, normal, cost, iterations, bool(largest <= tolerance)
 
 
 def _moving_average(y: np.ndarray, width: int) -> np.ndarray:
@@ -381,7 +390,8 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
         if unknown:
             raise ValueError(f"unknown seed parameters: {sorted(unknown)}")
         for name, value in seeds.items():
-            if not isfinite(value) or (name in _LOG_PARAMS and value <= 0):
+            real = isinstance(value, (int, float, np.integer, np.floating))
+            if not (real and isfinite(value)) or (name in _LOG_PARAMS and value <= 0):
                 positive = " positive" if name in _LOG_PARAMS else ""
                 raise ValueError(f"seed {name!r} must be a finite{positive} number, got {value!r}")
         seed_params.update(seeds)

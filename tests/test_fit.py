@@ -8,8 +8,7 @@ import pytest
 from hanlesim import FitModel, SwitchSchedule, build_liouvillian, eigenmodes, fit, rate_vs_intensity
 from hanlesim.cli import _schedule, _transition_spec, build_config
 from hanlesim.dynamics import TransientTrace, split_phases, switched_transient
-from hanlesim.fit import (_external_slope, _linearize, _normalize, _residual, _to_external, _to_internal,
-                          evaluate_model, model_for_phase)
+from hanlesim.fit import _linearize, _normalize, _residual, _to_internal, evaluate_model, model_for_phase
 
 from support import GAMMA, PRESET_INTENSITIES, eia_spec, eit_spec
 
@@ -83,10 +82,28 @@ def test_solver_jacobian_matches_central_differences(model, params):
         assert error <= 1e-6, (model.param_names[k], error)
 
 
+#: the parameters the reference below maps from logarithms, a copy of the module's own set
+EAGER_LOG_PARAMS = frozenset({"rate", "rate_exp", "rate_osc", "freq"})
+
+
+def eager_external(model, theta):
+    """External parameters at internal ``theta``: a copy of ``_to_external``."""
+    return {name: float(np.exp(value)) if name in EAGER_LOG_PARAMS else float(value)
+            for name, value in zip(model.param_names, theta)}
+
+
+def eager_slope(model, params):
+    """d(external)/d(internal) per parameter: a copy of ``_external_slope``."""
+    return np.array([params[name] if name in EAGER_LOG_PARAMS else 1.0 for name in model.param_names])
+
+
 def eager_residual_jacobian(model, theta, t, y):
     """(residual, J) at internal parameters ``theta``, both from one evaluation of
-    each exponential, sine and cosine: every trial point of the eager loop."""
-    params = _to_external(model, theta)
+    each exponential, sine and cosine: every trial point of the eager loop.
+
+    It shares no helper with the module, so that an edit to how the module maps
+    parameters or forms J shows as a difference in bits."""
+    params = eager_external(model, theta)
     ones = np.ones_like(t)
     if model.kind == "single_exp":
         decay = np.exp(-params["rate"] * t)
@@ -103,7 +120,46 @@ def eager_residual_jacobian(model, theta, t, y):
             decay = np.exp(-params["rate_exp"] * t)
             prediction = prediction + params["amp_exp"] * decay
             cols = [decay, -params["amp_exp"] * t * decay] + cols
-    return prediction - y, np.column_stack(cols) * _external_slope(model, params)
+    return prediction - y, np.column_stack(cols) * eager_slope(model, params)
+
+
+def random_points(model, rng, count):
+    """``count`` internal parameter vectors: log rates and frequencies over six decades,
+    linear parameters in [-2, 2]; in every third one coordinate is pushed to where
+    exp(theta), the prediction or the columns of J overflow, as a trial point may."""
+    names = model.param_names
+    for k in range(count):
+        theta = np.array([rng.uniform(np.log(1e-6), 0.0) if name in EAGER_LOG_PARAMS
+                          else rng.uniform(-2.0, 2.0) for name in names])
+        if k % 3 == 2:
+            j = rng.integers(len(names))
+            theta[j] = (rng.uniform(700.0, 720.0) if names[j] in EAGER_LOG_PARAMS
+                        else rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(300.0, 308.0))
+        yield theta
+
+
+@pytest.mark.parametrize("model, params, seed", [
+    (FitModel("single_exp"), {"amp": 0.8, "rate": 0.004, "offset": 0.1}, 1),
+    (FitModel("exp_plus_damped_sine"), Y2_TRUE, 2),
+    (FitModel("exp_plus_damped_sine", drop_exp_term=True), Y2_DROPPED, 3),
+], ids=["single_exp", "damped_sine", "damped_sine-dropped"])
+def test_linearize_is_bit_equal_to_the_eager_jacobian(model, params, seed):
+    # J, J^T r and J^T J as the eager loop formed them, at random points and at overflowing ones
+    rng = np.random.default_rng(seed)
+    y = evaluate_model(model, params, TIMES) + 0.01 * rng.standard_normal(TIMES.size)
+    non_finite = 0
+    with np.errstate(all="ignore"):
+        for theta in random_points(model, rng, 60):
+            residual, external, terms = _residual(model, theta, TIMES, y)
+            jac, gradient, normal, _ = _linearize(model, external, TIMES, terms, residual)
+            old_residual, old_jac = eager_residual_jacobian(model, theta, TIMES, y)
+            for name, new, old in (("residual", residual, old_residual), ("J", jac, old_jac),
+                                   ("J^T r", gradient, old_jac.T @ old_residual),
+                                   ("J^T J", normal, old_jac.T @ old_jac)):
+                assert (new.dtype, new.shape) == (old.dtype, old.shape), name
+                assert new.tobytes() == old.tobytes(), (name, theta)
+            non_finite += not np.isfinite(jac).all()
+    assert non_finite >= 5  # the overflowing draws reach J (7 to 10 of the 20 do)
 
 
 def eager_levenberg(model, theta0, t, y):
@@ -427,6 +483,10 @@ class TestEdgeCases:
         (FitModel("exp_plus_damped_sine"), "freq", -0.06),
         (FitModel("exp_plus_damped_sine"), "amp_osc", np.inf),
         (FitModel("exp_plus_damped_sine"), "phase", np.nan),
+        # values that are not real numbers raised TypeError from the check itself
+        (FitModel("single_exp"), "rate", "0.1"), (FitModel("single_exp"), "rate", None),
+        (FitModel("single_exp"), "rate", 1j), (FitModel("single_exp"), "amp", None),
+        (FitModel("exp_plus_damped_sine"), "freq", 1j),
     ])
     def test_non_finite_or_non_positive_seed_raises_naming_it(self, model, name, bad):
         # a negative rate seed was clamped to 1e-300 and "converged" there; NaN or inf
@@ -434,6 +494,12 @@ class TestEdgeCases:
         true = {"amp": 1.0, "rate": 0.1, "offset": 0.2} if model.kind == "single_exp" else Y2_TRUE
         with pytest.raises(ValueError, match=f"seed '{name}' must be a finite"):
             fit(make_trace(model, true), model, seeds={name: bad})
+
+    def test_integer_and_numpy_seeds_are_numbers(self):
+        model = FitModel("single_exp")
+        trace = make_trace(model, {"amp": 1.0, "rate": 0.01, "offset": 0.0})
+        result = fit(trace, model, seeds={"amp": 1, "rate": np.float32(0.008), "offset": np.int64(0)})
+        assert result.converged and result.params["rate"] == pytest.approx(0.01, rel=1e-6)
 
     def test_unknown_seed_key(self):
         trace = make_trace(FitModel("single_exp"), {"amp": 1.0, "rate": 0.01, "offset": 0.0})
