@@ -4,15 +4,21 @@ Each propagator has one path.  ``switched_transient`` steps every
 constant-field phase exactly: with z = [y; 1], dy/dt = M y + p0 becomes
 dz/dt = G z for the augmented generator G = [[M, p0], [0, 0]], so one
 E = exp(hG) advances the state by a sample step h (Van Loan, IEEE TAC 23,
-395 (1978)); G is taken in real coordinates (see below), and E's last row is
-set to [0 ... 0 1], as the exact exponential's is, so z keeps its 1 exactly.
+395 (1978)); G is taken in real coordinates (see below), and E's last row
+comes out [0 ... 0 1] exactly, as the exact exponential's is: z keeps its 1.
 A phase's n absorption samples c E^j z (c the absorption row) are baby rows
 c E^b, b < m for m the power of two nearest sqrt(n), times giant states
 E^(am) z, each set formed by doubling (Paterson & Stockmeyer, SIAM J.
 Comput. 2, 60 (1973)).
-The exponential is numpy scaling and squaring with a [13/13] Pade
-approximant (Higham, SIMAX 26, 1179 (2005)).  ``propagate_modal`` evaluates
-the exact modal solution
+The exponential of a = hG scales a by 2^-s to 1-norm at most theta =
+0.6410835233041199, the largest at which the degree-15 Taylor polynomial T of
+exp has T(a) = exp(a + da), ||da|| <= 2^-53 ||a|| (from the series of
+log(e^-x T(x))); it forms T(a) = B0 + a^4 (B1 + a^4 (B2 + a^4 B3)) with
+B_j = sum_{i<4} a^i/(4j + i)! and squares it s times (Al-Mohy & Higham, SIAM
+J. Sci. Comput. 33, 488 (2011)): six products, no solve.  As G's last row is
+zero, T and its squares have the last row [0 ... 0 1] exactly, where a solve
+(of a Pade approximant) leaves 1 + O(u) there for the squarings to raise.
+``propagate_modal`` evaluates the exact modal solution
 
     y(t) = y_ss + sum_i a_i v_i exp(lambda_i t),    y_ss = -M^{-1} p0,
 
@@ -93,10 +99,10 @@ STACK_CHUNK = 64
 #: Matrix entries of a sweep's eig stack at most, those of 32 points of 3 -> 4's 73-index linear sector.
 STACK_ENTRIES = 32 * 73**2
 
-#: Coefficients b_k = (26 - k)! / (k! (13 - k)!) of the [13/13] Pade approximant to exp.
-_PADE13 = tuple(float(factorial(26 - k) // (factorial(k) * factorial(13 - k))) for k in range(14))
-#: Largest 1-norm for which the [13/13] Pade approximant is exp to double precision.
-_THETA13 = 5.371920351148152
+#: 1/(4j + i)! at row j, column i: the blocks B_j = sum_i a^i/(4j + i)! of exp's degree-15 Taylor polynomial.
+_TAYLOR15 = np.array([[1.0 / factorial(4 * j + i) for i in range(4)] for j in range(4)])
+#: Largest 1-norm at which that polynomial T has T(a) = exp(a + da), ||da|| <= 2^-53 ||a|| (module notes).
+_THETA15 = 0.6410835233041199
 
 #: Boltzmann constant in J/K (exact in the 2019 SI).
 _BOLTZMANN = 1.380649e-23
@@ -288,22 +294,24 @@ def _decompose(sub: np.ndarray, row: np.ndarray):
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp(a): a scaled by 2^-s to 1-norm <= ``_THETA13``, the [13/13] Pade
-    approximant (V - U)^-1 (V + U) from its odd (U) and even (V) powers, squared s times.
-    Raises numpy.linalg.LinAlgError if the result is not finite.
+    """exp(a): a scaled by 2^-s to 1-norm <= ``_THETA15``, the degree-15 Taylor polynomial
+    B0 + a^4 (B1 + a^4 (B2 + a^4 B3)) of the module notes, squared s times; six products, no
+    solve, so a zero last row of a gives the result the last row [0 ... 0 1] exactly.
+    Raises numpy.linalg.LinAlgError if a's 1-norm or the result is not finite.
     """
-    norm = np.abs(a).sum(axis=0).max()
-    squarings = ceil(log2(norm / _THETA13)) if norm > _THETA13 else 0
-    a = a / 2.0**squarings
-    b = _PADE13
-    ident = np.eye(a.shape[0])
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident
-    r = np.linalg.solve(v - u, v + u)
+    if not isfinite(norm := np.abs(a).sum(axis=0).max()):
+        raise np.linalg.LinAlgError(f"matrix exponential is not finite (argument 1-norm {norm:.3e})")
+    squarings = ceil(log2(norm) - log2(_THETA15)) if norm > _THETA15 else 0
+    powers = np.empty((4,) + a.shape, dtype=np.result_type(a, 1.0))  # I, a, a^2, a^3
+    powers[0] = np.eye(a.shape[0])
+    np.multiply(a, 2.0**-squarings, out=powers[1])  # exact: a finite norm needs s <= 1025 < 1074
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    a4 = powers[2] @ powers[2]
+    blocks = (_TAYLOR15 @ powers.reshape(4, -1)).reshape(powers.shape)
+    r = blocks[3]
+    for block in blocks[2::-1]:
+        r = block + a4 @ r
     for _ in range(squarings):
         r = r @ r
     if not np.isfinite(r).all():
@@ -312,13 +320,10 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def _augmented_map(a: np.ndarray, pump: np.ndarray, h: float) -> np.ndarray:
-    """exp(h G) for the augmented generator G = [[a, pump], [0, 0]] of dy/dt = a y + pump, its last
-    row set to exactly [0 ... 0 1], as that of the exact exponential is: a product of such maps then
-    keeps the trailing 1 of [y; 1] exactly."""
-    step = _expm(h * np.vstack((np.column_stack((a, pump)), np.zeros(pump.size + 1))))
-    step[-1] = 0.0
-    step[-1, -1] = 1.0
-    return step
+    """exp(h G) for the augmented generator G = [[a, pump], [0, 0]] of dy/dt = a y + pump; its last
+    row comes out exactly [0 ... 0 1] (module notes), so a product of such maps keeps the trailing 1
+    of [y; 1] exactly."""
+    return _expm(h * np.vstack((np.column_stack((a, pump)), np.zeros(pump.size + 1))))
 
 
 def _stepped(step: np.ndarray, z0: np.ndarray, n_steps: int) -> np.ndarray:

@@ -9,7 +9,8 @@ from types import SimpleNamespace
 import numpy as np
 
 import hanlesim.liouvillian as liouvillian
-from hanlesim import TransitionSpec, build_liouvillian, hamiltonian, propagate_integrated, steady_state
+from hanlesim import (TransitionSpec, absorption, build_liouvillian, hamiltonian, propagate_integrated,
+                      steady_state)
 from hanlesim.angular import projectors, q_matrix
 from hanlesim.liouvillian import vectorize
 
@@ -46,6 +47,12 @@ def eia_spec(intensity=0.02, **kwargs) -> TransitionSpec:
 def steady_vector(spec: TransitionSpec, b_field: float) -> np.ndarray:
     """Vectorized steady state of the spec at the given static field."""
     return vectorize(steady_state(build_liouvillian(spec.with_field(b_field))))
+
+
+def dense_steady_absorption(spec: TransitionSpec) -> float:
+    """Absorption of the spec's steady state, by a dense solve of the full M: no block, sector or check."""
+    liouv = build_liouvillian(spec)
+    return absorption(np.linalg.solve(liouv.matrix, -liouv.pump), spec)
 
 
 def rk4_phases(spec: TransitionSpec, schedule) -> tuple[np.ndarray, np.ndarray]:

@@ -177,6 +177,25 @@ def test_expm_matches_scipy_on_augmented_generators(spec):
         assert np.abs(dynamics._expm(h * gen) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+def _complex_block_generator(spec):
+    """[[M, p0], [0, 0]] on M's pump block, complex: what ``propagate_modal``'s fallback exponentiates."""
+    liouv = build_liouvillian(spec)
+    block = liouvillian._invariant_block(np.nonzero(liouv.matrix), [liouv.pump])
+    gen = np.zeros((block.size + 1, block.size + 1), dtype=complex)
+    gen[:-1, :-1] = liouv.matrix[np.ix_(block, block)]
+    gen[:-1, -1] = liouv.pump[block]
+    return gen
+
+
+@PROPERTY_SETTINGS
+@given(transitions())
+def test_expm_matches_scipy_on_complex_block_generators(spec):
+    gen = _complex_block_generator(spec)
+    for h in (0.05, 1.25, 2500.0):
+        expected = scipy.linalg.expm(h * gen)
+        assert np.abs(dynamics._expm(h * gen) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
 @PROPERTY_SETTINGS
 @given(transitions())
 def test_switched_transient_matches_rk4_phase_by_phase(spec):

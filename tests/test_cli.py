@@ -20,7 +20,8 @@ from hanlesim import (TransientTrace, absorption, build_liouvillian, list_preset
 from hanlesim.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, build_parser, main
 from hanlesim.spectral import intensity_sweep
 
-from support import B1, count_assemblies, eia_spec, eit_spec, record_shapes, subprocess_env
+from support import (B1, count_assemblies, dense_steady_absorption, eia_spec, eit_spec, record_shapes,
+                     subprocess_env)
 
 TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
 
@@ -365,6 +366,20 @@ class TestExitCodes:
         assert run(argv + ["--output", str(out / "o.csv")]) == EXIT_NUMERICAL
         assert "numerical failure" in capsys.readouterr().err
         assert list(out.iterdir()) == []
+
+    # one sample step of half a period relaxes the field-off phase fully, so the field-on phase starts
+    # in the field-off steady state; at 1e308 the step's exponential squares about 1025 times, and
+    # 2.0**s alone would overflow
+    @pytest.mark.parametrize("period", ["1e20", "1e308"])
+    def test_a_step_of_any_finite_length_reaches_the_steady_state(self, tmp_path, period):
+        out = tmp_path / "o.csv"
+        argv = ["transient", "--period", period, "--samples-per-period", "2", "--output", str(out)]
+        assert run(argv) == EXIT_OK
+        columns = table_columns(out)
+        assert [float(b) for b in columns["b"]] == [0.0, B1]
+        expected = dense_steady_absorption(cli._transition_spec(cli.RunConfig()).with_field(0.0))
+        assert float(columns["w"][1]) == pytest.approx(expected, rel=1e-11, abs=0)
+        assert 0.0097 < expected < 0.0098
 
     # a finite trace this large overflows the fit's cost (1e200) or only its J^T J (1e154)
     @pytest.mark.parametrize("scale", [1e200, 1e154])

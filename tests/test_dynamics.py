@@ -2,7 +2,7 @@
 
 import dataclasses
 import inspect
-from math import floor
+from math import factorial, floor
 
 import numpy as np
 import pytest
@@ -28,8 +28,8 @@ from hanlesim import (
 )
 from hanlesim.cli import _ATOMIC_MASS_KG
 
-from support import (GAMMA, dense_parts, eia_spec, eit_spec, entries_of, record_shapes, rk4_phases,
-                     steady_vector)
+from support import (GAMMA, dense_parts, dense_steady_absorption, eia_spec, eit_spec, entries_of,
+                     record_shapes, rk4_phases, steady_vector)
 
 
 def chunked_integrated(liouv, y0, dt, t_end):
@@ -395,8 +395,9 @@ def test_sampled_steps_match_one_step_at_a_time(kind, rows):
 
 @pytest.mark.parametrize("fg, fe", [(1, 0), (1, 2), (3, 4)])
 def test_every_augmented_map_has_an_exact_last_row(monkeypatch, fg, fe):
-    # exp(hG) for G = [[A, p], [0, 0]] has last row [0 ... 0 1]; the Pade result misses it by about
-    # 1e-13 at h = 1250, and the trailing 1 of the state would drift from map to map
+    # exp(hG) for G = [[A, p], [0, 0]] has last row [0 ... 0 1]; the Taylor polynomial and its squares
+    # keep it exactly (a Pade approximant's solve misses it by about 1e-13 at h = 1250), or the trailing
+    # 1 of the state would drift from map to map
     maps = []
     make = dynamics._augmented_map
     monkeypatch.setattr(dynamics, "_augmented_map", lambda *args: maps.append(make(*args)) or maps[-1])
@@ -414,6 +415,58 @@ def test_every_augmented_map_has_an_exact_last_row(monkeypatch, fg, fe):
         last = np.zeros(step.shape[1], dtype=step.dtype)
         last[-1] = 1.0
         assert step[-1].tobytes() == last.tobytes()
+
+
+@pytest.mark.parametrize("fg, fe", [(1, 2), (3, 4)])
+@pytest.mark.parametrize("period", [1e8, 1e20, 1e300])
+def test_a_long_step_lands_on_the_steady_state(fg, fe, period):
+    # one step of half a period relaxes each phase fully, so the sample after it is the steady state of
+    # the field before it; a step map whose last row were 1 + O(u) before its 27 to 1000 squarings
+    # would raise that 1 to the 2^s-th power
+    spec = TransitionSpec(fg=fg, fe=fe, rabi=0.0, gamma=GAMMA).with_intensity(0.3)
+    schedule = SwitchSchedule(b1=0.03, period=period, n_periods=2, samples_per_period=2)
+    trace = switched_transient(spec, schedule)
+    expected = [dense_steady_absorption(spec.with_field(b)) for b in (0.03, 0.0, 0.03, 0.0)]
+    np.testing.assert_allclose(trace.w, expected, rtol=1e-11, atol=0)
+
+
+def test_the_taylor_tail_at_theta_is_below_the_unit_roundoff():
+    # ||exp(a) - T(a)|| <= sum_{k > 15} ||a||^k / k!: 4.0e-17 at ||a|| = theta, and 2.5e-12 at twice
+    # theta, so theta is within a factor 2 of the largest norm that passes; terms past k = 40 are tiny
+    def tail(norm):
+        return sum(norm**k / factorial(k) for k in range(16, 41))
+
+    assert tail(dynamics._THETA15) <= 2.0**-53 < tail(2.0 * dynamics._THETA15)
+
+
+@pytest.mark.parametrize("t", [dynamics._THETA15, 0.5, 3.0, -2.0, dynamics._THETA15 * np.exp(0.3j)])
+def test_the_exponential_is_exact_on_a_nilpotent_shift(t):
+    # the shift N of order 16 has N^16 = 0, so exp(tN), t^k/k! on the k-th superdiagonal, is the
+    # degree-15 Taylor polynomial of any scaling of tN, squared back: each coefficient 1/k! shows
+    shift = np.eye(16, k=1)
+    expected = sum(t**k / factorial(k) * np.linalg.matrix_power(shift, k) for k in range(16))
+    np.testing.assert_allclose(dynamics._expm(t * shift), expected, rtol=1e-13, atol=0)
+
+
+def test_the_exponential_solves_and_inverts_nothing(monkeypatch):
+    shapes = [record_shapes(monkeypatch, name) for name in ("solve", "inv")]
+    spec = eia_spec(0.3)
+    real = liouvillian.affine_liouvillian(spec).sector
+    for h in (0.05, 1.25, 2500.0, 1e300):  # 0 to 1000 squarings
+        step = dynamics._augmented_map(real.base + spec.rabi * real.drive, real.pump, h)
+        assert np.isfinite(step).all()
+    assert shapes == [[], []]
+
+
+@pytest.mark.parametrize("a, norm", [
+    (np.array([[np.inf]]), "inf"),
+    (np.array([[0.0, np.nan], [0.0, 0.0]]), "nan"),
+    (np.array([[0.0, 1j * np.inf], [0.0, 0.0]]), "inf"),
+], ids=["inf", "nan", "complex-inf"])
+def test_an_argument_that_is_not_finite_is_refused_by_name(a, norm):
+    with pytest.raises(np.linalg.LinAlgError) as exc:
+        dynamics._expm(a)
+    assert str(exc.value) == f"matrix exponential is not finite (argument 1-norm {norm})"
 
 
 class TestSwitchSchedule:
@@ -653,9 +706,8 @@ class TestSwitchedTransient:
             with monkeypatch.context() as patch:
                 shapes = record_shapes(patch, "solve")
                 switched_transient(spec, SwitchSchedule(b1=0.02, samples_per_period=40))
-            # the steady solve on the sector, a stack of one point, and the exponential's Pade
-            # solve on its augmented generator [[A, p0], [0, 0]], one larger
-            assert set(shapes) == {(1, size, size), (size + 1, size + 1)}
+            # the steady solve on the sector, a stack of one point; the exponential solves nothing
+            assert set(shapes) == {(1, size, size)}
 
     @pytest.mark.parametrize("fg, fe, size", [(1, 0, 7), (1, 2, 21), (2, 3, 43), (3, 3, 56), (3, 4, 73)])
     def test_linear_light_at_zero_detuning_steps_the_even_sector(self, fg, fe, size):

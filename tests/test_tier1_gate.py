@@ -56,12 +56,40 @@ def test_the_known_red_message_is_printed_whenever_it_fails(tmp_path, capsys, ca
 
 @pytest.mark.parametrize("element", ["<failure/>", "<error/>"])
 def test_a_known_red_without_a_message_is_named(tmp_path, capsys, element):
+    # without its message the red cannot show that it missed its own bound, so the gate fails
     report = tmp_path / "tier1.xml"
     report.write_text('<testsuites><testsuite name="pytest"><testcase classname="tests.test_acceptance" '
                       f'name="test_criterion_06_zeno_slowdown">{element}</testcase></testsuite></testsuites>')
-    assert tier1_gate.main([str(report)]) == 0
+    assert tier1_gate.main([str(report)]) == 1
     assert capsys.readouterr().out.splitlines()[0] == (
         "known red tests.test_acceptance::test_criterion_06_zeno_slowdown: (no message)")
+
+
+def red_case(element, message):
+    return ('<testcase classname="tests.test_acceptance" name="test_criterion_06_zeno_slowdown">'
+            f'<{element} message="{message}">traceback</{element}></testcase>')
+
+
+@pytest.mark.parametrize("case, code", [
+    (red_case("failure", "assert 0.004639977637962732 &lt;= (2.0 * 0.002)"), 0),
+    (red_case("failure", "assert 0.00463998 &lt;= (2.0 * 0.002)"), 0),
+    (red_case("error", "assert 0.004639977637962073 &lt;= (2.0 * 0.002)"), 1),
+    (red_case("error", "numpy.linalg.LinAlgError: steady-state residual 1e-09 exceeds 1e-10"), 1),
+    (red_case("failure", "assert False"), 1),
+    (red_case("failure", "assert 0.004639977637962073 &lt;= 0.004"), 1),
+    (red_case("failure", "assert 0.004639985 &lt;= (2.0 * 0.002)"), 1),
+    (red_case("failure", "assert 0.0046 &lt;= (2.0 * 0.002)"), 1),
+    (red_case("failure", "assert 0.0051 &lt;= (2.0 * 0.002)"), 1),
+    (red_case("failure", "assert (2.0 * 0.002) &lt;= (2.0 * 0.002)"), 1),
+], ids=["rounded", "within-1e-6", "error", "crash", "another-assertion", "another-bound", "just-outside",
+        "far-below", "far-above", "no-rate"])
+def test_the_known_red_must_fail_for_its_own_reason(tmp_path, capsys, case, code):
+    report = tmp_path / "tier1.xml"
+    report.write_text(f'<testsuites><testsuite name="pytest">{case}{PASSED}</testsuite></testsuites>')
+    assert tier1_gate.main([str(report)]) == code
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("known red tests.test_acceptance::test_criterion_06_zeno_slowdown: ")
+    assert ("known red failed for another reason" in lines[-1]) == bool(code)
 
 
 def test_a_passing_known_red_prints_no_message(tmp_path, capsys):
