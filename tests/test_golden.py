@@ -5,7 +5,9 @@ Each preset runs in-process as the CLI runs it (``transient --with-fit``, then
 ``perfbench/reference_presets.json`` by perfbench's own check: a trace to 1e-9 of
 its largest |w|, a fit parameter to 1e-5 of its value plus 1e-3 of its
 uncertainty.  Within those tolerances, not bytes, so that another CPU or numpy
-build passes.
+build passes.  The spectrum presets run as ``spectrum --preset``, and perfbench's
+spectra check holds each point's eigenvalues to those of the assembled M, within
+1e-9 of the largest |lambda|; their group and observability flags are not compared.
 """
 
 import json
@@ -23,6 +25,7 @@ from workloads import CheckFailed, check_presets_outputs  # noqa: E402
 
 REFERENCE = json.loads(workloads.REFERENCE_PRESETS.read_text(encoding="utf-8"))
 TRANSIENT_PRESETS = [name for name, command, _ in list_presets() if command == "transient"]
+SPECTRUM_PRESETS = [name for name, command, _ in list_presets() if command == "spectrum"]
 
 
 def run_preset(name, directory):
@@ -32,6 +35,13 @@ def run_preset(name, directory):
                      "--output", str(trace), "--fit-output", str(fit_on)]) == 0
     assert cli.main(["fit", "--trace", str(trace), "--fit-phase", "off", "--output", str(fit_off)]) == 0
     return trace, fit_on, fit_off
+
+
+def run_spectrum(name, directory):
+    """(header, rows) of one spectrum preset's table, run through ``cli.main``."""
+    table = directory / f"{name}.csv"
+    assert cli.main(["spectrum", "--preset", name, "--output", str(table)]) == 0
+    return workloads._csv_rows(table)
 
 
 def test_the_reference_holds_every_transient_preset():
@@ -69,3 +79,22 @@ def test_the_check_catches_a_changed_trace_sample_or_fit_parameter(tmp_path):
         path.write_text(json.dumps(payload))
         with pytest.raises(CheckFailed, match="fit"):
             check_presets_outputs(REFERENCE[name], *paths, name)
+
+
+@pytest.mark.parametrize("name", SPECTRUM_PRESETS)
+def test_spectrum_preset_matches_the_eigenvalues_of_the_assembled_matrix(name, tmp_path):
+    header, rows = run_spectrum(name, tmp_path)
+    assert workloads.Spectra(tmp_path)._check_spectrum(name, header, rows) <= 1.0
+
+
+@pytest.mark.parametrize("name", SPECTRUM_PRESETS)
+def test_the_check_catches_a_moved_eigenvalue(name, tmp_path):
+    # the re_lambda cell of the first point's largest-|lambda| row, moved by 1e-6 relative
+    header, rows = run_spectrum(name, tmp_path)
+    intensity, case, re, im = (header.index(column)
+                               for column in ("intensity", "b_case", "re_lambda", "im_lambda"))
+    point = [row for row in rows if (row[intensity], row[case]) == (rows[0][intensity], rows[0][case])]
+    largest = max(point, key=lambda row: abs(complex(float(row[re]), float(row[im]))))
+    largest[re] = repr(float(largest[re]) * (1.0 + 1e-6))
+    with pytest.raises(CheckFailed, match="eigenvalues vs eigvals"):
+        workloads.Spectra(tmp_path)._check_spectrum(name, header, rows)
