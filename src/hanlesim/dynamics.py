@@ -195,7 +195,7 @@ def steady_state(liouv: Liouvillian) -> np.ndarray:
         If M is (numerically) singular on the block (the message reports its
         condition number), or a residual, trace, Hermiticity or PSD check fails.
     """
-    return devectorize(_steady(liouv, _invariant_block(np.nonzero(liouv.matrix), [liouv.pump])))
+    return devectorize(_steady(liouv, liouv.block))
 
 
 def _chunks(count: int, order: int = 1):
@@ -369,7 +369,7 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
         Initial state, as a density matrix or its Liouville vector.
     times : array_like
         Strictly increasing sample times, starting anywhere >= 0; any other
-        times (negative, not finite, not increasing) raise ValueError first.
+        times (not 1-d, negative, not finite, not increasing) raise ValueError first.
     keep_states : bool
         When true, also return the Liouville vectors at each sample as an
         (n_samples, size) array.
@@ -387,6 +387,8 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     gap d; ``meta["solver"]`` is then ``"expm"`` instead of ``"modal"``.
     """
     times = np.asarray(times, dtype=float)
+    if times.ndim != 1:
+        raise ValueError(f"times must be 1-d, got shape {times.shape}")
     if (bad := times[~((0.0 <= times) & (times < np.inf))]).size:
         raise ValueError(f"sample times must be finite and >= 0, got {bad[0]}")
     if not (np.diff(times) > 0).all():

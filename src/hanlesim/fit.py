@@ -390,7 +390,7 @@ def fit(trace: TransientTrace, model: FitModel, seeds: dict | None = None) -> Fi
         if unknown:
             raise ValueError(f"unknown seed parameters: {sorted(unknown)}")
         for name, value in seeds.items():
-            real = isinstance(value, (int, float, np.integer, np.floating))
+            real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
             if not (real and isfinite(value)) or (name in _LOG_PARAMS and value <= 0):
                 positive = " positive" if name in _LOG_PARAMS else ""
                 raise ValueError(f"seed {name!r} must be a finite{positive} number, got {value!r}")

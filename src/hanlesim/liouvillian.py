@@ -43,6 +43,7 @@ raises it.
 
 from __future__ import annotations
 
+import itertools
 import sys
 import warnings
 from collections import namedtuple
@@ -202,6 +203,9 @@ class Liouvillian:
     meta : dict
         Provenance of the model, written into every trace of it: the
         :func:`spec_meta` keys of a transition, or ``{"model": name}``.
+
+    M's nonzeros :attr:`edges`, the pump's :attr:`block` and the :attr:`parts`
+    M splits into are derived once, as :attr:`absorption_row` is.
     """
 
     matrix: np.ndarray
@@ -229,6 +233,28 @@ class Liouvillian:
         applied to devec(y), for any Liouville vector y.
         """
         return 1j * vectorize((self.coupling - self.coupling.conj().T).T)
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(rows, cols) of the nonzeros of M."""
+        return np.nonzero(self.matrix)
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """The pump's invariant block of M, reached from p0 over :attr:`edges`."""
+        return _invariant_block(self.edges, [self.pump])
+
+    @cached_property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        """Invariant blocks splitting M, :attr:`block` first, read-only.  M maps nothing from the pump's
+        block to its complement.  When it maps nothing back either (linear light), those are the two
+        parts; otherwise, as with circular light on most transitions, the one part is all of M."""
+        rows, cols = self.edges
+        inside = np.zeros(self.pump.size, dtype=bool)
+        inside[self.block] = True
+        if self.block.size < self.pump.size and not (inside[rows] & ~inside[cols]).any():
+            return _frozen(self.block, np.flatnonzero(~inside))
+        return _frozen(np.arange(self.pump.size))
 
 
 def coupling_matrix(spec: TransitionSpec) -> np.ndarray:
@@ -357,11 +383,13 @@ class AffineLiouvillian:
     The Rabi frequency enters M only through the optical coupling in H, and
     the field only through the diagonal Zeeman terms, so only on the diagonal
     of M; p0, W and the other parameters depend on neither, and nor do
-    :attr:`block` and :attr:`sector`: build it with :func:`affine_liouvillian`,
-    which keeps the whole family for the last transition it built.  It holds
-    ``base`` and ``drive`` as the entries the assembler emitted, ``base_entries``
-    and ``drive_entries``: the block, the sectors and :meth:`product` come from
-    those.
+    :attr:`block`, :attr:`parts`, :attr:`sector` and :attr:`sectors`: build it
+    with :func:`affine_liouvillian`, which keeps the whole family for the last
+    transition it built.  It holds ``base`` and ``drive`` as the entries the
+    assembler emitted, ``base_entries`` and ``drive_entries``: the block, the
+    sectors and :meth:`product` come from those.  ``block`` and ``sector`` are
+    derived when the family is built; ``parts`` and ``sectors``, which only a
+    sweep reads, on first use, once per family.
 
     :meth:`real_sector` holds the parts in real coordinates, formed from the
     nonzeros.  M preserves Hermiticity, so in the Hermitian basis T of
@@ -383,13 +411,8 @@ class AffineLiouvillian:
     pump: np.ndarray
     coupling: np.ndarray
 
-    absorption_row = Liouvillian.absorption_row  # W, so c, depends on neither rabi nor b
-
-    @cached_property
-    def block(self) -> np.ndarray:
-        """The pump's invariant block of M(rabi, b) at every rabi and b, found once over the nonzeros
-        of ``base`` and ``drive``: the field term is diagonal, so it reaches nothing they do not."""
-        return _invariant_block(self.edges, [self.pump])
+    # W, so c, depends on neither rabi nor b; M's diagonal field term reaches nothing base and drive do not
+    absorption_row, block, parts = Liouvillian.absorption_row, Liouvillian.block, Liouvillian.parts
 
     @cached_property
     def edges(self) -> tuple:
@@ -400,6 +423,25 @@ class AffineLiouvillian:
     def sector(self) -> RealSector:
         """The parts on the pump block's Theta-even sector, or on the whole block."""
         return self.real_sector(self.block, 1)
+
+    @cached_property
+    def sectors(self) -> tuple:
+        """(sector, columns of each zero-field component) of each nonempty Theta sector of :attr:`parts`,
+        even before odd, :attr:`sector` first when M splits; read-only.  A component is connected in the
+        nonzeros of the sector's ``base`` and ``drive``, by least column; a sector where Theta failed, its
+        whole block, is not split."""
+        found = []
+        for block, parity in itertools.product(self.parts, (1, -1)):
+            sector = self.sector if parity > 0 and block is self.block else self.real_sector(block, parity)
+            size, components = sector.pump.size, []
+            rows, cols = np.nonzero((sector.base != 0) | (sector.drive != 0))
+            edges, free = (np.append(rows, cols), np.append(cols, rows)), np.full(size, size < block.size)
+            while free.any():  # none where Theta failed: the sector is its whole block, not split
+                components.append(_invariant_block(edges, [np.arange(size) == free.argmax()]))
+                free[components[-1]] = False
+            if size:
+                found.append((sector, tuple(components) or (np.arange(size),)))
+        return _frozen(*found)
 
     def product(self, y: np.ndarray, rabi, b_field) -> np.ndarray:
         """M(rabi, b) y for each row of the stack ``y``, with ``rabi`` and ``b_field`` one per row,
@@ -498,11 +540,19 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
         -1j * (z[:, None] - z[None, :]).reshape(-1), key.gamma * vectorize(ops.rest), ops.coupling,
     )
     family.sector  # derives the block, the sector and the absorption row, or raises
-    for value in vars(family).values():
-        for array in value if isinstance(value, tuple) else [value]:
-            array.flags.writeable = False
+    _frozen(*vars(family).values())
     _MEMO[key] = family
     return family
+
+
+def _frozen(*values) -> tuple:
+    """``values``, arrays or tuples of them at any depth, each array made read-only."""
+    for value in values:
+        if isinstance(value, tuple):
+            _frozen(*value)
+        else:
+            value.flags.writeable = False
+    return values
 
 
 def _invariant_block(edges, seeds) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Eigenmode analysis of the evolution matrix.
 
 The full spectrum of M is computed one invariant subspace at a time (the
-blocks M splits into; in sweeps their halves under the symmetry Theta of
-:class:`hanlesim.liouvillian.AffineLiouvillian`, at zero field split on m -> -m),
+blocks M splits into, :attr:`hanlesim.liouvillian.Liouvillian.parts`; in sweeps
+their halves under the symmetry Theta, at zero field split on m -> -m, which
+:attr:`hanlesim.liouvillian.AffineLiouvillian.sectors` derives once per family),
 labelled into three rate groups (slow ground-state modes of order the
 transit rate, optical-coherence modes near half the decay rate,
 excited-population modes near the decay rate), and tested for
@@ -25,6 +26,7 @@ import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import isfinite, sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -32,7 +34,6 @@ from .dynamics import _as_vector, _chunks, _decompose, _failure, _sector_steady,
 from .liouvillian import (
     Liouvillian,
     TransitionSpec,
-    _invariant_block,
     _lindblad,
     affine_liouvillian,
     coupling_matrix,
@@ -107,27 +108,11 @@ def eigenmodes(liouv: Liouvillian, y0=None) -> list[EigenMode]:
     kind (``OBSERVABILITY_TOL``).  The amplitudes are verified to rebuild
     y0 - y_ss.
     """
-    edges = np.nonzero(liouv.matrix)
-    blocks = _parts(edges, _invariant_block(edges, [liouv.pump]), liouv.size)
+    blocks = liouv.parts
     y_ss = _steady(liouv, blocks[0])
     parts = [(liouv.matrix[np.ix_(block, block)][None], liouv.absorption_row[block]) for block in blocks]
     offsets = None if y0 is None else [(_as_vector(y0, liouv.size) - y_ss)[b][None] for b in blocks]
     return _records(_spectrum(parts, offsets), 0, [(block, None) for block in blocks], liouv.size)
-
-
-def _parts(edges, block, size) -> tuple[np.ndarray, ...]:
-    """Invariant blocks splitting every M with the nonzeros ``edges`` = (rows, cols), pump ``block`` first.
-
-    M maps nothing from the pump's block to its complement.  When it maps
-    nothing back either (linear light), those are the two parts; otherwise,
-    as with circular light on most transitions, the one part is all of M.
-    """
-    rows, cols = edges
-    inside = np.zeros(size, dtype=bool)
-    inside[block] = True
-    if block.size < size and not (inside[rows] & ~inside[cols]).any():
-        return block, np.flatnonzero(~inside)
-    return (np.arange(size),)
 
 
 #: Sorted modes of M at each point of a stack, each (points, modes): eigenvalues, absorption
@@ -355,54 +340,39 @@ def sweep_modes(spec: TransitionSpec, intensities, b1: float) -> dict:
             for point, intensity in enumerate(grid) for case, (spectrum, embeddings) in zip(CASES, cases)}
 
 
-def _components(sector) -> list[np.ndarray]:
-    """The columns of each connected component of the nonzeros of a sector's ``base`` and ``drive``, by
-    least column; all its columns where Theta failed (the sector is its whole block): it is not split."""
-    size = sector.pump.size
-    if size == sector.block.size:
-        return [np.arange(size)]
-    rows, cols = np.nonzero((sector.base != 0) | (sector.drive != 0))
-    edges, found, free = (np.append(rows, cols), np.append(cols, rows)), [], np.ones(size, dtype=bool)
-    while free.any():
-        found.append(_invariant_block(edges, [np.arange(size) == free.argmax()]))
-        free[found[-1]] = False
-    return found
-
-
 def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
     """Yield (intensities, a (spectrum, each part's (block, frame)) per case) per slice of the grid.
 
-    At ``b1`` the parts are the Theta-even and Theta-odd sectors of M's invariant blocks (see
-    :meth:`AffineLiouvillian.real_sector`); at field 0, where M also commutes with m -> -m, each
-    sector's principal submatrices on its :func:`_components`.  The start states are Theta-even and
-    lie on the pump block, so only its even sector, the first, sees them: elsewhere the amplitudes
-    and the weights are zero by structure.  Both cases' stacks of a slice are evaluated, and a check
-    that fails names the first failing point in table order (intensity-major, cases in ``CASES``
-    order), the order the steady solve walks.
+    At ``b1`` the parts are the Theta-even and Theta-odd sectors of M's invariant blocks, and at
+    field 0, where M also commutes with m -> -m, each sector's principal submatrices on its
+    components: both from :attr:`AffineLiouvillian.sectors`, derived on a family's first sweep.
+    The start states are Theta-even and lie on the pump block, so only its even sector, the first,
+    sees them: elsewhere the amplitudes and the weights are zero by structure.  Both cases' stacks
+    of a slice are evaluated, and a check that fails names the first failing point in table order
+    (intensity-major, cases in ``CASES`` order), the order the steady solve walks.
     """
-    grid = np.asarray(intensities, dtype=float).tolist()
+    grid = np.asarray(intensities, dtype=float)
+    if grid.ndim != 1:
+        raise ValueError(f"intensity grid must be 1-d, got shape {grid.shape}")
+    if not (grid := grid.tolist()):
+        raise ValueError("intensity grid is empty")
     for intensity in grid:  # the first that is negative or not finite raises as in with_intensity
         if not 0.0 <= intensity < np.inf:
             spec.with_intensity(intensity)
-    if not grid:
-        raise ValueError("intensity grid is empty")
     if repeated := [intensity for intensity, count in Counter(grid).items() if count > 1]:
         raise ValueError(f"intensity {repeated[0]!r} is repeated in the grid")
-    if not isfinite(b1):
+    if not (isinstance(b1, Real) and isfinite(b1)):
         raise ValueError(f"b1 must be finite, got {b1!r}")
     affine = affine_liouvillian(spec)
     rabi = np.sqrt(grid)  # as with_intensity takes it
     # the steady states on the family's sector, in table order; each point starts in the other case's
     x = _sector_steady(affine, np.repeat(rabi, 2), np.tile([0.0, b1], len(grid))).reshape(len(grid), 2, -1)
-    sectors = [affine.sector if parity > 0 and block is affine.block else affine.real_sector(block, parity)
-               for block in _parts(affine.edges, affine.block, affine.pump.size) for parity in (1, -1)]
-    sectors = [sector for sector in sectors if sector.pump.size]
-    seen = sectors[0]  # the pump block's even sector, or all of M's when M does not split
+    seen = affine.sectors[0][0]  # the pump block's even sector, or all of M's when M does not split
     to_seen = (seen.frame[np.searchsorted(seen.block, affine.block)].conj().T @ affine.sector.frame).real
     # each case's field and parts, a part the principal submatrices of a sector on some of its columns
-    cases = [(0.0, [(sector, c) for sector in sectors for c in _components(sector)]),
-             (b1, [(sector, np.arange(sector.pump.size)) for sector in sectors])]
-    for part in _chunks(len(grid), max(sector.pump.size for sector in sectors)):
+    cases = [(0.0, [(sector, c) for sector, components in affine.sectors for c in components]),
+             (b1, [(sector, np.arange(sector.pump.size)) for sector, _ in affine.sectors])]
+    for part in _chunks(len(grid), max(sector.pump.size for sector, _ in affine.sectors)):
         r, offset, spectra, failures = rabi[part, None, None], (x[part, ::-1] - x[part]) @ to_seen.T, [], []
         for case, (b, pieces) in enumerate(cases):
             stack = (((sector.base + r * sector.drive + b * sector.field)[:, c[:, None], c],

@@ -226,6 +226,18 @@ def _matched_relative_distance(values, reference) -> float:
     return float(cost[rows, cols].max() / np.abs(reference).max())
 
 
+def _matched_cluster_distance(values, reference) -> float:
+    """:func:`_matched_relative_distance` with each value and its reference averaged over the references
+    within 1e-6 of max |reference| of it: an exceptional point splits a defective eigenvalue by about
+    sqrt(eps), differently in each eig, while the mean of the split stays accurate."""
+    values, reference = np.asarray(values), np.asarray(reference)
+    rows, cols = linear_sum_assignment(np.abs(values[:, None] - reference[None, :]))
+    matched = np.empty(reference.shape, dtype=complex)
+    matched[cols] = values[rows]
+    near = np.abs(reference[:, None] - reference[None, :]) <= 1e-6 * np.abs(reference).max()
+    return _matched_relative_distance(near @ matched / near.sum(1), near @ reference / near.sum(1))
+
+
 def _complement_is_invariant(liouv) -> bool:
     block = dynamics._invariant_block(np.nonzero(liouv.matrix), [liouv.pump])
     rest = np.setdiff1d(np.arange(liouv.size), block)
@@ -270,6 +282,22 @@ def test_affine_parts_equal_differences_of_assemblies(spec, detuning, zeeman_e, 
 
 
 @PROPERTY_SETTINGS
+@given(transitions(), st.sampled_from(NAMED_POLARIZATIONS))
+def test_a_liouvillians_block_and_parts_match_the_dense_route(spec, pol):
+    # the pump's block by reachability over M's nonzeros, derived once; the parts are the block
+    # and its complement where M maps nothing back into the block, else all of M
+    liouv = build_liouvillian(replace(spec, pol=pol))
+    block = dense_block([liouv.matrix], [liouv.pump])
+    np.testing.assert_array_equal(liouv.block, block)
+    assert liouv.block is liouv.block and liouv.parts is liouv.parts
+    rest = np.setdiff1d(np.arange(liouv.size), block)
+    split = rest.size > 0 and not liouv.matrix[np.ix_(block, rest)].any()
+    assert [part.tolist() for part in liouv.parts] == ([block.tolist(), rest.tolist()] if split
+                                                       else [list(range(liouv.size))])
+    assert not split or liouv.parts[0] is liouv.block
+
+
+@PROPERTY_SETTINGS
 @given(transitions(), st.sampled_from([*NAMED_POLARIZATIONS, None]), st.sampled_from([0.0, 0.5]), st.booleans())
 def test_sectors_from_the_nonzeros_match_the_dense_route(spec, pol, detuning, theta_off):
     # the block by reachability over the nonzeros, and each sector part by one scatter of them,
@@ -288,7 +316,7 @@ def test_sectors_from_the_nonzeros_match_the_dense_route(spec, pol, detuning, th
         rest = np.setdiff1d(np.arange(affine.pump.size), block)
         split = rest.size > 0 and not (dense.base[np.ix_(block, rest)].any()
                                        or dense.drive[np.ix_(block, rest)].any())
-        blocks = spectral._parts(affine.edges, affine.block, affine.pump.size)
+        blocks = affine.parts
         assert [part.tolist() for part in blocks] == ([block.tolist(), rest.tolist()] if split
                                                       else [list(range(affine.pump.size))])
         for part, parity in itertools.product(blocks, (1, -1)):
@@ -428,6 +456,24 @@ def test_sector_is_even_exactly_for_linear_light_at_zero_detuning(spec, pol, det
         np.testing.assert_array_equal(real.frame, real_frame(block, spec.dim))
 
 
+def defective(spec) -> bool:
+    """Whether the spec is sigma+ or sigma- light on Fg = Fe >= 3/2, whose zero-field points can be
+    defective (exceptional): there the eigenvectors, so the amplitudes, are ill-conditioned."""
+    circular = spec.pol in {replace(spec, pol=pol).pol for pol in ("sigma+", "sigma-")}
+    return circular and spec.fg.twice_f == spec.fe.twice_f >= 3
+
+
+def _swept(spec, intensities, b1):
+    """``sweep_modes(spec, intensities, b1)``, or None where a defective spec's sweep refused the
+    amplitudes of a point; any other failure, or that one on another spec, raises."""
+    try:
+        return sweep_modes(spec, intensities, b1)
+    except np.linalg.LinAlgError as exc:
+        if not (defective(spec) and str(exc).startswith("amplitude reconstruction residual")):
+            raise
+        return None
+
+
 @PROPERTY_SETTINGS
 @given(transitions(), st.sampled_from(NAMED_POLARIZATIONS))
 def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
@@ -436,8 +482,6 @@ def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
     # two assemblies of nonzeros; then one eig stack of both intensities per part of each case,
     # the zero-field components of the sectors and the sectors at b1
     spec = replace(spec, pol=pol)
-    # as in test_sweep_modes_match_a_full_eig_per_point: the amplitudes of a defective point are refused
-    assume(pol != "sigma+" or spec.fg.twice_f != spec.fe.twice_f or spec.fg.twice_f < 3)
     liouvillian._MEMO.clear()  # a key repeated by an earlier example would be served assembled
     intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
     solved, built, decomposed, solve = [], [], [], dynamics._solved
@@ -457,12 +501,16 @@ def test_a_sweep_solves_each_case_once_on_the_sector(spec, pol):
         patch.setattr(dynamics, "_solved", lambda sub, *args: solved.append(sub) or solve(sub, *args))
         patch.setattr(spectral, "_decompose", decompose_solving_nothing)
         patch.setattr(liouvillian, "_lindblad_entries", lambda *args: built.append(1) or assemble(*args))
-        modes = sweep_modes(spec, intensities, b1)
+        modes = _swept(spec, intensities, b1)
     shape = affine_liouvillian(spec).sector.base.shape
     assert [sub.shape for sub in solved] == [(3, *shape), (1, *shape)] and len(built) == 2
     assert all(sub.dtype == np.float64 for sub in solved)
-    sectors = [sector for _, sector in _sweep_sectors(affine_liouvillian(spec))]
-    assert decomposed == [2] * (sum(len(spectral._components(sector)) for sector in sectors) + len(sectors))
+    if modes is None:
+        return
+    sectors = affine_liouvillian(spec).sectors
+    assert decomposed == [2] * (sum(len(components) for _, components in sectors) + len(sectors))
+    if defective(spec):
+        return  # the amplitudes of a defective point are ill-conditioned
     # each case starts in the other case's steady state: its amplitudes rebuild the difference
     for (intensity, case), point in modes.items():
         spec_i = spec.with_intensity(intensity)
@@ -512,10 +560,9 @@ def _reference_sweep_point(spec, b_field, b_other):
 @given(transitions(), st.sampled_from(("linear-x", "linear-y", "sigma+")))
 def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
     spec = replace(spec, pol=pol)
-    # sigma+ on Fg = Fe >= 3/2 is defective at zero field: its amplitudes are refused
-    assume(pol != "sigma+" or spec.fg.twice_f != spec.fe.twice_f or spec.fg.twice_f < 3)
     intensities, b1 = (spec.rabi**2, 0.5), spec.b_field or 0.03
-    sweep = sweep_modes(spec, intensities, b1)
+    if (sweep := _swept(spec, intensities, b1)) is None:
+        return
     for intensity in intensities:
         spec_i = spec.with_intensity(intensity)
         for case, b_field, b_other in (("B0", 0.0, b1), ("B1", b1, 0.0)):
@@ -523,6 +570,8 @@ def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
             values = np.array([mode.value for mode in modes])
             matrix = build_liouvillian(spec_i.with_field(b_field)).matrix
             assert _matched_relative_distance(values, np.linalg.eigvals(matrix)) <= 1e-12
+            if defective(spec):
+                continue  # the amplitudes, weights and flags of a defective point are ill-conditioned
             amps, weights = (np.abs([getattr(mode, name) for mode in modes]) for name in ("amplitude", "weight"))
             ref_values, ref_amps, ref_weights, ref_flags = _reference_sweep_point(spec_i, b_field, b_other)
             ref_amps, ref_weights = np.abs(ref_amps), np.abs(ref_weights)
@@ -544,13 +593,6 @@ def test_sweep_modes_match_a_full_eig_per_point(spec, pol):
                     assert modes[i].observable == ref_flags[j], (intensity, case, ref_values[j])
 
 
-def _sweep_sectors(affine) -> list:
-    """(block, sector) of each nonempty Theta sector of M's invariant blocks, as a sweep takes them."""
-    pairs = [(block, affine.real_sector(block, parity))
-             for block in spectral._parts(affine.edges, affine.block, affine.pump.size) for parity in (1, -1)]
-    return [(block, sector) for block, sector in pairs if sector.pump.size]
-
-
 @PROPERTY_SETTINGS
 @given(transitions(), st.sampled_from(("linear-x", "linear-y")))
 def test_zero_field_components_refine_the_m_reversal_halves(spec, pol):
@@ -558,9 +600,9 @@ def test_zero_field_components_refine_the_m_reversal_halves(spec, pol):
     # coordinates: the components that split a sector lie each in one of its two halves
     spec = replace(spec, pol=pol)
     affine, rotation = affine_liouvillian(spec), m_reversal(spec)
-    for block, sector in _sweep_sectors(affine):
+    for sector, components in affine.sectors:
+        block = sector.block
         assert sector.pump.size < block.size  # Theta holds for linear light
-        components = spectral._components(sector)
         np.testing.assert_array_equal(np.sort(np.concatenate(components)), np.arange(sector.pump.size))
         label = np.zeros(sector.pump.size, dtype=int)
         for k, columns in enumerate(components):
@@ -573,7 +615,7 @@ def test_zero_field_components_refine_the_m_reversal_halves(spec, pol):
         assert all(np.unique(halves[columns]).size == 1 for columns in components)
         matrix = sector.base + spec.rabi * sector.drive
         split = np.concatenate([np.linalg.eigvals(matrix[np.ix_(c, c)]) for c in components])
-        assert _matched_relative_distance(split, np.linalg.eigvals(matrix)) <= 1e-12
+        assert _matched_cluster_distance(split, np.linalg.eigvals(matrix)) <= 1e-12
 
 
 @PROPERTY_SETTINGS
@@ -587,10 +629,10 @@ def test_a_sector_theta_does_not_split_is_one_component(spec, pol):
         spec = replace(spec, pol=pol)
     linear = spec.pol in {replace(spec, pol=linear).pol for linear in ("linear-x", "linear-y")}
     assume(spec.detuning != 0.0 or not linear)
-    for block, sector in _sweep_sectors(affine_liouvillian(spec)):
-        assert sector.pump.size == block.size
-        (columns,) = spectral._components(sector)
-        np.testing.assert_array_equal(columns, np.arange(block.size))
+    for sector, components in affine_liouvillian(spec).sectors:
+        assert sector.pump.size == sector.block.size
+        (columns,) = components
+        np.testing.assert_array_equal(columns, np.arange(sector.block.size))
 
 
 # the memo of the last family, keyed by the spec at (rabi, b) = (0, 0)
@@ -602,8 +644,7 @@ MEMO_SCHEDULE = dict(b0=0.0, period=40.0, samples_per_period=4)
 def _count_builds(patch) -> list:
     """A list that grows by "block" or "sector" each time a family's block or sector is derived."""
     calls, find, real = [], liouvillian._invariant_block, liouvillian.AffineLiouvillian.real_sector
-    for module in (liouvillian, dynamics, spectral):
-        patch.setattr(module, "_invariant_block", lambda *args: calls.append("block") or find(*args))
+    patch.setattr(liouvillian, "_invariant_block", lambda *args: calls.append("block") or find(*args))
     patch.setattr(liouvillian.AffineLiouvillian, "real_sector",
                   lambda *args: calls.append("sector") or real(*args))
     return calls
@@ -628,9 +669,11 @@ def test_a_memo_hit_serves_the_fresh_block_and_sector_read_only(spec, pol, detun
     fresh = affine_liouvillian(other)
     assert fresh is not hit
 
-    def arrays(family):
-        return [*family.base_entries, *family.drive_entries, family.field, family.pump, family.coupling,
-                family.block, *family.sector]
+    def arrays(family):  # lazily: each array is checked before the next attribute is derived
+        yield from [*family.base_entries, *family.drive_entries, family.field, family.pump, family.coupling,
+                    family.block, *family.sector]
+        yield from family.parts
+        yield from (array for sector, components in family.sectors for array in (*sector, *components))
 
     for served, built in zip(arrays(hit), arrays(fresh)):
         assert (served.dtype, served.shape) == (built.dtype, built.shape)

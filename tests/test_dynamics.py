@@ -308,6 +308,18 @@ class TestPropagators:
             propagate_modal(liouv, steady_vector(eit_spec(0.02), 0.0), times)
         assert calls == []
 
+    @pytest.mark.parametrize("times", [1.0, [[0.0, 1.0]]], ids=["0-d", "2-d"])
+    def test_times_that_are_not_1d_are_refused_before_any_work(self, monkeypatch, times):
+        # a scalar leaked numpy's diff error, and a 2-d array was refused only after the decomposition
+        liouv, y0 = build_liouvillian(eit_spec(0.02).with_field(0.03)), steady_vector(eit_spec(0.02), 0.0)
+        calls = []
+        for name in ("_steady", "_decompose"):
+            work = getattr(dynamics, name)
+            monkeypatch.setattr(dynamics, name, lambda *args, work=work: calls.append(1) or work(*args))
+        with pytest.raises(ValueError, match=r"^times must be 1-d, got shape \("):
+            propagate_modal(liouv, y0, times)
+        assert calls == []
+
     def test_modal_fallback_exponentiates_once_per_distinct_gap(self, monkeypatch):
         monkeypatch.setattr(dynamics, "MODAL_CONDITION_LIMIT", 1.0)
         calls = []

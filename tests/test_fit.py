@@ -487,6 +487,8 @@ class TestEdgeCases:
         (FitModel("single_exp"), "rate", "0.1"), (FitModel("single_exp"), "rate", None),
         (FitModel("single_exp"), "rate", 1j), (FitModel("single_exp"), "amp", None),
         (FitModel("exp_plus_damped_sine"), "freq", 1j),
+        # a bool was taken as 1 or 0
+        (FitModel("single_exp"), "rate", True), (FitModel("exp_plus_damped_sine"), "amp_osc", False),
     ])
     def test_non_finite_or_non_positive_seed_raises_naming_it(self, model, name, bad):
         # a negative rate seed was clamped to 1e-300 and "converged" there; NaN or inf

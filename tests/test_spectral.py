@@ -22,8 +22,10 @@ from hanlesim import (
     propagate_modal,
     steady_state,
     sweep_modes,
+    switched_transient,
     vectorize,
 )
+from hanlesim import cli
 from hanlesim.cli import _transition_spec, build_config
 from hanlesim.dynamics import SwitchSchedule, _invariant_block
 from hanlesim.liouvillian import coupling_matrix, hamiltonian, isotropic_ground
@@ -38,6 +40,15 @@ from support import (
     record_shapes,
     steady_vector,
 )
+
+
+def count_sectors(monkeypatch) -> list:
+    """A list that grows by (block size, parity) each time a family forms a Theta sector."""
+    calls, real = [], liouvillian.AffineLiouvillian.real_sector
+    monkeypatch.setattr(liouvillian.AffineLiouvillian, "real_sector",
+                        lambda self, block, parity: calls.append((block.size, parity))
+                        or real(self, block, parity))
+    return calls
 
 
 class TestEigenmodes:
@@ -350,6 +361,20 @@ class TestIntensitySweep:
             sweep(eit_spec(0.0), (0.1,), b1)
         assert str(raised.value) == str(expected.value)
 
+    @pytest.mark.parametrize("sweep", [intensity_sweep, sweep_modes])
+    @pytest.mark.parametrize("grid", [np.array([[0.1, 0.2]]), 0.1], ids=["2-d", "0-d"])
+    def test_a_grid_that_is_not_1d_raises_naming_its_shape(self, sweep, grid):
+        # a 2-d grid raised TypeError comparing a float with a list, a 0-d one iterating a float
+        with pytest.raises(ValueError, match=r"^intensity grid must be 1-d, got shape \("):
+            sweep(eit_spec(0.0), grid, 0.03)
+
+    @pytest.mark.parametrize("sweep", [intensity_sweep, sweep_modes])
+    @pytest.mark.parametrize("b1", [None, "0.01", 0.01j])
+    def test_a_field_that_is_not_a_real_number_raises_as_not_finite(self, sweep, b1):
+        # isfinite raised TypeError on each
+        with pytest.raises(ValueError, match="^b1 must be finite, got "):
+            sweep(eit_spec(0.0), (0.1,), b1)
+
     def test_sweep_modes_keyed_by_intensity_and_case(self):
         result = sweep_modes(eit_spec(0.0), (0.002,), b1=0.03)
         assert set(result) == {(0.002, "B0"), (0.002, "B1")}
@@ -442,8 +467,8 @@ class TestSplitSweep:
         assert [len(embeddings) for _, embeddings in cases] == [8 if make_spec is eit_spec else 9, 4]
         np.testing.assert_array_equal(cases[1][1][0][0], affine.block)
         np.testing.assert_array_equal(cases[1][1][0][1], affine.sector.frame)
-        components = spectral._components(affine.sector)
-        assert len(components) == 2
+        (sector, components), *_ = affine.sectors
+        assert sector is affine.sector and len(components) == 2
         for (block, frame), columns in zip(cases[0][1], components):
             np.testing.assert_array_equal(block, affine.block)
             np.testing.assert_array_equal(frame, affine.sector.frame[:, columns])
@@ -518,10 +543,7 @@ class TestSplitSweep:
         # 3 -> 4's 73-index linear sector keeps stacks of 32 points; larger parts stack fewer
         spec = TransitionSpec(fg=fe - 1, fe=fe, rabi=0.0, gamma=GAMMA, pol=pol)
         affine = liouvillian.affine_liouvillian(spec)
-        largest = max(affine.real_sector(block, parity).pump.size
-                      for block in spectral._parts(affine.edges, affine.block, affine.pump.size)
-                      for parity in (1, -1))
-        assert largest == order
+        assert max(sector.pump.size for sector, _ in affine.sectors) == order
         assert [part.stop - part.start for part in dynamics._chunks(100, order)][:2] == [points] * 2
         if fe == 2:  # each case's parts in a stack of the bound, then one of the point left over
             shapes = record_shapes(monkeypatch, "eig")
@@ -537,26 +559,45 @@ class TestSplitSweep:
 
     def test_finds_the_block_once_per_sweep(self, monkeypatch):
         # the pump's block over the Liouville indices, once; then each zero-field component of the
-        # four sectors (2 + 3 + 2 + 2 on 1 -> 2) once, over a sector's coordinates
+        # four sectors (2 + 3 + 2 + 2 on 1 -> 2) once, over a sector's coordinates; a second sweep
+        # of the same family walks nothing
         seeds = []
-        for module in (spectral, dynamics, liouvillian):
-            monkeypatch.setattr(module, "_invariant_block",
-                                lambda edges, found: seeds.append(found) or _invariant_block(edges, found))
-        spec = eia_spec(0.0)
-        sweep_modes(spec, np.geomspace(1e-3, 4.0, 5), b1=0.01)
+        monkeypatch.setattr(liouvillian, "_invariant_block",
+                            lambda edges, found: seeds.append(found) or _invariant_block(edges, found))
+        spec, grid = eia_spec(0.0), np.geomspace(1e-3, 4.0, 5)
+        sweep_modes(spec, grid, b1=0.01)
         pump = liouvillian.affine_liouvillian(spec).pump
         liouville = [found for found in seeds if found[0].size == pump.size]
         assert len(liouville) == 1 and len(liouville[0]) == 1 and liouville[0][0] is pump
         assert len(seeds) == 1 + 9 and all(found[0].size <= 21 for found in seeds[1:])
+        intensity_sweep(spec, grid, b1=0.01)
+        assert len(seeds) == 1 + 9
 
     def test_forms_each_sector_once_per_sweep(self, monkeypatch):
-        # the pump block's even sector is the family's own: the sweep does not form it again
-        calls, real = [], liouvillian.AffineLiouvillian.real_sector
-        monkeypatch.setattr(liouvillian.AffineLiouvillian, "real_sector",
-                            lambda self, block, parity: calls.append((block.size, parity))
-                            or real(self, block, parity))
-        sweep_modes(eia_spec(0.0), np.geomspace(1e-3, 4.0, 5), b1=0.01)
+        # the pump block's even sector is the family's own: the sweep does not form it again, and
+        # a second sweep of the same family forms none
+        calls = count_sectors(monkeypatch)
+        spec, grid = eia_spec(0.0), np.geomspace(1e-3, 4.0, 5)
+        sweep_modes(spec, grid, b1=0.01)
         assert sorted(calls) == [(30, -1), (30, 1), (34, -1), (34, 1)]
+        intensity_sweep(spec, grid, b1=0.01)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("pol", ["linear-y", "sigma+"])
+    def test_a_transient_or_a_steady_scan_forms_one_sector_and_no_parts(self, monkeypatch, tmp_path, pol):
+        # the family's own sector, the pump block's even one; the sweep's parts and sectors are
+        # derived on first use, so neither run pays for them
+        calls = count_sectors(monkeypatch)
+        steady = ["steady", "--fg", "1", "--fe", "2", "--intensity", "0.3", "--polarization", pol,
+                  "--scan-b-points", "5", "--output", str(tmp_path / "steady.csv")]
+        for run in (lambda: switched_transient(eia_spec(0.3, pol=pol), SwitchSchedule(b1=0.01, period=40.0)),
+                    lambda: cli.main(steady)):
+            liouvillian._MEMO.clear()
+            calls.clear()
+            run()
+            (family,) = liouvillian._MEMO.values()
+            assert calls == [(family.block.size, 1)]
+            assert "parts" not in vars(family) and "sectors" not in vars(family)
 
     @pytest.mark.parametrize("make_spec", [eit_spec, eia_spec])
     @pytest.mark.parametrize("pol", ["linear-x", "linear-y"])
