@@ -394,7 +394,7 @@ def propagate_modal(liouv: Liouvillian, y0, times, keep_states: bool = False):
     if not (np.diff(times) > 0).all():
         raise ValueError("times must be strictly increasing")
     y0 = _as_vector(y0, liouv.size)
-    block = _invariant_block(np.nonzero(liouv.matrix), [liouv.pump, y0])
+    block = _invariant_block(liouv.edges, [liouv.pump, y0])
     y_ss = _steady(liouv, block) if liouv.pump.any() else np.zeros(liouv.size, dtype=complex)
     sub, row = liouv.matrix[np.ix_(block, block)], liouv.absorption_row[block]
     lam, vecs, w_modes = _decompose(sub, row)

@@ -43,7 +43,6 @@ raises it.
 
 from __future__ import annotations
 
-import itertools
 import sys
 import warnings
 from collections import namedtuple
@@ -246,15 +245,16 @@ class Liouvillian:
 
     @cached_property
     def parts(self) -> tuple[np.ndarray, ...]:
-        """Invariant blocks splitting M, :attr:`block` first, read-only.  M maps nothing from the pump's
-        block to its complement.  When it maps nothing back either (linear light), those are the two
-        parts; otherwise, as with circular light on most transitions, the one part is all of M."""
+        """Invariant blocks splitting M, read-only: :attr:`block` and its complement when M maps nothing
+        between them (linear light), else, as with circular light on most transitions, all of M."""
         rows, cols = self.edges
         inside = np.zeros(self.pump.size, dtype=bool)
         inside[self.block] = True
-        if self.block.size < self.pump.size and not (inside[rows] & ~inside[cols]).any():
-            return _frozen(self.block, np.flatnonzero(~inside))
-        return _frozen(np.arange(self.pump.size))
+        split = self.block.size < self.pump.size and not (inside[rows] & ~inside[cols]).any()
+        parts = (self.block, np.flatnonzero(~inside)) if split else (np.arange(self.pump.size),)
+        for part in parts:
+            part.flags.writeable = False
+        return parts
 
 
 def coupling_matrix(spec: TransitionSpec) -> np.ndarray:
@@ -426,22 +426,14 @@ class AffineLiouvillian:
 
     @cached_property
     def sectors(self) -> tuple:
-        """(sector, columns of each zero-field component) of each nonempty Theta sector of :attr:`parts`,
-        even before odd, :attr:`sector` first when M splits; read-only.  A component is connected in the
-        nonzeros of the sector's ``base`` and ``drive``, by least column; a sector where Theta failed, its
-        whole block, is not split."""
-        found = []
-        for block, parity in itertools.product(self.parts, (1, -1)):
-            sector = self.sector if parity > 0 and block is self.block else self.real_sector(block, parity)
-            size, components = sector.pump.size, []
-            rows, cols = np.nonzero((sector.base != 0) | (sector.drive != 0))
-            edges, free = (np.append(rows, cols), np.append(cols, rows)), np.full(size, size < block.size)
-            while free.any():  # none where Theta failed: the sector is its whole block, not split
-                components.append(_invariant_block(edges, [np.arange(size) == free.argmax()]))
-                free[components[-1]] = False
-            if size:
-                found.append((sector, tuple(components) or (np.arange(size),)))
-        return _frozen(*found)
+        """(sector, its :func:`_components`) of each nonempty Theta sector of :attr:`parts`, even before odd,
+        :attr:`sector` first when M splits; read-only."""
+        sectors = [self.sector if parity > 0 and block is self.block else self.real_sector(block, parity)
+                   for block in self.parts for parity in (1, -1)]
+        sectors = tuple((sector, tuple(_components(sector))) for sector in sectors if sector.pump.size)
+        for array in (array for sector, components in sectors for array in (*sector, *components)):
+            array.flags.writeable = False
+        return sectors
 
     def product(self, y: np.ndarray, rabi, b_field) -> np.ndarray:
         """M(rabi, b) y for each row of the stack ``y``, with ``rabi`` and ``b_field`` one per row,
@@ -540,19 +532,11 @@ def affine_liouvillian(spec: TransitionSpec) -> AffineLiouvillian:
         -1j * (z[:, None] - z[None, :]).reshape(-1), key.gamma * vectorize(ops.rest), ops.coupling,
     )
     family.sector  # derives the block, the sector and the absorption row, or raises
-    _frozen(*vars(family).values())
+    for value in vars(family).values():
+        for array in value if isinstance(value, tuple) else [value]:
+            array.flags.writeable = False
     _MEMO[key] = family
     return family
-
-
-def _frozen(*values) -> tuple:
-    """``values``, arrays or tuples of them at any depth, each array made read-only."""
-    for value in values:
-        if isinstance(value, tuple):
-            _frozen(*value)
-        else:
-            value.flags.writeable = False
-    return values
 
 
 def _invariant_block(edges, seeds) -> np.ndarray:
@@ -572,6 +556,20 @@ def _invariant_block(edges, seeds) -> np.ndarray:
         frontier = step & ~reached
         reached = reached | frontier
     return np.flatnonzero(reached)
+
+
+def _components(sector) -> list[np.ndarray]:
+    """The columns of each connected component of the nonzeros of a sector's ``base`` and ``drive``, by
+    least column; all its columns where Theta failed (the sector is its whole block): it is not split."""
+    size = sector.pump.size
+    if size == sector.block.size:
+        return [np.arange(size)]
+    rows, cols = np.nonzero((sector.base != 0) | (sector.drive != 0))
+    edges, found, free = (np.append(rows, cols), np.append(cols, rows)), [], np.ones(size, dtype=bool)
+    while free.any():
+        found.append(_invariant_block(edges, [np.arange(size) == free.argmax()]))
+        free[found[-1]] = False
+    return found
 
 
 def _frame_entries(block: np.ndarray, dim: int):

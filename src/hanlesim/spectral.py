@@ -26,7 +26,6 @@ import itertools
 from collections import Counter, namedtuple
 from dataclasses import dataclass
 from math import isfinite, sqrt
-from numbers import Real
 
 import numpy as np
 
@@ -351,8 +350,7 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
     of a slice are evaluated, and a check that fails names the first failing point in table order
     (intensity-major, cases in ``CASES`` order), the order the steady solve walks.
     """
-    grid = np.asarray(intensities, dtype=float)
-    if grid.ndim != 1:
+    if (grid := np.asarray(intensities, dtype=float)).ndim != 1:
         raise ValueError(f"intensity grid must be 1-d, got shape {grid.shape}")
     if not (grid := grid.tolist()):
         raise ValueError("intensity grid is empty")
@@ -361,7 +359,7 @@ def _sweep(spec: TransitionSpec, intensities, b1: float, vectors=False):
             spec.with_intensity(intensity)
     if repeated := [intensity for intensity, count in Counter(grid).items() if count > 1]:
         raise ValueError(f"intensity {repeated[0]!r} is repeated in the grid")
-    if not (isinstance(b1, Real) and isfinite(b1)):
+    if not isfinite(b1 if hasattr(b1, "__float__") else np.nan):  # refuses what is not a real number
         raise ValueError(f"b1 must be finite, got {b1!r}")
     affine = affine_liouvillian(spec)
     rabi = np.sqrt(grid)  # as with_intensity takes it

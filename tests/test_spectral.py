@@ -375,6 +375,14 @@ class TestIntensitySweep:
         with pytest.raises(ValueError, match="^b1 must be finite, got "):
             sweep(eit_spec(0.0), (0.1,), b1)
 
+    @pytest.mark.parametrize("b1", [np.array(0.03), np.float32(0.03), 0], ids=["0-d", "float32", "int"])
+    def test_a_field_that_is_a_real_number_of_another_type_is_swept_as_its_float(self, b1):
+        table = intensity_sweep(eit_spec(0.0), (0.1,), b1)
+        expected = intensity_sweep(eit_spec(0.0), (0.1,), float(b1))
+        assert table.keys() == expected.keys()
+        for name, column in expected.items():
+            np.testing.assert_array_equal(table[name], column)
+
     def test_sweep_modes_keyed_by_intensity_and_case(self):
         result = sweep_modes(eit_spec(0.0), (0.002,), b1=0.03)
         assert set(result) == {(0.002, "B0"), (0.002, "B1")}
